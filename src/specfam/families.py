@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCertified, UnsupportedModel
+from .errors import IncompatibleModel, NotCertified, UnsupportedModel
 from .models import (
     AlgebraElement,
     Element,
@@ -33,10 +33,10 @@ from .models import (
     Representation,
     ToeplitzElement,
     ToeplitzModel,
+    _section_sweep,
     elem_norm,
     enum_prim,
     rep_apply,
-    toeplitz_norm,
 )
 from .spectral import DEFAULT_RESOLUTION, SpectrumSet, eig_normal, union_spectra
 
@@ -164,52 +164,46 @@ def standard_probes(model, extras: tuple[Element, ...] = ()) -> tuple[Element, .
 
 
 # ---------------------------------------------------------------------------
-# member norms
+# member images
 
 
-def _batched_norms(mats: list[np.ndarray]) -> list[float]:
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, m in enumerate(mats):
-        by_shape.setdefault(m.shape, []).append(i)
-    out = [0.0] * len(mats)
-    for shape, idx in by_shape.items():
-        stack = np.stack([mats[i] for i in idx])
-        svals = np.linalg.svd(stack, compute_uv=False)
-        for j, i in enumerate(idx):
-            out[i] = float(svals[j][0])
+def _member_values(
+    members: tuple[Representation, ...], a: Element
+) -> list[tuple[float, float]]:
+    """(norm, sigma_min) of each member's image of the element.
+
+    Images of equal shape go through one batched SVD.  The section-ladder
+    member takes both values from the ladder sweep instead: the norm is
+    the largest section norm, sigma_min the top section's smallest
+    singular value.  An empty image counts as (0, 0).
+    """
+    out = [(0.0, 0.0)] * len(members)
+    by_shape: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
+    for i, member in enumerate(members):
+        if member.kind == "toeplitz-identity":
+            if not isinstance(a, ToeplitzElement):
+                raise IncompatibleModel("the section ladder applies to symbol-model elements")
+            est, sigma = _section_sweep(a)
+            out[i] = (est.value, sigma)
+            continue
+        m = rep_apply(member, a)
+        if m.size:
+            by_shape.setdefault(m.shape, []).append((i, m))
+    for group in by_shape.values():
+        svals = np.linalg.svd(np.stack([m for _, m in group]), compute_uv=False)
+        for (i, _), s in zip(group, svals):
+            out[i] = (float(s[0]), float(s[-1]))
     return out
 
 
 def member_norm(member: Representation, a: Element) -> float:
     """Norm of the element's image under one member (ladder-aware)."""
-    if member.kind == "toeplitz-identity":
-        return toeplitz_norm(a).value
-    m = rep_apply(member, a)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def _family_norms(family: RepFamily, a: Element) -> list[float]:
-    norms = []
-    direct: list[np.ndarray] = []
-    direct_pos: list[int] = []
-    for i, member in enumerate(family.members):
-        if member.kind == "toeplitz-identity":
-            norms.append(toeplitz_norm(a).value)
-        else:
-            norms.append(0.0)
-            direct.append(rep_apply(member, a))
-            direct_pos.append(i)
-    if direct:
-        for pos, v in zip(direct_pos, _batched_norms(direct)):
-            norms[pos] = v
-    return norms
+    return _member_values((member,), a)[0][0]
 
 
 def norm_via_family(family: RepFamily, a: Element) -> float:
     """sup of member image norms; equals the norm for exhausting families."""
-    return max(_family_norms(family, a))
+    return max(norm for norm, _ in _member_values(family.members, a))
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +283,15 @@ def _coverage_radius(family: RepFamily) -> float | None:
             min(model.space.distance(g, p) for p in pts)
             for g in model.space.sample_grid
         )
-    thetas = sorted(
-        m.theta % (2.0 * np.pi)
-        for m in family.members
-        if m.kind == "toeplitz-character"
-    )
-    if not thetas:
-        return None
-    gaps = [b - a for a, b in zip(thetas, thetas[1:])]
-    gaps.append(thetas[0] + 2.0 * np.pi - thetas[-1])
+    thetas = [m.theta for m in family.members if m.kind == "toeplitz-character"]
+    return _theta_radius(thetas) if thetas else None
+
+
+def _theta_radius(thetas: list[float]) -> float:
+    """Half the largest gap between neighbouring angles around the circle."""
+    ts = sorted(th % (2.0 * np.pi) for th in thetas)
+    gaps = [b - a for a, b in zip(ts, ts[1:])]
+    gaps.append(ts[0] + 2.0 * np.pi - ts[-1])
     return max(gaps) / 2.0
 
 
@@ -406,21 +400,11 @@ def member_invertibility(
     for faithful-but-not-exhausting families, so it is reported
     separately from the certified routes.
     """
-    out = []
-    for member in family.members:
-        m = rep_apply(member, a)
-        sigma = float(np.linalg.svd(m, compute_uv=False)[-1]) if m.size else 0.0
-        out.append(MemberCheck(member.label, sigma, sigma > tol))
-    return out
-
-
-def _member_sigma_mins(family: RepFamily, a: Element) -> list[tuple[str, float]]:
-    out = []
-    for member in family.members:
-        m = rep_apply(member, a)
-        sigma = float(np.linalg.svd(m, compute_uv=False)[-1]) if m.size else 0.0
-        out.append((member.label, sigma))
-    return out
+    values = _member_values(family.members, a)
+    return [
+        MemberCheck(member.label, sigma, sigma > tol)
+        for member, (_, sigma) in zip(family.members, values)
+    ]
 
 
 def invertible_via_exhausting(
@@ -443,7 +427,7 @@ def invertible_via_exhausting(
             f"(witness {cert.witness})"
         )
     threshold = invertibility_threshold(a, tol)
-    return all(sigma > threshold for _, sigma in _member_sigma_mins(family, a))
+    return all(sigma > threshold for _, sigma in _member_values(family.members, a))
 
 
 def invertible_via_faithful(
@@ -469,7 +453,7 @@ def invertible_via_faithful(
             f"(witness {cert.witness})"
         )
     threshold = invertibility_threshold(a, tol)
-    for _, sigma in _member_sigma_mins(family, a):
+    for _, sigma in _member_values(family.members, a):
         if sigma <= threshold or sigma * bound < 1.0 - 1e-12:
             return False
     return True
@@ -498,9 +482,8 @@ def direct_invertible(a: AlgebraElement, tol: float = DEFAULT_RESOLUTION) -> Dir
         if space.kind == "circle":
             pts.append((bps[-1] + 1.0) / 2.0)
             gap = max(gap, 1.0 - bps[-1])
-    mats = [a.value_at(t) for t in pts]
-    sigmas = [float(np.linalg.svd(m, compute_uv=False)[-1]) for m in mats]
-    sigma = min(sigmas)
+    members = tuple(Representation.eval_point(t) for t in pts)
+    sigma = min(sigma for _, sigma in _member_values(members, a))
     margin = sigma - a.lipschitz_bound * gap / 2.0
     return DirectCheck(margin > tol, sigma, margin)
 
@@ -520,11 +503,10 @@ def spectrum_union(
     """
     parts = []
     for member in family.members:
+        part = eig_normal(rep_apply(member, a), tol)
         if member.kind == "toeplitz-identity":
-            m = rep_apply(member, a)
-            parts.append(SpectrumSet.canonical(eig_normal(m, tol).points, tol, truncated=True))
-        else:
-            parts.append(eig_normal(rep_apply(member, a), tol))
+            part = SpectrumSet.canonical(part.points, tol, truncated=True)
+        parts.append(part)
     return union_spectra(parts, resolution=tol)
 
 
@@ -564,10 +546,7 @@ def fredholm_via_family(
     vals = [abs(x.symbol_at(th)) for th in thetas]
     worst = int(np.argmin(vals))
     min_symbol = vals[worst]
-    ts = sorted(th % (2.0 * np.pi) for th in thetas)
-    gaps = [b - a for a, b in zip(ts, ts[1:])]
-    gaps.append(ts[0] + 2.0 * np.pi - ts[-1])
-    margin = min_symbol - x.symbol_slope_bound() * max(gaps) / 2.0
+    margin = min_symbol - x.symbol_slope_bound() * _theta_radius(thetas)
     ok = bool(margin > tol)
     return FredholmVerdict(
         fredholm=ok,

@@ -18,6 +18,7 @@ Representations are lightweight tagged values; rep_apply turns
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -166,12 +167,6 @@ class ToeplitzModel:
         thetas = tuple(2.0 * np.pi * k / theta_count for k in range(theta_count))
         return cls(thetas, tuple(int(n) for n in sections))
 
-    def theta_gap(self) -> float:
-        ts = sorted(t % (2.0 * np.pi) for t in self.thetas)
-        gaps = [b - a for a, b in zip(ts, ts[1:])]
-        gaps.append(ts[0] + 2.0 * np.pi - ts[-1])
-        return max(gaps)
-
 
 # ---------------------------------------------------------------------------
 # elements
@@ -312,7 +307,7 @@ class AlgebraElement:
                 # wrap segment between the last breakpoint and 0 == 1
                 w = (t - bps[-1]) / (1.0 - bps[-1])
                 return (1.0 - w) * self.matrices[-1] + w * self.matrices[0]
-        j = int(np.searchsorted(bps, t))
+        j = bisect.bisect_left(bps, t)
         if j < len(bps) and abs(bps[j] - t) <= _POINT_TOL:
             return self.matrices[j]
         if j > 0 and abs(bps[j - 1] - t) <= _POINT_TOL:
@@ -735,6 +730,20 @@ def elem_norm(a: Element) -> NormEstimate:
     return NormEstimate(float(np.max(vals)), float(bar))
 
 
+def _section_sweep(x: ToeplitzElement) -> tuple[NormEstimate, float]:
+    """Ladder norm estimate plus the top section's smallest singular value.
+
+    One SVD per section size serves both numbers, so callers that need the
+    top section's invertibility margin pay nothing beyond the norm sweep.
+    """
+    sizes = sorted(set(x.section_sizes))
+    svals = [np.linalg.svd(x.section(n), compute_uv=False) for n in sizes]
+    norms = [float(s[0]) for s in svals]
+    value = max(norms)
+    increment = abs(norms[-1] - norms[-2]) if len(norms) > 1 else 0.0
+    return NormEstimate(float(value), float(increment)), float(svals[-1][-1])
+
+
 def toeplitz_norm(x: ToeplitzElement) -> NormEstimate:
     """Largest finite-section norm plus the last increment.
 
@@ -742,11 +751,7 @@ def toeplitz_norm(x: ToeplitzElement) -> NormEstimate:
     below, so the value is a lower bound and the increment measures how
     settled the ladder is.
     """
-    sizes = sorted(set(x.section_sizes))
-    norms = [op_norm(x.section(n)) for n in sizes]
-    value = max(norms)
-    increment = abs(norms[-1] - norms[-2]) if len(norms) > 1 else 0.0
-    return NormEstimate(float(value), float(increment))
+    return _section_sweep(x)[0]
 
 
 def n_a_profile(a: Element) -> list[tuple[PrimPoint, float]]:

@@ -17,8 +17,6 @@ definite parameter component.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +29,6 @@ from .errors import (
     UnsupportedModel,
 )
 from .spectral import SpectrumSet
-
-_THREADS_ENV = "SPECFAM_THREADS"
 
 
 @dataclass(frozen=True)
@@ -302,6 +298,33 @@ class LambdaGrid:
 # principal symbol on the sphere of directions
 
 
+def _norm(v: tuple) -> float:
+    return float(np.sqrt(sum(x * x for x in v)))
+
+
+def _lattice_directions(dim: int) -> list[tuple]:
+    """Normalized nonzero points of {-2, .., 2}^dim, one per direction.
+
+    Lexicographic lattice order, first occurrence kept; the order matters
+    because verdicts report the first minimizing direction.
+    """
+    grids = [()]
+    for _ in range(dim):
+        grids = [g + (v,) for g in grids for v in range(-2, 3)]
+    seen = set()
+    out = []
+    for g in grids:
+        norm = _norm(g)
+        if norm == 0.0:
+            continue
+        vec = tuple(x / norm for x in g)
+        key = tuple(round(x, 12) for x in vec)
+        if key not in seen:
+            seen.add(key)
+            out.append(vec)
+    return out
+
+
 def _sphere_directions(n: int, count: int = 64) -> list[tuple]:
     """Deterministic directions on the joint sphere (xi, eta) in R^(1+n).
 
@@ -316,48 +339,13 @@ def _sphere_directions(n: int, count: int = 64) -> list[tuple]:
             (np.cos(2 * np.pi * i / count), (np.sin(2 * np.pi * i / count),))
             for i in range(count)
         ]
-    dirs = []
-    seen = set()
-    rng = range(-2, 3)
-    grids = [()]
-    for _ in range(n + 1):
-        grids = [g + (v,) for g in grids for v in rng]
-    for g in grids:
-        norm = float(np.sqrt(sum(x * x for x in g)))
-        if norm == 0.0:
-            continue
-        vec = tuple(x / norm for x in g)
-        key = tuple(round(x, 12) for x in vec)
-        if key in seen:
-            continue
-        seen.add(key)
-        dirs.append((vec[0], vec[1:]))
-    return dirs
-
-
-def _lambda_unit_directions(n: int) -> list[tuple]:
-    if n == 1:
-        return [(1.0,), (-1.0,)]
-    seen = set()
-    out = []
-    grids = [()]
-    for _ in range(n):
-        grids = [g + (v,) for g in grids for v in range(-2, 3)]
-    for g in grids:
-        norm = float(np.sqrt(sum(x * x for x in g)))
-        if norm == 0.0:
-            continue
-        vec = tuple(x / norm for x in g)
-        key = tuple(round(x, 12) for x in vec)
-        if key not in seen:
-            seen.add(key)
-            out.append(vec)
-    return out
+    return [(vec[0], vec[1:]) for vec in _lattice_directions(n + 1)]
 
 
 def _symbol_directions(op: InvariantOperator) -> list[tuple]:
     if isinstance(op.base, GraphBase):
-        return [(0.0, eta) for eta in _lambda_unit_directions(op.n)]
+        etas = [(1.0,), (-1.0,)] if op.n == 1 else _lattice_directions(op.n)
+        return [(0.0, eta) for eta in etas]
     return _sphere_directions(op.n)
 
 
@@ -413,20 +401,6 @@ def _check_elliptic(op: InvariantOperator):
             )
 
 
-def _norm(v: tuple) -> float:
-    return float(np.sqrt(sum(x * x for x in v)))
-
-
-def _fiber_eigs(op: InvariantOperator, grid: LambdaGrid) -> list[np.ndarray]:
-    fibers = [_symbol_fiber(op, lam) for lam in grid.nodes]
-    workers = int(os.environ.get(_THREADS_ENV, "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(np.linalg.eigvalsh, fibers))
-    stacked = np.stack(fibers)
-    return list(np.linalg.eigvalsh(stacked))
-
-
 def spectrum_parametric(
     op: InvariantOperator, grid: LambdaGrid, tol: float = 1e-9
 ) -> SpectrumSet:
@@ -443,9 +417,8 @@ def spectrum_parametric(
         )
     _check_selfadjoint(op)
     _check_elliptic(op)
-    points: list[complex] = []
-    for eigs in _fiber_eigs(op, grid):
-        points.extend(complex(x) for x in eigs)
+    fibers = np.stack([_symbol_fiber(op, lam) for lam in grid.nodes])
+    points = [complex(x) for x in np.linalg.eigvalsh(fibers).ravel()]
     return SpectrumSet.canonical(points, tol, truncated=True)
 
 

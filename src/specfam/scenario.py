@@ -15,6 +15,7 @@ requested, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -61,7 +62,7 @@ from .parametric import (
     spectrum_parametric,
     symbol_restriction_check,
 )
-from .spectral import DEFAULT_RESOLUTION, SpectrumSet
+from .spectral import DEFAULT_RESOLUTION
 
 SCENARIO_VERSION = 1
 REPORT_VERSION = "0.1.0"
@@ -194,16 +195,14 @@ def _parse_items(rows, pos: int, indent: int) -> tuple[list, int]:
 
 def _num(text: str, line: int) -> float:
     tok = text.strip()
-    if "/" in tok:
-        top, _, bottom = tok.partition("/")
-        try:
-            return float(top) / float(bottom)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad fraction {tok!r}", line) from None
+    top, slash, bottom = tok.partition("/")
     try:
-        return float(tok)
-    except ValueError:
-        raise ParseError(f"bad number {tok!r}", line) from None
+        value = float(top) / float(bottom) if slash else float(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad {'fraction' if slash else 'number'} {tok!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {tok!r}", line)
+    return value
 
 
 def _int(text: str, line: int) -> int:
@@ -408,7 +407,12 @@ def _build_element(pairs: list[_Pair], model):
             entries[(i, j)] = [complex(c) for c in _nums(_scalar(p), p.line)]
         if not entries:
             raise ParseError("matrix-poly elements need at least one entry", line)
-        return eid, AlgebraElement.from_polynomials(model, entries, label=eid)
+        try:
+            return eid, AlgebraElement.from_polynomials(model, entries, label=eid)
+        except ValueError as err:
+            raise IncompatibleModel(
+                f"line {line}: element {eid!r} does not fit the model: {err}"
+            ) from None
     if kind == "toeplitz":
         if not isinstance(model, ToeplitzModel):
             raise IncompatibleModel("toeplitz elements need a symbol model")
@@ -467,6 +471,8 @@ def _build_family_entry(pairs: list[_Pair], model):
             add_blocks.append((toks[0], int(toks[1])))
         elif p.key == "stride":
             options["stride"] = _int(val, p.line)
+            if options["stride"] < 1:
+                raise ParseError("stride must be at least 1", p.line)
         elif p.key == "at":
             options["at"] = _num(val, p.line)
         else:
@@ -544,14 +550,6 @@ def _q_grid(q: Query, op: InvariantOperator) -> LambdaGrid:
     return LambdaGrid.build(op.n, window, step)
 
 
-def _spectrum_dict(s: SpectrumSet) -> dict:
-    return {
-        "points": [[float(p.real), float(p.imag)] for p in s.points],
-        "resolution": float(s.resolution),
-        "truncated": bool(s.truncated),
-    }
-
-
 def _run_norm(scenario: Scenario, q: Query) -> dict:
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
@@ -621,7 +619,7 @@ def _run_spectrum(scenario: Scenario, q: Query) -> dict:
         contract = "closure"
     else:
         contract = "uncertified"
-    out = _spectrum_dict(spectrum_union(fam, a, tol))
+    out = spectrum_union(fam, a, tol).as_dict()
     out["contract"] = contract
     return out
 
@@ -646,7 +644,7 @@ def _run_parametric_spectrum(scenario: Scenario, q: Query) -> dict:
     op = _q_operator(scenario, q)
     grid = _q_grid(q, op)
     tol = _q_num(q, "resolution", 1e-9)
-    out = _spectrum_dict(spectrum_parametric(op, grid, tol))
+    out = spectrum_parametric(op, grid, tol).as_dict()
     out["window"] = float(grid.window)
     out["step"] = float(grid.step)
     return out
@@ -673,13 +671,13 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     tol = _q_num(q, "resolution", DEFAULT_RESOLUTION)
     inf_pair = _get(q.params, "infinite")
     if inf_pair is not None and _bool(_scalar(inf_pair), inf_pair.line):
-        return _spectrum_dict(spec_observable(Observable.infinite(), tol))
+        return spec_observable(Observable.infinite(), tol).as_dict()
     op_pair = _get(q.params, "operator")
     if op_pair is not None:
         op = _lookup(scenario.operators, op_pair, "operator")
         grid = _q_grid(q, op)
         obs = Observable.fibered([fiber(op, lam) for lam in grid.nodes])
-        return _spectrum_dict(spec_observable(obs, tol))
+        return spec_observable(obs, tol).as_dict()
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
     members = []
@@ -687,7 +685,7 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
         image = rep_apply(m, a)
         truncated = m.kind == "toeplitz-identity"
         members.append(Observable.fibered([image], truncated=truncated))
-    return _spectrum_dict(spec_union_observable(members, tol))
+    return spec_union_observable(members, tol).as_dict()
 
 
 _RUNNERS = {

@@ -187,8 +187,7 @@ def test_criterion_5_cayley_round_trip():
     assert unit_ok and empty_ok
 
 
-def test_criterion_6_parametric_oracle(monkeypatch):
-    monkeypatch.setenv("SPECFAM_THREADS", "1")
+def test_criterion_6_parametric_oracle():
     started = time.perf_counter()
     base = CircleBase(16)
     one_minus = InvariantOperator.shifted_laplacian(base, n=1, shift=1.0)

@@ -26,8 +26,10 @@ from specfam import (
     member_invertibility,
     member_norm,
     norm_via_family,
+    rep_apply,
     spectrum_union,
     standard_probes,
+    toeplitz_norm,
 )
 
 from util import matrix_model, counterexample_element, random_selfadjoint_element
@@ -100,6 +102,32 @@ def test_member_norm_uses_ladder_for_section_member():
     s = ToeplitzElement.shift(model)
     assert member_norm(Representation.toeplitz_identity(), s) == pytest.approx(1.0)
     assert member_norm(Representation.toeplitz_character(0.0), s) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["eval-grid+block", "toeplitz-all"])
+def test_member_values_match_per_member_svd(kind):
+    # mixed image shapes: 2x2 evaluations with a 1x1 block, or the section
+    # ladder with 1x1 characters; every value against a lone dense SVD
+    if kind == "toeplitz-all":
+        model = build_model("toeplitz", theta_count=8, sections=(4, 8, 16))
+        a = ToeplitzElement.build(
+            model, {0: 2.0, 1: 0.5, -1: 0.3j}, correction=np.array([[1.0, 0.2], [0.0, 0.5]])
+        )
+        fam = build_family(model, "toeplitz-all")
+    else:
+        model = matrix_model()
+        a = random_selfadjoint_element(model, np.random.RandomState(5))
+        fam = build_family(model, "eval-grid", exclude_points=[1.0], add_blocks=[(1.0, 1)])
+    images = [rep_apply(member, a) for member in fam.members]
+    assert len({m.shape for m in images}) == 2
+    norms = []
+    for member, image, check in zip(fam.members, images, member_invertibility(fam, a)):
+        svals = np.linalg.svd(image, compute_uv=False)
+        ladder = member.kind == "toeplitz-identity"
+        norms.append(toeplitz_norm(a).value if ladder else svals[0])
+        assert member_norm(member, a) == pytest.approx(norms[-1], rel=1e-13)
+        assert check.sigma_min == pytest.approx(svals[-1], rel=1e-13)
+    assert norm_via_family(fam, a) == pytest.approx(max(norms), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,32 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
     assert "incompatible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edits, code, kind, culprit",
+    [
+        ({"generator: eval-grid": "generator: coarse\n    stride: 0"}, 2, "parse error", "    stride: 0"),
+        ({"step: 1/16": "step: nan"}, 2, "parse error", "  step: nan"),
+        (
+            {"interval-scalar": "interval-matrix", "entry 0 0": "entry 5 5"},
+            4,
+            "incompatible",
+            "  - id: ramp",
+        ),
+    ],
+    ids=["stride-0", "step-nan", "entry-outside-fiber"],
+)
+def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
+    text = MINIMAL
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["run", str(bad)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{kind}: line {_line_of(text, culprit)}")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_cli_unknown_reference_exits_4(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text(MINIMAL.replace("element: ramp", "element: ghost"))
