@@ -10,17 +10,22 @@ A family can be checked for three nested completeness grades:
                 dense at grid resolution.
 
 full implies exhausting implies faithful, and family_report enforces the
-chain on every emitted report.  Invertibility goes through two routes:
-the exhausting route needs no bound, the faithful route needs a uniform
-inverse bound; both count a member image invertible only when its
-smallest singular value clears max(resolution, lipschitz * grid_step),
-anything less is "not invertible at this resolution".
+chain on every emitted report.  One pass over the probes gives both the
+exhausting and the faithful verdict, once per (probe elements, slack):
+the family keeps the report, and both invertibility routes, every
+uniform bound and the spectrum contract read it.  Invertibility goes
+through two routes: the exhausting route needs no bound, the faithful
+route needs a uniform inverse bound; both count a member image
+invertible only when its smallest singular value clears
+max(resolution, lipschitz * grid_step), anything less is "not
+invertible at this resolution".
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .models import (
     _section_sweep,
     elem_norm,
     enum_prim,
+    prim_representation,
     rep_apply,
 )
 from .spectral import DEFAULT_RESOLUTION, SpectrumSet, eig_normal, union_spectra
@@ -50,6 +56,7 @@ class RepFamily:
     model: FunctionModel | ToeplitzModel
     members: tuple[Representation, ...]
     label: str = ""
+    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -79,7 +86,7 @@ class FamilyReport:
     exhausting_witness: str | None
     full_witness: str | None
     probes_used: tuple[str, ...]
-    tolerances: dict
+    tolerances: MappingProxyType
 
     def __post_init__(self):
         if self.full and not self.exhausting:
@@ -206,6 +213,13 @@ def norm_via_family(family: RepFamily, a: Element) -> float:
     return max(norm for norm, _ in _member_values(family.members, a))
 
 
+def n_a_profile(a: Element) -> list[tuple[PrimPoint, float]]:
+    """Norm of the element's image at every primitive point."""
+    prims = enum_prim(a.model)
+    values = _member_values(tuple(prim_representation(p) for p in prims), a)
+    return [(p, norm) for p, (norm, _) in zip(prims, values)]
+
+
 # ---------------------------------------------------------------------------
 # the three completeness checks
 
@@ -250,23 +264,6 @@ def check_full(family: RepFamily) -> CheckResult:
     return CheckResult(True)
 
 
-def check_exhausting(
-    family: RepFamily, probes: tuple[Element, ...], slack: float = _SLACK
-) -> CheckResult:
-    """Probe-certificate check: each probe's norm attained by some member."""
-    if not probes:
-        raise ValueError("probe set must be nonempty")
-    for a in probes:
-        value, error = elem_norm(a)
-        attained = norm_via_family(family, a)
-        if attained < value - error - slack:
-            return CheckResult(
-                False, a.label,
-                f"norm {value:.6g} attained only to {attained:.6g} (bar {error:.3g})",
-            )
-    return CheckResult(True)
-
-
 def _coverage_radius(family: RepFamily) -> float | None:
     """How far a base point can be from the family's nearest evaluation.
 
@@ -295,10 +292,11 @@ def _theta_radius(thetas: list[float]) -> float:
     return max(gaps) / 2.0
 
 
-def _probe_slope(a: Element) -> float:
-    if isinstance(a, AlgebraElement):
-        return a.lipschitz_bound
-    return a.symbol_slope_bound()
+def check_exhausting(
+    family: RepFamily, probes: tuple[Element, ...], slack: float = _SLACK
+) -> CheckResult:
+    """Probe-certificate check: each probe's norm attained by some member."""
+    return _certify(family, probes, slack)[0]
 
 
 def check_faithful(
@@ -312,42 +310,46 @@ def check_faithful(
     at the members of a resolution-h family is not an annihilation
     certificate; it is the expected blind spot of sampling.
     """
+    return _certify(family, probes, slack)[1]
+
+
+def _certify(
+    family: RepFamily, probes: tuple[Element, ...], slack: float
+) -> tuple[CheckResult, CheckResult]:
+    """Exhausting and faithful verdicts from one pass over the probes."""
     if not probes:
         raise ValueError("probe set must be nonempty")
     radius = _coverage_radius(family)
+    exhausting = faithful = None
     for a in probes:
         value, error = elem_norm(a)
-        if value - error <= 2.0 * slack:
-            continue
-        if norm_via_family(family, a) > slack:
-            continue
-        slope = _probe_slope(a)
-        allowance = 0.0 if slope == 0.0 else (np.inf if radius is None else slope * radius)
-        if allowance <= slack:
-            return CheckResult(False, a.label, "nonzero probe annihilated by every member")
-    prims = enum_prim(family.model)
-    covered = _member_supports(family, prims)
-    if isinstance(family.model, FunctionModel):
-        step = family.model.space.grid_step
+        attained = norm_via_family(family, a)
+        if exhausting is None and attained < value - error - slack:
+            exhausting = CheckResult(
+                False, a.label,
+                f"norm {value:.6g} attained only to {attained:.6g} (bar {error:.3g})",
+            )
+        if faithful is None and value - error > 2.0 * slack and attained <= slack:
+            slope = a.lipschitz_bound if isinstance(a, AlgebraElement) else a.symbol_slope_bound()
+            allowance = 0.0 if slope == 0.0 else (np.inf if radius is None else slope * radius)
+            if allowance <= slack:
+                faithful = CheckResult(False, a.label, "nonzero probe annihilated by every member")
+        if exhausting and faithful:
+            return exhausting, faithful
+    if faithful is None:
+        prims = enum_prim(family.model)
+        covered = _member_supports(family, prims)
         eval_points = [m.point for m in family.members if m.kind == "eval"]
         for p in prims:
-            if p.label in covered:
-                continue
-            near = any(
-                family.model.space.distance(p.point, q) <= step + 1e-12
+            if p.label not in covered and not any(
+                family.model.space.distance(p.point, q) <= family.model.space.grid_step + 1e-12
                 for q in eval_points
-            )
-            if not near:
-                return CheckResult(
+            ):
+                faithful = CheckResult(
                     False, p.label, "open region uncovered beyond grid resolution"
                 )
-    else:
-        for p in prims:
-            if p.label not in covered:
-                return CheckResult(
-                    False, p.label, "open region uncovered beyond grid resolution"
-                )
-    return CheckResult(True)
+                break
+    return exhausting or CheckResult(True), faithful or CheckResult(True)
 
 
 def family_report(
@@ -355,22 +357,28 @@ def family_report(
     probes: tuple[Element, ...] = (),
     slack: float = _SLACK,
 ) -> FamilyReport:
-    """Run all three checks over the standard gallery plus user probes."""
-    gallery = standard_probes(family.model, extras=tuple(probes))
-    full = check_full(family)
-    exhausting = check_exhausting(family, gallery, slack)
-    faithful = check_faithful(family, gallery, slack)
-    return FamilyReport(
-        label=family.label,
-        faithful=faithful.ok,
-        exhausting=exhausting.ok,
-        full=full.ok,
-        faithful_witness=faithful.witness,
-        exhausting_witness=exhausting.witness,
-        full_witness=full.witness,
-        probes_used=tuple(p.label for p in gallery),
-        tolerances={"slack": slack},
-    )
+    """Run all three checks over the standard gallery plus user probes.
+
+    Kept on the family per (probe elements, slack); labels never key it.
+    """
+    key = (tuple(probes), slack)
+    report = family._reports.get(key)
+    if report is None:
+        gallery = standard_probes(family.model, extras=key[0])
+        full = check_full(family)
+        exhausting, faithful = _certify(family, gallery, slack)
+        report = family._reports[key] = FamilyReport(
+            label=family.label,
+            faithful=faithful.ok,
+            exhausting=exhausting.ok,
+            full=full.ok,
+            faithful_witness=faithful.witness,
+            exhausting_witness=exhausting.witness,
+            full_witness=full.witness,
+            probes_used=tuple(p.label for p in gallery),
+            tolerances=MappingProxyType({"slack": slack}),
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +424,14 @@ def invertible_via_exhausting(
 ) -> bool:
     """Invertibility through an exhausting certificate.
 
-    The certificate is recomputed over the standard gallery extended by
+    The certificate is the family's report over the gallery extended by
     the element and its norm-gap probe; NotCertified when it fails.
     """
-    gallery = standard_probes(family.model, extras=(a,) + tuple(probes))
-    cert = check_exhausting(family, gallery, slack)
-    if not cert.ok:
+    report = family_report(family, (a,) + tuple(probes), slack)
+    if not report.exhausting:
         raise NotCertified(
             f"family {family.label!r} is not exhausting over the probe gallery "
-            f"(witness {cert.witness})"
+            f"(witness {report.exhausting_witness})"
         )
     threshold = invertibility_threshold(a, tol)
     return all(sigma > threshold for _, sigma in _member_values(family.members, a))
@@ -445,12 +452,11 @@ def invertible_via_faithful(
     """
     if bound <= 0:
         raise ValueError("the uniform inverse bound must be positive")
-    gallery = standard_probes(family.model, extras=(a,) + tuple(probes))
-    cert = check_faithful(family, gallery, slack)
-    if not cert.ok:
+    report = family_report(family, (a,) + tuple(probes), slack)
+    if not report.faithful:
         raise NotCertified(
             f"family {family.label!r} is not faithful over the probe gallery "
-            f"(witness {cert.witness})"
+            f"(witness {report.faithful_witness})"
         )
     threshold = invertibility_threshold(a, tol)
     for _, sigma in _member_values(family.members, a):

@@ -753,13 +753,3 @@ def toeplitz_norm(x: ToeplitzElement) -> NormEstimate:
     """
     return _section_sweep(x)[0]
 
-
-def n_a_profile(a: Element) -> list[tuple[PrimPoint, float]]:
-    """Norm of the element's image at every primitive point."""
-    out = []
-    for prim in enum_prim(a.model):
-        if prim.kind == "toeplitz-identity":
-            out.append((prim, toeplitz_norm(a).value))
-        else:
-            out.append((prim, op_norm(rep_apply(prim_representation(prim), a))))
-    return out

@@ -38,9 +38,6 @@ from .families import (
     member_invertibility,
     norm_via_family,
     spectrum_union,
-    standard_probes,
-    check_exhausting,
-    check_faithful,
 )
 from .gallery import build_family, build_model
 from .models import (
@@ -335,7 +332,10 @@ def parse_scenario(text: str) -> Scenario:
     if op_pair:
         for item in _items(op_pair.value, op_pair.line):
             body = _section_pairs(item, op_pair.line)
-            oid, op = _build_operator(body)
+            try:
+                oid, op = _build_operator(body)
+            except ValueError as err:
+                raise ParseError(str(err), body[0].line) from None
             if oid in scenario.operators:
                 raise ParseError(f"duplicate operator id {oid!r}", body[0].line)
             scenario.operators[oid] = op
@@ -384,7 +384,10 @@ def _build_model(pairs: list[_Pair]):
             params["sections"] = tuple(int(x) for x in _nums(val, p.line))
         else:
             raise ParseError(f"unknown model field {p.key!r}", p.line)
-    return build_model(name, **params)
+    try:
+        return build_model(name, **params)
+    except ValueError as err:
+        raise ParseError(str(err), name_pair.line) from None
 
 
 def _build_element(pairs: list[_Pair], model):
@@ -547,7 +550,10 @@ def _q_num(q: Query, key: str, default: float) -> float:
 def _q_grid(q: Query, op: InvariantOperator) -> LambdaGrid:
     window = _q_num(q, "window", 4.0)
     step = _q_num(q, "step", 1 / 32)
-    return LambdaGrid.build(op.n, window, step)
+    try:
+        return LambdaGrid.build(op.n, window, step)
+    except ValueError as err:
+        raise ParseError(str(err), q.line) from None
 
 
 def _run_norm(scenario: Scenario, q: Query) -> dict:
@@ -612,15 +618,11 @@ def _run_spectrum(scenario: Scenario, q: Query) -> dict:
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
     tol = _q_num(q, "resolution", 1e-9)
-    gallery = standard_probes(fam.model, extras=(a,))
-    if check_exhausting(fam, gallery).ok:
-        contract = "equality"
-    elif check_faithful(fam, gallery).ok:
-        contract = "closure"
-    else:
-        contract = "uncertified"
+    report = family_report(fam, (a,))
     out = spectrum_union(fam, a, tol).as_dict()
-    out["contract"] = contract
+    out["contract"] = (
+        "equality" if report.exhausting else "closure" if report.faithful else "uncertified"
+    )
     return out
 
 

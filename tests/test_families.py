@@ -1,8 +1,11 @@
 """Family checks, invertibility routes, spectra through families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import specfam.families
 from specfam import (
     AlgebraElement,
     NotCertified,
@@ -139,6 +142,9 @@ def test_full_family_passes_all_checks():
     report = family_report(build_family(model, "prim-all"))
     assert report.full and report.exhausting and report.faithful
     assert report.full_witness is None
+    with pytest.raises(TypeError):
+        report.tolerances["slack"] = 0
+    assert report.as_dict()["tolerances"] == {"slack": 1e-9}
 
 
 def test_blocks_only_family_fails_full_with_witness():
@@ -212,6 +218,39 @@ def test_family_needs_members_of_its_model():
         RepFamily(model, ())
     with pytest.raises(ValueError):
         RepFamily(model, (Representation.toeplitz_identity(),))
+
+
+def test_family_reuses_its_certificate(monkeypatch):
+    # one gallery build per (family, probe elements, slack): the report,
+    # the exhausting route and every faithful bound share it, while an
+    # equal-label copy of the element or a re-created family starts cold
+    builds = []
+    real = specfam.families.standard_probes
+
+    def counting(model, extras=()):
+        builds.append(extras)
+        return real(model, extras)
+
+    monkeypatch.setattr(specfam.families, "standard_probes", counting)
+    model = matrix_model()
+    f = ramp_element(model)
+    fam = build_family(model, "prim-all")
+    report = family_report(fam, (f,))
+    assert invertible_via_exhausting(fam, f) is False
+    for k in range(7):
+        assert invertible_via_faithful(fam, f, 10.0**k) is False
+    assert len(builds) == 1
+    assert family_report(fam, (f,)) is report
+
+    twin = dataclasses.replace(f)
+    assert twin.label == f.label
+    assert family_report(fam, (twin,)) is not report
+    assert len(builds) == 2
+
+    again = RepFamily(fam.model, fam.members, fam.label)
+    assert again == fam and hash(again) == hash(fam)
+    assert family_report(again, (f,)) == report
+    assert len(builds) == 3
 
 
 # ---------------------------------------------------------------------------

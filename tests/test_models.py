@@ -15,11 +15,11 @@ from specfam.models import (
     ToeplitzElement,
     elem_norm,
     enum_prim,
-    n_a_profile,
     prim_representation,
     rep_apply,
     toeplitz_norm,
 )
+from specfam.families import n_a_profile
 from specfam.spectral import op_norm
 
 from util import (

@@ -52,6 +52,15 @@ queries:
 """
 
 
+_OPERATOR = """operators:
+  - id: lap
+    base: {base}
+    directions: 1
+    term {term}: 1
+
+queries:"""
+
+
 def _line_of(text: str, needle: str) -> int:
     return text.splitlines().index(needle) + 1
 
@@ -300,8 +309,40 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "incompatible",
             "  - id: ramp",
         ),
+        ({"step: 1/16": "step: 2"}, 2, "parse error", "  name: interval-scalar"),
+        (
+            {"interval-scalar": "interval-matrix\n  dim: 0"},
+            2,
+            "parse error",
+            "  name: interval-matrix",
+        ),
+        (
+            {"queries:": _OPERATOR.format(base="circle 0", term="0 2")},
+            2,
+            "parse error",
+            "  - id: lap",
+        ),
+        (
+            {"queries:": _OPERATOR.format(base="circle 4", term="1 -1")},
+            2,
+            "parse error",
+            "  - id: lap",
+        ),
+        (
+            {
+                "queries:": _OPERATOR.format(base="circle 4", term="0 2"),
+                "    element: ramp\n": "    element: ramp\n  - id: ps\n"
+                "    kind: parametric-spectrum\n    operator: lap\n    step: -1\n",
+            },
+            2,
+            "parse error",
+            "  - id: ps",
+        ),
     ],
-    ids=["stride-0", "step-nan", "entry-outside-fiber"],
+    ids=[
+        "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
+        "circle-0", "term-negative-exponent", "query-step-negative",
+    ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
     text = MINIMAL
