@@ -13,6 +13,11 @@ order-reduced fibers, whose conjugation by powers of
 turns an order-m operator into a bounded one, together with uniform
 invertibility of the principal symbol along directions that keep a
 definite parameter component.
+
+Fibers are assembled for a block of nodes at once, as one (m, d, d)
+stack, and each block goes straight into eigvalsh or the SVD.  A block
+holds a fixed number of complex entries, so memory follows the block,
+not the grid; the single-node fiber() is a view of the same builder.
 """
 
 from __future__ import annotations
@@ -213,25 +218,73 @@ def _lam_power(lam: tuple, alpha: tuple) -> float:
     return out
 
 
-def _symbol_fiber(op: InvariantOperator, lam: tuple) -> np.ndarray:
-    d = op.base.dim
-    out = np.zeros((d, d), dtype=complex)
-    if isinstance(op.base, CircleBase):
-        diag = op.base.laplacian_diagonal()
-        acc = np.zeros(d, dtype=complex)
-        for (j, alpha), coeff in op.terms:
-            acc += coeff * _lam_power(lam, alpha) * diag**j
-        out += np.diag(acc)
-    else:
-        lap = _compact_laplacian(op.base)
-        powers = {0: np.eye(d)}
-        for (j, alpha), coeff in op.terms:
-            if j not in powers:
-                powers[j] = np.linalg.matrix_power(lap, j)
-            out += coeff * _lam_power(lam, alpha) * powers[j]
-    for alpha, mat in op.couplings:
-        out += _lam_power(lam, alpha) * mat
+# Complex entries per fiber block: a block holds _CHUNK_ENTRIES // d^2
+# fibers (about 4 MiB), so memory follows the block and not the grid.
+_CHUNK_ENTRIES = 2**18
+
+
+def _monomials(lam: np.ndarray, alpha: tuple) -> np.ndarray:
+    """lam^alpha for every row of lam, bitwise equal to _lam_power.
+
+    Python's float power runs once per distinct coordinate value and the
+    axis factors multiply in axis order, as in _lam_power.
+    """
+    out = np.ones(len(lam))
+    for x, a in zip(lam.T, alpha):
+        if a:
+            values, index = np.unique(x, return_inverse=True)
+            out = out * np.array([v**a for v in values.tolist()])[index]
     return out
+
+
+def _fiber_chunks(op: InvariantOperator, nodes, reduction: tuple | None = None):
+    """Fiber stacks (m, d, d) for consecutive blocks of nodes, in node order.
+
+    Per node the arithmetic is that of one fiber: coeff * lam^alpha * L^j
+    summed in term order (the circle Laplacian as its diagonal), then the
+    couplings, then, for reduction = (s, order), the conjugation
+    D^((s - order)/2) . p-hat . D^(-s/2) with D = 1 + |lam|^2 + L.  The
+    Laplacian powers and its eigenbasis are computed once per call.
+    """
+    d = op.base.dim
+    circle = isinstance(op.base, CircleBase)
+    lap = op.base.laplacian_diagonal() if circle else _compact_laplacian(op.base)
+    powers = {
+        j: lap**j if circle else np.linalg.matrix_power(lap, j)
+        for (j, _alpha), _coeff in op.terms
+    }
+    if reduction is not None:
+        s, order = reduction
+        w, v = (lap, None) if circle else np.linalg.eigh(lap)
+    lams = np.array(nodes, dtype=float).reshape(-1, op.n)
+    size = max(1, _CHUNK_ENTRIES // (d * d))
+    for start in range(0, len(lams), size):
+        lam = lams[start : start + size]
+        m = len(lam)
+        column = (m,) + (1,) * lap.ndim
+        acc = np.zeros((m,) + lap.shape, dtype=complex)
+        for (j, alpha), coeff in op.terms:
+            acc += (coeff * _monomials(lam, alpha)).reshape(column) * powers[j]
+        if circle:
+            out = np.zeros((m, d, d), dtype=complex)
+            out[:, np.arange(d), np.arange(d)] += acc
+        else:
+            out = acc
+        for alpha, mat in op.couplings:
+            out += _monomials(lam, alpha)[:, None, None] * mat
+        if reduction is not None:
+            lam_sq = sum(x * x for x in lam.T)
+            dd = (1.0 + lam_sq)[:, None] + w
+            left = dd ** ((s - order) / 2.0)
+            right = dd ** (-s / 2.0)
+            if circle:
+                out *= left[:, :, None]
+                out *= right[:, None, :]
+            else:
+                left = (v * left[:, None, :]) @ v.conj().T
+                right = (v * right[:, None, :]) @ v.conj().T
+                out = left @ out @ right
+        yield out
 
 
 def fiber(op: InvariantOperator, lam) -> np.ndarray:
@@ -239,21 +292,7 @@ def fiber(op: InvariantOperator, lam) -> np.ndarray:
     lam = tuple(float(x) for x in (lam if np.iterable(lam) else (lam,)))
     if len(lam) != op.n:
         raise IncompatibleQuery(f"parameter must have {op.n} components, got {len(lam)}")
-    m = _symbol_fiber(op, lam)
-    if op.reduction is None:
-        return m
-    s, order = op.reduction
-    lam_sq = sum(x * x for x in lam)
-    if isinstance(op.base, CircleBase):
-        d = 1.0 + lam_sq + op.base.laplacian_diagonal()
-        left = d ** ((s - order) / 2.0)
-        right = d ** (-s / 2.0)
-        return (left[:, None] * m) * right[None, :]
-    w, v = np.linalg.eigh(_compact_laplacian(op.base))
-    d = 1.0 + lam_sq + w
-    left = (v * d ** ((s - order) / 2.0)) @ v.conj().T
-    right = (v * d ** (-s / 2.0)) @ v.conj().T
-    return left @ m @ right
+    return next(_fiber_chunks(op, [lam], op.reduction))[0]
 
 
 def order_reduction(op: InvariantOperator) -> InvariantOperator:
@@ -401,6 +440,16 @@ def _check_elliptic(op: InvariantOperator):
             )
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted values without exact repeats; the first occurrence is kept.
+
+    SpectrumSet.canonical merges exact repeats into their first
+    occurrence anyway, so dropping them first leaves its output unchanged.
+    """
+    values = np.sort(values, kind="stable")
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def spectrum_parametric(
     op: InvariantOperator, grid: LambdaGrid, tol: float = 1e-9
 ) -> SpectrumSet:
@@ -417,9 +466,11 @@ def spectrum_parametric(
         )
     _check_selfadjoint(op)
     _check_elliptic(op)
-    fibers = np.stack([_symbol_fiber(op, lam) for lam in grid.nodes])
-    points = [complex(x) for x in np.linalg.eigvalsh(fibers).ravel()]
-    return SpectrumSet.canonical(points, tol, truncated=True)
+    parts = [
+        _distinct(np.linalg.eigvalsh(chunk).ravel())
+        for chunk in _fiber_chunks(op, grid.nodes)
+    ]
+    return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
 
 
 @dataclass(frozen=True)
@@ -459,11 +510,15 @@ def invertible_parametric(
         raise IncompatibleQuery(
             f"grid has {grid.n} directions, the operator has {op.n}"
         )
-    reduced = op if op.reduction is not None else order_reduction(op)
-    fibers = np.stack([fiber(reduced, lam) for lam in grid.nodes])
-    sigmas = np.linalg.svd(fibers, compute_uv=False)[:, -1]
-    worst = int(np.argmin(sigmas))
-    min_sigma = float(sigmas[worst])
+    reduced = order_reduction(op)
+    worst, min_sigma, start = None, np.inf, 0
+    for chunk in _fiber_chunks(reduced, grid.nodes, reduced.reduction):
+        sigmas = np.linalg.svd(chunk, compute_uv=False)[:, -1]
+        i = int(np.argmin(sigmas))
+        # strict <: a tie with an earlier block keeps the earlier node
+        if worst is None or sigmas[i] < min_sigma:
+            worst, min_sigma = start + i, float(sigmas[i])
+        start += len(chunk)
     fib_ok = min_sigma > tol
 
     min_symbol = np.inf
@@ -518,7 +573,8 @@ def symbol_restriction_check(op: InvariantOperator) -> RestrictionCheck:
     top = 2 * k  # index of mode +K
     lam0 = (0.0,) * op.n
     lam1 = tuple(1.0 if i == 0 else 0.0 for i in range(op.n))
-    c0 = float(_symbol_fiber(op, lam0)[top, top].real) / float(k**op.order)
-    c1 = float(_symbol_fiber(op, lam1)[top, top].real) / float(k**op.order)
+    f0, f1 = np.concatenate(list(_fiber_chunks(op, (lam0, lam1))))
+    c0 = float(f0[top, top].real) / float(k**op.order)
+    c1 = float(f1[top, top].real) / float(k**op.order)
     tolerance = (abs(c0) + abs(c1) + 1e-9) / k
     return RestrictionCheck(abs(c0 - c1) <= tolerance, c0, c1, tolerance)

@@ -54,7 +54,7 @@ from .parametric import (
     GraphBase,
     InvariantOperator,
     LambdaGrid,
-    fiber,
+    _fiber_chunks,
     invertible_parametric,
     spectrum_parametric,
     symbol_restriction_check,
@@ -323,7 +323,10 @@ def parse_scenario(text: str) -> Scenario:
     if fam_pair:
         for item in _items(fam_pair.value, fam_pair.line):
             body = _section_pairs(item, fam_pair.line)
-            fid, fam = _build_family_entry(body, model)
+            try:
+                fid, fam = _build_family_entry(body, model)
+            except ValueError as err:
+                raise ParseError(str(err), body[0].line) from None
             if fid in scenario.families:
                 raise ParseError(f"duplicate family id {fid!r}", body[0].line)
             scenario.families[fid] = fam
@@ -678,7 +681,8 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     if op_pair is not None:
         op = _lookup(scenario.operators, op_pair, "operator")
         grid = _q_grid(q, op)
-        obs = Observable.fibered([fiber(op, lam) for lam in grid.nodes])
+        fibers = _fiber_chunks(op, grid.nodes, op.reduction)
+        obs = Observable.fibered([m for chunk in fibers for m in chunk])
         return spec_observable(obs, tol).as_dict()
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)

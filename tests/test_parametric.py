@@ -1,9 +1,12 @@
 """Parameter fibers: construction, reduction, spectra, ellipticity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from specfam import SpectrumSet, hausdorff
+from specfam import parametric
 from specfam.errors import (
     CutoffTooSmall,
     IncompatibleQuery,
@@ -17,6 +20,7 @@ from specfam.parametric import (
     GraphBase,
     InvariantOperator,
     LambdaGrid,
+    _fiber_chunks,
     fiber,
     invertible_parametric,
     order_reduction,
@@ -85,6 +89,131 @@ def test_graph_fiber_uses_the_graph_laplacian():
     m = fiber(op, (0.0,))
     want = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     assert np.abs(m - want).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the block builder against the per-node reference
+
+
+def _ref_lam_power(lam: tuple, alpha: tuple) -> float:
+    out = 1.0
+    for x, a in zip(lam, alpha):
+        if a:
+            out *= x**a
+    return out
+
+
+def _ref_fiber(op: InvariantOperator, lam: tuple) -> np.ndarray:
+    """One fiber, node by node, with the arithmetic the builder must keep."""
+    d = op.base.dim
+    out = np.zeros((d, d), dtype=complex)
+    if isinstance(op.base, CircleBase):
+        diag = op.base.laplacian_diagonal()
+        acc = np.zeros(d, dtype=complex)
+        for (j, alpha), coeff in op.terms:
+            acc += coeff * _ref_lam_power(lam, alpha) * diag**j
+        out += np.diag(acc)
+    else:
+        lap = op.base.laplacian()
+        powers = {0: np.eye(d)}
+        for (j, alpha), coeff in op.terms:
+            if j not in powers:
+                powers[j] = np.linalg.matrix_power(lap, j)
+            out += coeff * _ref_lam_power(lam, alpha) * powers[j]
+    for alpha, mat in op.couplings:
+        out += _ref_lam_power(lam, alpha) * mat
+    if op.reduction is None:
+        return out
+    s, order = op.reduction
+    lam_sq = sum(x * x for x in lam)
+    if isinstance(op.base, CircleBase):
+        dd = 1.0 + lam_sq + op.base.laplacian_diagonal()
+        left = dd ** ((s - order) / 2.0)
+        right = dd ** (-s / 2.0)
+        return (left[:, None] * out) * right[None, :]
+    w, v = np.linalg.eigh(op.base.laplacian())
+    dd = 1.0 + lam_sq + w
+    left = (v * dd ** ((s - order) / 2.0)) @ v.conj().T
+    right = (v * dd ** (-s / 2.0)) @ v.conj().T
+    return left @ out @ right
+
+
+def _random_operator(rng, base, n: int) -> InvariantOperator:
+    terms = {(1, (0,) * n): 1.0}
+    for _ in range(3):
+        alpha = tuple(int(a) for a in rng.integers(0, 4, n))
+        terms[(int(rng.integers(0, 3)), alpha)] = float(rng.normal())
+    terms[(0, tuple(int(a) for a in rng.integers(0, 3, n)))] = complex(*rng.normal(size=2))
+    if isinstance(base, CircleBase):
+        modes = rng.integers(-base.cutoff, base.cutoff + 1, size=(2, 2))
+    else:
+        modes = rng.integers(0, base.dim, size=(2, 2))
+    couplings = {
+        tuple(int(a) for a in rng.integers(0, 3, n)): {
+            (int(k1), int(k2)): complex(*rng.normal(size=2))
+        }
+        for k1, k2 in modes
+    }
+    return InvariantOperator.build(base, n, terms, couplings)
+
+
+@pytest.mark.parametrize("step", [0.1, 1 / 3, 0.25], ids=["0.1", "1/3", "1/4"])
+@pytest.mark.parametrize("reduced", [False, True], ids=["raw", "reduced"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["circle", "graph"])
+def test_fiber_blocks_equal_the_per_node_reference(kind, n, reduced, step):
+    rng = np.random.default_rng([n, int(reduced), round(1 / step)])
+    base = CircleBase(3) if kind == "circle" else path_graph(5)
+    op = _random_operator(rng, base, n)
+    if reduced:
+        op = order_reduction(op)
+    grid = LambdaGrid.build(n, window=3 * step, step=step)
+    got = np.concatenate(list(_fiber_chunks(op, grid.nodes, op.reduction)))
+    want = np.stack([_ref_fiber(op, lam) for lam in grid.nodes])
+    assert np.array_equal(got, want)
+    for lam in grid.nodes[:: max(1, len(grid.nodes) // 5)]:
+        assert np.array_equal(fiber(op, lam), _ref_fiber(op, lam))
+
+
+def test_worst_fiber_and_spectrum_do_not_depend_on_chunks():
+    # the reduced fibers are smallest where -1.5 + lam^2 + 1 nearly
+    # vanishes: at the tied nodes lam = -181/256 and +181/256, which fall
+    # in different blocks of the 2049-node grid
+    op = InvariantOperator.shifted_laplacian(CircleBase(8), n=1, shift=-1.5)
+    grid = LambdaGrid.build(1, window=4.0, step=1 / 256)
+    per_chunk = parametric._CHUNK_ENTRIES // op.base.dim**2
+    assert len(grid.nodes) > 2 * per_chunk
+
+    reduced = order_reduction(op)
+    sigmas = np.linalg.svd(
+        np.stack([fiber(reduced, lam) for lam in grid.nodes]), compute_uv=False
+    )[:, -1]
+    worst = int(np.argmin(sigmas))
+    ties = np.flatnonzero(sigmas == sigmas[worst])
+    assert len({int(i) // per_chunk for i in ties}) == 2
+    v = invertible_parametric(op, grid, tol=0.01)
+    assert not v.invertible
+    assert v.failing_lambda == grid.nodes[worst] == (-181 / 256,)
+    assert v.min_sigma == float(sigmas[worst])
+
+    eigs = np.linalg.eigvalsh(np.stack([fiber(op, lam) for lam in grid.nodes]))
+    want = SpectrumSet.canonical([complex(x) for x in eigs.ravel()], 1e-9, truncated=True)
+    assert spectrum_parametric(op, grid, tol=1e-9) == want
+
+
+def test_parametric_memory_follows_the_chunk_not_the_grid():
+    op = InvariantOperator.shifted_laplacian(CircleBase(8), n=1, shift=1.0)
+    peaks = []
+    for step in (1 / 256, 1 / 1024):
+        grid = LambdaGrid.build(1, window=4.0, step=step)
+        tracemalloc.start()
+        try:
+            invertible_parametric(op, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 4 times the nodes; the bound was fixed before measuring
+    assert peaks[1] - peaks[0] <= 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

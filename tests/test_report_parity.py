@@ -1,0 +1,53 @@
+"""tools/report_parity.py: report hashes of two source trees, scenario by scenario."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "report_parity.py"
+
+
+def _parity(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), *map(str, args)],
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+
+
+def test_same_tree_gives_identical_reports_for_the_bundled_scenarios():
+    scenarios = sorted((ROOT / "scenarios").glob("*.scn"))
+    proc = _parity(ROOT / "src", ROOT / "src", *scenarios)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(scenarios) == 5
+    for line, scn in zip(lines, scenarios):
+        old, new, verdict, path = line.split()
+        assert old == new and len(old) == 64
+        assert verdict == "same" and path == str(scn)
+
+
+def _fake_tree(root: Path, report: str) -> Path:
+    pkg = root / "specfam"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(f"print({report!r})\n")
+    return root
+
+
+def test_a_different_report_exits_1(tmp_path):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    old = _fake_tree(tmp_path / "old", "a")
+    new = _fake_tree(tmp_path / "new", "b")
+    proc = _parity(old, new, scn)
+    assert proc.returncode == 1
+    assert proc.stdout.split()[2] == "DIFFERENT"
+    assert _parity(old, old, scn).returncode == 0
+
+
+def test_a_missing_tree_or_scenario_exits_2(tmp_path):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    assert _parity(tmp_path, ROOT / "src", scn).returncode == 2
+    assert _parity(ROOT / "src", ROOT / "src", tmp_path / "missing.scn").returncode == 2

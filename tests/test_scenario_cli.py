@@ -338,10 +338,21 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "parse error",
             "  - id: ps",
         ),
+        (
+            {
+                "step: 1/16": "step: 1/4",
+                "generator: eval-grid": "generator: eval-grid\n"
+                "    exclude-points: 0/4 1/4 2/4 3/4 4/4",
+            },
+            2,
+            "parse error",
+            "  - id: grid",
+        ),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
         "circle-0", "term-negative-exponent", "query-step-negative",
+        "exclude-every-point",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
