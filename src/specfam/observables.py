@@ -4,20 +4,21 @@ An observable is a tuple of fibers, each either a self-adjoint matrix
 or the formal infinite fiber.  Spectra go through the bounded transform
     w = (lam + i) / (lam - i),
 whose image is the unit circle minus the point 1; the infinite fiber is
-exactly the constant 1 there and has empty spectrum.  Inverting the
-transform is exact, so nothing is lost for bounded fibers, while
-numerically huge eigenvalues land within the discard radius of w = 1
-and are reported through the truncated flag rather than as garbage.
+exactly the constant 1 there and has empty spectrum.  Fiber spectra come
+from one eigvalsh per stack, and the transform inverts exactly: nothing is
+lost for bounded fibers, while numerically huge eigenvalues land within the
+discard radius of w = 1 and are reported through the truncated flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .errors import NotCertified, NotSelfAdjoint
-from .spectral import DEFAULT_RESOLUTION, SpectrumSet, as_matrix, eig_normal, union_spectra
+from .spectral import DEFAULT_RESOLUTION, SpectrumSet, as_matrix, union_spectra
 
 _SELFADJOINT_TOL = 1e-10
 
@@ -87,12 +88,6 @@ class CayleyImage:
     truncated: bool
 
 
-def _cayley_matrix(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    circle = (w + 1j) / (w - 1j)
-    return (v * circle) @ v.conj().T
-
-
 def cayley(obs: Observable) -> CayleyImage:
     """Unitary fiber images; the infinite fiber maps to the constant 1."""
     out = []
@@ -100,13 +95,23 @@ def cayley(obs: Observable) -> CayleyImage:
         if f is INFINITE:
             out.append(np.array([[1.0 + 0j]]))
         else:
-            out.append(_cayley_matrix(f))
+            w, v = np.linalg.eigh((f + f.conj().T) / 2.0)
+            out.append((v * ((w + 1j) / (w - 1j))) @ v.conj().T)
     return CayleyImage(tuple(out), obs.truncated)
 
 
 def _inverse_cayley(w: complex) -> float:
     lam = 1j * (w + 1.0) / (w - 1.0)
     return float(lam.real)
+
+
+def _fiber_points(stack: np.ndarray, resolution: float) -> tuple[list[complex], bool]:
+    """Points kept from an (m, d, d) self-adjoint stack, and whether any were cut near w = 1."""
+    lam = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)
+    on_circle = [w for row in (lam + 1j) / (lam - 1j)
+                 for w in SpectrumSet.canonical(row.tolist(), max(resolution, 1e-12)).points]
+    far = [w for w in on_circle if abs(w - 1.0) > resolution]
+    return [complex(_inverse_cayley(w)) for w in far], len(far) < len(on_circle)
 
 
 def spec_observable(
@@ -119,17 +124,10 @@ def spec_observable(
     the infinite fiber contributes nothing and no truncation, its
     spectrum is exactly empty.
     """
-    points: list[complex] = []
-    truncated = obs.truncated
-    for f in obs.fibers:
-        if f is INFINITE:
-            continue
-        u = _cayley_matrix(f)
-        for w in eig_normal(u, tol=max(resolution, 1e-12)).points:
-            if abs(w - 1.0) <= resolution:
-                truncated = True
-                continue
-            points.append(complex(_inverse_cayley(w)))
+    points, truncated = [], obs.truncated
+    for _shape, same in groupby((f for f in obs.fibers if f is not INFINITE), key=np.shape):
+        kept, cut = _fiber_points(np.stack(list(same)), resolution)
+        points, truncated = points + kept, truncated or cut
     return SpectrumSet.canonical(points, resolution, truncated=truncated)
 
 

@@ -381,11 +381,15 @@ def _sphere_directions(n: int, count: int = 64) -> list[tuple]:
     return [(vec[0], vec[1:]) for vec in _lattice_directions(n + 1)]
 
 
-def _symbol_directions(op: InvariantOperator) -> list[tuple]:
+def _symbol_sweep(op: InvariantOperator):
+    """Pairs ((xi, eta), sigma_min of the principal symbol there), from one stacked SVD."""
     if isinstance(op.base, GraphBase):
         etas = [(1.0,), (-1.0,)] if op.n == 1 else _lattice_directions(op.n)
-        return [(0.0, eta) for eta in etas]
-    return _sphere_directions(op.n)
+        dirs = [(0.0, eta) for eta in etas]
+    else:
+        dirs = _sphere_directions(op.n)
+    symbols = np.stack([principal_symbol(op, xi, eta) for xi, eta in dirs])
+    return zip(dirs, np.linalg.svd(symbols, compute_uv=False)[:, -1])
 
 
 def principal_symbol(op: InvariantOperator, xi: float, eta: tuple) -> np.ndarray:
@@ -431,9 +435,7 @@ def _check_elliptic(op: InvariantOperator):
         + [float(np.abs(m).max()) for _a, m in op.couplings]
         + [1.0]
     )
-    for xi, eta in _symbol_directions(op):
-        sig = principal_symbol(op, xi, eta)
-        smin = float(np.linalg.svd(sig, compute_uv=False)[-1])
+    for (xi, eta), smin in _symbol_sweep(op):
         if smin <= 1e-12 * scale:
             raise NotElliptic(
                 f"principal symbol degenerates at direction (xi={xi:.6g}, eta={eta})"
@@ -523,11 +525,9 @@ def invertible_parametric(
 
     min_symbol = np.inf
     failing_dir = None
-    for xi, eta in _symbol_directions(op):
+    for (xi, eta), smin in _symbol_sweep(op):
         if _norm(eta) < delta_dir:
             continue
-        sig = principal_symbol(op, xi, eta)
-        smin = float(np.linalg.svd(sig, compute_uv=False)[-1])
         if smin < min_symbol:
             min_symbol = float(smin)
             failing_dir = (float(xi), *(float(x) for x in eta))

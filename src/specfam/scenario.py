@@ -48,7 +48,7 @@ from .models import (
     elem_norm,
     rep_apply,
 )
-from .observables import Observable, spec_observable, spec_union_observable
+from .observables import Observable, _fiber_points, spec_observable, spec_union_observable
 from .parametric import (
     CircleBase,
     GraphBase,
@@ -59,7 +59,7 @@ from .parametric import (
     spectrum_parametric,
     symbol_restriction_check,
 )
-from .spectral import DEFAULT_RESOLUTION
+from .spectral import DEFAULT_RESOLUTION, SpectrumSet
 
 SCENARIO_VERSION = 1
 REPORT_VERSION = "0.1.0"
@@ -111,6 +111,17 @@ def _scan(text: str) -> list[tuple[int, str, int]]:
     return rows
 
 
+def _unique_keys(pairs: list[_Pair]) -> list[_Pair]:
+    """A key given twice is an error on its second line; add-block entries collect."""
+    seen = set()
+    for p in pairs:
+        key = tuple(p.key.split())
+        if key in seen and p.key != "add-block":
+            raise ParseError(f"duplicate key {p.key!r}", p.line)
+        seen.add(key)
+    return pairs
+
+
 def _parse_section(rows, pos: int, indent: int) -> tuple[list[_Pair], int]:
     pairs: list[_Pair] = []
     while pos < len(rows):
@@ -147,7 +158,7 @@ def _parse_section(rows, pos: int, indent: int) -> tuple[list[_Pair], int]:
             pairs.append(_Pair(key, value, line))
         else:
             raise ParseError(f"section {key!r} has no content", line, ind + 1)
-    return pairs, pos
+    return _unique_keys(pairs), pos
 
 
 def _parse_items(rows, pos: int, indent: int) -> tuple[list, int]:
@@ -180,7 +191,7 @@ def _parse_items(rows, pos: int, indent: int) -> tuple[list, int]:
                     )
                 more, pos = _parse_section(rows, pos, child_indent)
                 body.extend(more)
-            items.append(body)
+            items.append(_unique_keys(body))
         else:
             items.append(_Pair("", rest, line))
     return items, pos
@@ -546,8 +557,12 @@ def _q_operator(scenario: Scenario, q: Query):
 
 
 def _q_num(q: Query, key: str, default: float) -> float:
+    """A query number; window and step are checked as a pair by LambdaGrid.build."""
     p = _get(q.params, key)
-    return _num(_scalar(p), p.line) if p else default
+    value = _num(_scalar(p), p.line) if p else default
+    if value < 0 and key not in ("window", "step"):
+        raise ParseError(f"{key} must be nonnegative, got {value!r}", p.line)
+    return value
 
 
 def _q_grid(q: Query, op: InvariantOperator) -> LambdaGrid:
@@ -574,6 +589,10 @@ def _run_invertible(scenario: Scenario, q: Query) -> dict:
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
     tol = _q_num(q, "resolution", DEFAULT_RESOLUTION)
+    bounds_pair = _get(q.params, "bounds")
+    bounds = _nums(_scalar(bounds_pair), bounds_pair.line) if bounds_pair else None
+    if bounds and min(bounds) <= 0:
+        raise ParseError(f"bounds must be positive, got {min(bounds)!r}", bounds_pair.line)
     members = member_invertibility(fam, a, tol)
     out: dict = {
         "threshold": float(invertibility_threshold(a, tol)),
@@ -596,9 +615,7 @@ def _run_invertible(scenario: Scenario, q: Query) -> dict:
         }
     except NotCertified as err:
         out["exhausting_route"] = {"certified": False, "reason": str(err)}
-    bounds_pair = _get(q.params, "bounds")
-    if bounds_pair is not None:
-        bounds = _nums(_scalar(bounds_pair), bounds_pair.line)
+    if bounds is not None:
         verdicts = []
         for b in bounds:
             try:
@@ -680,10 +697,11 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     op_pair = _get(q.params, "operator")
     if op_pair is not None:
         op = _lookup(scenario.operators, op_pair, "operator")
-        grid = _q_grid(q, op)
-        fibers = _fiber_chunks(op, grid.nodes, op.reduction)
-        obs = Observable.fibered([m for chunk in fibers for m in chunk])
-        return spec_observable(obs, tol).as_dict()
+        points = []
+        for block in _fiber_chunks(op, _q_grid(q, op).nodes, op.reduction):
+            Observable.fibered(block)  # raises NotSelfAdjoint on a bad fiber
+            points += _fiber_points(block, tol)[0]
+        return SpectrumSet.canonical(points, tol, truncated=True).as_dict()
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
     members = []

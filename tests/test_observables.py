@@ -1,5 +1,7 @@
 """Cayley route: unitarity, round trips, the infinite fiber, verdicts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from specfam.observables import (
     spec_observable,
     spec_union_observable,
 )
+from specfam.scenario import parse_scenario, run_scenario
+from specfam.spectral import eig_normal
 
 
 def random_selfadjoint(rng, n):
@@ -94,6 +98,113 @@ def test_round_trip_matches_direct_eigenvalues():
         )
         assert hausdorff(got, want) <= 1e-8
         assert not got.truncated
+
+
+def _normal_solver_reference(fibers, resolution):
+    """The former spectrum route, kept as a reference.
+
+    Each fiber's unitary Cayley image goes through the general normal
+    eigensolver; circle points within resolution of 1 are cut, the rest
+    are mapped back.
+    """
+    points, truncated = [], False
+    for u in cayley(Observable.fibered(fibers, truncated=False)).fibers:
+        for w in eig_normal(u, tol=max(resolution, 1e-12)).points:
+            if abs(w - 1.0) <= resolution:
+                truncated = True
+            else:
+                points.append(complex((1j * (w + 1.0) / (w - 1.0)).real))
+    return SpectrumSet.canonical(points, resolution, truncated=truncated)
+
+
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _ladder(rng, n):
+    """Eigenvalues +-2^0 .. +-2^20, repeats allowed."""
+    return 2.0 ** rng.integers(0, 21, n) * rng.choice([-1.0, 1.0], n)
+
+
+def _fibers_with(rng, spectra):
+    out = []
+    for lams in spectra:
+        q = _random_unitary(rng, len(lams))
+        f = (q * lams) @ q.conj().T
+        out.append((f + f.conj().T) / 2.0)
+    return out
+
+
+@pytest.mark.parametrize("resolution", [1e-2, 1e-4, 1e-9])
+def test_eigvalsh_route_matches_the_normal_solver_reference(resolution):
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        sizes = rng.integers(1, 9, size=int(rng.integers(1, 4)))
+        if trial % 2:  # repeated eigenvalues
+            spectra = [rng.choice([-2.0, 0.5, 0.5, 3.0], n) for n in sizes]
+        else:
+            spectra = [3.0 * rng.standard_normal(n) for n in sizes]
+        fibers = _fibers_with(rng, spectra)
+        want = _normal_solver_reference(fibers, resolution)
+        got = spec_observable(Observable.fibered(fibers, truncated=False), resolution)
+        assert (len(got), got.truncated) == (len(want), want.truncated)
+        for x, y in zip(got.points, want.points):
+            assert abs(x - y) <= 1e-13 * max(1.0, abs(y))
+
+
+@pytest.mark.parametrize("resolution", [1e-2, 1e-4, 1e-9])
+def test_eigvalsh_route_keeps_huge_eigenvalues_of_dense_fibers(resolution):
+    # the round trip through w amplifies rounding by about |x|/2 on both
+    # routes, so 2^20 eigenvalues carry about 1e-10 relative noise
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        fibers = _fibers_with(rng, [_ladder(rng, int(rng.integers(1, 9)))])
+        want = _normal_solver_reference(fibers, resolution)
+        got = spec_observable(Observable.fibered(fibers, truncated=False), resolution)
+        assert (len(got), got.truncated) == (len(want), want.truncated)
+        for x, y in zip(got.points, want.points):
+            assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
+
+
+@pytest.mark.parametrize("resolution", [1e-2, 1e-4, 1e-9])
+def test_eigvalsh_route_is_bitwise_the_reference_on_diagonal_fibers(resolution):
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        lams = _ladder(rng, n) if trial % 2 else rng.choice([-2.0, 0.0, 0.5, 0.5, 3.0], n)
+        fibers = [np.diag(lams)]
+        got = spec_observable(Observable.fibered(fibers, truncated=False), resolution)
+        assert got == _normal_solver_reference(fibers, resolution)
+
+
+def test_operator_route_memory_follows_the_block_not_the_grid():
+    peaks = []
+    for step in ("1/256", "1/1024"):
+        scenario = parse_scenario(
+            "scenario-version: 1\n"
+            "operators:\n"
+            "  - id: lap\n"
+            "    base: circle 8\n"
+            "    directions: 1\n"
+            "    term 1 0: 1\n"
+            "    term 0 2: 1\n"
+            "    term 0 0: 1\n"
+            "queries:\n"
+            "  - id: obs\n"
+            "    kind: observable-spectrum\n"
+            "    operator: lap\n"
+            "    window: 4\n"
+            f"    step: {step}\n"
+        )
+        tracemalloc.start()
+        try:
+            run_scenario(scenario)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 4 times the nodes; the bound was fixed before measuring
+    assert peaks[1] - peaks[0] <= 8 * 2**20
 
 
 def test_infinite_fiber_has_exactly_empty_spectrum():

@@ -1,5 +1,6 @@
 """tools/report_parity.py: report hashes of two source trees, scenario by scenario."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,54 @@ def test_a_different_report_exits_1(tmp_path):
     proc = _parity(old, new, scn)
     assert proc.returncode == 1
     assert proc.stdout.split()[2] == "DIFFERENT"
+    assert len(proc.stdout.splitlines()) == 1  # no JSON, no detail line
     assert _parity(old, old, scn).returncode == 0
+
+
+def _report(**results) -> str:
+    return json.dumps(
+        {"results": [{"id": q, "kind": "spectrum", "result": r} for q, r in results.items()]}
+    )
+
+
+def test_differing_json_reports_name_the_queries_and_the_largest_gap(tmp_path):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    same = {"points": [[2.0, 0.0]], "truncated": True}
+    old = _fake_tree(
+        tmp_path / "old", _report(a={"points": [[1.0, 0.0], [3.0, 0.0]]}, b=same, c=same)
+    )
+    new = _fake_tree(
+        tmp_path / "new", _report(a={"points": [[1.5, 0.0], [3.25, 0.0]]}, b=same, c=same)
+    )
+    proc = _parity(old, new, scn)
+    assert proc.returncode == 1
+    first, second = proc.stdout.splitlines()
+    assert first.split()[2] == "DIFFERENT"
+    assert second == "    queries a: largest absolute difference 0.5"
+
+    # a flag and a list length are not numbers: their gap is inf
+    other = _fake_tree(
+        tmp_path / "other",
+        _report(
+            a={"points": [[1.0, 0.0], [3.0, 0.0]]},
+            b=dict(same, truncated=False),
+            c={"points": []},
+        ),
+    )
+    proc = _parity(old, other, scn)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1] == "    queries b, c: largest absolute difference inf"
+
+
+def test_non_json_output_gets_no_detail_line(tmp_path):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    old = _fake_tree(tmp_path / "old", _report(a={"points": []}))
+    new = _fake_tree(tmp_path / "new", "not a report")
+    proc = _parity(old, new, scn)
+    assert proc.returncode == 1
+    assert len(proc.stdout.splitlines()) == 1
 
 
 def test_a_missing_tree_or_scenario_exits_2(tmp_path):

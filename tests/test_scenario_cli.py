@@ -61,6 +61,10 @@ _OPERATOR = """operators:
 queries:"""
 
 
+# the bare Laplacian on circle x line: elliptic, not invertible at the zero fiber
+_LAPLACIAN = _OPERATOR.format(base="circle 4", term="1 0: 1\n    term 0 2")
+
+
 def _line_of(text: str, needle: str) -> int:
     return text.splitlines().index(needle) + 1
 
@@ -348,11 +352,90 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "parse error",
             "  - id: grid",
         ),
+        (
+            {
+                "name: interval-scalar\n  step: 1/16": "name: toeplitz\n  theta-count: 16\n"
+                "  sections: 8 16",
+                "kind: matrix-poly\n    entry 0 0: 0 1": "kind: toeplitz\n    c 0: 1\n    c 1: 1",
+                "generator: eval-grid": "generator: toeplitz-chars",
+                "kind: norm": "kind: fredholm\n    resolution: -1",
+            },
+            2,
+            "parse error",
+            "    resolution: -1",
+        ),
+        (
+            {
+                "queries:": _LAPLACIAN,
+                "    element: ramp\n": "    element: ramp\n  - id: pi\n"
+                "    kind: parametric-invertible\n    operator: lap\n    resolution: -1\n",
+            },
+            2,
+            "parse error",
+            "    resolution: -1",
+        ),
+        (
+            {
+                "queries:": _LAPLACIAN,
+                "    element: ramp\n": "    element: ramp\n  - id: os\n"
+                "    kind: observable-spectrum\n    operator: lap\n    resolution: -1\n",
+            },
+            2,
+            "parse error",
+            "    resolution: -1",
+        ),
+        (
+            {
+                "queries:": _LAPLACIAN,
+                "    element: ramp\n": "    element: ramp\n  - id: ps\n"
+                "    kind: parametric-spectrum\n    operator: lap\n    resolution: -1\n",
+            },
+            2,
+            "parse error",
+            "    resolution: -1",
+        ),
+        ({"kind: norm": "kind: spectrum\n    resolution: -1"}, 2, "parse error", "    resolution: -1"),
+        (
+            {
+                "queries:": _LAPLACIAN,
+                "    element: ramp\n": "    element: ramp\n  - id: pi\n"
+                "    kind: parametric-invertible\n    operator: lap\n    delta-dir: -0.1\n",
+            },
+            2,
+            "parse error",
+            "    delta-dir: -0.1",
+        ),
+        (
+            {
+                "queries:": _LAPLACIAN,
+                "    element: ramp\n": "    element: ramp\n  - id: pi\n"
+                "    kind: parametric-invertible\n    operator: lap\n    delta-sym: -1e-6\n",
+            },
+            2,
+            "parse error",
+            "    delta-sym: -1e-6",
+        ),
+        ({"kind: norm": "kind: invertible\n    bounds: 0 -2"}, 2, "parse error", "    bounds: 0 -2"),
+        ({"label: minimal": "label: minimal\nlabel: again"}, 2, "parse error", "label: again"),
+        ({"step: 1/16": "step: 1/16\n  step: 1/8"}, 2, "parse error", "  step: 1/8"),
+        (
+            {"entry 0 0: 0 1": "entry 0 0: 0 1\n    entry 0  0: 2"},
+            2,
+            "parse error",
+            "    entry 0  0: 2",
+        ),
+        ({"    kind: norm": "    kind: norm\n    id: m"}, 2, "parse error", "    id: m"),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
         "circle-0", "term-negative-exponent", "query-step-negative",
-        "exclude-every-point",
+        "exclude-every-point", "fredholm-resolution-negative",
+        "parametric-invertible-resolution-negative",
+        "observable-spectrum-resolution-negative",
+        "parametric-spectrum-resolution-negative", "spectrum-resolution-negative",
+        "delta-dir-negative", "delta-sym-negative", "bounds-not-positive",
+        "duplicate-top-level-key", "duplicate-model-key", "duplicate-element-key",
+        "duplicate-query-key",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):

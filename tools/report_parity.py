@@ -8,6 +8,10 @@ fresh interpreter whose import path and working directory are that tree, and
 the report it writes to stdout is hashed.  One line per scenario gives the
 old and the new sha256, "same" or "DIFFERENT", and the scenario path; a
 pair also differs when the exit codes differ, which the line then shows.
+When both outputs of a DIFFERENT pair are JSON reports, an indented line
+under it names the ids of the queries whose results differ and the largest
+absolute difference between their numbers, place by place; a difference in
+anything else (a flag, a text, a list length, a key) counts as inf.
 
 Exit status: 0 when every report is byte-identical, 1 on any difference,
 2 when an argument is not a source tree or a scenario file.  Stdlib only.
@@ -16,20 +20,44 @@ Exit status: 0 when every report is byte-identical, 1 on any difference,
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 
-def _run(src: Path, scenario: Path) -> tuple[str, int]:
+def _run(src: Path, scenario: Path) -> tuple[bytes, int]:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "specfam.cli", "run", str(scenario)],
         cwd=src, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         check=False,
     )
-    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
+    return proc.stdout, proc.returncode
+
+
+def _gaps(a, b) -> list[float]:
+    """|a - b| for the numbers at matching places of two JSON values."""
+    if type(a) in (int, float) and type(b) in (int, float):  # not bool
+        return [abs(a - b)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [g for x, y in zip(a, b) for g in _gaps(x, y)]
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [g for k in a for g in _gaps(a[k], b[k])]
+    return [] if a == b else [math.inf]
+
+
+def _detail(old: bytes, new: bytes) -> str | None:
+    """The differing query ids and their largest gap; None unless both are JSON reports."""
+    try:
+        old_q, new_q = ({r["id"]: r for r in json.loads(out)["results"]} for out in (old, new))
+    except (ValueError, KeyError, TypeError):
+        return None
+    ids = [q for q in dict.fromkeys([*old_q, *new_q]) if old_q.get(q) != new_q.get(q)]
+    gap = max((g for q in ids for g in _gaps(old_q.get(q), new_q.get(q))), default=0.0)
+    return f"    queries {', '.join(ids) or '(none)'}: largest absolute difference {gap:.3g}"
 
 
 def main(argv: list[str]) -> int:
@@ -48,10 +76,14 @@ def main(argv: list[str]) -> int:
             return 2
     status = 0
     for scn in scenarios:
-        (old_sha, old_code), (new_sha, new_code) = _run(old, scn), _run(new, scn)
+        (old_out, old_code), (new_out, new_code) = _run(old, scn), _run(new, scn)
+        old_sha, new_sha = (hashlib.sha256(out).hexdigest() for out in (old_out, new_out))
         same = old_sha == new_sha and old_code == new_code
         codes = "" if old_code == new_code == 0 else f" exit {old_code}/{new_code}"
         print(f"{old_sha}  {new_sha}  {'same' if same else 'DIFFERENT'}{codes}  {scn}")
+        detail = None if same else _detail(old_out, new_out)
+        if detail is not None:
+            print(detail)
         status = status if same else 1
     return status
 
