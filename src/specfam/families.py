@@ -3,28 +3,27 @@
 A family can be checked for three nested completeness grades:
 
 * full       -- its supports cover every enumerated primitive point;
-* exhausting -- every probe's norm is attained by some member, within
-                certified error bars (probe-certificate semantics over a
-                deterministic gallery plus user elements);
-* faithful   -- no nonzero probe is annihilated and the support union is
-                dense at grid resolution.
+* exhausting -- every irreducible representation is weakly contained in
+                some member;
+* faithful   -- its supports are dense at grid resolution: every
+                uncovered primitive point lies within one grid step of an
+                evaluation member.
 
-full implies exhausting implies faithful, and family_report enforces the
-chain on every emitted report.  One pass over the probes gives both the
-exhausting and the faithful verdict, once per (probe elements, slack):
-the family keeps the report, and both invertibility routes, every
-uniform bound and the spectrum contract read it.  Invertibility goes
-through two routes: the exhausting route needs no bound, the faithful
-route needs a uniform inverse bound; both count a member image
-invertible only when its smallest singular value clears
-max(resolution, lipschitz * grid_step), anything less is "not
-invertible at this resolution".
+Every model here is a separable C*-algebra, where a family is exhausting
+iff every irreducible representation is weakly contained in some member,
+so the primitive-point cover that decides full decides exhausting too.
+family_report takes all three verdicts and their witnesses from that
+cover and builds no member image.  Invertibility goes through two
+routes: the exhausting route needs no bound, the faithful route needs a
+uniform inverse bound; both count a member image invertible only when
+its smallest singular value clears max(resolution, lipschitz *
+grid_step), anything less is "not invertible at this resolution".
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -39,7 +38,6 @@ from .models import (
     ToeplitzElement,
     ToeplitzModel,
     _section_sweep,
-    elem_norm,
     enum_prim,
     prim_representation,
     rep_apply,
@@ -56,7 +54,6 @@ class RepFamily:
     model: FunctionModel | ToeplitzModel
     members: tuple[Representation, ...]
     label: str = ""
-    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -108,66 +105,6 @@ class FamilyReport:
             "probes_used": list(self.probes_used),
             "tolerances": dict(self.tolerances),
         }
-
-
-# ---------------------------------------------------------------------------
-# probe gallery
-
-
-def _tent_values(space, center: float) -> list[float]:
-    h = space.grid_step if space.grid_step > 0 else 1.0
-    return [max(0.0, 1.0 - space.distance(t, center) / h) for t in space.sample_grid]
-
-
-def _tent_element(model: FunctionModel, center: float, block: int | None) -> AlgebraElement:
-    d = model.fiber_dim
-    space = model.space
-    if block is None:
-        proj = np.eye(d, dtype=complex)
-        label = f"tent({center:.12g})"
-    else:
-        c = model.structure.constraint_at(center)
-        proj = np.zeros((d, d), dtype=complex)
-        for i in c.blocks[block]:
-            proj[i, i] = 1.0
-        label = f"tent({center:.12g})[{block}]"
-    heights = _tent_values(space, center)
-    mats = tuple(h * proj for h in heights)
-    lip = 0.0 if space.grid_step == 0 else 1.0 / space.grid_step
-    return AlgebraElement(model, space.sample_grid, mats, lip, label)
-
-
-@functools.lru_cache(maxsize=64)
-def _base_gallery(model) -> tuple[Element, ...]:
-    probes: list[Element] = []
-    if isinstance(model, FunctionModel):
-        probes.append(AlgebraElement.identity(model, label="probe:1"))
-        for prim in enum_prim(model):
-            probes.append(_tent_element(model, prim.point, prim.block))
-    elif isinstance(model, ToeplitzModel):
-        probes.append(ToeplitzElement.identity(model, label="probe:1"))
-        probes.append(ToeplitzElement.shift(model, label="probe:S"))
-        probes.append(ToeplitzElement.shift(model).adjoint())
-        probes.append(ToeplitzElement.build(model, {1: 1.0, -1: 1.0}, label="probe:2cos"))
-        probes.append(
-            ToeplitzElement.build(model, {}, correction=np.array([[1.0]]), label="probe:e00")
-        )
-    else:
-        raise UnsupportedModel(f"no probe gallery for {type(model).__name__}")
-    return tuple(probes)
-
-
-def standard_probes(model, extras: tuple[Element, ...] = ()) -> tuple[Element, ...]:
-    """Deterministic probe gallery: identity, one tent per primitive point,
-    the user's elements, and the norm-gap probe |a|^2 - a*a of each."""
-    probes = list(_base_gallery(model))
-    for a in extras:
-        probes.append(a)
-        v = elem_norm(a).value
-        gap = v * v - a.adjoint() * a
-        object.__setattr__(gap, "label", f"gap({a.label})")
-        probes.append(gap)
-    return tuple(probes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,30 +160,33 @@ def n_a_profile(a: Element) -> list[tuple[PrimPoint, float]]:
 # ---------------------------------------------------------------------------
 # the three completeness checks
 
+_SYMBOL_PROBES = ("probe:1", "probe:S", "adj(S)", "probe:2cos", "probe:e00")
+
+
+def _position(x: Representation | PrimPoint) -> float | None:
+    """Base point or angle of a member or primitive point; None for pi."""
+    return x.point if x.theta is None else x.theta
+
 
 def _member_supports(family: RepFamily, prims: tuple[PrimPoint, ...]) -> set[str]:
+    """Labels of the primitive points in the closure of some member's support.
+
+    Each member finds the points it evaluates at by bisection over the
+    primitive points sorted by base point (or angle), within 1e-12.
+    """
     by_label = {p.label: p for p in prims}
+    located = sorted((p for p in prims if _position(p) is not None), key=_position)
+    keys = [_position(p) for p in located]
     covered: set[str] = set()
     for member in family.members:
-        hit: list[PrimPoint] = []
-        if member.kind == "eval":
-            hit = [
-                p for p in prims
-                if p.point is not None and abs(p.point - member.point) <= 1e-12
-            ]
-        elif member.kind == "block":
-            hit = [
-                p for p in prims
-                if p.block == member.block
-                and p.point is not None
-                and abs(p.point - member.point) <= 1e-12
-            ]
-        elif member.kind == "toeplitz-identity":
+        x = _position(member)
+        if x is None:
             hit = [p for p in prims if p.kind == "toeplitz-identity"]
-        elif member.kind == "toeplitz-character":
+        else:
+            near = located[bisect_left(keys, x - 2e-12):bisect_right(keys, x + 2e-12)]
             hit = [
-                p for p in prims
-                if p.theta is not None and abs(p.theta - member.theta) <= 1e-12
+                p for p in near
+                if abs(_position(p) - x) <= 1e-12 and member.block in (None, p.block)
             ]
         for p in hit:
             covered.add(p.label)
@@ -254,34 +194,19 @@ def _member_supports(family: RepFamily, prims: tuple[PrimPoint, ...]) -> set[str
     return covered
 
 
-def check_full(family: RepFamily) -> CheckResult:
-    """Exact support cover of the enumerated primitive points."""
+def _uncovered(family: RepFamily) -> list[PrimPoint]:
+    """Primitive points outside every member's support closure, in order."""
     prims = enum_prim(family.model)
     covered = _member_supports(family, prims)
-    for p in prims:
-        if p.label not in covered:
-            return CheckResult(False, p.label, "uncovered primitive point")
+    return [p for p in prims if p.label not in covered]
+
+
+def check_full(family: RepFamily) -> CheckResult:
+    """Exact support cover of the enumerated primitive points."""
+    uncovered = _uncovered(family)
+    if uncovered:
+        return CheckResult(False, uncovered[0].label, "uncovered primitive point")
     return CheckResult(True)
-
-
-def _coverage_radius(family: RepFamily) -> float | None:
-    """How far a base point can be from the family's nearest evaluation.
-
-    None when the notion does not apply (no evaluation members, or no
-    characters on a symbol model), in which case annihilation can only
-    be certified for probes with zero slope.
-    """
-    model = family.model
-    if isinstance(model, FunctionModel):
-        pts = [m.point for m in family.members if m.kind == "eval"]
-        if not pts:
-            return None
-        return max(
-            min(model.space.distance(g, p) for p in pts)
-            for g in model.space.sample_grid
-        )
-    thetas = [m.theta for m in family.members if m.kind == "toeplitz-character"]
-    return _theta_radius(thetas) if thetas else None
 
 
 def _theta_radius(thetas: list[float]) -> float:
@@ -292,93 +217,95 @@ def _theta_radius(thetas: list[float]) -> float:
     return max(gaps) / 2.0
 
 
-def check_exhausting(
-    family: RepFamily, probes: tuple[Element, ...], slack: float = _SLACK
-) -> CheckResult:
-    """Probe-certificate check: each probe's norm attained by some member."""
-    return _certify(family, probes, slack)[0]
+def _tent_label(p: PrimPoint) -> str:
+    """Label of the tent probe centred at a base point: ev(t)[i] -> tent(t)[i]."""
+    return "tent" + p.label[2:]
 
 
-def check_faithful(
-    family: RepFamily, probes: tuple[Element, ...], slack: float = _SLACK
-) -> CheckResult:
-    """No certified-annihilated nonzero probe, supports dense at grid resolution.
+def _sparse_point(family: RepFamily, uncovered: list[PrimPoint]) -> PrimPoint | None:
+    """First uncovered point farther than one grid step from every evaluation.
 
-    A probe counts annihilated only when every member maps it below the
-    slack AND its slope cannot lift it above the slack anywhere within
-    one coverage radius of the family's evaluations.  Vanishing exactly
-    at the members of a resolution-h family is not an annihilation
-    certificate; it is the expected blind spot of sampling.
+    The nearest evaluation is a neighbour of the point in the sorted
+    evaluation points (taken mod 1 on the circle, cyclically).
     """
-    return _certify(family, probes, slack)[1]
+    evals = [m.point for m in family.members if m.kind == "eval"]
+    if not evals:
+        return uncovered[0]
+    space = family.model.space
+    key = (lambda t: t % 1.0) if space.kind == "circle" else (lambda t: t)
+    evals.sort(key=key)
+    keys = [key(q) for q in evals]
+    for p in uncovered:
+        i = bisect_left(keys, key(p.point))
+        if not any(
+            space.distance(p.point, evals[j % len(evals)]) <= space.grid_step + 1e-12
+            for j in (i - 1, i)
+        ):
+            return p
+    return None
 
 
-def _certify(
-    family: RepFamily, probes: tuple[Element, ...], slack: float
-) -> tuple[CheckResult, CheckResult]:
-    """Exhausting and faithful verdicts from one pass over the probes."""
-    if not probes:
-        raise ValueError("probe set must be nonempty")
-    radius = _coverage_radius(family)
-    exhausting = faithful = None
-    for a in probes:
-        value, error = elem_norm(a)
-        attained = norm_via_family(family, a)
-        if exhausting is None and attained < value - error - slack:
-            exhausting = CheckResult(
-                False, a.label,
-                f"norm {value:.6g} attained only to {attained:.6g} (bar {error:.3g})",
-            )
-        if faithful is None and value - error > 2.0 * slack and attained <= slack:
-            slope = a.lipschitz_bound if isinstance(a, AlgebraElement) else a.symbol_slope_bound()
-            allowance = 0.0 if slope == 0.0 else (np.inf if radius is None else slope * radius)
-            if allowance <= slack:
-                faithful = CheckResult(False, a.label, "nonzero probe annihilated by every member")
-        if exhausting and faithful:
-            return exhausting, faithful
-    if faithful is None:
-        prims = enum_prim(family.model)
-        covered = _member_supports(family, prims)
-        eval_points = [m.point for m in family.members if m.kind == "eval"]
-        for p in prims:
-            if p.label not in covered and not any(
-                family.model.space.distance(p.point, q) <= family.model.space.grid_step + 1e-12
-                for q in eval_points
-            ):
-                faithful = CheckResult(
-                    False, p.label, "open region uncovered beyond grid resolution"
-                )
-                break
-    return exhausting or CheckResult(True), faithful or CheckResult(True)
+def _verdicts(family: RepFamily) -> tuple[CheckResult, CheckResult, CheckResult]:
+    """Full, exhausting and faithful verdicts from the primitive-point cover.
 
-
-def family_report(
-    family: RepFamily,
-    probes: tuple[Element, ...] = (),
-    slack: float = _SLACK,
-) -> FamilyReport:
-    """Run all three checks over the standard gallery plus user probes.
-
-    Kept on the family per (probe elements, slack); labels never key it.
+    Every model here is a separable C*-algebra, and there a family is
+    exhausting iff every irreducible representation is weakly contained
+    in some member: exhausting is full.  Faithful is density of the
+    supports: every uncovered point lies within one grid step of an
+    evaluation.  On a symbol model both mean that the section ladder is a
+    member, since characters annihilate the corner probe e00.
+    Witnesses name the probe of the first failing point.
     """
-    key = (tuple(probes), slack)
-    report = family._reports.get(key)
-    if report is None:
-        gallery = standard_probes(family.model, extras=key[0])
-        full = check_full(family)
-        exhausting, faithful = _certify(family, gallery, slack)
-        report = family._reports[key] = FamilyReport(
-            label=family.label,
-            faithful=faithful.ok,
-            exhausting=exhausting.ok,
-            full=full.ok,
-            faithful_witness=faithful.witness,
-            exhausting_witness=exhausting.witness,
-            full_witness=full.witness,
-            probes_used=tuple(p.label for p in gallery),
-            tolerances=MappingProxyType({"slack": slack}),
+    full = check_full(family)
+    if full.ok:
+        return full, full, full
+    if isinstance(family.model, ToeplitzModel):
+        exhausting = CheckResult(False, "probe:e00", "pi is weakly contained in no member")
+        faithful = CheckResult(False, "probe:e00", "nonzero probe annihilated by every member")
+        return full, exhausting, faithful
+    uncovered = _uncovered(family)
+    first = uncovered[0]
+    exhausting = CheckResult(
+        False, _tent_label(first), f"{first.label} is weakly contained in no member"
+    )
+    sparse = _sparse_point(family, uncovered)
+    if sparse is None:
+        faithful = CheckResult(True)
+    elif family.model.space.grid_step == 0:
+        faithful = CheckResult(
+            False, _tent_label(sparse), "nonzero probe annihilated by every member"
         )
-    return report
+    else:
+        faithful = CheckResult(False, sparse.label, "open region uncovered beyond grid resolution")
+    return full, exhausting, faithful
+
+
+def _probe_labels(model, probes: tuple[Element, ...]) -> tuple[str, ...]:
+    """The probe gallery by label: identity, one tent per primitive point
+    (the five symbol probes on a symbol model), then each user element and
+    its norm-gap probe |a|^2 - a*a."""
+    if isinstance(model, ToeplitzModel):
+        base = _SYMBOL_PROBES
+    else:
+        base = ("probe:1",) + tuple(_tent_label(p) for p in enum_prim(model))
+    return base + tuple(label for a in probes for label in (a.label, f"gap({a.label})"))
+
+
+def family_report(family: RepFamily, probes: tuple[Element, ...] = ()) -> FamilyReport:
+    """All three verdicts from one primitive-point cover; the user elements
+    in probes add their labels to probes_used and change no verdict."""
+    full, exhausting, faithful = _verdicts(family)
+    return FamilyReport(
+        label=family.label,
+        faithful=faithful.ok,
+        exhausting=exhausting.ok,
+        full=full.ok,
+        faithful_witness=faithful.witness,
+        exhausting_witness=exhausting.witness,
+        full_witness=full.witness,
+        probes_used=_probe_labels(family.model, tuple(probes)),
+        tolerances=MappingProxyType({"slack": _SLACK}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +343,17 @@ def member_invertibility(
 
 
 def invertible_via_exhausting(
-    family: RepFamily,
-    a: Element,
-    probes: tuple[Element, ...] = (),
-    tol: float = DEFAULT_RESOLUTION,
-    slack: float = _SLACK,
+    family: RepFamily, a: Element, tol: float = DEFAULT_RESOLUTION
 ) -> bool:
     """Invertibility through an exhausting certificate.
 
-    The certificate is the family's report over the gallery extended by
-    the element and its norm-gap probe; NotCertified when it fails.
+    NotCertified when the family is not exhausting.
     """
-    report = family_report(family, (a,) + tuple(probes), slack)
-    if not report.exhausting:
+    exhausting = _verdicts(family)[1]
+    if not exhausting.ok:
         raise NotCertified(
             f"family {family.label!r} is not exhausting over the probe gallery "
-            f"(witness {report.exhausting_witness})"
+            f"(witness {exhausting.witness})"
         )
     threshold = invertibility_threshold(a, tol)
     return all(sigma > threshold for _, sigma in _member_values(family.members, a))
@@ -441,9 +363,7 @@ def invertible_via_faithful(
     family: RepFamily,
     a: Element,
     bound: float,
-    probes: tuple[Element, ...] = (),
     tol: float = DEFAULT_RESOLUTION,
-    slack: float = _SLACK,
 ) -> bool:
     """Invertibility through a faithful certificate plus a uniform bound.
 
@@ -452,11 +372,11 @@ def invertible_via_faithful(
     """
     if bound <= 0:
         raise ValueError("the uniform inverse bound must be positive")
-    report = family_report(family, (a,) + tuple(probes), slack)
-    if not report.faithful:
+    faithful = _verdicts(family)[2]
+    if not faithful.ok:
         raise NotCertified(
             f"family {family.label!r} is not faithful over the probe gallery "
-            f"(witness {report.faithful_witness})"
+            f"(witness {faithful.witness})"
         )
     threshold = invertibility_threshold(a, tol)
     for _, sigma in _member_values(family.members, a):

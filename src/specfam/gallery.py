@@ -91,7 +91,7 @@ def build_family(model, generator: str, **options) -> RepFamily:
 
     prim-all:       one member per primitive point
     eval-grid:      full evaluation at every grid point; options
-                    exclude_points (list of base points to drop) and
+                    exclude_points (list of grid points to drop) and
                     add_blocks (list of (point, block) pairs to add)
     coarse:         every stride-th grid evaluation  (options: stride)
     single:         one evaluation                   (options: at)
@@ -108,6 +108,9 @@ def build_family(model, generator: str, **options) -> RepFamily:
         _needs_function_model(model, generator)
         excluded = [float(t) for t in options.pop("exclude_points", ())]
         added = [(float(t), int(i)) for t, i in options.pop("add_blocks", ())]
+        for x in excluded:
+            if not any(_close(t, x) for t in model.space.sample_grid):
+                raise ValueError(f"excluded point {x!r} is not a grid point")
         for t in model.space.sample_grid:
             if any(_close(t, x) for x in excluded):
                 continue

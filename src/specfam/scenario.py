@@ -638,7 +638,7 @@ def _run_spectrum(scenario: Scenario, q: Query) -> dict:
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
     tol = _q_num(q, "resolution", 1e-9)
-    report = family_report(fam, (a,))
+    report = family_report(fam)
     out = spectrum_union(fam, a, tol).as_dict()
     out["contract"] = (
         "equality" if report.exhausting else "closure" if report.faithful else "uncertified"

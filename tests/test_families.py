@@ -1,11 +1,13 @@
 """Family checks, invertibility routes, spectra through families."""
 
-import dataclasses
+import random
 
 import numpy as np
 import pytest
 
+import probe_oracle as oracle
 import specfam.families
+import specfam.models
 from specfam import (
     AlgebraElement,
     NotCertified,
@@ -16,8 +18,6 @@ from specfam import (
     UnsupportedModel,
     build_family,
     build_model,
-    check_exhausting,
-    check_faithful,
     check_full,
     direct_invertible,
     elem_norm,
@@ -31,11 +31,17 @@ from specfam import (
     norm_via_family,
     rep_apply,
     spectrum_union,
-    standard_probes,
     toeplitz_norm,
 )
 
-from util import matrix_model, counterexample_element, random_selfadjoint_element
+from specfam.families import _verdicts
+from specfam.models import enum_prim, prim_representation
+from util import (
+    counterexample_element,
+    matrix_model,
+    random_element,
+    random_selfadjoint_element,
+)
 
 
 def ramp_element(model):
@@ -44,13 +50,13 @@ def ramp_element(model):
 
 
 # ---------------------------------------------------------------------------
-# probe gallery
+# probe gallery of the reference oracle
 
 
 def test_gallery_is_deterministic():
     model = matrix_model()
-    g1 = standard_probes(model)
-    g2 = standard_probes(model)
+    g1 = oracle.standard_probes(model)
+    g2 = oracle.standard_probes(model)
     assert [p.label for p in g1] == [p.label for p in g2]
     assert g1[0].label == "probe:1"
     labels = [p.label for p in g1]
@@ -60,7 +66,7 @@ def test_gallery_is_deterministic():
 def test_gallery_extends_with_element_and_gap_probe():
     model = matrix_model()
     f = ramp_element(model)
-    gallery = standard_probes(model, extras=(f,))
+    gallery = oracle.standard_probes(model, extras=(f,))
     labels = [p.label for p in gallery]
     assert "f" in labels and "gap(f)" in labels
     gap = gallery[labels.index("gap(f)")]
@@ -74,7 +80,7 @@ def test_gallery_extends_with_element_and_gap_probe():
 
 def test_tent_probe_shape():
     model = build_model("interval-scalar", step=1 / 4)
-    gallery = standard_probes(model)
+    gallery = oracle.standard_probes(model)
     tent = next(p for p in gallery if p.label == "tent(0.5)")
     assert abs(tent.value_at(0.5)[0, 0] - 1.0) <= 1e-12
     assert abs(tent.value_at(0.25)[0, 0]) <= 1e-12
@@ -183,7 +189,8 @@ def test_coarse_family_faithful_but_not_exhausting():
 def test_single_point_family_not_faithful():
     model = build_model("interval-scalar", step=1 / 8)
     fam = build_family(model, "single", at=0.0)
-    res = check_faithful(fam, standard_probes(model))
+    res = _verdicts(fam)[2]
+    assert family_report(fam).faithful_witness == res.witness
     assert not res.ok
     assert res.witness == "ev(0.25)"
     assert "open region" in res.detail
@@ -207,9 +214,7 @@ def test_check_exhausting_requires_probes():
     model = matrix_model()
     fam = build_family(model, "prim-all")
     with pytest.raises(ValueError):
-        check_exhausting(fam, ())
-    with pytest.raises(ValueError):
-        check_faithful(fam, ())
+        oracle.certify(fam, ())
 
 
 def test_family_needs_members_of_its_model():
@@ -218,39 +223,6 @@ def test_family_needs_members_of_its_model():
         RepFamily(model, ())
     with pytest.raises(ValueError):
         RepFamily(model, (Representation.toeplitz_identity(),))
-
-
-def test_family_reuses_its_certificate(monkeypatch):
-    # one gallery build per (family, probe elements, slack): the report,
-    # the exhausting route and every faithful bound share it, while an
-    # equal-label copy of the element or a re-created family starts cold
-    builds = []
-    real = specfam.families.standard_probes
-
-    def counting(model, extras=()):
-        builds.append(extras)
-        return real(model, extras)
-
-    monkeypatch.setattr(specfam.families, "standard_probes", counting)
-    model = matrix_model()
-    f = ramp_element(model)
-    fam = build_family(model, "prim-all")
-    report = family_report(fam, (f,))
-    assert invertible_via_exhausting(fam, f) is False
-    for k in range(7):
-        assert invertible_via_faithful(fam, f, 10.0**k) is False
-    assert len(builds) == 1
-    assert family_report(fam, (f,)) is report
-
-    twin = dataclasses.replace(f)
-    assert twin.label == f.label
-    assert family_report(fam, (twin,)) is not report
-    assert len(builds) == 2
-
-    again = RepFamily(fam.model, fam.members, fam.label)
-    assert again == fam and hash(again) == hash(fam)
-    assert family_report(again, (f,)) == report
-    assert len(builds) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +270,138 @@ def test_implication_chain_across_gallery():
             assert report.exhausting, fam.label
         if report.exhausting:
             assert report.faithful, fam.label
+
+
+# ---------------------------------------------------------------------------
+# the cover against the probe-by-member oracle
+
+
+def _user_element(model, rng: random.Random):
+    if isinstance(model, specfam.ToeplitzModel):
+        coeffs = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in (-1, 0, 1, 2)}
+        corr = np.array([[rng.uniform(-1, 1), rng.uniform(-1, 1)], [0.0, rng.uniform(-1, 1)]])
+        return ToeplitzElement.build(model, coeffs, correction=corr, label="x")
+    return random_element(model, np.random.RandomState(rng.randrange(2**31)))
+
+
+def _random_family(model, rng: random.Random) -> RepFamily:
+    """A random subset of the primitive members; on interval and circle
+    bases possibly with off-grid evaluations, on a symbol model with a
+    partial character set and the ladder only sometimes."""
+    keep = rng.uniform(0.1, 1.0)
+    members = [prim_representation(p) for p in enum_prim(model) if rng.random() < keep]
+    if isinstance(model, specfam.ToeplitzModel):
+        members = [m for m in members if m.kind == "toeplitz-character"]
+        if rng.random() < 0.3:
+            members.insert(0, Representation.toeplitz_identity())
+    elif model.space.kind != "discrete" and rng.random() < 0.5:
+        off_grid = [rng.uniform(0.0, 1.0) for _ in range(rng.randint(1, 3))]
+        members += [Representation.eval_point(t) for t in off_grid]
+    if not members:
+        members = [prim_representation(rng.choice(enum_prim(model)))]
+    return RepFamily(model, tuple(members), "random")
+
+
+def _oracle_cases():
+    rng = random.Random(6)
+    for fam in _gallery_families():
+        yield fam, ()
+        yield fam, (_user_element(fam.model, rng),)
+    models = (
+        matrix_model(),
+        build_model("circle-scalar", step=1 / 8),
+        build_model("discrete", points=4, dim=2),
+        build_model("toeplitz", theta_count=8, sections=(4, 8, 16)),
+    )
+    for k in range(400):
+        model = models[k % len(models)]
+        extras = (_user_element(model, rng),) if rng.random() < 0.3 else ()
+        yield _random_family(model, rng), extras
+
+
+def _off_grid(fam: RepFamily) -> bool:
+    grid = fam.model.space.sample_grid
+    return any(
+        m.kind == "eval" and min(abs(m.point - g) for g in grid) > 1e-12 for m in fam.members
+    )
+
+
+def _without_full_symbol(fam: RepFamily) -> bool:
+    thetas = [m.theta for m in fam.members if m.kind == "toeplitz-character"]
+    has_pi = any(m.kind == "toeplitz-identity" for m in fam.members)
+    return not has_pi and not any(abs(np.cos(th)) > 1 - 1e-12 for th in thetas)
+
+
+def _verdict(res) -> tuple:
+    return res.ok, res.witness
+
+
+def test_cover_verdicts_agree_with_the_probe_oracle():
+    # full, faithful (verdict, witness and detail) and probes_used always
+    # agree; exhausting agrees outside two classes.  (a) An off-grid
+    # evaluation within h/2 of an uncovered grid point lets that point's
+    # tent pass the oracle's bar of h/2 times slope 1/h, or the oracle
+    # names a later tent.  (b) A symbol family with neither the ladder nor
+    # a character where |2cos| = 2 fails the oracle at probe:2cos before
+    # probe:e00.  There the cover's verdict is full and its witness is the
+    # tent of the first uncovered point, or probe:e00.
+    cases = differing = 0
+    seen = {"a": 0, "b": 0}
+    for fam, extras in _oracle_cases():
+        cases += 1
+        gallery = oracle.standard_probes(fam.model, extras)
+        old_full = oracle.check_full(fam)
+        old_exhausting, old_faithful = oracle.certify(fam, gallery)
+        full, exhausting, faithful = _verdicts(fam)
+        report = family_report(fam, extras)
+        assert report.probes_used == tuple(p.label for p in gallery)
+        assert (report.full, report.full_witness) == _verdict(full)
+        assert (report.exhausting, report.exhausting_witness) == _verdict(exhausting)
+        assert (report.faithful, report.faithful_witness) == _verdict(faithful)
+        assert full == old_full
+        assert faithful == old_faithful, fam.members
+        symbol = isinstance(fam.model, specfam.ToeplitzModel)
+        if symbol:
+            cls = "b" if _without_full_symbol(fam) else None
+        else:
+            cls = "a" if _off_grid(fam) else None
+        if cls is None:
+            assert _verdict(exhausting) == _verdict(old_exhausting)
+            continue
+        seen[cls] += 1
+        differing += _verdict(exhausting) != _verdict(old_exhausting)
+        assert exhausting.ok == full.ok
+        if not full.ok:
+            assert exhausting.witness == ("probe:e00" if symbol else "tent" + old_full.witness[2:])
+    assert cases >= 444
+    assert seen["a"] > 0 and seen["b"] > 0 and differing > 0
+
+
+def test_family_report_builds_no_member_image(monkeypatch):
+    rng = random.Random(1)
+    cases = [(fam, _user_element(fam.model, rng)) for fam in _gallery_families()]
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (specfam.models, specfam.families):
+        for name in ("rep_apply", "elem_norm", "toeplitz_norm", "_section_sweep"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counting(f"linalg.{name}", fn))
+    for fam, a in cases:
+        family_report(fam)
+        family_report(fam, (a,))
+    assert calls == []
+    member_norm(Representation.eval_point(0.0), counterexample_element(matrix_model()))
+    assert "rep_apply" in calls
 
 
 # ---------------------------------------------------------------------------

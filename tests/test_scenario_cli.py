@@ -194,6 +194,26 @@ def test_report_shape_and_stable_bytes():
     ]
 
 
+def test_off_grid_member_does_not_make_a_family_exhausting():
+    # one evaluation at 1/2 on the grid {0, 1}: it sees neither grid point,
+    # so the family is not exhausting, and the union {2.5} of a with
+    # spectrum [2, 3] is only dense in the spectrum, not equal to it
+    text = MINIMAL.replace("step: 1/16", "step: 1").replace("entry 0 0: 0 1", "entry 0 0: 2 1")
+    text = text.replace("generator: eval-grid", "generator: single\n    at: 0.5")
+    text = text.replace("kind: norm", "kind: family-report")
+    text += "  - id: inv\n    kind: invertible\n    family: grid\n    element: ramp\n"
+    text += "  - id: spec\n    kind: spectrum\n    family: grid\n    element: ramp\n"
+    report, inv, spec = (r["result"] for r in run_scenario(parse_scenario(text))["results"])
+    assert (report["full"], report["exhausting"], report["faithful"]) == (False, False, True)
+    assert report["witnesses"] == {"exhausting": "tent(0)", "faithful": None, "full": "ev(0)"}
+    assert inv["exhausting_route"] == {
+        "certified": False,
+        "reason": "family 'grid' is not exhausting over the probe gallery (witness tent(0))",
+    }
+    assert spec["points"] == [[2.5, 0.0]]
+    assert spec["contract"] == "closure"
+
+
 def test_timing_present_only_when_requested():
     scenario = load_scenario(str(SCENARIOS / "empty.scn"))
     timed = run_scenario(scenario, with_timing=True)
@@ -416,6 +436,12 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "    delta-sym: -1e-6",
         ),
         ({"kind: norm": "kind: invertible\n    bounds: 0 -2"}, 2, "parse error", "    bounds: 0 -2"),
+        (
+            {"generator: eval-grid": "generator: eval-grid\n    exclude-points: 1/2 0.3"},
+            2,
+            "parse error",
+            "  - id: grid",
+        ),
         ({"label: minimal": "label: minimal\nlabel: again"}, 2, "parse error", "label: again"),
         ({"step: 1/16": "step: 1/16\n  step: 1/8"}, 2, "parse error", "  step: 1/8"),
         (
@@ -434,6 +460,7 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
         "observable-spectrum-resolution-negative",
         "parametric-spectrum-resolution-negative", "spectrum-resolution-negative",
         "delta-dir-negative", "delta-sym-negative", "bounds-not-positive",
+        "exclude-point-off-grid",
         "duplicate-top-level-key", "duplicate-model-key", "duplicate-element-key",
         "duplicate-query-key",
     ],
