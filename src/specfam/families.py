@@ -13,11 +13,13 @@ Every model here is a separable C*-algebra, where a family is exhausting
 iff every irreducible representation is weakly contained in some member,
 so the primitive-point cover that decides full decides exhausting too.
 family_report takes all three verdicts and their witnesses from that
-cover and builds no member image.  Invertibility goes through two
-routes: the exhausting route needs no bound, the faithful route needs a
-uniform inverse bound; both count a member image invertible only when
-its smallest singular value clears max(resolution, lipschitz *
-grid_step), anything less is "not invertible at this resolution".
+cover and builds no member image.  invertible_via_family answers the
+invertible query from one pass over the member images and one cover: the
+naive member-wise check, the exhausting route (no bound) and the
+faithful route (one uniform inverse bound each) all read only the
+smallest member singular value.  Both routes count it invertible only
+when it clears max(resolution, lipschitz * grid_step); anything less is
+"not invertible at this resolution".
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import IncompatibleModel, NotCertified, UnsupportedModel
+from .errors import IncompatibleModel, UnsupportedModel
 from .models import (
     AlgebraElement,
     Element,
@@ -49,7 +51,7 @@ _SLACK = 1e-9
 
 @dataclass(frozen=True)
 class RepFamily:
-    """Nonempty list of representations of one model."""
+    """Nonempty list of representations of one model, each acting on it."""
 
     model: FunctionModel | ToeplitzModel
     members: tuple[Representation, ...]
@@ -60,7 +62,14 @@ class RepFamily:
             raise ValueError("a family needs at least one member")
         toeplitz = isinstance(self.model, ToeplitzModel)
         for m in self.members:
-            if toeplitz != m.kind.startswith("toeplitz"):
+            if toeplitz or m.kind.startswith("toeplitz"):
+                acts = toeplitz and m.kind.startswith("toeplitz")
+            elif m.kind == "eval":
+                acts = self.model.space.contains(m.point)
+            else:
+                c = self.model.structure.constraint_at(m.point)
+                acts = c is not None and 0 <= m.block < len(c.blocks)
+            if not acts:
                 raise ValueError(f"member {m.label} does not act on this model")
 
 
@@ -173,20 +182,29 @@ def _member_supports(family: RepFamily, prims: tuple[PrimPoint, ...]) -> set[str
 
     Each member finds the points it evaluates at by bisection over the
     primitive points sorted by base point (or angle), within 1e-12.
+    Positions on a circle base (period 1) and angles (period 2 pi) are
+    compared cyclically: the primitive points lie in [0, period), so a
+    member position x is looked up at x mod period and one period below.
     """
     by_label = {p.label: p for p in prims}
     located = sorted((p for p in prims if _position(p) is not None), key=_position)
     keys = [_position(p) for p in located]
+    if isinstance(family.model, ToeplitzModel):
+        period = 2.0 * np.pi
+    else:
+        period = 1.0 if family.model.space.kind == "circle" else None
     covered: set[str] = set()
     for member in family.members:
         x = _position(member)
         if x is None:
             hit = [p for p in prims if p.kind == "toeplitz-identity"]
         else:
-            near = located[bisect_left(keys, x - 2e-12):bisect_right(keys, x + 2e-12)]
+            xs = (x,) if period is None else (x % period, x % period - period)
             hit = [
-                p for p in near
-                if abs(_position(p) - x) <= 1e-12 and member.block in (None, p.block)
+                p
+                for y in xs
+                for p in located[bisect_left(keys, y - 2e-12):bisect_right(keys, y + 2e-12)]
+                if abs(_position(p) - y) <= 1e-12 and member.block in (None, p.block)
             ]
         for p in hit:
             covered.add(p.label)
@@ -320,69 +338,70 @@ def invertibility_threshold(a: Element, tol: float = DEFAULT_RESOLUTION) -> floa
 
 
 @dataclass(frozen=True)
-class MemberCheck:
-    label: str
-    sigma_min: float
-    invertible: bool
+class InvertibilityVerdict:
+    """The naive member-wise check and both certified routes of one query.
 
-
-def member_invertibility(
-    family: RepFamily, a: Element, tol: float = DEFAULT_RESOLUTION
-) -> list[MemberCheck]:
-    """Plain per-member nonsingularity at bare resolution.
-
-    This is the naive verdict; it is exactly the quantity that misleads
-    for faithful-but-not-exhausting families, so it is reported
-    separately from the certified routes.
+    The naive check misleads for faithful-but-not-exhausting families.  A
+    route without its certificate is {"certified": False, "reason": ...},
+    the reason naming the witness; faithful_route has one entry per bound.
     """
-    values = _member_values(family.members, a)
-    return [
-        MemberCheck(member.label, sigma, sigma > tol)
-        for member, (_, sigma) in zip(family.members, values)
-    ]
+
+    threshold: float
+    member_min_sigma: float
+    members_all_invertible: bool
+    exhausting_route: dict
+    faithful_route: tuple[dict, ...]
+
+    def as_dict(self) -> dict:
+        out = {
+            "threshold": self.threshold,
+            "members_all_invertible": self.members_all_invertible,
+            "member_min_sigma": self.member_min_sigma,
+            "exhausting_route": dict(self.exhausting_route),
+        }
+        if self.faithful_route:
+            out["faithful_route"] = [dict(v) for v in self.faithful_route]
+        return out
 
 
-def invertible_via_exhausting(
-    family: RepFamily, a: Element, tol: float = DEFAULT_RESOLUTION
-) -> bool:
-    """Invertibility through an exhausting certificate.
-
-    NotCertified when the family is not exhausting.
-    """
-    exhausting = _verdicts(family)[1]
-    if not exhausting.ok:
-        raise NotCertified(
-            f"family {family.label!r} is not exhausting over the probe gallery "
-            f"(witness {exhausting.witness})"
-        )
-    threshold = invertibility_threshold(a, tol)
-    return all(sigma > threshold for _, sigma in _member_values(family.members, a))
-
-
-def invertible_via_faithful(
+def invertible_via_family(
     family: RepFamily,
     a: Element,
-    bound: float,
     tol: float = DEFAULT_RESOLUTION,
-) -> bool:
-    """Invertibility through a faithful certificate plus a uniform bound.
+    bounds: tuple[float, ...] = (),
+) -> InvertibilityVerdict:
+    """All three verdicts from one image pass and one primitive-point cover.
 
-    True iff every member image is invertible at this resolution with
-    inverse norm at most `bound`.
+    Each reads the images only through the smallest member singular value
+    sigma: naive sigma > tol, exhausting sigma > invertibility_threshold,
+    faithful also sigma * bound >= 1 for each uniform inverse bound.
     """
-    if bound <= 0:
+    if any(b <= 0 for b in bounds):
         raise ValueError("the uniform inverse bound must be positive")
-    faithful = _verdicts(family)[2]
-    if not faithful.ok:
-        raise NotCertified(
-            f"family {family.label!r} is not faithful over the probe gallery "
-            f"(witness {faithful.witness})"
-        )
+    sigma = min(s for _, s in _member_values(family.members, a))
     threshold = invertibility_threshold(a, tol)
-    for _, sigma in _member_values(family.members, a):
-        if sigma <= threshold or sigma * bound < 1.0 - 1e-12:
-            return False
-    return True
+    _, exhausting, faithful = _verdicts(family)
+
+    def route(check: CheckResult, grade: str, invertible: bool) -> dict:
+        if check.ok:
+            return {"certified": True, "invertible": invertible}
+        reason = (
+            f"family {family.label!r} is not {grade} over the probe gallery "
+            f"(witness {check.witness})"
+        )
+        return {"certified": False, "reason": reason}
+
+    clears = bool(sigma > threshold)
+    return InvertibilityVerdict(
+        threshold=float(threshold),
+        member_min_sigma=float(sigma),
+        members_all_invertible=bool(sigma > tol),
+        exhausting_route=route(exhausting, "exhausting", clears),
+        faithful_route=tuple(
+            {"bound": b, **route(faithful, "faithful", clears and b * sigma >= 1 - 1e-12)}
+            for b in map(float, bounds)
+        ),
+    )
 
 
 @dataclass(frozen=True)

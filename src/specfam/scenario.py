@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     IncompatibleModel,
     IncompatibleQuery,
-    NotCertified,
     ParseError,
 )
 from .families import (
@@ -32,10 +31,7 @@ from .families import (
     direct_invertible,
     family_report,
     fredholm_via_family,
-    invertibility_threshold,
-    invertible_via_exhausting,
-    invertible_via_faithful,
-    member_invertibility,
+    invertible_via_family,
     norm_via_family,
     spectrum_union,
 )
@@ -590,15 +586,10 @@ def _run_invertible(scenario: Scenario, q: Query) -> dict:
     fam = _q_family(scenario, q)
     tol = _q_num(q, "resolution", DEFAULT_RESOLUTION)
     bounds_pair = _get(q.params, "bounds")
-    bounds = _nums(_scalar(bounds_pair), bounds_pair.line) if bounds_pair else None
+    bounds = _nums(_scalar(bounds_pair), bounds_pair.line) if bounds_pair else []
     if bounds and min(bounds) <= 0:
         raise ParseError(f"bounds must be positive, got {min(bounds)!r}", bounds_pair.line)
-    members = member_invertibility(fam, a, tol)
-    out: dict = {
-        "threshold": float(invertibility_threshold(a, tol)),
-        "members_all_invertible": bool(all(m.invertible for m in members)),
-        "member_min_sigma": float(min(m.sigma_min for m in members)),
-    }
+    out = invertible_via_family(fam, a, tol, tuple(bounds)).as_dict()
     if isinstance(a, AlgebraElement):
         d = direct_invertible(a, tol)
         out["direct"] = {
@@ -608,29 +599,6 @@ def _run_invertible(scenario: Scenario, q: Query) -> dict:
         }
     else:
         out["direct"] = None
-    try:
-        out["exhausting_route"] = {
-            "certified": True,
-            "invertible": bool(invertible_via_exhausting(fam, a, tol=tol)),
-        }
-    except NotCertified as err:
-        out["exhausting_route"] = {"certified": False, "reason": str(err)}
-    if bounds is not None:
-        verdicts = []
-        for b in bounds:
-            try:
-                verdicts.append(
-                    {
-                        "bound": float(b),
-                        "certified": True,
-                        "invertible": bool(invertible_via_faithful(fam, a, b, tol=tol)),
-                    }
-                )
-            except NotCertified as err:
-                verdicts.append(
-                    {"bound": float(b), "certified": False, "reason": str(err)}
-                )
-        out["faithful_route"] = verdicts
     return out
 
 

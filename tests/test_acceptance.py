@@ -27,8 +27,7 @@ from specfam import (
     fredholm_via_family,
     hausdorff,
     invertible_parametric,
-    invertible_via_faithful,
-    member_invertibility,
+    invertible_via_family,
     spec_observable,
     spectrum_parametric,
     spectrum_union,
@@ -60,24 +59,23 @@ def test_criterion_1_counterexample_paradox():
     )
     fam = build_family(model, "eval-grid", exclude_points=[1.0], add_blocks=[(1.0, 0)])
     report = family_report(fam, probes=(f,))
-    members = member_invertibility(fam, f)
+    verdict = invertible_via_family(fam, f, bounds=(1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6))
     direct = direct_invertible(f)
     bounds_false = all(
-        not invertible_via_faithful(fam, f, bound=b)
-        for b in (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
+        v["certified"] and not v["invertible"] for v in verdict.faithful_route
     )
     elapsed = time.perf_counter() - started
     ok = (
         report.faithful
         and not report.full
-        and all(m.invertible for m in members)
+        and verdict.members_all_invertible
         and not direct.invertible
         and bounds_false
         and elapsed < 1.0
     )
     _verdict(1, ok, f"counterexample paradox at step 1/64 ({elapsed:.2f}s)")
     assert report.faithful and not report.full
-    assert all(m.invertible for m in members)
+    assert verdict.members_all_invertible
     assert not direct.invertible
     assert bounds_false
     assert elapsed < 1.0

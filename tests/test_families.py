@@ -10,7 +10,6 @@ import specfam.families
 import specfam.models
 from specfam import (
     AlgebraElement,
-    NotCertified,
     Representation,
     RepFamily,
     SpectrumSet,
@@ -24,9 +23,7 @@ from specfam import (
     family_report,
     fredholm_via_family,
     hausdorff,
-    invertible_via_exhausting,
-    invertible_via_faithful,
-    member_invertibility,
+    invertible_via_family,
     member_norm,
     norm_via_family,
     rep_apply,
@@ -34,8 +31,9 @@ from specfam import (
     toeplitz_norm,
 )
 
-from specfam.families import _verdicts
+from specfam.families import _member_values, _uncovered, _verdicts
 from specfam.models import enum_prim, prim_representation
+from specfam.scenario import parse_scenario, run_scenario
 from util import (
     counterexample_element,
     matrix_model,
@@ -130,12 +128,12 @@ def test_member_values_match_per_member_svd(kind):
     images = [rep_apply(member, a) for member in fam.members]
     assert len({m.shape for m in images}) == 2
     norms = []
-    for member, image, check in zip(fam.members, images, member_invertibility(fam, a)):
+    for member, image, (_, sigma) in zip(fam.members, images, _member_values(fam.members, a)):
         svals = np.linalg.svd(image, compute_uv=False)
         ladder = member.kind == "toeplitz-identity"
         norms.append(toeplitz_norm(a).value if ladder else svals[0])
         assert member_norm(member, a) == pytest.approx(norms[-1], rel=1e-13)
-        assert check.sigma_min == pytest.approx(svals[-1], rel=1e-13)
+        assert sigma == pytest.approx(svals[-1], rel=1e-13)
     assert norm_via_family(fam, a) == pytest.approx(max(norms), rel=1e-13)
 
 
@@ -223,6 +221,26 @@ def test_family_needs_members_of_its_model():
         RepFamily(model, ())
     with pytest.raises(ValueError):
         RepFamily(model, (Representation.toeplitz_identity(),))
+    # the matrix model's only block constraint sits at t = 1, with two blocks
+    for member in (
+        Representation.eval_point(2.0),
+        Representation.block_eval(0.5, 0),
+        Representation.block_eval(1.0, 2),
+    ):
+        with pytest.raises(ValueError, match="does not act on this model"):
+            RepFamily(model, (member,))
+
+
+def test_cover_wraps_around_the_circle():
+    # t = 1 is t = 0 on the circle, and theta = 2 pi is theta = 0
+    model = build_model("circle-scalar", step=1 / 4)
+    members = tuple(Representation.eval_point(t) for t in (0.25, 0.5, 0.75, 1.0))
+    report = family_report(RepFamily(model, members))
+    assert report.full and report.exhausting and report.faithful
+    symbol = build_model("toeplitz", theta_count=8)
+    chi = RepFamily(symbol, (Representation.toeplitz_character(2 * np.pi),))
+    uncovered = [p.label for p in _uncovered(chi)]
+    assert "chi(0)" not in uncovered and "chi(0.785398163397)" in uncovered
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +426,11 @@ def test_family_report_builds_no_member_image(monkeypatch):
 # invertibility routes
 
 
+def _assert_uncertified(route: dict, witness: str):
+    assert route["certified"] is False
+    assert route["reason"].endswith(f"(witness {witness})")
+
+
 def test_paradox_family_reproduction():
     # drop the vanishing endpoint block: every member image stays
     # invertible while the element is not, and no uniform bound exists
@@ -419,32 +442,33 @@ def test_paradox_family_reproduction():
     assert report.faithful and not report.exhausting and not report.full
     assert report.full_witness == "ev(1)[1]"
 
-    members = member_invertibility(fam, f)
-    assert all(m.invertible for m in members)
-    assert min(m.sigma_min for m in members) == pytest.approx(1 / 64)
+    verdict = invertible_via_family(fam, f, bounds=tuple(10.0**k for k in range(7)))
+    assert verdict.members_all_invertible
+    assert verdict.member_min_sigma == pytest.approx(1 / 64)
 
     assert not direct_invertible(f).invertible
 
-    for k in range(7):
-        assert invertible_via_faithful(fam, f, 10.0**k) is False
+    for route in verdict.faithful_route:
+        assert route["certified"] is True and route["invertible"] is False
 
-    with pytest.raises(NotCertified):
-        invertible_via_exhausting(fam, f)
+    _assert_uncertified(verdict.exhausting_route, "tent(1)[1]")
 
 
 def test_full_family_detects_noninvertibility():
     model = matrix_model()
     f = ramp_element(model)
     fam = build_family(model, "prim-all")
-    assert invertible_via_exhausting(fam, f) is False
+    exhausting = invertible_via_family(fam, f).exhausting_route
+    assert exhausting == {"certified": True, "invertible": False}
 
 
 def test_full_family_certifies_invertibility():
     model = matrix_model()
     f = ramp_element(model) + 0.5
     fam = build_family(model, "prim-all")
-    assert invertible_via_exhausting(fam, f) is True
-    assert invertible_via_faithful(fam, f, bound=10.0) is True
+    verdict = invertible_via_family(fam, f, bounds=(10.0,))
+    assert verdict.exhausting_route == {"certified": True, "invertible": True}
+    assert verdict.faithful_route == ({"bound": 10.0, "certified": True, "invertible": True},)
     assert direct_invertible(f).invertible
 
 
@@ -453,10 +477,11 @@ def test_faithful_route_needs_a_large_enough_bound():
     f = ramp_element(model) + 0.5
     fam = build_family(model, "prim-all")
     # smallest member singular value is 0.5, so bound 1 is too small
-    assert invertible_via_faithful(fam, f, bound=1.0) is False
-    assert invertible_via_faithful(fam, f, bound=2.0 + 1e-9) is True
+    low, high = invertible_via_family(fam, f, bounds=(1.0, 2.0 + 1e-9)).faithful_route
+    assert low["certified"] is True and low["invertible"] is False
+    assert high["certified"] is True and high["invertible"] is True
     with pytest.raises(ValueError):
-        invertible_via_faithful(fam, f, bound=0.0)
+        invertible_via_family(fam, f, bounds=(0.0,))
 
 
 def test_nonfaithful_family_is_rejected():
@@ -465,12 +490,58 @@ def test_nonfaithful_family_is_rejected():
     a = AlgebraElement.from_polynomials(model, {(0, 0): [0.0, 1.0]}, label="a")
     c = 0.5 - a
     fam = build_family(model, "single", at=0.0)
-    assert member_invertibility(fam, c)[0].invertible
+    verdict = invertible_via_family(fam, c, bounds=(1e6,))
+    assert verdict.members_all_invertible
     assert not direct_invertible(c).invertible
-    with pytest.raises(NotCertified):
-        invertible_via_faithful(fam, c, bound=1e6)
-    with pytest.raises(NotCertified):
-        invertible_via_exhausting(fam, c)
+    (faithful,) = verdict.faithful_route
+    _assert_uncertified(faithful, "ev(0.25)")
+    _assert_uncertified(verdict.exhausting_route, "tent(0.125)")
+
+
+_SEVEN_BOUNDS = """\
+scenario-version: 1
+label: seven-bounds
+
+model:
+  name: interval-matrix
+  step: 1/16
+
+elements:
+  - id: f
+    kind: matrix-poly
+    entry 0 0: 1
+    entry 1 1: 1 -1
+
+families:
+  - id: all
+    generator: prim-all
+
+queries:
+  - id: verdicts
+    kind: invertible
+    family: all
+    element: f
+    bounds: 1 1e1 1e2 1e3 1e4 1e5 1e6
+"""
+
+
+def test_invertible_query_takes_one_image_pass_and_one_cover(monkeypatch):
+    # the verdict makes one image pass and one cover; direct_invertible
+    # makes the only other image pass
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_member_values", "check_full"):
+        fn = getattr(specfam.families, name)
+        monkeypatch.setattr(specfam.families, name, counting(name, fn))
+    (result,) = run_scenario(parse_scenario(_SEVEN_BOUNDS))["results"]
+    assert len(result["result"]["faithful_route"]) == 7
+    assert sorted(calls) == ["_member_values", "_member_values", "check_full"]
 
 
 def test_direct_check_rejects_symbol_elements():
@@ -492,7 +563,8 @@ def test_discrete_routes_agree_with_direct():
             w[0] = 0.0
             planted = (v * w) @ v.conj().T
             a = AlgebraElement(model, a.breakpoints, (planted,) + tuple(mats[1:]), 0.0, "a0")
-        assert invertible_via_exhausting(fam, a) == direct_invertible(a).invertible
+        exhausting = invertible_via_family(fam, a).exhausting_route
+        assert exhausting == {"certified": True, "invertible": direct_invertible(a).invertible}
 
 
 # ---------------------------------------------------------------------------
@@ -596,3 +668,9 @@ def test_fredholm_requires_character_family():
     fam = build_family(model, "toeplitz-all")
     with pytest.raises(UnsupportedModel):
         fredholm_via_family(fam, ToeplitzElement.shift(model))
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in specfam.__all__ if not hasattr(specfam, name)]
+    assert missing == []
+    assert len(set(specfam.__all__)) == len(specfam.__all__)

@@ -214,6 +214,22 @@ def test_off_grid_member_does_not_make_a_family_exhausting():
     assert spec["contract"] == "closure"
 
 
+def test_evaluation_at_one_covers_zero_on_the_circle():
+    # t = 1 is t = 0 on the circle, so both families cover the same point
+    text = MINIMAL.replace("interval-scalar", "circle-scalar").replace("step: 1/16", "step: 1/4")
+    text = text.replace("kind: norm", "kind: family-report")
+    reports = []
+    for at in ("0", "1"):
+        single = text.replace("generator: eval-grid", f"generator: single\n    at: {at}")
+        (result,) = run_scenario(parse_scenario(single))["results"]
+        reports.append(result["result"])
+    zero, one = reports
+    assert [one[k] for k in ("full", "exhausting", "faithful", "witnesses")] == [
+        zero[k] for k in ("full", "exhausting", "faithful", "witnesses")
+    ]
+    assert zero["witnesses"]["full"] == "ev(0.25)"
+
+
 def test_timing_present_only_when_requested():
     scenario = load_scenario(str(SCENARIOS / "empty.scn"))
     timed = run_scenario(scenario, with_timing=True)
@@ -451,6 +467,18 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "    entry 0  0: 2",
         ),
         ({"    kind: norm": "    kind: norm\n    id: m"}, 2, "parse error", "    id: m"),
+        (
+            {"generator: eval-grid": "generator: eval-grid\n    add-block: 1/2 0"},
+            2,
+            "parse error",
+            "  - id: grid",
+        ),
+        (
+            {"generator: eval-grid": "generator: single\n    at: 2"},
+            2,
+            "parse error",
+            "  - id: grid",
+        ),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
@@ -462,7 +490,7 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
         "delta-dir-negative", "delta-sym-negative", "bounds-not-positive",
         "exclude-point-off-grid",
         "duplicate-top-level-key", "duplicate-model-key", "duplicate-element-key",
-        "duplicate-query-key",
+        "duplicate-query-key", "block-without-constraint", "eval-outside-interval",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
