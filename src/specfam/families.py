@@ -35,13 +35,11 @@ from .models import (
     AlgebraElement,
     Element,
     FunctionModel,
-    PrimPoint,
     Representation,
     ToeplitzElement,
     ToeplitzModel,
     _section_sweep,
     enum_prim,
-    prim_representation,
     rep_apply,
 )
 from .spectral import DEFAULT_RESOLUTION, SpectrumSet, eig_normal, union_spectra
@@ -159,11 +157,10 @@ def norm_via_family(family: RepFamily, a: Element) -> float:
     return max(norm for norm, _ in _member_values(family.members, a))
 
 
-def n_a_profile(a: Element) -> list[tuple[PrimPoint, float]]:
+def n_a_profile(a: Element) -> list[tuple[Representation, float]]:
     """Norm of the element's image at every primitive point."""
     prims = enum_prim(a.model)
-    values = _member_values(tuple(prim_representation(p) for p in prims), a)
-    return [(p, norm) for p, (norm, _) in zip(prims, values)]
+    return [(p, norm) for p, (norm, _) in zip(prims, _member_values(prims, a))]
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +169,22 @@ def n_a_profile(a: Element) -> list[tuple[PrimPoint, float]]:
 _SYMBOL_PROBES = ("probe:1", "probe:S", "adj(S)", "probe:2cos", "probe:e00")
 
 
-def _position(x: Representation | PrimPoint) -> float | None:
+def _position(x: Representation) -> float | None:
     """Base point or angle of a member or primitive point; None for pi."""
     return x.point if x.theta is None else x.theta
 
 
-def _member_supports(family: RepFamily, prims: tuple[PrimPoint, ...]) -> set[str]:
+def _member_supports(family: RepFamily, prims: tuple[Representation, ...]) -> set[str]:
     """Labels of the primitive points in the closure of some member's support.
 
-    Each member finds the points it evaluates at by bisection over the
-    primitive points sorted by base point (or angle), within 1e-12.
-    Positions on a circle base (period 1) and angles (period 2 pi) are
-    compared cyclically: the primitive points lie in [0, period), so a
-    member position x is looked up at x mod period and one period below.
+    A section-ladder member covers every point, its closure being the
+    whole dual.  Every other point is closed: each other member finds the
+    points it evaluates at by bisection over the primitive points sorted
+    by base point (or angle), within 1e-12.  Positions on a circle base
+    (period 1) and angles (period 2 pi) are compared cyclically: the
+    primitive points lie in [0, period), so a member position x is looked
+    up at x mod period and one period below.
     """
-    by_label = {p.label: p for p in prims}
     located = sorted((p for p in prims if _position(p) is not None), key=_position)
     keys = [_position(p) for p in located]
     if isinstance(family.model, ToeplitzModel):
@@ -197,22 +195,18 @@ def _member_supports(family: RepFamily, prims: tuple[PrimPoint, ...]) -> set[str
     for member in family.members:
         x = _position(member)
         if x is None:
-            hit = [p for p in prims if p.kind == "toeplitz-identity"]
-        else:
-            xs = (x,) if period is None else (x % period, x % period - period)
-            hit = [
-                p
-                for y in xs
-                for p in located[bisect_left(keys, y - 2e-12):bisect_right(keys, y + 2e-12)]
-                if abs(_position(p) - y) <= 1e-12 and member.block in (None, p.block)
-            ]
-        for p in hit:
-            covered.add(p.label)
-            covered.update(h for h in p.closure_hint if h in by_label)
+            return {p.label for p in prims}
+        xs = (x,) if period is None else (x % period, x % period - period)
+        covered.update(
+            p.label
+            for y in xs
+            for p in located[bisect_left(keys, y - 2e-12):bisect_right(keys, y + 2e-12)]
+            if abs(_position(p) - y) <= 1e-12 and member.block in (None, p.block)
+        )
     return covered
 
 
-def _uncovered(family: RepFamily) -> list[PrimPoint]:
+def _uncovered(family: RepFamily) -> list[Representation]:
     """Primitive points outside every member's support closure, in order."""
     prims = enum_prim(family.model)
     covered = _member_supports(family, prims)
@@ -235,12 +229,14 @@ def _theta_radius(thetas: list[float]) -> float:
     return max(gaps) / 2.0
 
 
-def _tent_label(p: PrimPoint) -> str:
+def _tent_label(p: Representation) -> str:
     """Label of the tent probe centred at a base point: ev(t)[i] -> tent(t)[i]."""
     return "tent" + p.label[2:]
 
 
-def _sparse_point(family: RepFamily, uncovered: list[PrimPoint]) -> PrimPoint | None:
+def _sparse_point(
+    family: RepFamily, uncovered: list[Representation]
+) -> Representation | None:
     """First uncovered point farther than one grid step from every evaluation.
 
     The nearest evaluation is a neighbour of the point in the sorted

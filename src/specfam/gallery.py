@@ -15,7 +15,6 @@ from .models import (
     Representation,
     ToeplitzModel,
     enum_prim,
-    prim_representation,
 )
 from .families import RepFamily
 
@@ -79,7 +78,7 @@ def build_model(name: str, **params):
 def _reject_extras(name: str, params: dict):
     if params:
         keys = ", ".join(sorted(params))
-        raise UnsupportedModel(f"model {name!r} does not accept parameters: {keys}")
+        raise ValueError(f"model {name!r} does not accept parameters: {keys}")
 
 
 def _close(a: float, b: float) -> bool:
@@ -103,7 +102,7 @@ def build_family(model, generator: str, **options) -> RepFamily:
     label = generator
     members: list[Representation] = []
     if generator == "prim-all":
-        members = [prim_representation(p) for p in enum_prim(model)]
+        members = list(enum_prim(model))
     elif generator == "eval-grid":
         _needs_function_model(model, generator)
         excluded = [float(t) for t in options.pop("exclude_points", ())]
@@ -154,7 +153,7 @@ def build_family(model, generator: str, **options) -> RepFamily:
         raise UnsupportedModel(f"unknown family generator {generator!r}")
     if options:
         keys = ", ".join(sorted(options))
-        raise UnsupportedModel(f"generator {generator!r} does not accept options: {keys}")
+        raise ValueError(f"generator {generator!r} does not accept options: {keys}")
     return RepFamily(model, tuple(members), label)
 
 

@@ -192,8 +192,8 @@ class AlgebraElement:
             raise ValueError("breakpoints and matrices must align and be nonempty")
         if any(b >= a for b, a in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.lipschitz_bound < 0:
-            raise ValueError("lipschitz bound must be nonnegative")
+        if not 0.0 <= self.lipschitz_bound < np.inf:
+            raise ValueError("lipschitz bound must be finite and nonnegative")
         d = self.model.fiber_dim
         mats = []
         for m in self.matrices:
@@ -256,7 +256,7 @@ class AlgebraElement:
         The Lipschitz bound is certified from the coefficients: each
         entry's derivative is bounded by sum |c_k| k hi^(k-1) over the
         parameter range, and the matrix bound is the Frobenius norm of
-        the entrywise bounds.
+        the entrywise bounds.  A bound that overflows is refused.
         """
         d = model.fiber_dim
         space = model.space
@@ -268,7 +268,8 @@ class AlgebraElement:
             slopes[i, j] = sum(
                 abs(c) * k * hi ** (k - 1) for k, c in enumerate(coeffs) if k >= 1
             )
-        lip = float(np.linalg.norm(slopes, "fro"))
+        with np.errstate(over="ignore"):
+            lip = float(np.linalg.norm(slopes, "fro"))
 
         def fn(t: float) -> np.ndarray:
             m = np.zeros((d, d), dtype=complex)
@@ -420,6 +421,10 @@ class ToeplitzElement:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
         if not self.section_sizes:
             raise ValueError("need at least one section size")
+        # sum |c_k| + sum |corr_ij| bounds the norm; Python float sums overflow to inf quietly
+        norm_bound = sum(np.abs(self.coeffs).tolist()) + sum(np.abs(corr).ravel().tolist())
+        if not (np.isfinite(norm_bound) and np.isfinite(self.symbol_slope_bound())):
+            raise ValueError("the symbol and correction bounds must be finite")
 
     @classmethod
     def build(
@@ -583,7 +588,9 @@ class Representation:
 
     kinds: "eval" (full matrix at a point), "block" (compression to one
     constrained block), "toeplitz-identity" (finite-section ladder),
-    "toeplitz-character" (scalar symbol value).
+    "toeplitz-character" (scalar symbol value).  The irreducible ones are
+    the primitive points of enum_prim; each is closed except the section
+    ladder pi, whose closure is the whole dual.
     """
 
     kind: str
@@ -645,59 +652,26 @@ def rep_apply(rep: Representation, a: Element, section_size: int | None = None) 
 # primitive points
 
 
-@dataclass(frozen=True)
-class PrimPoint:
-    """Irreducible-representation label with a closure hint.
+def enum_prim(model) -> tuple[Representation, ...]:
+    """Irreducible representations of a gallery model at its sampling resolution.
 
-    closure_hint lists the labels of the points in this point's closure
-    (always including itself); the section-ladder point's closure covers
-    the whole dual, which is what makes a single-member family complete.
+    Each is a primitive point (the kernel of the representation).  Every
+    point is closed except the section ladder pi, whose closure is the
+    whole dual: that is what makes a single-member family complete.
     """
-
-    label: str
-    kind: str
-    point: float | None = None
-    block: int | None = None
-    theta: float | None = None
-    closure_hint: tuple[str, ...] = ()
-
-
-def enum_prim(model) -> tuple[PrimPoint, ...]:
-    """Primitive points of a gallery model at its sampling resolution."""
     if isinstance(model, FunctionModel):
-        out: list[PrimPoint] = []
+        out: list[Representation] = []
         for t in model.space.sample_grid:
             c = model.structure.constraint_at(t)
             if c is None:
-                label = f"ev({_fmt(t)})"
-                out.append(PrimPoint(label, "eval", point=t, closure_hint=(label,)))
+                out.append(Representation.eval_point(t))
             else:
-                for i in range(len(c.blocks)):
-                    label = f"ev({_fmt(t)})[{i}]"
-                    out.append(
-                        PrimPoint(label, "block", point=t, block=i, closure_hint=(label,))
-                    )
+                out += [Representation.block_eval(t, i) for i in range(len(c.blocks))]
         return tuple(out)
     if isinstance(model, ToeplitzModel):
-        chars = [
-            PrimPoint(f"chi({_fmt(th)})", "char", theta=th, closure_hint=(f"chi({_fmt(th)})",))
-            for th in model.thetas
-        ]
-        all_labels = ("pi",) + tuple(p.label for p in chars)
-        return (PrimPoint("pi", "toeplitz-identity", closure_hint=all_labels), *chars)
+        chars = tuple(Representation.toeplitz_character(th) for th in model.thetas)
+        return (Representation.toeplitz_identity(), *chars)
     raise UnsupportedModel(f"cannot enumerate primitive points of {type(model).__name__}")
-
-
-def prim_representation(prim: PrimPoint) -> Representation:
-    if prim.kind == "eval":
-        return Representation.eval_point(prim.point)
-    if prim.kind == "block":
-        return Representation.block_eval(prim.point, prim.block)
-    if prim.kind == "toeplitz-identity":
-        return Representation.toeplitz_identity()
-    if prim.kind == "char":
-        return Representation.toeplitz_character(prim.theta)
-    raise UnsupportedModel(f"unknown primitive point kind {prim.kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -365,8 +366,17 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the sentinel makes a bad byte at the start of a line count as its own line
+        lines = (data[: err.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            f"byte 0x{data[err.start]:02x} is not UTF-8", len(lines), len(lines[-1])
+        ) from None
+    return parse_scenario(text)
 
 
 # -- builders ----------------------------------------------------------------
@@ -420,13 +430,8 @@ def _build_element(pairs: list[_Pair], model):
             entries[(i, j)] = [complex(c) for c in _nums(_scalar(p), p.line)]
         if not entries:
             raise ParseError("matrix-poly elements need at least one entry", line)
-        try:
-            return eid, AlgebraElement.from_polynomials(model, entries, label=eid)
-        except ValueError as err:
-            raise IncompatibleModel(
-                f"line {line}: element {eid!r} does not fit the model: {err}"
-            ) from None
-    if kind == "toeplitz":
+        make = partial(AlgebraElement.from_polynomials, model, entries, label=eid)
+    elif kind == "toeplitz":
         if not isinstance(model, ToeplitzModel):
             raise IncompatibleModel("toeplitz elements need a symbol model")
         symbol = {}
@@ -459,8 +464,15 @@ def _build_element(pairs: list[_Pair], model):
                 if i < 0 or j < 0:
                     raise ParseError("correction indices must be nonnegative", line)
                 correction[i, j] = v
-        return eid, ToeplitzElement.build(model, symbol, correction=correction, label=eid)
-    raise ParseError(f"unknown element kind {kind!r}", line)
+        make = partial(ToeplitzElement.build, model, symbol, correction=correction, label=eid)
+    else:
+        raise ParseError(f"unknown element kind {kind!r}", line)
+    try:
+        return eid, make()
+    except (ValueError, OverflowError) as err:
+        raise IncompatibleModel(
+            f"line {line}: element {eid!r} does not fit the model: {err}"
+        ) from None
 
 
 def _build_family_entry(pairs: list[_Pair], model):

@@ -124,7 +124,8 @@ def member_supports(family: RepFamily, prims: tuple) -> set[str]:
             ]
         for p in hit:
             covered.add(p.label)
-            covered.update(h for h in p.closure_hint if h in by_label)
+            if p.kind == "toeplitz-identity":
+                covered.update(by_label)
     return covered
 
 

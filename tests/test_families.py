@@ -32,7 +32,7 @@ from specfam import (
 )
 
 from specfam.families import _member_values, _uncovered, _verdicts
-from specfam.models import enum_prim, prim_representation
+from specfam.models import enum_prim
 from specfam.scenario import parse_scenario, run_scenario
 from util import (
     counterexample_element,
@@ -307,7 +307,7 @@ def _random_family(model, rng: random.Random) -> RepFamily:
     bases possibly with off-grid evaluations, on a symbol model with a
     partial character set and the ladder only sometimes."""
     keep = rng.uniform(0.1, 1.0)
-    members = [prim_representation(p) for p in enum_prim(model) if rng.random() < keep]
+    members = [p for p in enum_prim(model) if rng.random() < keep]
     if isinstance(model, specfam.ToeplitzModel):
         members = [m for m in members if m.kind == "toeplitz-character"]
         if rng.random() < 0.3:
@@ -316,7 +316,7 @@ def _random_family(model, rng: random.Random) -> RepFamily:
         off_grid = [rng.uniform(0.0, 1.0) for _ in range(rng.randint(1, 3))]
         members += [Representation.eval_point(t) for t in off_grid]
     if not members:
-        members = [prim_representation(rng.choice(enum_prim(model)))]
+        members = [rng.choice(enum_prim(model))]
     return RepFamily(model, tuple(members), "random")
 
 

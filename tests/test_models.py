@@ -13,13 +13,14 @@ from specfam.models import (
     FunctionModel,
     Representation,
     ToeplitzElement,
+    ToeplitzModel,
     elem_norm,
     enum_prim,
-    prim_representation,
     rep_apply,
     toeplitz_norm,
 )
 from specfam.families import n_a_profile
+from specfam.gallery import MODEL_NAMES, build_family, build_model
 from specfam.spectral import op_norm
 
 from util import (
@@ -356,9 +357,7 @@ def test_enum_prim_matrix_model():
 def test_enum_prim_toeplitz():
     prims = enum_prim(toeplitz_model(8))
     assert len(prims) == 9
-    pi = prims[0]
-    assert pi.label == "pi"
-    assert set(pi.closure_hint) == {p.label for p in prims}
+    assert prims[0] == Representation.toeplitz_identity()
 
 
 def test_enum_prim_unsupported():
@@ -366,10 +365,19 @@ def test_enum_prim_unsupported():
         enum_prim(object())
 
 
-def test_prim_representation_roundtrip():
-    for prim in enum_prim(matrix_model(1.0 / 2.0)):
-        rep = prim_representation(prim)
-        assert rep.label == prim.label or prim.kind in ("eval", "block")
+def test_prim_points_are_the_prim_all_members():
+    for name in MODEL_NAMES:
+        model = build_model(name)
+        prims = enum_prim(model)
+        assert all(isinstance(p, Representation) for p in prims)
+        assert build_family(model, "prim-all").members == prims
+        a = (
+            ToeplitzElement.build(model, {0: 1.0, 1: 0.5}, correction=np.array([[1.0]]))
+            if isinstance(model, ToeplitzModel)
+            else AlgebraElement.identity(model)
+        )
+        for p in prims:
+            assert rep_apply(p, a).ndim == 2
 
 
 def test_n_a_profile_counterexample():

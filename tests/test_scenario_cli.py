@@ -1,6 +1,7 @@
 """Scenario files, report determinism, and the command line front end."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -479,6 +480,65 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "parse error",
             "  - id: grid",
         ),
+        (
+            {"name: interval-scalar\n  step: 1/16": "name: toeplitz\n  step: 1/8"},
+            2,
+            "parse error",
+            "  name: toeplitz",
+        ),
+        ({"interval-scalar": "circle-scalar\n  dim: 2"}, 2, "parse error", "  name: circle-scalar"),
+        (
+            {"generator: eval-grid": "generator: single\n    stride: 2"},
+            2,
+            "parse error",
+            "  - id: grid",
+        ),
+        (
+            {
+                "name: interval-scalar\n  step: 1/16": "name: toeplitz",
+                "kind: matrix-poly\n    entry 0 0: 0 1": "kind: toeplitz\n    c 0: 1e308\n"
+                "    c 1: 1e308\n    c -1: 1e308",
+                "generator: eval-grid": "generator: toeplitz-all",
+            },
+            4,
+            "incompatible",
+            "  - id: ramp",
+        ),
+        ({"entry 0 0: 0 1": "entry 0 0: 0 0 1e308"}, 4, "incompatible", "  - id: ramp"),
+        ({"entry 0 0: 0 1": "entry 0 0: 0 1e200"}, 4, "incompatible", "  - id: ramp"),
+        (
+            {
+                "name: interval-scalar\n  step: 1/16": "name: discrete\n  dim: 1",
+                "entry 0 0: 0 1": "entry 0 0: " + " ".join(["1"] * 700),
+            },
+            4,
+            "incompatible",
+            "  - id: ramp",
+        ),
+        (
+            {
+                "name: interval-scalar\n  step: 1/16": "name: toeplitz",
+                "kind: matrix-poly\n    entry 0 0: 0 1": "kind: toeplitz\n    c 0: 1e308\n"
+                "    c 3: 1e308",
+                "generator: eval-grid": "generator: toeplitz-chars",
+                "kind: norm": "kind: fredholm",
+            },
+            4,
+            "incompatible",
+            "  - id: ramp",
+        ),
+        (
+            {
+                "name: interval-scalar\n  step: 1/16": "name: toeplitz",
+                "kind: matrix-poly\n    entry 0 0: 0 1": "kind: toeplitz\n    c 0: 1\n"
+                "    c 3: 1e308",
+                "generator: eval-grid": "generator: toeplitz-chars",
+                "kind: norm": "kind: fredholm",
+            },
+            4,
+            "incompatible",
+            "  - id: ramp",
+        ),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
@@ -491,6 +551,9 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
         "exclude-point-off-grid",
         "duplicate-top-level-key", "duplicate-model-key", "duplicate-element-key",
         "duplicate-query-key", "block-without-constraint", "eval-outside-interval",
+        "toeplitz-step", "circle-scalar-dim", "single-stride",
+        "symbol-norm-overflows", "lipschitz-overflows", "lipschitz-square-overflows",
+        "power-overflows", "symbol-margin-overflows", "symbol-slope-overflows",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
@@ -503,6 +566,18 @@ def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, co
     err = capsys.readouterr().err
     assert err.startswith(f"{kind}: line {_line_of(text, culprit)}")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_cli_non_utf8_scenario_exits_2(tmp_path):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(MINIMAL.replace("label: minimal", "label: caf\xe9").encode("latin-1"))
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specfam.cli", "run", str(bad)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "parse error: line 2, column 11: byte 0xe9 is not UTF-8\n"
 
 
 def test_cli_unknown_reference_exits_4(tmp_path):
