@@ -38,7 +38,6 @@ from .models import (
     Representation,
     ToeplitzElement,
     ToeplitzModel,
-    _section_sweep,
     enum_prim,
     rep_apply,
 )
@@ -134,7 +133,7 @@ def _member_values(
         if member.kind == "toeplitz-identity":
             if not isinstance(a, ToeplitzElement):
                 raise IncompatibleModel("the section ladder applies to symbol-model elements")
-            est, sigma = _section_sweep(a)
+            est, sigma = a._section_sweep
             out[i] = (est.value, sigma)
             continue
         m = rep_apply(member, a)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -204,6 +205,10 @@ class AlgebraElement:
                 raise ValueError("matrix entries must be finite")
             arr.setflags(write=False)
             mats.append(arr)
+        # sum |entries| bounds each value's norm, and with it every image norm
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(np.stack(mats)).sum(axis=(1, 2)).max()):
+                raise ValueError("the entry sum of every value must be finite")
         object.__setattr__(self, "matrices", tuple(mats))
         bp = np.asarray(self.breakpoints)
         grid = np.asarray(self.model.space.sample_grid)
@@ -466,6 +471,21 @@ class ToeplitzElement:
             sum(abs(k - self.offset) * abs(c) for k, c in enumerate(self.coeffs))
         )
 
+    @cached_property
+    def _section_sweep(self) -> tuple[NormEstimate, float]:
+        """Ladder norm estimate plus the top section's smallest singular value.
+
+        One SVD per section size serves both numbers, and the sweep runs
+        once per element: the result is kept on the element, so the norm,
+        the ladder member's image values and the invertibility routes all
+        read the same sweep.
+        """
+        sizes = sorted(set(self.section_sizes))
+        svals = [np.linalg.svd(self.section(n), compute_uv=False) for n in sizes]
+        norms = [float(s[0]) for s in svals]
+        increment = abs(norms[-1] - norms[-2]) if len(norms) > 1 else 0.0
+        return NormEstimate(max(norms), float(increment)), float(svals[-1][-1])
+
     def section(self, n: int) -> np.ndarray:
         n0 = self.correction.shape[0]
         if n < max(n0, 1):
@@ -704,26 +724,13 @@ def elem_norm(a: Element) -> NormEstimate:
     return NormEstimate(float(np.max(vals)), float(bar))
 
 
-def _section_sweep(x: ToeplitzElement) -> tuple[NormEstimate, float]:
-    """Ladder norm estimate plus the top section's smallest singular value.
-
-    One SVD per section size serves both numbers, so callers that need the
-    top section's invertibility margin pay nothing beyond the norm sweep.
-    """
-    sizes = sorted(set(x.section_sizes))
-    svals = [np.linalg.svd(x.section(n), compute_uv=False) for n in sizes]
-    norms = [float(s[0]) for s in svals]
-    value = max(norms)
-    increment = abs(norms[-1] - norms[-2]) if len(norms) > 1 else 0.0
-    return NormEstimate(float(value), float(increment)), float(svals[-1][-1])
-
-
 def toeplitz_norm(x: ToeplitzElement) -> NormEstimate:
     """Largest finite-section norm plus the last increment.
 
     Section norms are nondecreasing and approach the operator norm from
     below, so the value is a lower bound and the increment measures how
-    settled the ladder is.
+    settled the ladder is.  The ladder is swept once per element and the
+    sweep is kept on the element.
     """
-    return _section_sweep(x)[0]
+    return x._section_sweep[0]
 

@@ -639,7 +639,12 @@ def _run_fredholm(scenario: Scenario, q: Query) -> dict:
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
     tol = _q_num(q, "resolution", DEFAULT_RESOLUTION)
-    return fredholm_via_family(fam, a, tol).as_dict()
+    verdict = fredholm_via_family(fam, a, tol)
+    if not math.isfinite(verdict.certified_margin):
+        raise IncompatibleModel(
+            f"line {q.line}: the certified margin of {a.label!r} overflows (slope bound x radius)"
+        )
+    return verdict.as_dict()
 
 
 def _run_parametric_spectrum(scenario: Scenario, q: Query) -> dict:

@@ -144,23 +144,29 @@ def normal_eigensystem(a, tol: float = DEFAULT_RESOLUTION) -> tuple[np.ndarray, 
     recovered as Rayleigh quotients in the joint basis and returned
     sorted by (real, imag) together with the unitary of eigenvectors.
 
-    Raises NotNormal when ||a*a - aa*|| > tol * ||a||^2.
+    Raises NotNormal when ||a*a - aa*|| > tol * ||a||^2.  A matrix equal
+    to its adjoint entry for entry, as the image of a self-adjoint element
+    under a *-representation is, is normal by construction: it goes
+    straight to eigh and runs no SVD.
     """
     m = as_matrix(a)
+    n = m.shape[0]
     if m.size == 0:
         return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
-    scale = op_norm(m)
-    if scale == 0.0:
-        n = m.shape[0]
-        return np.zeros(n, dtype=complex), np.eye(n, dtype=complex)
     adj = m.conj().T
-    defect = op_norm(adj @ m - m @ adj)
-    if defect > tol * scale * scale:
-        raise NotNormal(
-            f"commutator norm {defect:.3e} exceeds {tol:.1e} * ||a||^2 = {tol * scale * scale:.3e}"
-        )
-    if op_norm(m - adj) <= tol * scale:
-        w, v = _hermitian_eigensystem((m + adj) / 2.0)
+    hermitian = np.array_equal(m, adj)
+    if hermitian and not m.any():
+        return np.zeros(n, dtype=complex), np.eye(n, dtype=complex)
+    if not hermitian:
+        scale = op_norm(m)  # positive: m has a nonzero entry
+        defect = op_norm(adj @ m - m @ adj)
+        if defect > tol * scale * scale:
+            raise NotNormal(
+                f"commutator norm {defect:.3e} exceeds {tol:.1e} * ||a||^2 = {tol * scale * scale:.3e}"
+            )
+    if hermitian or op_norm(m - adj) <= tol * scale:
+        # (m + adj) / 2 is m when m is self-adjoint, but m + adj can overflow
+        w, v = _hermitian_eigensystem(m if hermitian else (m + adj) / 2.0)
         order = np.argsort(w, kind="stable")
         return w[order].astype(complex), v[:, order]
 
@@ -169,7 +175,6 @@ def normal_eigensystem(a, tol: float = DEFAULT_RESOLUTION) -> tuple[np.ndarray, 
     wh, v = _hermitian_eigensystem(h)
     cluster_tol = max(_CLUSTER_FLOOR, 10.0 * tol) * scale
     start = 0
-    n = m.shape[0]
     for i in range(1, n + 1):
         if i == n or wh[i] - wh[i - 1] > cluster_tol:
             if i - start > 1:

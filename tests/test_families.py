@@ -1,6 +1,10 @@
 """Family checks, invertibility routes, spectra through families."""
 
+import dataclasses
+import gc
 import random
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from specfam import (
 
 from specfam.families import _member_values, _uncovered, _verdicts
 from specfam.models import enum_prim
-from specfam.scenario import parse_scenario, run_scenario
+from specfam.scenario import load_scenario, parse_scenario, run_scenario
 from util import (
     counterexample_element,
     matrix_model,
@@ -542,6 +546,46 @@ def test_invertible_query_takes_one_image_pass_and_one_cover(monkeypatch):
     (result,) = run_scenario(parse_scenario(_SEVEN_BOUNDS))["results"]
     assert len(result["result"]["faithful_route"]) == 7
     assert sorted(calls) == ["_member_values", "_member_values", "check_full"]
+
+
+_TOEPLITZ_SCN = Path(__file__).resolve().parent.parent / "scenarios" / "toeplitz-fredholm.scn"
+
+
+def _svd_counter(monkeypatch):
+    """svds(scenario, qid): the operand shapes of every SVD one query runs."""
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: shapes.append(a.shape) or svd(a, *r, **k))
+
+    def svds(scenario, qid):
+        shapes.clear()
+        (q,) = (q for q in scenario.queries if q.id == qid)
+        run_scenario(dataclasses.replace(scenario, queries=[q]))
+        return list(shapes)
+
+    return svds
+
+
+def test_each_element_sweeps_its_section_ladder_once(monkeypatch):
+    # norm-cos asks elem_norm and the ladder member for the same sweep
+    svds = _svd_counter(monkeypatch)
+    scenario = load_scenario(str(_TOEPLITZ_SCN))
+    ladder = [(n, n) for n in scenario.model.section_sizes]
+    assert svds(scenario, "norm-cos") == ladder
+    assert svds(scenario, "norm-cos") == []  # the sweep is kept on the element
+    assert svds(load_scenario(str(_TOEPLITZ_SCN)), "norm-cos") == ladder  # a new parse starts cold
+
+    x = scenario.elements["cos2"]
+    ref = weakref.ref(x)
+    del scenario, x
+    gc.collect()
+    assert ref() is None  # nothing outside the element holds the sweep
+
+
+def test_self_adjoint_member_images_run_no_svd_in_spectrum_union(monkeypatch):
+    # every image of cos2 under toeplitz-all equals its adjoint exactly
+    svds = _svd_counter(monkeypatch)
+    assert svds(load_scenario(str(_TOEPLITZ_SCN)), "spectrum-cos") == []
 
 
 def test_direct_check_rejects_symbol_elements():

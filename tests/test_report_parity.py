@@ -94,6 +94,21 @@ def test_non_json_output_gets_no_detail_line(tmp_path):
     assert len(proc.stdout.splitlines()) == 1
 
 
+def test_a_new_report_with_infinity_exits_1_and_names_the_scenario(tmp_path):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    loose = _fake_tree(tmp_path / "loose", '{"results": [], "margin": -Infinity}')
+    proc = _parity(loose, loose, scn)
+    assert proc.returncode == 1
+    first, second = proc.stdout.splitlines()
+    assert first.split()[2] == "same"
+    assert second == f"    new report is not strict JSON (NaN or Infinity): {scn}"
+    # only the new tree is held to the contract
+    strict = _fake_tree(tmp_path / "strict", _report(a={"points": []}))
+    assert _parity(loose, strict, scn).stdout.count("strict JSON") == 0
+    assert _parity(strict, loose, scn).stdout.count("strict JSON") == 1
+
+
 def test_a_missing_tree_or_scenario_exits_2(tmp_path):
     scn = tmp_path / "any.scn"
     scn.write_text("scenario-version: 1\n")

@@ -539,6 +539,29 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "incompatible",
             "  - id: ramp",
         ),
+        (
+            {
+                "name: interval-scalar\n  step: 1/16": "name: discrete\n  dim: 2",
+                "entry 0 0: 0 1": "entry 0 0: 1e308\n    entry 0 1: 1e308\n"
+                "    entry 1 0: 1e308\n    entry 1 1: 1e308",
+                "generator: eval-grid": "generator: prim-all",
+            },
+            4,
+            "incompatible",
+            "  - id: ramp",
+        ),
+        (
+            {
+                "name: interval-scalar\n  step: 1/16": "name: toeplitz\n  theta-count: 1\n"
+                "  sections: 8",
+                "kind: matrix-poly\n    entry 0 0: 0 1": "kind: toeplitz\n    c 1: 1e308",
+                "generator: eval-grid": "generator: toeplitz-chars",
+                "kind: norm": "kind: fredholm",
+            },
+            4,
+            "incompatible",
+            "  - id: n",
+        ),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
@@ -554,6 +577,7 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
         "toeplitz-step", "circle-scalar-dim", "single-stride",
         "symbol-norm-overflows", "lipschitz-overflows", "lipschitz-square-overflows",
         "power-overflows", "symbol-margin-overflows", "symbol-slope-overflows",
+        "matrix-value-overflows", "fredholm-margin-overflows",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):

@@ -12,6 +12,7 @@ import pytest
 
 from specfam.errors import DomainError, EmptySet, NotNormal
 from specfam.spectral import (
+    DEFAULT_RESOLUTION,
     SampledFunction,
     SpectrumSet,
     as_matrix,
@@ -154,6 +155,119 @@ def test_normal_eigensystem_reconstructs():
         eigs, v = normal_eigensystem(a)
         assert op_norm(v @ np.diag(eigs) @ v.conj().T - a) <= 1e-9
         assert op_norm(v.conj().T @ v - np.eye(5)) <= 1e-10
+
+
+def reference_normal_eigensystem(a, tol: float = DEFAULT_RESOLUTION):
+    """normal_eigensystem before exactly self-adjoint input skipped the SVDs.
+
+    Every input pays for the scale, the commutator check and the
+    near-self-adjoint test; the arithmetic is otherwise the library's.
+    """
+    m = as_matrix(a)
+    if m.size == 0:
+        return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
+    scale = op_norm(m)
+    n = m.shape[0]
+    if scale == 0.0:
+        return np.zeros(n, dtype=complex), np.eye(n, dtype=complex)
+    adj = m.conj().T
+    defect = op_norm(adj @ m - m @ adj)
+    if defect > tol * scale * scale:
+        raise NotNormal(
+            f"commutator norm {defect:.3e} exceeds {tol:.1e} * ||a||^2 = {tol * scale * scale:.3e}"
+        )
+    if op_norm(m - adj) <= tol * scale:
+        w, v = np.linalg.eigh((m + adj) / 2.0)
+        order = np.argsort(w, kind="stable")
+        return w[order].astype(complex), v[:, order]
+    k = (m - adj) / 2.0j
+    wh, v = np.linalg.eigh((m + adj) / 2.0)
+    cluster_tol = max(1e-8, 10.0 * tol) * scale
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or wh[i] - wh[i - 1] > cluster_tol:
+            if i - start > 1:
+                block = v[:, start:i]
+                kc = block.conj().T @ k @ block
+                _, u = np.linalg.eigh((kc + kc.conj().T) / 2.0)
+                v[:, start:i] = block @ u
+            start = i
+    eigs = np.einsum("ij,ik,kj->j", v.conj(), m, v)
+    order = sorted(range(n), key=lambda j: (eigs[j].real, eigs[j].imag))
+    return eigs[order], v[:, order]
+
+
+def _self_adjoint_inputs():
+    rng = np.random.RandomState(41)
+    for n in range(1, 65):
+        h = random_hermitian(rng, n)
+        yield f"complex-{n}", h
+        yield f"real-{n}", h.real.copy()
+    for n in (2, 5, 16):
+        u = random_unitary(rng, n)
+        r = u @ np.diag(np.repeat([1.0, -2.0], [n // 2, n - n // 2])) @ u.conj().T
+        yield f"repeated-{n}", (r + r.conj().T) / 2.0
+        yield f"identity-{n}", 3.0 * np.eye(n)
+        yield f"zero-{n}", np.zeros((n, n))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-6])
+def test_self_adjoint_input_matches_the_reference_bit_for_bit(tol):
+    for name, h in _self_adjoint_inputs():
+        assert np.array_equal(h, h.conj().T), name
+        w, v = normal_eigensystem(h, tol)
+        w_ref, v_ref = reference_normal_eigensystem(h, tol)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref), name
+
+
+def test_self_adjoint_input_runs_no_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.RandomState(43)
+    for _, h in _self_adjoint_inputs():
+        normal_eigensystem(h)
+    eig_normal(random_hermitian(rng, 8))
+    func_calc(random_hermitian(rng, 8), SampledFunction.sample(abs, -20.0, 20.0))
+    assert calls == []
+    normal_eigensystem(random_normal(rng, 4)[0])
+    assert len(calls) == 3  # scale, commutator, self-adjoint test
+
+
+def test_self_adjoint_input_near_the_float_limit_stays_finite():
+    # (m + m*) / 2 overflows here although m and its eigenvalues are finite
+    w, v = normal_eigensystem(np.diag([1e308, -1e308]))
+    assert np.all(np.isfinite(w)) and np.allclose(w, [-1e308, 1e308], rtol=1e-15, atol=0.0)
+    assert np.array_equal(np.abs(v), np.fliplr(np.eye(2)))
+
+
+def _other_inputs():
+    """Non-normal, near-self-adjoint and normal non-self-adjoint matrices."""
+    rng = np.random.RandomState(47)
+    yield "jordan", np.array([[0.0, 1.0], [0.0, 0.0]])
+    yield "upper", np.triu(rng.standard_normal((6, 6)))
+    for n in (1, 3, 8, 20):
+        h = random_hermitian(rng, n)
+        skew = 1e-13 * random_hermitian(rng, n) * 1j
+        yield f"near-self-adjoint-{n}", h + skew
+        yield f"normal-{n}", random_normal(rng, n)[0]
+    u = random_unitary(rng, 6)
+    yield "normal-repeated", u @ np.diag([1j, 1j, 2.0, 2.0, -1 - 1j, 3.0]) @ u.conj().T
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-6])
+def test_other_inputs_keep_the_reference_path(tol):
+    for name, a in _other_inputs():
+        assert not np.array_equal(a, a.conj().T), name
+        try:
+            expected = reference_normal_eigensystem(a, tol)
+        except NotNormal as err:
+            with pytest.raises(NotNormal) as exc:
+                normal_eigensystem(a, tol)
+            assert str(exc.value) == str(err), name
+            continue
+        w, v = normal_eigensystem(a, tol)
+        assert np.array_equal(w, expected[0]) and np.array_equal(v, expected[1]), name
 
 
 def test_spectrum_canonical_greedy_merge():

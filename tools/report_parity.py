@@ -13,7 +13,12 @@ under it names the ids of the queries whose results differ and the largest
 absolute difference between their numbers, place by place; a difference in
 anything else (a flag, a text, a list length, a key) counts as inf.
 
-Exit status: 0 when every report is byte-identical, 1 on any difference,
+A report of the new tree must also be strict JSON, as the README's report
+contract says: when it holds NaN, Infinity or -Infinity, an indented line
+under its scenario's line says so and names the scenario.
+
+Exit status: 0 when every report is byte-identical and every new report is
+strict JSON, 1 on any difference or on a new report that is not strict JSON,
 2 when an argument is not a source tree or a scenario file.  Stdlib only.
 """
 
@@ -60,9 +65,19 @@ def _detail(old: bytes, new: bytes) -> str | None:
     return f"    queries {', '.join(ids) or '(none)'}: largest absolute difference {gap:.3g}"
 
 
+def _non_strict(out: bytes) -> bool:
+    """True when the output is JSON only by way of NaN, Infinity or -Infinity."""
+    constants: list[str] = []
+    try:
+        json.loads(out, parse_constant=constants.append)
+    except ValueError:
+        return False
+    return bool(constants)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 3:
-        print("usage: report_parity.py OLD_SRC NEW_SRC SCENARIO...", file=sys.stderr)
+        print(__doc__, file=sys.stderr)
         return 2
     old, new = (Path(a).resolve() for a in argv[:2])
     scenarios = [Path(a).resolve() for a in argv[2:]]
@@ -84,7 +99,10 @@ def main(argv: list[str]) -> int:
         detail = None if same else _detail(old_out, new_out)
         if detail is not None:
             print(detail)
-        status = status if same else 1
+        loose = _non_strict(new_out)
+        if loose:
+            print(f"    new report is not strict JSON (NaN or Infinity): {scn}")
+        status = 1 if loose or not same else status
     return status
 
 
