@@ -25,7 +25,7 @@ when it clears max(resolution, lipschitz * grid_step); anything less is
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -445,7 +445,7 @@ def spectrum_union(
     for member in family.members:
         part = eig_normal(rep_apply(member, a), tol)
         if member.kind == "toeplitz-identity":
-            part = SpectrumSet.canonical(part.points, tol, truncated=True)
+            part = replace(part, truncated=True)
         parts.append(part)
     return union_spectra(parts, resolution=tol)
 

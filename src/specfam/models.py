@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -173,8 +173,28 @@ class ToeplitzModel:
 # elements
 
 
+class _Reflected:
+    """Reflected and subtracting operators, written through __add__ and __mul__."""
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        if np.isscalar(other):
+            return self.__add__(-complex(other))
+        return self.__add__(other * (-1.0))
+
+    def __rsub__(self, other):
+        return (self * (-1.0)).__add__(other)
+
+    def __rmul__(self, other):
+        if np.isscalar(other):
+            return self.__mul__(other)
+        return NotImplemented
+
+
 @dataclass(frozen=True, eq=False)
-class AlgebraElement:
+class AlgebraElement(_Reflected):
     """Piecewise-linear matrix function with a certified Lipschitz bound.
 
     Breakpoints contain the model's sample grid; constrained points must
@@ -232,22 +252,6 @@ class AlgebraElement:
                 )
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_function(
-        cls,
-        model: FunctionModel,
-        fn: Callable[[float], np.ndarray],
-        lipschitz_bound: float | None = None,
-        label: str = "",
-    ) -> "AlgebraElement":
-        bps = model.space.sample_grid
-        mats = tuple(np.asarray(fn(t), dtype=complex) for t in bps)
-        if lipschitz_bound is None:
-            if model.space.kind != "discrete":
-                raise ValueError("continuous base spaces need a certified lipschitz bound")
-            lipschitz_bound = 0.0
-        return cls(model, bps, mats, float(lipschitz_bound), label)
 
     @classmethod
     def from_polynomials(
@@ -367,17 +371,6 @@ class AlgebraElement:
             f"({self.label}+{other.label})",
         )
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        if np.isscalar(other):
-            return self.__add__(-complex(other))
-        return self.__add__(other * (-1.0))
-
-    def __rsub__(self, other):
-        return (self * (-1.0)).__add__(other)
-
     def __mul__(self, other):
         if np.isscalar(other):
             c = complex(other)
@@ -391,14 +384,9 @@ class AlgebraElement:
         lip = self.lipschitz_bound * other.sup_bound() + self.sup_bound() * other.lipschitz_bound
         return AlgebraElement(self.model, bps, mats, lip, f"({self.label}*{other.label})")
 
-    def __rmul__(self, other):
-        if np.isscalar(other):
-            return self.__mul__(other)
-        return NotImplemented
-
 
 @dataclass(frozen=True, eq=False)
-class ToeplitzElement:
+class ToeplitzElement(_Reflected):
     """Polynomial symbol plus finite-rank corner correction.
 
     coeffs holds the symbol coefficients c_{-K} .. c_{K} (offset = K);
@@ -528,17 +516,6 @@ class ToeplitzElement:
             f"({self.label}+{other.label})",
         )
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        if np.isscalar(other):
-            return self.__add__(-complex(other))
-        return self.__add__(other * (-1.0))
-
-    def __rsub__(self, other):
-        return (self * (-1.0)).__add__(other)
-
     def __mul__(self, other):
         if np.isscalar(other):
             c = complex(other)
@@ -570,17 +547,15 @@ class ToeplitzElement:
         corr = -hf @ hg
         tf = ToeplitzElement.build(self.model, {i: self.coeff(i) for i in range(-kf, kf + 1)})
         tg = ToeplitzElement.build(self.model, {j: other.coeff(j) for j in range(-kg, kg + 1)})
+        g_embed = np.zeros((m, m), dtype=complex)
+        g_embed[:n0g, :n0g] = other.correction
         if n0g:
-            g_embed = np.zeros((m, m), dtype=complex)
-            g_embed[:n0g, :n0g] = other.correction
             corr += tf.section(m) @ g_embed
         if n0f:
             f_embed = np.zeros((m, m), dtype=complex)
             f_embed[:n0f, :n0f] = self.correction
             corr += f_embed @ tg.section(m)
             if n0g:
-                g_embed = np.zeros((m, m), dtype=complex)
-                g_embed[:n0g, :n0g] = other.correction
                 corr += f_embed @ g_embed
         nz = np.nonzero(np.abs(corr) > 0.0)
         keep = int(max(nz[0].max(), nz[1].max()) + 1) if nz[0].size else 0
@@ -588,11 +563,6 @@ class ToeplitzElement:
             self.model, tuple(coeffs), k, corr[:keep, :keep],
             self._sections_union(other), f"({self.label}*{other.label})",
         )
-
-    def __rmul__(self, other):
-        if np.isscalar(other):
-            return self.__mul__(other)
-        return NotImplemented
 
 
 Element = AlgebraElement | ToeplitzElement
@@ -636,11 +606,11 @@ class Representation:
         return cls("toeplitz-character", theta=float(theta), label=f"chi({_fmt(float(theta))})")
 
 
-def rep_apply(rep: Representation, a: Element, section_size: int | None = None) -> np.ndarray:
+def rep_apply(rep: Representation, a: Element) -> np.ndarray:
     """Matrix image of the element under the representation.
 
-    For the finite-section ladder the size defaults to the element's
-    largest section; TruncationTooSmall if it cannot hold the correction.
+    For the finite-section ladder this is the element's largest section;
+    TruncationTooSmall if it cannot hold the correction.
     """
     if rep.kind in ("eval", "block"):
         if not isinstance(a, AlgebraElement):
@@ -663,8 +633,7 @@ def rep_apply(rep: Representation, a: Element, section_size: int | None = None) 
     if rep.kind == "toeplitz-identity":
         if not isinstance(a, ToeplitzElement):
             raise IncompatibleModel("the section ladder applies to symbol-model elements")
-        n = max(a.section_sizes) if section_size is None else int(section_size)
-        return a.section(n)
+        return a.section(max(a.section_sizes))
     raise UnsupportedModel(f"unknown representation kind {rep.kind!r}")
 
 

@@ -95,7 +95,8 @@ def cayley(obs: Observable) -> CayleyImage:
         if f is INFINITE:
             out.append(np.array([[1.0 + 0j]]))
         else:
-            w, v = np.linalg.eigh((f + f.conj().T) / 2.0)
+            half = f / 2.0  # (f + f*) / 2 overflows near the float limit
+            w, v = np.linalg.eigh(half + half.conj().T)
             out.append((v * ((w + 1j) / (w - 1j))) @ v.conj().T)
     return CayleyImage(tuple(out), obs.truncated)
 
@@ -107,7 +108,8 @@ def _inverse_cayley(w: complex) -> float:
 
 def _fiber_points(stack: np.ndarray, resolution: float) -> tuple[list[complex], bool]:
     """Points kept from an (m, d, d) self-adjoint stack, and whether any were cut near w = 1."""
-    lam = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)
+    half = stack / 2.0  # halving first is exact and cannot overflow
+    lam = np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))
     on_circle = [w for row in (lam + 1j) / (lam - 1j)
                  for w in SpectrumSet.canonical(row.tolist(), max(resolution, 1e-12)).points]
     far = [w for w in on_circle if abs(w - 1.0) > resolution]

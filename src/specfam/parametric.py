@@ -210,24 +210,17 @@ class InvariantOperator:
         return cls.build(base, n, terms, label=label or f"{shift:g}-laplacian")
 
 
-def _lam_power(lam: tuple, alpha: tuple) -> float:
-    out = 1.0
-    for x, a in zip(lam, alpha):
-        if a:
-            out *= x**a
-    return out
-
-
 # Complex entries per fiber block: a block holds _CHUNK_ENTRIES // d^2
 # fibers (about 4 MiB), so memory follows the block and not the grid.
 _CHUNK_ENTRIES = 2**18
 
 
 def _monomials(lam: np.ndarray, alpha: tuple) -> np.ndarray:
-    """lam^alpha for every row of lam, bitwise equal to _lam_power.
+    """lam^alpha for every row of lam.
 
-    Python's float power runs once per distinct coordinate value and the
-    axis factors multiply in axis order, as in _lam_power.
+    Python's float power runs once per distinct coordinate value, and the
+    axis factors multiply onto 1.0 in axis order, so each row equals the
+    scalar product of its powers bit for bit.
     """
     out = np.ones(len(lam))
     for x, a in zip(lam.T, alpha):
@@ -364,21 +357,43 @@ def _lattice_directions(dim: int) -> list[tuple]:
     return out
 
 
-def _sphere_directions(n: int, count: int = 64) -> list[tuple]:
+def _sphere_directions(n: int) -> list[tuple]:
     """Deterministic directions on the joint sphere (xi, eta) in R^(1+n).
 
-    For n = 1 an even circle sampling (count divisible by 8 keeps the
-    axes in the sample); higher n uses normalized small-lattice points,
-    which also include every axis.
+    For n = 1, 64 even steps around the circle, axes included; higher n
+    uses normalized small-lattice points, which also include every axis.
     """
     if n == 1:
-        if count % 8:
-            raise ValueError("direction count must be divisible by 8")
-        return [
-            (np.cos(2 * np.pi * i / count), (np.sin(2 * np.pi * i / count),))
-            for i in range(count)
-        ]
+        return [(np.cos(2 * np.pi * i / 64), (np.sin(2 * np.pi * i / 64),)) for i in range(64)]
     return [(vec[0], vec[1:]) for vec in _lattice_directions(n + 1)]
+
+
+def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
+    """Top joint-degree parts at the directions (xi, eta), one (m, d, d) stack.
+
+    Per direction, the top terms in term order as (coeff * xi^(2j)) * eta^alpha
+    times I, then the top couplings.  A graph has no cotangent xi: there the
+    term is (coeff * eta^alpha) times the Laplacian power.
+    """
+    d = op.base.dim
+    graph = isinstance(op.base, GraphBase)
+    xi = np.array([[x] for x, _eta in dirs], dtype=float)
+    eta = np.array([e for _xi, e in dirs], dtype=float).reshape(-1, op.n)
+    out = np.zeros((len(dirs), d, d), dtype=complex)
+    for (j, alpha), coeff in op.terms:
+        if 2 * j + sum(alpha) != op.order:
+            continue
+        if graph:
+            scalar = coeff * _monomials(eta, alpha)
+            basis = np.linalg.matrix_power(_compact_laplacian(op.base), j)
+        else:
+            scalar = (coeff * _monomials(xi, (2 * j,))) * _monomials(eta, alpha)
+            basis = np.eye(d)
+        out = out + scalar[:, None, None] * basis
+    for alpha, mat in op.couplings:
+        if sum(alpha) == op.order:
+            out = out + _monomials(eta, alpha)[:, None, None] * mat
+    return out
 
 
 def _symbol_sweep(op: InvariantOperator):
@@ -388,34 +403,12 @@ def _symbol_sweep(op: InvariantOperator):
         dirs = [(0.0, eta) for eta in etas]
     else:
         dirs = _sphere_directions(op.n)
-    symbols = np.stack([principal_symbol(op, xi, eta) for xi, eta in dirs])
-    return zip(dirs, np.linalg.svd(symbols, compute_uv=False)[:, -1])
+    return zip(dirs, np.linalg.svd(_principal_symbols(op, dirs), compute_uv=False)[:, -1])
 
 
 def principal_symbol(op: InvariantOperator, xi: float, eta: tuple) -> np.ndarray:
-    """Top joint-degree part at the direction (xi, eta); matrix-valued.
-
-    Circle modes carry a genuine compact cotangent direction xi; a graph
-    has none, so its Laplacian powers enter as matrices and xi is
-    ignored (graph directions are parameter-only).
-    """
-    d = op.base.dim
-    out = np.zeros((d, d), dtype=complex)
-    graph = isinstance(op.base, GraphBase)
-    powers = {0: np.eye(d)} if graph else None
-    for (j, alpha), coeff in op.terms:
-        if 2 * j + sum(alpha) != op.order:
-            continue
-        if graph:
-            if j not in powers:
-                powers[j] = np.linalg.matrix_power(_compact_laplacian(op.base), j)
-            out = out + coeff * _lam_power(eta, alpha) * powers[j]
-        else:
-            out = out + coeff * xi ** (2 * j) * _lam_power(eta, alpha) * np.eye(d)
-    for alpha, mat in op.couplings:
-        if sum(alpha) == op.order:
-            out = out + _lam_power(eta, alpha) * mat
-    return out
+    """Top joint-degree part at one direction (xi, eta); xi is ignored on a graph."""
+    return _principal_symbols(op, [(xi, eta)])[0]
 
 
 def _check_selfadjoint(op: InvariantOperator):

@@ -410,6 +410,13 @@ def _build_model(pairs: list[_Pair]):
         raise ParseError(str(err), name_pair.line) from None
 
 
+def _complex_value(pair: _Pair, what: str) -> complex:
+    vals = _nums(_scalar(pair), pair.line)
+    if len(vals) > 2:
+        raise ParseError(f"{what} values are 're' or 're im'", pair.line)
+    return complex(vals[0], vals[1] if len(vals) > 1 else 0.0)
+
+
 def _build_element(pairs: list[_Pair], model):
     line = pairs[0].line
     eid = _scalar(_need(pairs, "id", line))
@@ -441,21 +448,12 @@ def _build_element(pairs: list[_Pair], model):
             if toks[:1] == ["c"]:
                 if len(toks) != 2:
                     raise ParseError("symbol keys look like 'c k'", p.line)
-                vals = _nums(_scalar(p), p.line)
-                if len(vals) > 2:
-                    raise ParseError("symbol values are 're' or 're im'", p.line)
-                symbol[_int(toks[1], p.line)] = complex(
-                    vals[0], vals[1] if len(vals) > 1 else 0.0
-                )
+                symbol[_int(toks[1], p.line)] = _complex_value(p, "symbol")
             elif toks[:1] == ["corr"]:
                 if len(toks) != 3:
                     raise ParseError("correction keys look like 'corr i j'", p.line)
-                vals = _nums(_scalar(p), p.line)
-                if len(vals) > 2:
-                    raise ParseError("correction values are 're' or 're im'", p.line)
-                corr_entries[(_int(toks[1], p.line), _int(toks[2], p.line))] = complex(
-                    vals[0], vals[1] if len(vals) > 1 else 0.0
-                )
+                value = _complex_value(p, "correction")
+                corr_entries[(_int(toks[1], p.line), _int(toks[2], p.line))] = value
         correction = None
         if corr_entries:
             side = 1 + max(max(i, j) for i, j in corr_entries)

@@ -13,7 +13,9 @@ sections, truncated parameter windows).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -80,8 +82,6 @@ class SpectrumSet:
         the (real, imag) order, which makes the result independent of the
         input ordering.
         """
-        if resolution < 0:
-            raise ValueError("resolution must be nonnegative")
         pts = sorted((complex(p) for p in points), key=lambda z: (z.real, z.imag))
         kept: list[complex] = []
         for p in pts:
@@ -97,11 +97,7 @@ class SpectrumSet:
         return cls(tuple(kept), float(resolution), bool(truncated))
 
     def union(self, other: "SpectrumSet") -> "SpectrumSet":
-        return SpectrumSet.canonical(
-            self.points + other.points,
-            max(self.resolution, other.resolution),
-            self.truncated or other.truncated,
-        )
+        return union_spectra((self, other))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -135,6 +131,12 @@ def _hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
 
 
+def _times_4_to(x: float, e: int) -> str:
+    """x * 4^e in the .3e layout, also where it lies beyond the float range."""
+    v = x * 2.0**e * 2.0**e
+    return f"{Decimal(x) * Decimal(4) ** e:.3e}" if math.isinf(v) else f"{v:.3e}"
+
+
 def normal_eigensystem(a, tol: float = DEFAULT_RESOLUTION) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and an orthonormal eigenbasis of a normal matrix.
 
@@ -158,13 +160,20 @@ def normal_eigensystem(a, tol: float = DEFAULT_RESOLUTION) -> tuple[np.ndarray, 
     if hermitian and not m.any():
         return np.zeros(n, dtype=complex), np.eye(n, dtype=complex)
     if not hermitian:
-        scale = op_norm(m)  # positive: m has a nonzero entry
-        defect = op_norm(adj @ m - m @ adj)
-        if defect > tol * scale * scale:
+        # The SVDs run on u = m / 2^e, which is exact: a*a - aa* can overflow
+        # although a is finite, and every test reads the same in these units.
+        e = min(max(math.frexp(float(np.abs((m.real, m.imag)).max()))[1], -1022), 1023)
+        u = m * 2.0**-e
+        u_adj = u.conj().T
+        unit = op_norm(u)  # positive: m has a nonzero entry
+        defect = op_norm(u_adj @ u - u @ u_adj)
+        if defect > tol * unit * unit:
             raise NotNormal(
-                f"commutator norm {defect:.3e} exceeds {tol:.1e} * ||a||^2 = {tol * scale * scale:.3e}"
+                f"commutator norm {_times_4_to(defect, e)} exceeds {tol:.1e} * ||a||^2 = "
+                f"{_times_4_to(tol * unit * unit, e)}"
             )
-    if hermitian or op_norm(m - adj) <= tol * scale:
+        scale = unit * 2.0**e
+    if hermitian or op_norm(u - u_adj) <= tol * unit:
         # (m + adj) / 2 is m when m is self-adjoint, but m + adj can overflow
         w, v = _hermitian_eigensystem(m if hermitian else (m + adj) / 2.0)
         order = np.argsort(w, kind="stable")

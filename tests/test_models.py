@@ -106,6 +106,13 @@ def test_element_algebra_matches_pointwise():
     assert op_norm((a * b).value_at(t) - a.value_at(t) @ b.value_at(t)) <= 1e-12
     assert op_norm(a.adjoint().value_at(t) - a.value_at(t).conj().T) <= 1e-12
     assert op_norm((2.0 - a).value_at(t) - (2.0 * np.eye(2) - a.value_at(t))) <= 1e-12
+    at, bt, one = a.value_at(t), b.value_at(t), np.eye(2)
+    for got, want in [
+        (1 + a, one + at), (a - 2, at - 2.0 * one), (2 - a, 2.0 * one - at),
+        (3 * a, 3.0 * at), (a - b, at - bt),
+    ]:
+        assert isinstance(got, AlgebraElement)
+        assert op_norm(got.value_at(t) - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +187,7 @@ def test_rep_apply_character_on_shift():
 def test_rep_apply_section_of_shift():
     model = toeplitz_model()
     s = ToeplitzElement.shift(model)
-    out = rep_apply(Representation.toeplitz_identity(), s, section_size=3)
+    out = s.section(3)
     expected = np.zeros((3, 3))
     expected[1, 0] = expected[2, 1] = 1.0
     assert op_norm(out - expected) <= 1e-12
@@ -190,7 +197,7 @@ def test_rep_apply_truncation_too_small():
     model = toeplitz_model()
     x = ToeplitzElement.build(model, {}, correction=np.eye(4))
     with pytest.raises(TruncationTooSmall):
-        rep_apply(Representation.toeplitz_identity(), x, section_size=2)
+        x.section(2)
 
 
 def test_rep_apply_cross_model_rejected():
@@ -297,6 +304,14 @@ def test_product_expansion():
     assert abs(x.coeff(1) - 2.0) <= 1e-12
     assert abs(x.coeff(-1) - 2.0) <= 1e-12
     assert x.correction.shape == (1, 1) and abs(x.correction[0, 0] + 1.0) <= 1e-12
+    y = ToeplitzElement.build(model, {-1: 0.5j, 2: 1.5}, correction=np.array([[1.0, 2.0j], [0.0, 3.0]]))
+    xs, ys, one = x.section(8), y.section(8), np.eye(8)
+    for got, want in [
+        (1 + x, one + xs), (x - 2, xs - 2.0 * one), (2 - x, 2.0 * one - xs),
+        (3 * x, 3.0 * xs), (x - y, xs - ys),
+    ]:
+        assert isinstance(got, ToeplitzElement)
+        assert op_norm(got.section(8) - want) <= 1e-12
 
 
 def test_adjoint_reflects_symbol():

@@ -230,6 +230,30 @@ def test_huge_eigenvalues_are_cut_not_garbled():
     assert not spec_observable(obs, resolution=1e-9).truncated
 
 
+def test_fibers_near_the_float_limit_raise_no_overflow():
+    # (f + f*) / 2 overflows at 1e308; a warning here is an error under pytest
+    report = run_scenario(parse_scenario(
+        "scenario-version: 1\n"
+        "model:\n  name: discrete\n  dim: 1\n"
+        "elements:\n  - id: a\n    kind: matrix-poly\n    entry 0 0: 1e308\n"
+        "families:\n  - id: all\n    generator: prim-all\n"
+        "queries:\n  - id: obs\n    kind: observable-spectrum\n"
+        "    family: all\n    element: a\n"
+    ))
+    assert report["results"][0]["result"] == {
+        "points": [], "resolution": 1e-10, "truncated": True,
+    }
+    s = spec_observable(Observable.bounded(np.diag([1e308, -1.5e308, 2.0])))
+    assert s.points == (2.0 + 0j,) and s.truncated
+
+
+def test_cayley_near_the_float_limit_stays_finite():
+    u = cayley(Observable.bounded(np.array([[1e308, 1e307j], [-1e307j, -1.7e308]]))).fibers[0]
+    assert np.all(np.isfinite(u))
+    assert np.abs(u - np.eye(2)).max() <= 1e-14
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-14
+
+
 def test_union_over_members():
     members = [
         Observable.bounded(np.diag([1.0])),

@@ -430,6 +430,63 @@ def test_restriction_check_needs_modes_and_circle():
 # principal symbol values
 
 
+def _ref_principal_symbol(op: InvariantOperator, xi: float, eta: tuple) -> np.ndarray:
+    """One principal symbol with the arithmetic the stacked builder must keep."""
+    d = op.base.dim
+    out = np.zeros((d, d), dtype=complex)
+    for (j, alpha), coeff in op.terms:
+        if 2 * j + sum(alpha) != op.order:
+            continue
+        if isinstance(op.base, GraphBase):
+            lap_j = np.linalg.matrix_power(op.base.laplacian(), j)
+            out = out + coeff * _ref_lam_power(eta, alpha) * lap_j
+        else:
+            out = out + coeff * xi ** (2 * j) * _ref_lam_power(eta, alpha) * np.eye(d)
+    for alpha, mat in op.couplings:
+        if sum(alpha) == op.order:
+            out = out + _ref_lam_power(eta, alpha) * mat
+    return out
+
+
+def _random_top_operator(rng, base, n: int) -> InvariantOperator:
+    """Complex top terms with j = 0, 1, 2 and top couplings, plus lower-order noise."""
+    terms = {(0, (1,) + (0,) * (n - 1)): float(rng.normal())}
+    for j in (0, 1, 2, int(rng.integers(0, 3))):
+        alpha = np.zeros(n, dtype=int)
+        np.add.at(alpha, rng.integers(0, n, 4 - 2 * j), 1)
+        terms[(j, tuple(int(a) for a in alpha))] = complex(*rng.normal(size=2))
+    lo, hi = (-base.cutoff, base.cutoff + 1) if isinstance(base, CircleBase) else (0, base.dim)
+    couplings = {}
+    for degree in (4, 4, 2):
+        alpha = np.zeros(n, dtype=int)
+        np.add.at(alpha, rng.integers(0, n, degree), 1)
+        k1, k2 = (int(k) for k in rng.integers(lo, hi, 2))
+        couplings[tuple(int(a) for a in alpha)] = {(k1, k2): complex(*rng.normal(size=2))}
+    return InvariantOperator.build(base, n, terms, couplings)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["circle", "graph"])
+def test_symbol_stack_equals_the_per_direction_reference(kind, n):
+    for seed in range(10):
+        rng = np.random.default_rng([n, seed])
+        # weighted edges, so that Laplacian entries are not powers of two
+        weights = np.array([[0, 3, 1, 0], [3, 0, 0, 5], [1, 0, 0, 1], [0, 5, 1, 0]])
+        base = CircleBase(3) if kind == "circle" else GraphBase(weights)
+        op = _random_top_operator(rng, base, n)
+        assert op.order == 4
+        swept = [dirn for dirn, _smin in parametric._symbol_sweep(op)]
+        extra = [
+            (float(x), tuple(float(y) for y in rng.choice([-1.5, -0.5, 0.0, 0.3, 2.0], n)))
+            for x in rng.normal(size=6)
+        ]
+        dirs = swept + extra
+        want = np.stack([_ref_principal_symbol(op, xi, eta) for xi, eta in dirs])
+        assert np.array_equal(parametric._principal_symbols(op, dirs), want)
+        for i in range(0, len(dirs), 7):
+            assert np.array_equal(principal_symbol(op, *dirs[i]), want[i])
+
+
 def test_principal_symbol_of_shifted_laplacian_is_the_sphere_constant():
     op = InvariantOperator.shifted_laplacian(CircleBase(4), n=1, shift=7.0)
     for phi in np.linspace(0, 2 * np.pi, 9):

@@ -28,11 +28,14 @@ def test_same_tree_gives_identical_reports_for_the_bundled_scenarios():
         assert verdict == "same" and path == str(scn)
 
 
-def _fake_tree(root: Path, report: str) -> Path:
+def _fake_tree(root: Path, report: str, stderr: str = "") -> Path:
     pkg = root / "specfam"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
-    (pkg / "cli.py").write_text(f"print({report!r})\n")
+    script = f"print({report!r})\n"
+    if stderr:
+        script = f"import sys\nsys.stderr.write({stderr!r})\n" + script
+    (pkg / "cli.py").write_text(script)
     return root
 
 
@@ -107,6 +110,28 @@ def test_a_new_report_with_infinity_exits_1_and_names_the_scenario(tmp_path):
     strict = _fake_tree(tmp_path / "strict", _report(a={"points": []}))
     assert _parity(loose, strict, scn).stdout.count("strict JSON") == 0
     assert _parity(strict, loose, scn).stdout.count("strict JSON") == 1
+
+
+def test_a_new_run_that_exits_0_with_stderr_output_exits_1(tmp_path):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    report = _report(a={"points": []})
+    quiet = _fake_tree(tmp_path / "quiet", report)
+    noisy = _fake_tree(
+        tmp_path / "noisy", report,
+        stderr="x.py:1: RuntimeWarning: overflow encountered in add\n  y = a + b\n",
+    )
+    proc = _parity(quiet, noisy, scn)
+    assert proc.returncode == 1
+    first, second = proc.stdout.splitlines()
+    assert first.split()[2] == "same"
+    assert second == (
+        "    new run exited 0 but wrote to stderr: "
+        "x.py:1: RuntimeWarning: overflow encountered in add"
+    )
+    # only the new tree is held to the rule, and a quiet run passes
+    assert _parity(noisy, quiet, scn).returncode == 0
+    assert _parity(quiet, quiet, scn).returncode == 0
 
 
 def test_a_missing_tree_or_scenario_exits_2(tmp_path):

@@ -641,6 +641,38 @@ queries:
     assert "NotNormal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entries, code",
+    [("entry 0 1: 1e200", 5), ("entry 0 1: 1e200\n    entry 1 0: -1e200", 0)],
+    ids=["nilpotent", "normal"],
+)
+def test_cli_spectrum_whose_commutator_overflows_exits_without_traceback(
+    tmp_path, capsys, entries, code
+):
+    # a*a - aa* of these finite images lies beyond the float range
+    bad = tmp_path / "big.scn"
+    bad.write_text(
+        "scenario-version: 1\n"
+        "model:\n  name: discrete\n  dim: 2\n"
+        f"elements:\n  - id: a\n    kind: matrix-poly\n    {entries}\n"
+        "families:\n  - id: all\n    generator: prim-all\n"
+        "queries:\n  - id: spec\n    kind: spectrum\n    family: all\n    element: a\n"
+    )
+    assert main(["run", str(bad)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err == (
+            "numeric failure: NotNormal: commutator norm 1.000e+400 exceeds "
+            "1.0e-09 * ||a||^2 = 1.000e+391\n"
+        )
+        return
+    assert err == ""
+    points = json.loads(out)["results"][0]["result"]["points"]
+    assert len(points) == 2 and points[0][0] == points[1][0] == 0.0
+    assert points[0][1] == pytest.approx(-1e200, rel=1e-15)
+    assert points[1][1] == pytest.approx(1e200, rel=1e-15)
+
+
 def test_cli_dump_spectrum_writes_csv(tmp_path):
     out = tmp_path / "ramp.csv"
     path = str(SCENARIOS / "observable-interval.scn")

@@ -21,6 +21,7 @@ from specfam.spectral import (
     hausdorff,
     normal_eigensystem,
     op_norm,
+    union_spectra,
 )
 
 
@@ -241,6 +242,28 @@ def test_self_adjoint_input_near_the_float_limit_stays_finite():
     assert np.array_equal(np.abs(v), np.fliplr(np.eye(2)))
 
 
+def test_commutator_beyond_the_float_limit_still_decides_normality():
+    # a*a - aa* of these finite matrices overflows: the test runs on a / 2^e
+    with pytest.raises(NotNormal) as exc:
+        normal_eigensystem(np.array([[0.0, 1e200], [0.0, 0.0]]))
+    assert str(exc.value) == "commutator norm 1.000e+400 exceeds 1.0e-10 * ||a||^2 = 1.000e+390"
+    w, v = normal_eigensystem(np.array([[0.0, 1e200], [-1e200, 0.0]]))
+    assert np.allclose(w, [-1e200j, 1e200j], rtol=1e-15, atol=0.0)
+    assert op_norm(v.conj().T @ v - np.eye(2)) <= 1e-15
+    # below the limit the scaled test decides, and words its message, as before
+    for k in (-300, -40, 0, 40, 150):
+        for name, a in _other_inputs():
+            try:
+                expected = reference_normal_eigensystem(a * 2.0**k)
+            except NotNormal as err:
+                with pytest.raises(NotNormal) as exc:
+                    normal_eigensystem(a * 2.0**k)
+                assert str(exc.value) == str(err), (name, k)
+                continue
+            w, v = normal_eigensystem(a * 2.0**k)
+            assert np.array_equal(w, expected[0]) and np.array_equal(v, expected[1]), (name, k)
+
+
 def _other_inputs():
     """Non-normal, near-self-adjoint and normal non-self-adjoint matrices."""
     rng = np.random.RandomState(47)
@@ -296,6 +319,21 @@ def test_spectrum_union_propagates_truncation():
     b = SpectrumSet.canonical([1.0], 1e-10)
     u = a.union(b)
     assert u.truncated and u.points == (0.0 + 0j, 1.0 + 0j)
+
+
+def test_spectrum_union_is_union_spectra_of_the_pair():
+    sets = [
+        SpectrumSet.canonical([0.0, 1.0, 1.0 + 1e-7j], 1e-10),
+        SpectrumSet.canonical([1.0 + 5e-8j, 2.0, -1.0j], 1e-6, truncated=True),
+        SpectrumSet.canonical([0.5, 2.0 + 1e-9j], 0.0),
+        SpectrumSet((), 1e-3, truncated=False),
+    ]
+    for a in sets:
+        for b in sets:
+            assert a.union(b) == union_spectra((a, b))
+    merged = sets[0].union(sets[1])
+    assert merged.resolution == 1e-6 and merged.truncated
+    assert merged.points == (-1.0j, 0.0 + 0j, 1.0 + 0j, 2.0 + 0j)
 
 
 def test_spectral_mapping_polynomial():

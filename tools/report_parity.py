@@ -15,11 +15,16 @@ anything else (a flag, a text, a list length, a key) counts as inf.
 
 A report of the new tree must also be strict JSON, as the README's report
 contract says: when it holds NaN, Infinity or -Infinity, an indented line
-under its scenario's line says so and names the scenario.
+under its scenario's line says so and names the scenario.  And a run of the
+new tree that exits 0 must write nothing to stderr, since a report printed
+with warnings (a numpy overflow, say) came from inf or NaN on the way: an
+indented line under the scenario's line shows the first stderr line.
 
-Exit status: 0 when every report is byte-identical and every new report is
-strict JSON, 1 on any difference or on a new report that is not strict JSON,
-2 when an argument is not a source tree or a scenario file.  Stdlib only.
+Exit status: 0 when every report is byte-identical, every new report is
+strict JSON and every new run that exits 0 leaves stderr empty; 1 on any
+difference, on a new report that is not strict JSON or on a new run that
+exits 0 with stderr output; 2 when an argument is not a source tree or a
+scenario file.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -33,14 +38,13 @@ import sys
 from pathlib import Path
 
 
-def _run(src: Path, scenario: Path) -> tuple[bytes, int]:
+def _run(src: Path, scenario: Path) -> tuple[bytes, int, bytes]:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "specfam.cli", "run", str(scenario)],
-        cwd=src, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        check=False,
+        cwd=src, env=env, capture_output=True, check=False,
     )
-    return proc.stdout, proc.returncode
+    return proc.stdout, proc.returncode, proc.stderr
 
 
 def _gaps(a, b) -> list[float]:
@@ -91,7 +95,7 @@ def main(argv: list[str]) -> int:
             return 2
     status = 0
     for scn in scenarios:
-        (old_out, old_code), (new_out, new_code) = _run(old, scn), _run(new, scn)
+        (old_out, old_code, _), (new_out, new_code, new_err) = _run(old, scn), _run(new, scn)
         old_sha, new_sha = (hashlib.sha256(out).hexdigest() for out in (old_out, new_out))
         same = old_sha == new_sha and old_code == new_code
         codes = "" if old_code == new_code == 0 else f" exit {old_code}/{new_code}"
@@ -102,7 +106,11 @@ def main(argv: list[str]) -> int:
         loose = _non_strict(new_out)
         if loose:
             print(f"    new report is not strict JSON (NaN or Infinity): {scn}")
-        status = 1 if loose or not same else status
+        noisy = new_code == 0 and new_err != b""
+        if noisy:
+            first = new_err.decode("utf-8", "replace").splitlines()[0]
+            print(f"    new run exited 0 but wrote to stderr: {first}")
+        status = 1 if loose or noisy or not same else status
     return status
 
 
