@@ -5,7 +5,7 @@ or the formal infinite fiber.  Spectra go through the bounded transform
     w = (lam + i) / (lam - i),
 whose image is the unit circle minus the point 1; the infinite fiber is
 exactly the constant 1 there and has empty spectrum.  Fiber spectra come
-from one eigvalsh per stack, and the transform inverts exactly: nothing is
+from stacked eigvalsh calls, and the transform inverts exactly: nothing is
 lost for bounded fibers, while numerically huge eigenvalues land within the
 discard radius of w = 1 and are reported through the truncated flag.
 """
@@ -18,7 +18,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import NotCertified, NotSelfAdjoint
-from .spectral import DEFAULT_RESOLUTION, SpectrumSet, as_matrix, union_spectra
+from .spectral import DEFAULT_RESOLUTION, SpectrumSet, _distinct, as_matrix, union_spectra
 
 _SELFADJOINT_TOL = 1e-10
 
@@ -106,14 +106,39 @@ def _inverse_cayley(w: complex) -> float:
     return float(lam.real)
 
 
-def _fiber_points(stack: np.ndarray, resolution: float) -> tuple[list[complex], bool]:
-    """Points kept from an (m, d, d) self-adjoint stack, and whether any were cut near w = 1."""
-    half = stack / 2.0  # halving first is exact and cannot overflow
-    lam = np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))
-    on_circle = [w for row in (lam + 1j) / (lam - 1j)
-                 for w in SpectrumSet.canonical(row.tolist(), max(resolution, 1e-12)).points]
-    far = [w for w in on_circle if abs(w - 1.0) > resolution]
-    return [complex(_inverse_cayley(w)) for w in far], len(far) < len(on_circle)
+def _fiber_points(stack: np.ndarray, resolution: float) -> tuple[np.ndarray, bool]:
+    """Distinct lam kept from an (m, d, d) self-adjoint stack, and whether any were cut near w = 1.
+
+    Each fiber's unitary eigenvalues are merged at max(resolution, 1e-12),
+    but only a fiber with a close pair runs the merge: eigvalsh rows are
+    sorted, so w runs around the circle in row order and only neighbours
+    and the wrap pair can be close.  A pair is flagged at twice the radius,
+    so that rounding in numpy's |z| cannot hide one.  Exact repeats need no
+    merge; they are dropped before the per-point work.
+    """
+    # Halving first is exact and cannot overflow.  The Hermitian parts are
+    # formed a 1 MiB slice at a time, so they cost a fraction of the stack.
+    step = max(1, 2**16 // stack[0].size)
+    lam = np.concatenate([
+        np.linalg.eigvalsh(part / 2.0 + (part / 2.0).conj().swapaxes(-1, -2))
+        for part in (stack[i : i + step] for i in range(0, len(stack), step))
+    ])
+    w = (lam + 1j) / (lam - 1j)
+    radius = max(resolution, 1e-12)
+    gaps = np.abs(np.diff(w, axis=1))
+    plain = ((gaps == 0) | (gaps > 2 * radius)).all(axis=1)
+    if w.shape[1] > 1:
+        plain &= np.abs(w[:, 0] - w[:, -1]) > 2 * radius
+    fresh = np.ones(w.shape, dtype=bool)
+    fresh[:, 1:] = gaps != 0
+    on_circle, start = [], 0
+    for i in np.flatnonzero(~plain).tolist() + [len(w)]:
+        on_circle += w[start:i][fresh[start:i]].tolist()
+        if i < len(w):
+            on_circle += SpectrumSet.canonical(w[i].tolist(), radius).points
+        start = i + 1
+    far = [p for p in on_circle if abs(p - 1.0) > resolution]
+    return _distinct(np.array([_inverse_cayley(p) for p in far])), len(far) < len(on_circle)
 
 
 def spec_observable(
@@ -126,11 +151,11 @@ def spec_observable(
     the infinite fiber contributes nothing and no truncation, its
     spectrum is exactly empty.
     """
-    points, truncated = [], obs.truncated
+    parts, truncated = [np.zeros(0)], obs.truncated
     for _shape, same in groupby((f for f in obs.fibers if f is not INFINITE), key=np.shape):
         kept, cut = _fiber_points(np.stack(list(same)), resolution)
-        points, truncated = points + kept, truncated or cut
-    return SpectrumSet.canonical(points, resolution, truncated=truncated)
+        parts, truncated = parts + [kept], truncated or cut
+    return SpectrumSet.canonical(_distinct(np.concatenate(parts)), resolution, truncated=truncated)
 
 
 def spec_union_observable(

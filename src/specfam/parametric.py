@@ -15,9 +15,13 @@ invertibility of the principal symbol along directions that keep a
 definite parameter component.
 
 Fibers are assembled for a block of nodes at once, as one (m, d, d)
-stack, and each block goes straight into eigvalsh or the SVD.  A block
-holds a fixed number of complex entries, so memory follows the block,
-not the grid; the single-node fiber() is a view of the same builder.
+stack, and each block goes straight into eigvalsh or the SVD.  A circle
+operator without couplings has diagonal fibers: its blocks are the (m, d)
+diagonals, whose real parts are the eigenvalues and, when the diagonal is
+real, whose smallest absolute values are the sigma_min, with no LAPACK
+call.  A block holds a fixed number of complex entries, so memory follows
+the block, not the grid; the single-node fiber() is a view of the same
+builder.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     NotSelfAdjoint,
     UnsupportedModel,
 )
-from .spectral import SpectrumSet
+from .spectral import SpectrumSet, _distinct
 
 
 @dataclass(frozen=True)
@@ -231,16 +235,19 @@ def _monomials(lam: np.ndarray, alpha: tuple) -> np.ndarray:
 
 
 def _fiber_chunks(op: InvariantOperator, nodes, reduction: tuple | None = None):
-    """Fiber stacks (m, d, d) for consecutive blocks of nodes, in node order.
+    """Fiber blocks for consecutive blocks of nodes, in node order.
 
     Per node the arithmetic is that of one fiber: coeff * lam^alpha * L^j
     summed in term order (the circle Laplacian as its diagonal), then the
     couplings, then, for reduction = (s, order), the conjugation
     D^((s - order)/2) . p-hat . D^(-s/2) with D = 1 + |lam|^2 + L.  The
-    Laplacian powers and its eigenbasis are computed once per call.
+    Laplacian powers and its eigenbasis are computed once per call.  A
+    circle operator without couplings yields its (m, d) diagonals, any
+    other operator (m, d, d) stacks; _as_matrices expands the former.
     """
     d = op.base.dim
     circle = isinstance(op.base, CircleBase)
+    diagonal = circle and not op.couplings
     lap = op.base.laplacian_diagonal() if circle else _compact_laplacian(op.base)
     powers = {
         j: lap**j if circle else np.linalg.matrix_power(lap, j)
@@ -258,18 +265,18 @@ def _fiber_chunks(op: InvariantOperator, nodes, reduction: tuple | None = None):
         acc = np.zeros((m,) + lap.shape, dtype=complex)
         for (j, alpha), coeff in op.terms:
             acc += (coeff * _monomials(lam, alpha)).reshape(column) * powers[j]
-        if circle:
-            out = np.zeros((m, d, d), dtype=complex)
-            out[:, np.arange(d), np.arange(d)] += acc
-        else:
-            out = acc
-        for alpha, mat in op.couplings:
-            out += _monomials(lam, alpha)[:, None, None] * mat
         if reduction is not None:
             lam_sq = sum(x * x for x in lam.T)
             dd = (1.0 + lam_sq)[:, None] + w
             left = dd ** ((s - order) / 2.0)
             right = dd ** (-s / 2.0)
+        if diagonal:
+            yield acc if reduction is None else (acc * left) * right
+            continue
+        out = _as_matrices(acc) if circle else acc
+        for alpha, mat in op.couplings:
+            out += _monomials(lam, alpha)[:, None, None] * mat
+        if reduction is not None:
             if circle:
                 out *= left[:, :, None]
                 out *= right[:, None, :]
@@ -280,12 +287,22 @@ def _fiber_chunks(op: InvariantOperator, nodes, reduction: tuple | None = None):
         yield out
 
 
+def _as_matrices(block: np.ndarray) -> np.ndarray:
+    """The (m, d, d) fiber stack of a block; (m, d) diagonals become diagonal matrices."""
+    if block.ndim == 3:
+        return block
+    m, d = block.shape
+    out = np.zeros((m, d, d), dtype=complex)
+    out[:, np.arange(d), np.arange(d)] = block
+    return out
+
+
 def fiber(op: InvariantOperator, lam) -> np.ndarray:
     """Fiber matrix at one parameter value, reduced if the operator is."""
     lam = tuple(float(x) for x in (lam if np.iterable(lam) else (lam,)))
     if len(lam) != op.n:
         raise IncompatibleQuery(f"parameter must have {op.n} components, got {len(lam)}")
-    return next(_fiber_chunks(op, [lam], op.reduction))[0]
+    return _as_matrices(next(_fiber_chunks(op, [lam], op.reduction)))[0]
 
 
 def order_reduction(op: InvariantOperator) -> InvariantOperator:
@@ -435,16 +452,6 @@ def _check_elliptic(op: InvariantOperator):
             )
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted values without exact repeats; the first occurrence is kept.
-
-    SpectrumSet.canonical merges exact repeats into their first
-    occurrence anyway, so dropping them first leaves its output unchanged.
-    """
-    values = np.sort(values, kind="stable")
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
-
-
 def spectrum_parametric(
     op: InvariantOperator, grid: LambdaGrid, tol: float = 1e-9
 ) -> SpectrumSet:
@@ -461,8 +468,9 @@ def spectrum_parametric(
         )
     _check_selfadjoint(op)
     _check_elliptic(op)
+    # eigvalsh reads only the real part of a Hermitian diagonal
     parts = [
-        _distinct(np.linalg.eigvalsh(chunk).ravel())
+        _distinct((chunk.real if chunk.ndim == 2 else np.linalg.eigvalsh(chunk)).ravel())
         for chunk in _fiber_chunks(op, grid.nodes)
     ]
     return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
@@ -508,7 +516,11 @@ def invertible_parametric(
     reduced = order_reduction(op)
     worst, min_sigma, start = None, np.inf, 0
     for chunk in _fiber_chunks(reduced, grid.nodes, reduced.reduction):
-        sigmas = np.linalg.svd(chunk, compute_uv=False)[:, -1]
+        if chunk.ndim == 2 and not chunk.imag.any():
+            sigmas = np.abs(chunk.real).min(axis=1)
+        else:
+            # numpy's complex |z| can differ from LAPACK's in the last place
+            sigmas = np.linalg.svd(_as_matrices(chunk), compute_uv=False)[:, -1]
         i = int(np.argmin(sigmas))
         # strict <: a tie with an earlier block keeps the earlier node
         if worst is None or sigmas[i] < min_sigma:
@@ -566,8 +578,9 @@ def symbol_restriction_check(op: InvariantOperator) -> RestrictionCheck:
     top = 2 * k  # index of mode +K
     lam0 = (0.0,) * op.n
     lam1 = tuple(1.0 if i == 0 else 0.0 for i in range(op.n))
-    f0, f1 = np.concatenate(list(_fiber_chunks(op, (lam0, lam1))))
-    c0 = float(f0[top, top].real) / float(k**op.order)
-    c1 = float(f1[top, top].real) / float(k**op.order)
+    f = np.concatenate(list(_fiber_chunks(op, (lam0, lam1))))
+    c0, c1 = (
+        float(x.real) / float(k**op.order) for x in (f[:, top] if f.ndim == 2 else f[:, top, top])
+    )
     tolerance = (abs(c0) + abs(c1) + 1e-9) / k
     return RestrictionCheck(abs(c0 - c1) <= tolerance, c0, c1, tolerance)

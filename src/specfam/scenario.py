@@ -19,6 +19,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -51,12 +52,13 @@ from .parametric import (
     GraphBase,
     InvariantOperator,
     LambdaGrid,
+    _as_matrices,
     _fiber_chunks,
     invertible_parametric,
     spectrum_parametric,
     symbol_restriction_check,
 )
-from .spectral import DEFAULT_RESOLUTION, SpectrumSet
+from .spectral import DEFAULT_RESOLUTION, SpectrumSet, _distinct
 
 SCENARIO_VERSION = 1
 REPORT_VERSION = "0.1.0"
@@ -680,11 +682,12 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     op_pair = _get(q.params, "operator")
     if op_pair is not None:
         op = _lookup(scenario.operators, op_pair, "operator")
-        points = []
+        parts = []
         for block in _fiber_chunks(op, _q_grid(q, op).nodes, op.reduction):
+            block = _as_matrices(block)
             Observable.fibered(block)  # raises NotSelfAdjoint on a bad fiber
-            points += _fiber_points(block, tol)[0]
-        return SpectrumSet.canonical(points, tol, truncated=True).as_dict()
+            parts.append(_fiber_points(block, tol)[0])
+        return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True).as_dict()
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
     members = []
@@ -728,7 +731,47 @@ def run_scenario(scenario: Scenario, with_timing: bool = False) -> dict:
 
 
 def report_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) plus a newline, byte for byte.
+
+    With an indent, json.dumps runs CPython's pure-Python encoder.  Here
+    every key (a report's keys are strings) and scalar goes through the C
+    encoder, and only the indented layout is Python.  A list of nonempty
+    float lists, such as a spectrum's points, is one C call laid out by
+    two replaces: floats never contain "], [" or ", ".
+    """
+    encode = json.JSONEncoder().encode
+    parts = []
+
+    def write(obj, pad):
+        inner = pad + "  "
+        if isinstance(obj, dict) and obj:
+            sep = "{\n" + inner
+            for key in sorted(obj):
+                parts.extend((sep, encode(key), ": "))
+                write(obj[key], inner)
+                sep = ",\n" + inner
+            parts.extend(("\n", pad, "}"))
+        elif isinstance(obj, (list, tuple)) and obj:
+            if (set(map(type, obj)) == {list} and all(obj)
+                    and set(map(type, chain.from_iterable(obj))) == {float}):
+                deep = inner + "  "
+                # slice the short encoding, not the laid-out text
+                text = encode(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deep}")
+                text = text.replace(", ", ",\n" + deep)
+                parts.extend(("[\n", inner, "[\n", deep, text, "\n", inner, "]\n", pad, "]"))
+                return
+            sep = "[\n" + inner
+            for item in obj:
+                parts.append(sep)
+                write(item, inner)
+                sep = ",\n" + inner
+            parts.extend(("\n", pad, "]"))
+        else:
+            parts.append(encode(obj))
+
+    write(report, "")
+    parts.append("\n")
+    return "".join(parts)
 
 
 _SPECTRUM_KINDS = ("spectrum", "parametric-spectrum", "observable-spectrum")

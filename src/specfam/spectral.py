@@ -80,8 +80,14 @@ class SpectrumSet:
 
         The kept representative of each cluster is its smallest member in
         the (real, imag) order, which makes the result independent of the
-        input ordering.
+        input ordering.  A 1-D float array whose values all lie more than
+        resolution apart, such as a _distinct array without close pairs,
+        keeps every value and runs no Python loop.
         """
+        if isinstance(points, np.ndarray) and points.ndim == 1 and points.dtype == float:
+            values = np.sort(points)
+            if (np.diff(values) > resolution).all():
+                return cls(tuple(values.astype(complex).tolist()), float(resolution), bool(truncated))
         pts = sorted((complex(p) for p in points), key=lambda z: (z.real, z.imag))
         kept: list[complex] = []
         for p in pts:
@@ -108,6 +114,18 @@ class SpectrumSet:
             "resolution": self.resolution,
             "truncated": self.truncated,
         }
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted values without exact repeats; the first occurrence is kept.
+
+    SpectrumSet.canonical merges exact repeats into their first
+    occurrence anyway, so dropping them first leaves its output unchanged.
+    """
+    values = np.sort(values, kind="stable")
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def union_spectra(parts: Sequence[SpectrumSet], resolution: float | None = None) -> SpectrumSet:
@@ -172,17 +190,17 @@ def normal_eigensystem(a, tol: float = DEFAULT_RESOLUTION) -> tuple[np.ndarray, 
                 f"commutator norm {_times_4_to(defect, e)} exceeds {tol:.1e} * ||a||^2 = "
                 f"{_times_4_to(tol * unit * unit, e)}"
             )
-        scale = unit * 2.0**e
     if hermitian or op_norm(u - u_adj) <= tol * unit:
-        # (m + adj) / 2 is m when m is self-adjoint, but m + adj can overflow
-        w, v = _hermitian_eigensystem(m if hermitian else (m + adj) / 2.0)
+        # halving first: m + adj can overflow although m is finite
+        w, v = _hermitian_eigensystem(m if hermitian else m / 2.0 + adj / 2.0)
         order = np.argsort(w, kind="stable")
         return w[order].astype(complex), v[:, order]
 
-    h = (m + adj) / 2.0
-    k = (m - adj) / 2.0j
+    # h and k in the units of u: m + adj can overflow although m is finite
+    h = (u + u_adj) / 2.0
+    k = (u - u_adj) / 2.0j
     wh, v = _hermitian_eigensystem(h)
-    cluster_tol = max(_CLUSTER_FLOOR, 10.0 * tol) * scale
+    cluster_tol = max(_CLUSTER_FLOOR, 10.0 * tol) * unit
     start = 0
     for i in range(1, n + 1):
         if i == n or wh[i] - wh[i - 1] > cluster_tol:

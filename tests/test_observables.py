@@ -178,6 +178,39 @@ def test_eigvalsh_route_is_bitwise_the_reference_on_diagonal_fibers(resolution):
         assert got == _normal_solver_reference(fibers, resolution)
 
 
+def _per_fiber_merge_reference(fibers, resolution):
+    """The former point pass: every fiber's circle points merged on their own."""
+    half = np.stack(fibers) / 2.0
+    lam = np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))
+    radius = max(resolution, 1e-12)
+    on_circle = [w for row in (lam + 1j) / (lam - 1j)
+                 for w in SpectrumSet.canonical(row.tolist(), radius).points]
+    far = [w for w in on_circle if abs(w - 1.0) > resolution]
+    points = [complex((1j * (w + 1.0) / (w - 1.0)).real) for w in far]
+    return SpectrumSet.canonical(points, resolution, truncated=len(far) < len(on_circle))
+
+
+@pytest.mark.parametrize("resolution", [1e-2, 1e-4, 1e-9])
+def test_fibers_without_close_pairs_skip_the_merge_bit_for_bit(resolution):
+    # a gap g in lam is about 2g / (1 + lam^2) on the circle: the pool has
+    # pairs merged on the circle (0.4 r near 0; 2 r near 3, which the final
+    # merge alone would keep apart), flagged but kept (0.75 r near 0, 7.5 r
+    # near 3), clear ones, exact repeats, and points near w = 1 on both
+    # sides of the wrap
+    r = resolution
+    pool = [0.0, 0.4 * r, 0.75 * r, 3 * r, 3.0, 3.0 + 2 * r, 3.0 + 7.5 * r, -2.0,
+            2.0 / r, -2.0 / r, 5.0 / r, -5.0 / r, 3.0 / r]
+    rng = np.random.default_rng(14)
+    for trial in range(80):
+        d = int(rng.integers(1, 9))
+        if trial % 2:
+            fibers = [np.diag(rng.choice(pool, d)) for _ in range(int(rng.integers(1, 7)))]
+        else:
+            fibers = _fibers_with(rng, [rng.choice(pool, d) for _ in range(int(rng.integers(1, 7)))])
+        got = spec_observable(Observable.fibered(fibers, truncated=False), resolution)
+        assert repr(got) == repr(_per_fiber_merge_reference(fibers, resolution))
+
+
 def test_operator_route_memory_follows_the_block_not_the_grid():
     peaks = []
     for step in ("1/256", "1/1024"):

@@ -201,6 +201,107 @@ def test_worst_fiber_and_spectrum_do_not_depend_on_chunks():
     assert spectrum_parametric(op, grid, tol=1e-9) == want
 
 
+def _real_circle_operator(rng, n: int, zero_at: tuple | None = None) -> InvariantOperator:
+    """An elliptic order-2 circle operator with random real terms and no couplings.
+
+    With zero_at, the coefficients are quarter-integers and the shift makes
+    mode 0 vanish exactly at that node.
+    """
+    if zero_at is None:
+        top, low = rng.uniform(0.5, 2.0, n + 1), rng.normal(size=n)
+    else:
+        top, low = rng.integers(2, 8, n + 1) / 4, rng.integers(-4, 5, n) / 4
+    terms = {(1, (0,) * n): float(top[n])}
+    for i in range(n):
+        terms[(0, tuple(2 if j == i else 0 for j in range(n)))] = float(top[i])
+        terms[(0, tuple(1 if j == i else 0 for j in range(n)))] = float(low[i])
+    if zero_at is None:
+        terms[(0, (0,) * n)] = float(rng.normal())
+    else:
+        terms[(0, (0,) * n)] = -sum(float(c * x * x + b * x) for c, b, x in zip(top, low, zero_at))
+    return InvariantOperator.build(CircleBase(3), n, terms, s=float(rng.uniform(0.5, 3.0)))
+
+
+def _with_zero_coupling(op: InvariantOperator) -> InvariantOperator:
+    """The same fibers through the dense path: a zero coupling adds only zeros."""
+    terms = {ja: c for ja, c in op.terms}
+    twin = InvariantOperator.build(
+        op.base, op.n, terms, couplings={(0,) * op.n: {(0, 0): 0.0}}, s=op.sobolev[0]
+    )
+    return order_reduction(twin) if op.reduction is not None else twin
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["raw", "reduced"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diagonal_fibers_equal_the_lapack_path(n, reduced):
+    rng = np.random.default_rng([n, int(reduced), 11])
+    step = 0.25
+    grid = LambdaGrid.build(n, window=2 * step if n == 3 else 1.0, step=step)
+    # random shifts, and ones that zero a fiber at a node exactly
+    zeros = [None, None, None, (step,) + (0.0,) * (n - 1), (-2 * step,) * n]
+    for zero_at in zeros:
+        op = _real_circle_operator(rng, n, zero_at)
+        if reduced:
+            op = order_reduction(op)
+        twin = _with_zero_coupling(op)
+        blocks = list(_fiber_chunks(op, grid.nodes, op.reduction))
+        assert all(b.ndim == 2 for b in blocks)
+        dense = np.concatenate(list(_fiber_chunks(twin, grid.nodes, twin.reduction)))
+        assert np.array_equal(parametric._as_matrices(np.concatenate(blocks)), dense)
+        got, want = invertible_parametric(op, grid), invertible_parametric(twin, grid)
+        assert np.array_equal(got.min_sigma, want.min_sigma)
+        assert (got.invertible, got.failing_lambda) == (want.invertible, want.failing_lambda)
+        if zero_at is not None:
+            assert got.min_sigma == 0.0 and not got.invertible
+        spectrum = spectrum_parametric(op, grid, tol=1e-9)
+        assert repr(spectrum) == repr(spectrum_parametric(twin, grid, tol=1e-9))
+        assert symbol_restriction_check(op) == symbol_restriction_check(twin)
+        for lam in grid.nodes[:: max(1, len(grid.nodes) // 4)]:
+            assert np.array_equal(fiber(op, lam), fiber(twin, lam))
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_only_real_diagonal_fibers_skip_lapack(monkeypatch):
+    svd = _count_calls(monkeypatch, "svd")
+    eigvalsh = _count_calls(monkeypatch, "eigvalsh")
+    grid = LambdaGrid.build(1, window=1.0, step=0.25)
+    real = InvariantOperator.shifted_laplacian(CircleBase(3), n=1, shift=1.0)
+
+    def fiber_stacks():  # the symbol sweep's SVD is over directions, not nodes
+        return [shape for shape in svd if shape[0] == len(grid.nodes)]
+
+    invertible_parametric(real, grid)
+    spectrum_parametric(real, grid)
+    assert fiber_stacks() == [] and eigvalsh == []
+    complex_coeff = InvariantOperator.build(
+        CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0, (0, (0,)): 1.0 + 0.5j}
+    )
+    coupled = InvariantOperator.build(
+        CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0, (0, (0,)): 1.0},
+        couplings={(0,): {(1, -1): 0.25, (-1, 1): 0.25}},
+    )
+    graph = InvariantOperator.shifted_laplacian(path_graph(4), n=1, shift=1.0)
+    for op in (complex_coeff, coupled, graph):
+        svd.clear()
+        invertible_parametric(op, grid)
+        assert fiber_stacks() == [(len(grid.nodes), op.base.dim, op.base.dim)]
+    for op in (coupled, graph):
+        eigvalsh.clear()
+        spectrum_parametric(op, grid)
+        assert eigvalsh == [(len(grid.nodes), op.base.dim, op.base.dim)]
+
+
 def test_parametric_memory_follows_the_chunk_not_the_grid():
     op = InvariantOperator.shifted_laplacian(CircleBase(8), n=1, shift=1.0)
     peaks = []

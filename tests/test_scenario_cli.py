@@ -195,6 +195,37 @@ def test_report_shape_and_stable_bytes():
     ]
 
 
+def _generated_reports():
+    """Smoke-size reports of every benchmark workload, generated from a fixed seed."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return [
+        run_scenario(parse_scenario(case.text))
+        for workload in WORKLOADS.values()
+        for case in workload.generate(2026, smoke=True)
+    ]
+
+
+_ODD_REPORTS = [
+    {"esc\"ape\\\n\t\u0001": "caf\u00e9 \u2603 \ud83d\ude00", "\u00fcber": [], "z": {}, "a": None},
+    {"ints": [[1, 2.0], [3.0, 4.0]], "bools": [[True, 1.0]], "nested": [[[1.0]]]},
+    {"empty-inner": [[]], "one-empty": [[1.0], []], "uneven": [[1.0, 2.0, 3.0], [4.0]]},
+    {"special": [[float("nan"), float("inf")], [-float("inf"), -0.0]], "x": [-0.0, 1e-300]},
+    {"tuples": ((1.0, 2.0), [3.0]), "mixed": [[0.5, 1.5], (2.5, 3.5)], "deep": {"p": [[1e300]]}},
+    [], {}, [[1.0]], 1.5, "text", [{"a": [[2.0, -3.0]]}, [[]], []],
+]
+
+
+def test_report_text_is_json_dumps_with_indent_2():
+    reports = [run_scenario(load_scenario(str(SCENARIOS / name))) for name in FIXTURES]
+    reports += _generated_reports() + _ODD_REPORTS
+    for report in reports:
+        assert report_text(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def test_off_grid_member_does_not_make_a_family_exhausting():
     # one evaluation at 1/2 on the grid {0, 1}: it sees neither grid point,
     # so the family is not exhausting, and the union {2.5} of a with

@@ -15,6 +15,7 @@ from specfam.spectral import (
     DEFAULT_RESOLUTION,
     SampledFunction,
     SpectrumSet,
+    _distinct,
     as_matrix,
     eig_normal,
     func_calc,
@@ -264,6 +265,19 @@ def test_commutator_beyond_the_float_limit_still_decides_normality():
             assert np.array_equal(w, expected[0]) and np.array_equal(v, expected[1]), (name, k)
 
 
+def test_normal_input_near_the_float_limit_stays_finite():
+    # m + m* overflows here although m and its eigenvalues are finite: the
+    # general path forms h and k from m / 2^e, the near-self-adjoint path
+    # halves before adding
+    w, v = normal_eigensystem(np.array([[1e308, 1e308], [-1e308, 1e308]]))
+    assert np.allclose(w, [1e308 - 1e308j, 1e308 + 1e308j], rtol=1e-15, atol=0.0)
+    assert op_norm(v.conj().T @ v - np.eye(2)) <= 1e-15
+    h = np.array([[1e308, 1e308], [1e308, -1e308]])
+    w, v = normal_eigensystem(h + 1e295j * np.eye(2))
+    assert np.allclose(w, [-np.sqrt(2) * 1e308, np.sqrt(2) * 1e308], rtol=1e-15, atol=0.0)
+    assert op_norm(v.conj().T @ v - np.eye(2)) <= 1e-15
+
+
 def _other_inputs():
     """Non-normal, near-self-adjoint and normal non-self-adjoint matrices."""
     rng = np.random.RandomState(47)
@@ -312,6 +326,28 @@ def test_spectrum_canonical_order_independent_and_idempotent():
 def test_spectrum_canonical_collapses_duplicates_at_zero_resolution():
     s = SpectrumSet.canonical([1.0, 1.0, 2.0], resolution=0.0)
     assert s.points == (1.0 + 0j, 2.0 + 0j)
+
+
+def test_canonical_real_axis_path_equals_the_general_loop():
+    # a power of two, so that gaps of exactly the resolution occur
+    rng = np.random.default_rng(31)
+    resolution = 2.0**-10
+    for trial in range(300):
+        size = int(rng.integers(0, 14))
+        pool = [-1.0, -0.0, 0.0, 0.5, 0.5 + resolution / 2, 0.5 + resolution, 2.0]
+        if trial % 3 == 0:  # clusters, exact repeats and both zeros
+            values = rng.choice(pool, size)
+        elif trial % 3 == 1:  # gaps inside, at and outside the radius
+            values = np.cumsum(rng.choice([0.9, 1.0, 1.1, 3.0], size) * resolution)
+        else:  # well separated
+            values = rng.permutation(np.arange(size) * 0.25 - 1.0)
+        values = np.asarray(values, dtype=float)
+        want = SpectrumSet.canonical(values.tolist(), resolution, truncated=True)
+        for got in (
+            SpectrumSet.canonical(values, resolution, truncated=True),
+            SpectrumSet.canonical(_distinct(values), resolution, truncated=True),
+        ):
+            assert repr(got) == repr(want), values
 
 
 def test_spectrum_union_propagates_truncation():
