@@ -25,7 +25,8 @@ when it clears max(resolution, lipschitz * grid_step); anything less is
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -38,10 +39,11 @@ from .models import (
     Representation,
     ToeplitzElement,
     ToeplitzModel,
+    _images,
     enum_prim,
     rep_apply,
 )
-from .spectral import DEFAULT_RESOLUTION, SpectrumSet, eig_normal, union_spectra
+from .spectral import DEFAULT_RESOLUTION, SpectrumSet, eig_normal
 
 _SLACK = 1e-9
 
@@ -68,6 +70,20 @@ class RepFamily:
                 acts = c is not None and 0 <= m.block < len(c.blocks)
             if not acts:
                 raise ValueError(f"member {m.label} does not act on this model")
+
+    @cached_property
+    def _cover(self) -> tuple[Representation, ...]:
+        """The primitive points outside every member's support closure, in order.
+
+        The cover runs once per family: it is kept on the family, so every
+        check and query on the family reads the same one.
+        """
+        return _uncovered(self)
+
+    @cached_property
+    def _checks(self) -> tuple[CheckResult, CheckResult, CheckResult]:
+        """The full, exhausting and faithful verdicts, once per family."""
+        return _verdicts(self)
 
 
 @dataclass(frozen=True)
@@ -117,32 +133,51 @@ class FamilyReport:
 # member images
 
 
+def _member_images(
+    members: tuple[Representation, ...], a: Element
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(member positions, stack) per image shape.
+
+    Evaluations and block compressions come from one _images pass;
+    characters and the section ladder are applied one member at a time
+    and stacked by shape.
+    """
+    func = [i for i, m in enumerate(members) if m.kind in ("eval", "block")]
+    stacks = [(np.array(func)[pos], s) for pos, s in _images([members[i] for i in func], a)]
+    symbol: dict[tuple[int, ...], list] = {}
+    for i, member in enumerate(members):
+        if member.kind not in ("eval", "block"):
+            image = rep_apply(member, a)
+            symbol.setdefault(image.shape, []).append((i, image))
+    stacks += [(np.array([i for i, _ in g]), np.stack([m for _, m in g])) for g in symbol.values()]
+    return stacks
+
+
 def _member_values(
     members: tuple[Representation, ...], a: Element
 ) -> list[tuple[float, float]]:
     """(norm, sigma_min) of each member's image of the element.
 
-    Images of equal shape go through one batched SVD.  The section-ladder
-    member takes both values from the ladder sweep instead: the norm is
-    the largest section norm, sigma_min the top section's smallest
-    singular value.  An empty image counts as (0, 0).
+    Each stack of equal-shape images goes through one batched SVD.  The
+    section-ladder member takes both values from the ladder sweep instead:
+    the norm is the largest section norm, sigma_min the top section's
+    smallest singular value.  An empty image counts as (0, 0).
     """
     out = [(0.0, 0.0)] * len(members)
-    by_shape: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
+    rest = []
     for i, member in enumerate(members):
-        if member.kind == "toeplitz-identity":
-            if not isinstance(a, ToeplitzElement):
-                raise IncompatibleModel("the section ladder applies to symbol-model elements")
+        if member.kind != "toeplitz-identity":
+            rest.append(i)
+        elif not isinstance(a, ToeplitzElement):
+            raise IncompatibleModel("the section ladder applies to symbol-model elements")
+        else:
             est, sigma = a._section_sweep
             out[i] = (est.value, sigma)
-            continue
-        m = rep_apply(member, a)
-        if m.size:
-            by_shape.setdefault(m.shape, []).append((i, m))
-    for group in by_shape.values():
-        svals = np.linalg.svd(np.stack([m for _, m in group]), compute_uv=False)
-        for (i, _), s in zip(group, svals):
-            out[i] = (float(s[0]), float(s[-1]))
+    for pos, stack in _member_images(tuple(members[i] for i in rest), a):
+        if stack.size:
+            svals = np.linalg.svd(stack, compute_uv=False)
+            for i, top, low in zip(pos.tolist(), svals[:, 0].tolist(), svals[:, -1].tolist()):
+                out[rest[i]] = (top, low)
     return out
 
 
@@ -205,16 +240,16 @@ def _member_supports(family: RepFamily, prims: tuple[Representation, ...]) -> se
     return covered
 
 
-def _uncovered(family: RepFamily) -> list[Representation]:
+def _uncovered(family: RepFamily) -> tuple[Representation, ...]:
     """Primitive points outside every member's support closure, in order."""
     prims = enum_prim(family.model)
     covered = _member_supports(family, prims)
-    return [p for p in prims if p.label not in covered]
+    return tuple(p for p in prims if p.label not in covered)
 
 
 def check_full(family: RepFamily) -> CheckResult:
     """Exact support cover of the enumerated primitive points."""
-    uncovered = _uncovered(family)
+    uncovered = family._cover
     if uncovered:
         return CheckResult(False, uncovered[0].label, "uncovered primitive point")
     return CheckResult(True)
@@ -234,7 +269,7 @@ def _tent_label(p: Representation) -> str:
 
 
 def _sparse_point(
-    family: RepFamily, uncovered: list[Representation]
+    family: RepFamily, uncovered: tuple[Representation, ...]
 ) -> Representation | None:
     """First uncovered point farther than one grid step from every evaluation.
 
@@ -267,7 +302,8 @@ def _verdicts(family: RepFamily) -> tuple[CheckResult, CheckResult, CheckResult]
     supports: every uncovered point lies within one grid step of an
     evaluation.  On a symbol model both mean that the section ladder is a
     member, since characters annihilate the corner probe e00.
-    Witnesses name the probe of the first failing point.
+    Witnesses name the probe of the first failing point.  All three read
+    the family's one cover; queries read them through RepFamily._checks.
     """
     full = check_full(family)
     if full.ok:
@@ -276,7 +312,7 @@ def _verdicts(family: RepFamily) -> tuple[CheckResult, CheckResult, CheckResult]
         exhausting = CheckResult(False, "probe:e00", "pi is weakly contained in no member")
         faithful = CheckResult(False, "probe:e00", "nonzero probe annihilated by every member")
         return full, exhausting, faithful
-    uncovered = _uncovered(family)
+    uncovered = family._cover
     first = uncovered[0]
     exhausting = CheckResult(
         False, _tent_label(first), f"{first.label} is weakly contained in no member"
@@ -307,7 +343,7 @@ def _probe_labels(model, probes: tuple[Element, ...]) -> tuple[str, ...]:
 def family_report(family: RepFamily, probes: tuple[Element, ...] = ()) -> FamilyReport:
     """All three verdicts from one primitive-point cover; the user elements
     in probes add their labels to probes_used and change no verdict."""
-    full, exhausting, faithful = _verdicts(family)
+    full, exhausting, faithful = family._checks
     return FamilyReport(
         label=family.label,
         faithful=faithful.ok,
@@ -375,7 +411,7 @@ def invertible_via_family(
         raise ValueError("the uniform inverse bound must be positive")
     sigma = min(s for _, s in _member_values(family.members, a))
     threshold = invertibility_threshold(a, tol)
-    _, exhausting, faithful = _verdicts(family)
+    _, exhausting, faithful = family._checks
 
     def route(check: CheckResult, grade: str, invertible: bool) -> dict:
         if check.ok:
@@ -410,20 +446,19 @@ def direct_invertible(a: AlgebraElement, tol: float = DEFAULT_RESOLUTION) -> Dir
     """Certified direct invertibility over a midpoint-refined grid."""
     if not isinstance(a, AlgebraElement):
         raise UnsupportedModel("direct invertibility applies to function-model elements")
-    bps = list(a.breakpoints)
+    bps = np.asarray(a.breakpoints)
     space = a.model.space
     if space.kind == "discrete":
         pts = bps
         gap = 0.0
     else:
-        mids = [(s + t) / 2.0 for s, t in zip(bps, bps[1:])]
-        pts = sorted(bps + mids)
-        gap = max((t - s for s, t in zip(pts, pts[1:])), default=0.0)
+        pts = np.empty(2 * len(bps) - 1)
+        pts[0::2], pts[1::2] = bps, (bps[:-1] + bps[1:]) / 2.0
+        gap = float(np.diff(pts).max(initial=0.0))
         if space.kind == "circle":
-            pts.append((bps[-1] + 1.0) / 2.0)
+            pts = np.append(pts, (bps[-1] + 1.0) / 2.0)
             gap = max(gap, 1.0 - bps[-1])
-    members = tuple(Representation.eval_point(t) for t in pts)
-    sigma = min(sigma for _, sigma in _member_values(members, a))
+    sigma = float(np.linalg.svd(a.values_at(pts), compute_uv=False)[:, -1].min())
     margin = sigma - a.lipschitz_bound * gap / 2.0
     return DirectCheck(margin > tol, sigma, margin)
 
@@ -439,15 +474,34 @@ def spectrum_union(
 
     Under an exhausting certificate the union equals the spectrum; under
     a faithful certificate it is dense in it.  Each member image must be
-    normal (eig_normal enforces this fiberwise).
+    normal (eig_normal enforces this fiberwise).  Images equal to their
+    adjoint entry for entry and not all zero are normal by construction:
+    each stack of them goes through one batched eigh.  Every other image
+    goes through eig_normal, in member order, so the first member that is
+    not normal raises.  The union is the canonical set of the members'
+    canonical spectra, taken in member order.
     """
-    parts = []
-    for member in family.members:
-        part = eig_normal(rep_apply(member, a), tol)
-        if member.kind == "toeplitz-identity":
-            part = replace(part, truncated=True)
-        parts.append(part)
-    return union_spectra(parts, resolution=tol)
+    spectra: list = [()] * len(family.members)
+    rest = []
+    for pos, stack in _member_images(family.members, a):
+        plain = (stack == stack.conj().swapaxes(1, 2)).all(axis=(1, 2)) & stack.any(axis=(1, 2))
+        if plain.any():
+            try:
+                w = np.sort(np.linalg.eigh(stack[plain])[0], axis=1, kind="stable")
+            except np.linalg.LinAlgError:
+                plain[:] = False  # eig_normal below names the member
+            else:
+                close = (np.diff(w, axis=1) <= tol).any(axis=1)
+                for i, row, merge in zip(pos[plain].tolist(), w, close.tolist()):
+                    spectra[i] = SpectrumSet.canonical(row, tol).points if merge else row
+        rest += zip(pos[~plain].tolist(), stack[~plain])
+    for i, image in sorted(rest, key=lambda r: r[0]):
+        spectra[i] = eig_normal(image, tol).points
+    points = np.concatenate([np.zeros(0, dtype=complex), *map(np.asarray, spectra)])
+    if not (points.imag.any() or np.signbit(points.imag).any()):
+        points = points.real
+    truncated = any(m.kind == "toeplitz-identity" for m in family.members)
+    return SpectrumSet.canonical(points, tol, truncated)
 
 
 @dataclass(frozen=True)

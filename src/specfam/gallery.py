@@ -7,6 +7,8 @@ object, member order included.
 
 from __future__ import annotations
 
+import math
+
 from .errors import UnsupportedModel
 from .models import (
     BaseSpace,
@@ -38,6 +40,11 @@ FAMILY_GENERATORS = (
 )
 
 
+# The most dense matrix entries a gallery model may hold: grid points x d^2
+# on a function model, max(top section^2, characters) on the symbol model.
+MAX_DENSE_ENTRIES = 2**20
+
+
 def build_model(name: str, **params):
     """Gallery model by name.
 
@@ -47,32 +54,56 @@ def build_model(name: str, **params):
     circle-scalar:   scalar fibers on the circle      (params: step)
     discrete:        finite base                      (params: points, dim)
     toeplitz:        symbol plus corner corrections   (params: theta_count, sections)
+
+    A model that would hold more than MAX_DENSE_ENTRIES dense entries is
+    refused before anything is allocated.
     """
     if name == "interval-matrix":
         step = float(params.pop("step", 1.0 / 8))
         dim = int(params.pop("dim", 2))
         at = float(params.pop("constraint_point", 1.0))
         _reject_extras(name, params)
+        _admit(name, _grid_points(step, 1) * max(dim, 0) ** 2)
         return FunctionModel(BaseSpace.interval(step), BlockStructure.diagonal_at(dim, at))
     if name == "interval-scalar":
         step = float(params.pop("step", 1.0 / 8))
         _reject_extras(name, params)
+        _admit(name, _grid_points(step, 1))
         return FunctionModel(BaseSpace.interval(step), BlockStructure.unconstrained(1))
     if name == "circle-scalar":
         step = float(params.pop("step", 1.0 / 8))
         _reject_extras(name, params)
+        _admit(name, _grid_points(step, 0))
         return FunctionModel(BaseSpace.circle(step), BlockStructure.unconstrained(1))
     if name == "discrete":
         points = int(params.pop("points", 4))
         dim = int(params.pop("dim", 2))
         _reject_extras(name, params)
+        _admit(name, max(points, 0) * max(dim, 0) ** 2)
         return FunctionModel(BaseSpace.discrete(points), BlockStructure.unconstrained(dim))
     if name == "toeplitz":
         theta_count = int(params.pop("theta_count", 16))
-        sections = params.pop("sections", (8, 16, 32, 64, 128))
+        sections = tuple(int(n) for n in params.pop("sections", (8, 16, 32, 64, 128)))
         _reject_extras(name, params)
-        return ToeplitzModel.standard(theta_count, tuple(int(n) for n in sections))
+        _admit(name, max(max((*sections, 0)) ** 2, theta_count))
+        return ToeplitzModel.standard(theta_count, sections)
     raise UnsupportedModel(f"unknown gallery model {name!r}")
+
+
+def _grid_points(step: float, ends: int) -> float:
+    """Grid points at this step: ceil(1/step) plus ends (0 on the circle); 0 off (0, 1]."""
+    if not 0.0 < step <= 1.0:
+        return 0.0  # the space itself refuses the step
+    per = 1.0 / step - 1e-12
+    return (math.ceil(per) if per < 2.0**53 else per) + ends
+
+
+def _admit(name: str, entries: float):
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"model {name!r} would hold {entries:.4g} dense matrix entries, "
+            f"above the cap of {MAX_DENSE_ENTRIES} (2^20)"
+        )
 
 
 def _reject_extras(name: str, params: dict):

@@ -13,12 +13,12 @@ Two model families are supported:
   the circle characters of the symbol.
 
 Representations are lightweight tagged values; rep_apply turns
-(representation, element) into a concrete matrix.
+(representation, element) into a concrete matrix, and _images turns many
+evaluation and block members into stacked images at once.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -34,6 +34,11 @@ _CONSTRAINT_TOL = 1e-12
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _first(points, bad: np.ndarray):
+    """The first of the points flagged bad, as the caller gave it."""
+    return np.asarray(points, dtype=object).reshape(-1)[int(np.argmax(bad))]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +152,18 @@ class FunctionModel:
     def fiber_dim(self) -> int:
         return self.structure.fiber_dim
 
+    @cached_property
+    def _prims(self) -> tuple[Representation, ...]:
+        """enum_prim's list: an evaluation per grid point, or its block compressions."""
+        out: list[Representation] = []
+        for t in self.space.sample_grid:
+            c = self.structure.constraint_at(t)
+            if c is None:
+                out.append(Representation.eval_point(t))
+            else:
+                out += [Representation.block_eval(t, i) for i in range(len(c.blocks))]
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class ToeplitzModel:
@@ -162,6 +179,12 @@ class ToeplitzModel:
             raise ValueError("section sizes must be positive")
         if list(self.section_sizes) != sorted(self.section_sizes):
             raise ValueError("section sizes must be nondecreasing")
+
+    @cached_property
+    def _prims(self) -> tuple[Representation, ...]:
+        """enum_prim's list: the section ladder, then a character per angle."""
+        chars = tuple(Representation.toeplitz_character(th) for th in self.thetas)
+        return (Representation.toeplitz_identity(), *chars)
 
     @classmethod
     def standard(cls, theta_count: int = 16, sections: Sequence[int] = (8, 16, 32, 64, 128)) -> "ToeplitzModel":
@@ -299,32 +322,63 @@ class AlgebraElement(_Reflected):
 
     # -- evaluation --------------------------------------------------------
 
-    def value_at(self, t: float) -> np.ndarray:
-        space = self.model.space
-        bps = self.breakpoints
-        if space.kind == "discrete":
-            for b, m in zip(bps, self.matrices):
-                if abs(t - b) <= 1e-9:
-                    return m
-            raise IncompatibleModel(f"{t!r} is not a point of the discrete base space")
-        if space.kind == "interval":
-            if not (-_POINT_TOL <= t <= 1.0 + _POINT_TOL):
-                raise IncompatibleModel(f"evaluation point {t!r} outside [0, 1]")
-            t = min(max(t, bps[0]), bps[-1])
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Breakpoints and matrices as read-only arrays, built once per element."""
+        bps, stack = np.asarray(self.breakpoints), np.stack(self.matrices)
+        bps.setflags(write=False)
+        stack.setflags(write=False)
+        return bps, stack
+
+    def values_at(self, points) -> np.ndarray:
+        """Values at many points as one (k, d, d) stack, with one searchsorted.
+
+        A point within 1e-12 of a breakpoint takes its matrix; any other
+        lerps between its two neighbours.  On a discrete base a point takes
+        the first matrix whose breakpoint lies within 1e-9, and raises if
+        there is none; an interval point is checked against [0, 1] within
+        1e-12 and then clamped; a circle point is taken mod 1, and past the
+        last breakpoint it lerps towards the first, at 1 == 0, unsnapped.
+        The first point that fails raises.
+        """
+        t = np.array(points, dtype=float).reshape(-1)
+        bps, stack = self._knots
+        n, kind = len(bps), self.model.space.kind
+        if kind == "discrete":
+            # the breakpoints within 1e-9 of t are one run: step down to its first
+            j = np.minimum(np.searchsorted(bps, t), n - 1)
+            while (down := (j > 0) & (np.abs(t - bps[j - 1]) <= 1e-9)).any():
+                j = j - down
+            bad = np.abs(t - bps[j]) > 1e-9
+            if bad.any():
+                raise IncompatibleModel(
+                    f"{_first(points, bad)!r} is not a point of the discrete base space"
+                )
+            return stack[j]
+        if kind == "interval":
+            bad = ~((-_POINT_TOL <= t) & (t <= 1.0 + _POINT_TOL))
+            if bad.any():
+                raise IncompatibleModel(f"evaluation point {_first(points, bad)!r} outside [0, 1]")
+            t = np.minimum(np.maximum(t, bps[0]), bps[-1])
         else:  # circle
             t = t % 1.0
-            if t > bps[-1]:
-                # wrap segment between the last breakpoint and 0 == 1
-                w = (t - bps[-1]) / (1.0 - bps[-1])
-                return (1.0 - w) * self.matrices[-1] + w * self.matrices[0]
-        j = bisect.bisect_left(bps, t)
-        if j < len(bps) and abs(bps[j] - t) <= _POINT_TOL:
-            return self.matrices[j]
-        if j > 0 and abs(bps[j - 1] - t) <= _POINT_TOL:
-            return self.matrices[j - 1]
-        lo, hi = bps[j - 1], bps[j]
-        w = (t - lo) / (hi - lo)
-        return (1.0 - w) * self.matrices[j - 1] + w * self.matrices[j]
+        # j == n only past the last breakpoint of a circle: the wrap segment
+        j = np.searchsorted(bps, t)
+        k = np.minimum(j, n - 1)
+        upper = np.abs(bps[k] - t) <= _POINT_TOL
+        lower = np.abs(bps[j - 1] - t) <= _POINT_TOL
+        mid = (j == n) | ~(upper | lower)
+        out = stack[np.where(upper, k, j - 1)]
+        if mid.any():
+            j, t = j[mid], t[mid]
+            lo, hi = bps[j - 1], np.append(bps, 1.0)[j]
+            w = ((t - lo) / (hi - lo))[:, None, None]
+            out[mid] = (1.0 - w) * stack[j - 1] + w * stack[j % n]
+        return out
+
+    def value_at(self, t: float) -> np.ndarray:
+        """The value at one point: values_at's one-point view."""
+        return self.values_at((t,))[0]
 
     def sup_bound(self) -> float:
         """Certified upper bound for the sup norm over the base space."""
@@ -339,15 +393,11 @@ class AlgebraElement(_Reflected):
 
     # -- algebra -----------------------------------------------------------
 
-    def _aligned(self, other: "AlgebraElement") -> tuple[tuple[float, ...], list, list]:
+    def _aligned(self, other: "AlgebraElement") -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
         if other.model is not self.model and other.model != self.model:
             raise IncompatibleModel("elements live on different models")
         bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return (
-            tuple(bps),
-            [self.value_at(t) for t in bps],
-            [other.value_at(t) for t in bps],
-        )
+        return tuple(bps), self.values_at(bps), other.values_at(bps)
 
     def adjoint(self) -> "AlgebraElement":
         mats = tuple(m.conj().T for m in self.matrices)
@@ -606,26 +656,53 @@ class Representation:
         return cls("toeplitz-character", theta=float(theta), label=f"chi({_fmt(float(theta))})")
 
 
-def rep_apply(rep: Representation, a: Element) -> np.ndarray:
-    """Matrix image of the element under the representation.
+def _images(members: Sequence[Representation], a: Element) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Images of the element under evaluation and block members, as
+    (member positions, stack) per image shape.
 
-    For the finite-section ladder this is the element's largest section;
-    TruncationTooSmall if it cannot hold the correction.
+    All members read one values_at lookup over their points; a block
+    image is its evaluation compressed to the block.  The first member
+    that does not act on the element raises.
     """
-    if rep.kind in ("eval", "block"):
+    points, groups = [], {}
+    for i, rep in enumerate(members):
         if not isinstance(a, AlgebraElement):
             raise IncompatibleModel(f"{rep.label} applies to function-model elements")
+        block = None  # the whole fiber
         if rep.kind == "eval":
             if not a.model.space.contains(rep.point):
                 raise IncompatibleModel(f"point {rep.point!r} outside the base space")
-            return a.value_at(rep.point)
-        c = a.model.structure.constraint_at(rep.point)
-        if c is None:
-            raise IncompatibleModel(f"no block constraint at {rep.point!r}")
-        if not 0 <= rep.block < len(c.blocks):
-            raise IncompatibleModel(f"block index {rep.block} out of range at {rep.point!r}")
-        idx = list(c.blocks[rep.block])
-        return a.value_at(rep.point)[np.ix_(idx, idx)]
+        else:
+            c = a.model.structure.constraint_at(rep.point)
+            if c is None:
+                raise IncompatibleModel(f"no block constraint at {rep.point!r}")
+            if not 0 <= rep.block < len(c.blocks):
+                raise IncompatibleModel(f"block index {rep.block} out of range at {rep.point!r}")
+            block = c.blocks[rep.block]
+        groups.setdefault(block, []).append((i, len(points)))
+        points.append(rep.point)
+    values = a.values_at(points) if points else None
+    shapes: dict[int, list] = {}
+    for block, pairs in groups.items():
+        pos, ks = np.array(pairs).T
+        image = values[ks] if block is None else values[np.ix_(ks, block, block)]
+        shapes.setdefault(image.shape[-1], []).append((pos, image))
+    return [
+        (np.concatenate([pos for pos, _ in same]), np.concatenate([m for _, m in same]))
+        for same in shapes.values()
+    ]
+
+
+def rep_apply(rep: Representation, a: Element) -> np.ndarray:
+    """Matrix image of the element under the representation.
+
+    An evaluation or block image is the one-member view of _images.  For
+    the finite-section ladder this is the element's largest section;
+    TruncationTooSmall if it cannot hold the correction.
+    """
+    if rep.kind in ("eval", "block"):
+        ((_, stack),) = _images((rep,), a)
+        return stack[0]
     if rep.kind == "toeplitz-character":
         if not isinstance(a, ToeplitzElement):
             raise IncompatibleModel("characters apply to symbol-model elements")
@@ -646,20 +723,11 @@ def enum_prim(model) -> tuple[Representation, ...]:
 
     Each is a primitive point (the kernel of the representation).  Every
     point is closed except the section ladder pi, whose closure is the
-    whole dual: that is what makes a single-member family complete.
+    whole dual: that is what makes a single-member family complete.  The
+    list is built once per model and kept on it.
     """
-    if isinstance(model, FunctionModel):
-        out: list[Representation] = []
-        for t in model.space.sample_grid:
-            c = model.structure.constraint_at(t)
-            if c is None:
-                out.append(Representation.eval_point(t))
-            else:
-                out += [Representation.block_eval(t, i) for i in range(len(c.blocks))]
-        return tuple(out)
-    if isinstance(model, ToeplitzModel):
-        chars = tuple(Representation.toeplitz_character(th) for th in model.thetas)
-        return (Representation.toeplitz_identity(), *chars)
+    if isinstance(model, (FunctionModel, ToeplitzModel)):
+        return model._prims
     raise UnsupportedModel(f"cannot enumerate primitive points of {type(model).__name__}")
 
 
@@ -683,12 +751,7 @@ def elem_norm(a: Element) -> NormEstimate:
     """Sup norm over the sample grid with its certified error bar."""
     if isinstance(a, ToeplitzElement):
         return toeplitz_norm(a)
-    grid = a.model.space.sample_grid
-    if a.breakpoints == grid:
-        stack = np.stack(a.matrices)
-    else:
-        stack = np.stack([a.value_at(t) for t in grid])
-    vals = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    vals = np.linalg.svd(a.values_at(a.model.space.sample_grid), compute_uv=False)[:, 0]
     bar = a.lipschitz_bound * a.model.space.grid_step / 2.0
     return NormEstimate(float(np.max(vals)), float(bar))
 

@@ -35,6 +35,29 @@ class _InfiniteFiber:
 INFINITE = _InfiniteFiber()
 
 
+def _check_self_adjoint(stack: np.ndarray) -> None:
+    """Raise for the first fiber of an (m, d, d) stack that is not finite or
+    not self-adjoint: max |f - f*| must stay within 1e-10 * max(1, max |f|).
+
+    The checks run over the whole stack, a 1 MiB slice at a time.
+    """
+    step = max(1, 2**16 // max(1, stack[0].size))
+    for start in range(0, len(stack), step):
+        part = stack[start : start + step]
+        finite = np.isfinite(part).all(axis=(1, 2))
+        head = part if finite.all() else part[: int(np.argmin(finite))]
+        scale = np.maximum(1.0, np.abs(head).max(axis=(1, 2)))
+        gap = np.abs(head - head.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        bad = gap > _SELFADJOINT_TOL * scale
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NotSelfAdjoint(
+                f"fiber is not self-adjoint (asymmetry {gap[i]:.3e} at scale {scale[i]:.3e})"
+            )
+        if len(head) < len(part):
+            raise ValueError("matrix entries must be finite")
+
+
 @dataclass(frozen=True)
 class Observable:
     """Fiberwise presentation of a self-adjoint observable."""
@@ -48,18 +71,11 @@ class Observable:
             raise ValueError("an observable needs at least one fiber")
         checked = []
         for f in self.fibers:
-            if f is INFINITE:
-                checked.append(f)
-                continue
-            m = as_matrix(f)
-            scale = max(1.0, float(np.abs(m).max()))
-            gap = float(np.abs(m - m.conj().T).max())
-            if gap > _SELFADJOINT_TOL * scale:
-                raise NotSelfAdjoint(
-                    f"fiber is not self-adjoint (asymmetry {gap:.3e} at scale {scale:.3e})"
-                )
-            m.setflags(write=False)
-            checked.append(m)
+            if f is not INFINITE:
+                f = as_matrix(f)
+                _check_self_adjoint(f[None])
+                f.setflags(write=False)
+            checked.append(f)
         object.__setattr__(self, "fibers", tuple(checked))
 
     @classmethod

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .families import (
     RepFamily,
+    _member_images,
     direct_invertible,
     family_report,
     fredholm_via_family,
@@ -44,9 +45,14 @@ from .models import (
     ToeplitzElement,
     ToeplitzModel,
     elem_norm,
-    rep_apply,
 )
-from .observables import Observable, _fiber_points, spec_observable, spec_union_observable
+from .observables import (
+    Observable,
+    _check_self_adjoint,
+    _fiber_points,
+    spec_observable,
+    spec_union_observable,
+)
 from .parametric import (
     CircleBase,
     GraphBase,
@@ -685,16 +691,19 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
         parts = []
         for block in _fiber_chunks(op, _q_grid(q, op).nodes, op.reduction):
             block = _as_matrices(block)
-            Observable.fibered(block)  # raises NotSelfAdjoint on a bad fiber
+            _check_self_adjoint(block)
             parts.append(_fiber_points(block, tol)[0])
         return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True).as_dict()
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
-    members = []
-    for m in fam.members:
-        image = rep_apply(m, a)
-        truncated = m.kind == "toeplitz-identity"
-        members.append(Observable.fibered([image], truncated=truncated))
+    images: list = [None] * len(fam.members)
+    for pos, stack in _member_images(fam.members, a):
+        for i, image in zip(pos.tolist(), stack):
+            images[i] = image
+    members = [
+        Observable.fibered([image], truncated=m.kind == "toeplitz-identity")
+        for m, image in zip(fam.members, images)
+    ]
     return spec_union_observable(members, tol).as_dict()
 
 

@@ -1,6 +1,7 @@
 """Family checks, invertibility routes, spectra through families."""
 
 import dataclasses
+import functools
 import gc
 import random
 import weakref
@@ -14,6 +15,11 @@ import specfam.families
 import specfam.models
 from specfam import (
     AlgebraElement,
+    BaseSpace,
+    BlockConstraint,
+    BlockStructure,
+    FunctionModel,
+    NotNormal,
     Representation,
     RepFamily,
     SpectrumSet,
@@ -33,11 +39,13 @@ from specfam import (
     rep_apply,
     spectrum_union,
     toeplitz_norm,
+    union_spectra,
 )
 
 from specfam.families import _member_values, _uncovered, _verdicts
 from specfam.models import enum_prim
 from specfam.scenario import load_scenario, parse_scenario, run_scenario
+from specfam.spectral import eig_normal
 from util import (
     counterexample_element,
     matrix_model,
@@ -115,24 +123,40 @@ def test_member_norm_uses_ladder_for_section_member():
     assert member_norm(Representation.toeplitz_character(0.0), s) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("kind", ["eval-grid+block", "toeplitz-all"])
+@pytest.mark.parametrize("kind", ["eval-grid+block", "toeplitz-all", "blocks-only", "circle"])
 def test_member_values_match_per_member_svd(kind):
     # mixed image shapes: 2x2 evaluations with a 1x1 block, or the section
-    # ladder with 1x1 characters; every value against a lone dense SVD
+    # ladder with 1x1 characters; block members alone; circle evaluations
+    # on and off the grid, the wrap segment included; every value against
+    # a lone dense SVD of the member's image
     if kind == "toeplitz-all":
         model = build_model("toeplitz", theta_count=8, sections=(4, 8, 16))
         a = ToeplitzElement.build(
             model, {0: 2.0, 1: 0.5, -1: 0.3j}, correction=np.array([[1.0, 0.2], [0.0, 0.5]])
         )
         fam = build_family(model, "toeplitz-all")
+    elif kind == "circle":
+        model = build_model("circle-scalar", step=1 / 8)
+        a = random_element(model, np.random.RandomState(6))
+        points = (0.0, 0.3, 0.875, 0.9, 0.99, 1.0, 1.25, -0.05)
+        fam = RepFamily(model, tuple(Representation.eval_point(t) for t in points))
     else:
         model = matrix_model()
         a = random_selfadjoint_element(model, np.random.RandomState(5))
-        fam = build_family(model, "eval-grid", exclude_points=[1.0], add_blocks=[(1.0, 1)])
+        if kind == "blocks-only":
+            fam = build_family(model, "blocks-only")
+        else:
+            fam = build_family(model, "eval-grid", exclude_points=[1.0], add_blocks=[(1.0, 1)])
     images = [rep_apply(member, a) for member in fam.members]
-    assert len({m.shape for m in images}) == 2
+    assert len({m.shape for m in images}) == (1 if kind in ("blocks-only", "circle") else 2)
     norms = []
     for member, image, (_, sigma) in zip(fam.members, images, _member_values(fam.members, a)):
+        if member.kind in ("eval", "block"):
+            value = a.value_at(member.point)
+            if member.kind == "block":
+                idx = model.structure.constraint_at(member.point).blocks[member.block]
+                value = value[np.ix_(idx, idx)]
+            assert np.array_equal(image, value)
         svals = np.linalg.svd(image, compute_uv=False)
         ladder = member.kind == "toeplitz-identity"
         norms.append(toeplitz_norm(a).value if ladder else svals[0])
@@ -411,7 +435,7 @@ def test_family_report_builds_no_member_image(monkeypatch):
         return wrapper
 
     for mod in (specfam.models, specfam.families):
-        for name in ("rep_apply", "elem_norm", "toeplitz_norm", "_section_sweep"):
+        for name in ("_images", "rep_apply", "elem_norm", "toeplitz_norm", "_section_sweep"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     for name in dir(np.linalg):
@@ -423,7 +447,7 @@ def test_family_report_builds_no_member_image(monkeypatch):
         family_report(fam, (a,))
     assert calls == []
     member_norm(Representation.eval_point(0.0), counterexample_element(matrix_model()))
-    assert "rep_apply" in calls
+    assert "_images" in calls
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +555,7 @@ queries:
 
 def test_invertible_query_takes_one_image_pass_and_one_cover(monkeypatch):
     # the verdict makes one image pass and one cover; direct_invertible
-    # makes the only other image pass
+    # reads values_at on its own grid and makes no member image
     calls = []
 
     def counting(name, fn):
@@ -540,12 +564,12 @@ def test_invertible_query_takes_one_image_pass_and_one_cover(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_member_values", "check_full"):
+    for name in ("_images", "_uncovered", "check_full"):
         fn = getattr(specfam.families, name)
         monkeypatch.setattr(specfam.families, name, counting(name, fn))
     (result,) = run_scenario(parse_scenario(_SEVEN_BOUNDS))["results"]
     assert len(result["result"]["faithful_route"]) == 7
-    assert sorted(calls) == ["_member_values", "_member_values", "check_full"]
+    assert sorted(calls) == ["_images", "_uncovered", "check_full"]
 
 
 _TOEPLITZ_SCN = Path(__file__).resolve().parent.parent / "scenarios" / "toeplitz-fredholm.scn"
@@ -660,6 +684,197 @@ def test_spectrum_union_marks_ladder_members_truncated():
     assert all(abs(p.imag) <= 1e-9 for p in s.points)
     chars_only = spectrum_union(build_family(model, "toeplitz-chars"), x, tol=1e-9)
     assert not chars_only.truncated
+
+
+def _rotation_element(model):
+    # I + (1 - t) J with J = [[0, -1], [1, 0]]: normal, not self-adjoint
+    # before t = 1, the identity (self-adjoint) at t = 1
+    return AlgebraElement.from_polynomials(
+        model, {(0, 0): [1.0], (1, 1): [1.0], (0, 1): [-1.0, 1.0], (1, 0): [1.0, -1.0]}, label="rot"
+    )
+
+
+def _union_cases():
+    model = matrix_model(1.0 / 16.0)
+    prim = build_family(model, "prim-all")
+    yield prim, random_selfadjoint_element(model, np.random.RandomState(8))
+    yield prim, counterexample_element(model)  # a zero block at t = 1
+    yield prim, _rotation_element(model)
+    yield prim, AlgebraElement.identity(model)  # repeated eigenvalues merge
+    yield build_family(model, "eval-grid", exclude_points=[1.0], add_blocks=[(1.0, 1)]), (
+        counterexample_element(model) * (1.0 - 1.0j)
+    )
+    circle = build_model("circle-scalar", step=1 / 8)
+    points = (0.0, 0.3, 0.9, 0.99, 1.0, -0.05)
+    yield RepFamily(circle, tuple(Representation.eval_point(t) for t in points)), (
+        random_element(circle, np.random.RandomState(9))
+    )
+    disc = build_model("discrete", points=6, dim=2)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    # at resolution 0.3 the members' own merges decide the union: 0.73 keeps 1.0 out
+    mats = (
+        np.zeros((2, 2)), np.diag([1.0, -0.0]), rot,
+        np.diag([1.0, 1.27]), 2.0 * rot + np.eye(2), np.diag([0.73, 5.0]),
+    )
+    yield build_family(disc, "prim-all"), AlgebraElement(disc, disc.space.sample_grid, mats, 0.0)
+    sym = build_model("toeplitz", theta_count=8, sections=(4, 8))
+    yield build_family(sym, "toeplitz-all"), ToeplitzElement.build(sym, {1: 0.5, -1: 0.5})
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 0.3])
+def test_spectrum_union_is_the_union_of_member_spectra(tol):
+    # self-adjoint, zero and normal non-self-adjoint images, against one
+    # eig_normal per member image, point for point and sign for sign
+    for fam, a in _union_cases():
+        parts = []
+        for m in fam.members:
+            part = eig_normal(rep_apply(m, a), tol)
+            parts.append(dataclasses.replace(part, truncated=m.kind == "toeplitz-identity"))
+        want = union_spectra(parts, resolution=tol)
+        assert repr(spectrum_union(fam, a, tol)) == repr(want), fam.label
+
+
+def test_spectrum_union_raises_for_the_first_non_normal_member(monkeypatch):
+    # members 3 and 7 are not normal, with different commutators: member 3
+    # decides the message, also when the batched eigh gives up and every
+    # image is solved on its own in member order
+    model = build_model("discrete", points=9, dim=2)
+    mats = [np.diag([float(k), 1.0]) for k in range(9)]
+    mats[3] = np.array([[0.0, 1.0], [0.0, 0.0]])
+    mats[7] = np.array([[0.0, 5.0], [0.0, 1.0]])
+    a = AlgebraElement(model, model.space.sample_grid, tuple(mats), 0.0)
+    fam = build_family(model, "prim-all")
+    with pytest.raises(NotNormal) as first:
+        eig_normal(mats[3], 1e-9)
+    with pytest.raises(NotNormal) as later:
+        eig_normal(mats[7], 1e-9)
+    assert str(later.value) != str(first.value)
+    with pytest.raises(NotNormal) as got:
+        spectrum_union(fam, a)
+    assert str(got.value) == str(first.value)
+
+    eigh = np.linalg.eigh
+
+    def no_batches(m, *args, **kwargs):
+        if np.ndim(m) > 2:
+            raise np.linalg.LinAlgError("no batches")
+        return eigh(m, *args, **kwargs)
+
+    # across shapes: the 2x2 block (member 1) comes before the 3x3
+    # evaluation (member 2), although the 3x3 stack is the first group
+    struct = BlockStructure(3, (BlockConstraint(1.0, ((0, 1), (2,))),))
+    split = FunctionModel(BaseSpace.interval(0.5), struct)
+    jordan = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    b = AlgebraElement(split, (0.0, 0.5, 1.0), (np.eye(3), 3.0 * jordan.T, jordan), 1.0)
+    members = (
+        Representation.eval_point(0.0), Representation.block_eval(1.0, 0),
+        Representation.eval_point(0.5), Representation.block_eval(1.0, 1),
+    )
+    with pytest.raises(NotNormal) as block:
+        eig_normal(jordan[:2, :2], 1e-9)
+    with pytest.raises(NotNormal) as got:
+        spectrum_union(RepFamily(split, members), b)
+    assert str(got.value) == str(block.value)
+
+    monkeypatch.setattr(np.linalg, "eigh", no_batches)
+    with pytest.raises(NotNormal) as again:
+        spectrum_union(fam, a)
+    assert str(again.value) == str(first.value)
+    for fam, b in _union_cases():
+        parts = [eig_normal(rep_apply(m, b), 1e-9) for m in fam.members]
+        ladder = [m.kind == "toeplitz-identity" for m in fam.members]
+        parts = [dataclasses.replace(p, truncated=t) for p, t in zip(parts, ladder)]
+        assert repr(spectrum_union(fam, b)) == repr(union_spectra(parts, resolution=1e-9))
+
+
+_CERTIFY_SCN = """\
+scenario-version: 1
+model:
+  name: interval-matrix
+  step: 1/16
+elements:
+  - id: f
+    kind: matrix-poly
+    entry 0 0: 1.5 0.25
+    entry 0 1: 0.2 -0.2
+    entry 1 0: 0.2 -0.2
+    entry 1 1: 1.25 -0.75 -0.5
+families:
+  - id: dropped
+    generator: eval-grid
+    exclude-points: 1
+    add-block: 1 0
+  - id: all
+    generator: prim-all
+  - id: sparse
+    generator: coarse
+    stride: 2
+queries:
+  - id: report-dropped
+    kind: family-report
+    family: dropped
+    element: f
+  - id: report-all
+    kind: family-report
+    family: all
+  - id: report-sparse
+    kind: family-report
+    family: sparse
+  - id: paradox
+    kind: invertible
+    family: dropped
+    element: f
+    bounds: 1 10 100
+  - id: honest
+    kind: invertible
+    family: all
+    element: f
+  - id: norm
+    kind: norm
+    family: all
+    element: f
+  - id: spectrum
+    kind: spectrum
+    family: all
+    element: f
+  - id: spectrum-dropped
+    kind: spectrum
+    family: dropped
+    element: f
+"""
+
+
+def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once(monkeypatch):
+    calls = []
+
+    def counting(fn, key):
+        def wrapper(x, *args, **kwargs):
+            calls.append(key(x))
+            return fn(x, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, lambda m: ("eigh", m.shape[-1])))
+    for name in ("_uncovered", "check_full"):
+        fn = getattr(specfam.families, name)
+        monkeypatch.setattr(specfam.families, name, counting(fn, lambda f, n=name: (n, f.label)))
+    model_class = specfam.models.FunctionModel
+    counted = functools.cached_property(counting(model_class._prims.func, lambda _: ("prims",)))
+    counted.__set_name__(model_class, "_prims")
+    monkeypatch.setattr(model_class, "_prims", counted)
+
+    scenario = parse_scenario(_CERTIFY_SCN)
+    calls.clear()  # prim-all built its members from enum_prim while parsing
+    run_scenario(scenario)
+    # two spectrum queries over families with 2x2 and 1x1 images
+    assert sorted(c for c in calls if c[0] == "eigh") == [("eigh", 1)] * 2 + [("eigh", 2)] * 2
+    for name in ("_uncovered", "check_full"):
+        assert sorted(c for c in calls if c[0] == name) == [(name, f) for f in ("all", "dropped", "sparse")]
+    assert ("prims",) not in calls  # built once per model, while parsing
+
+    scenario = parse_scenario(_CERTIFY_SCN.replace("prim-all", "eval-grid"))
+    calls.clear()
+    run_scenario(scenario)
+    assert calls.count(("prims",)) == 1  # three covers and the probe labels share one list
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,93 @@ def test_section_norms_nondecreasing():
             assert b >= a - 1e-12
 
 
+def _reference_value_at(a: AlgebraElement, t: float) -> np.ndarray:
+    """The one-point evaluation rule, written out point by point."""
+    bps, mats = a.breakpoints, a.matrices
+    kind = a.model.space.kind
+    if kind == "discrete":
+        for b, m in zip(bps, mats):
+            if abs(t - b) <= 1e-9:
+                return m
+        raise IncompatibleModel(f"{t!r} is not a point of the discrete base space")
+    if kind == "interval":
+        if not (-1e-12 <= t <= 1.0 + 1e-12):
+            raise IncompatibleModel(f"evaluation point {t!r} outside [0, 1]")
+        t = min(max(t, bps[0]), bps[-1])
+    else:
+        t = t % 1.0
+        if t > bps[-1]:
+            w = (t - bps[-1]) / (1.0 - bps[-1])
+            return (1.0 - w) * mats[-1] + w * mats[0]
+    j = int(np.searchsorted(bps, t))
+    if j < len(bps) and abs(bps[j] - t) <= 1e-12:
+        return mats[j]
+    if j > 0 and abs(bps[j - 1] - t) <= 1e-12:
+        return mats[j - 1]
+    w = (t - bps[j - 1]) / (bps[j] - bps[j - 1])
+    return (1.0 - w) * mats[j - 1] + w * mats[j]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IncompatibleModel as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("kind", ["interval", "circle", "discrete"])
+def test_values_at_is_value_at_bit_for_bit(kind):
+    rng = np.random.default_rng(12)
+    for d, step in ((1, 1 / 8), (2, 1 / 13), (3, 1 / 32)):
+        if kind == "discrete":
+            space = BaseSpace.discrete(int(1 / step))
+        else:
+            space = getattr(BaseSpace, kind)(step)
+        model = FunctionModel(space, BlockStructure.unconstrained(d))
+        mats = tuple(
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for _ in space.sample_grid
+        )
+        a = AlgebraElement(model, space.sample_grid, mats, 1.0)
+        grid = np.asarray(space.sample_grid)
+        near = [1e-12, -1e-12, 0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12, 1e-9, -1e-9, 2e-9]
+        points = [
+            *grid, *rng.uniform(-0.3, 1.3, 200), *(grid[:, None] + near).ravel(),
+            0.0, -0.0, 1.0, 1.0 + 1e-12, -1e-12, 1.0 + 2e-12, -2e-12, 1.0 - 1e-13,
+            -1e-17, 1.5, 2.0, -0.25, grid[-1] + 1e-13, (grid[-1] + 1.0) / 2.0,
+        ]
+        points = [float(t) for t in points]
+        want = [_outcome(_reference_value_at, a, t) for t in points]
+        got = [_outcome(a.value_at, t) for t in points]
+        for t, w, g in zip(points, want, got):
+            if isinstance(w, str):
+                assert g == w, t
+            else:
+                assert not isinstance(g, str) and np.array_equal(g, w), t
+                assert np.signbit(g.real).tolist() == np.signbit(w.real).tolist(), t
+        good = [t for t, w in zip(points, want) if not isinstance(w, str)]
+        stack = a.values_at(good)
+        assert stack.shape == (len(good), d, d)
+        assert stack.tobytes() == np.stack([_reference_value_at(a, t) for t in good]).tobytes()
+        bad = [t for t, w in zip(points, want) if isinstance(w, str)]
+        assert bool(bad) == (kind != "circle")
+        if bad:
+            # the first failing point names the error, wherever it stands
+            with pytest.raises(IncompatibleModel, match="^" + re.escape(want[points.index(bad[0])])):
+                a.values_at(good[:5] + [bad[0]] + good[5:] + bad[1:])
+
+
+def test_values_at_finds_the_first_discrete_point_within_reach():
+    # breakpoints closer than the 1e-9 reach: the first one in order wins
+    model = FunctionModel(BaseSpace.discrete(2), BlockStructure.unconstrained(1))
+    bps = (0.0, 1.0 - 1e-9, 1.0 - 4e-10, 1.0, 1.0 + 5e-10)
+    a = AlgebraElement(model, bps, tuple(np.eye(1) * (k + 1) for k in range(5)), 0.0)
+    points = [0.0, 1.0, 1.0 + 4e-10, 1.0 - 1.5e-9, 1.0 + 1.2e-9]
+    want = [_reference_value_at(a, t) for t in points]
+    assert np.array_equal(a.values_at(points), np.stack(want))
+    assert [complex(w[0, 0]) for w in want] == [1, 2, 3, 2, 5]
+
+
 # ---------------------------------------------------------------------------
 # primitive points
 
@@ -378,6 +467,13 @@ def test_enum_prim_toeplitz():
 def test_enum_prim_unsupported():
     with pytest.raises(UnsupportedModel):
         enum_prim(object())
+
+
+def test_enum_prim_is_built_once_per_model():
+    for name in MODEL_NAMES:
+        model = build_model(name)
+        assert enum_prim(model) is enum_prim(model)
+        assert enum_prim(build_model(name)) is not enum_prim(model)  # a new model starts cold
 
 
 def test_prim_points_are_the_prim_all_members():

@@ -14,6 +14,7 @@ from specfam import (
 from specfam.observables import (
     INFINITE,
     Observable,
+    _check_self_adjoint,
     cayley,
     invertible_observable,
     spec_observable,
@@ -40,6 +41,37 @@ def test_rejects_non_selfadjoint_fiber():
 def test_accepts_roundoff_asymmetry():
     m = np.array([[1.0, 0.5 + 1e-13j], [0.5 - 1e-13j, 2.0]])
     Observable.bounded(m)
+
+
+def _first_fiber_error(fibers):
+    """The error of the first fiber that Observable refuses on its own."""
+    for f in fibers:
+        try:
+            Observable.bounded(f.copy())
+        except (NotSelfAdjoint, ValueError) as err:
+            return type(err), str(err)
+    return None
+
+
+def test_stacked_check_raises_for_the_first_bad_fiber():
+    rng = np.random.default_rng(3)
+    # 16x16 fibers: 256 to a 1 MiB slice, so the second bad fiber lies in a later slice
+    for d, count, bad_at in ((3, 12, (4, 9)), (16, 600, (200, 550)), (1, 40, (0, 3))):
+        fibers = np.stack([random_selfadjoint(rng, d) for _ in range(count)])
+        assert _check_self_adjoint(fibers) is None
+        tilt = np.zeros((d, d), dtype=complex)
+        tilt[0, -1] = 1j
+        for first, second in ((1e-3, np.inf), (np.inf, 1e-3), (1e-3, 1e-2), (7e-11, 1e-3)):
+            bad = fibers.copy()
+            for at, size in zip(bad_at, (first, second)):
+                bad[at] += tilt * size if np.isfinite(size) else np.inf
+            want = _first_fiber_error(bad)
+            if want is None:
+                assert _check_self_adjoint(bad) is None
+                continue
+            with pytest.raises(want[0]) as got:
+                _check_self_adjoint(bad)
+            assert str(got.value) == want[1]
 
 
 def test_needs_at_least_one_fiber():

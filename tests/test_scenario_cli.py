@@ -5,12 +5,15 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from specfam.cli import main
 from specfam.errors import IncompatibleModel, IncompatibleQuery, ParseError
+from specfam.gallery import build_model
 from specfam.scenario import (
     dump_spectrum_csv,
     load_scenario,
@@ -20,6 +23,7 @@ from specfam.scenario import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+PARITY = Path(__file__).resolve().parent / "parity"
 FIXTURES = [
     "matrix-counterexample.scn",
     "toeplitz-fredholm.scn",
@@ -621,6 +625,59 @@ def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, co
     err = capsys.readouterr().err
     assert err.startswith(f"{kind}: line {_line_of(text, culprit)}")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "model, entries",
+    [
+        ("name: circle-scalar\n  step: 1e-7", "1e+07"),
+        ("name: interval-matrix\n  step: 1/300000", "1.2e+06"),
+        ("name: interval-scalar\n  step: 1e-320", "inf"),
+        ("name: discrete\n  points: 70000\n  dim: 4", "1.12e+06"),
+        ("name: toeplitz\n  sections: 8 1025", "1.051e+06"),
+        ("name: toeplitz\n  sections: 100000", "1e+10"),
+        ("name: toeplitz\n  theta-count: 2000000", "2e+06"),
+    ],
+    ids=["circle-step", "matrix-step", "step-underflows", "discrete", "section", "huge-section", "thetas"],
+)
+def test_cli_refuses_an_oversize_model_before_allocating(tmp_path, capsys, model, entries):
+    text = MINIMAL.replace("name: interval-scalar\n  step: 1/16", model)
+    bad = tmp_path / "big.scn"
+    bad.write_text(text)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        assert main(["run", str(bad)]) == 2
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 1.0 and peak < 2**20
+    err = capsys.readouterr().err
+    assert err == (
+        f"parse error: line {_line_of(text, '  ' + model.split(chr(10))[0])}, column 1: "
+        f"model {model.split()[1]!r} would hold {entries} dense matrix entries, "
+        "above the cap of 1048576 (2^20)\n"
+    )
+
+
+def test_models_up_to_the_cap_are_admitted():
+    assert build_model("toeplitz", sections=(8, 1024)).section_sizes == (8, 1024)
+    assert len(build_model("interval-matrix", step=1 / 1024).space.sample_grid) == 1025
+    for name in FIXTURES:
+        load_scenario(str(SCENARIOS / name))
+
+
+@pytest.mark.parametrize("path", sorted(PARITY.glob("*.scn")), ids=lambda p: p.name)
+def test_parity_scenarios_run_clean(path):
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specfam.cli", "run", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout, parse_constant=lambda c: pytest.fail(f"non-strict JSON: {c}"))
+    assert report["label"] == path.stem and report["results"]
 
 
 def test_cli_non_utf8_scenario_exits_2(tmp_path):
