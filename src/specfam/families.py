@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import IncompatibleModel, UnsupportedModel
+from .errors import ToolkitError, UnsupportedModel
 from .models import (
     AlgebraElement,
     Element,
@@ -133,26 +133,6 @@ class FamilyReport:
 # member images
 
 
-def _member_images(
-    members: tuple[Representation, ...], a: Element
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(member positions, stack) per image shape.
-
-    Evaluations and block compressions come from one _images pass;
-    characters and the section ladder are applied one member at a time
-    and stacked by shape.
-    """
-    func = [i for i, m in enumerate(members) if m.kind in ("eval", "block")]
-    stacks = [(np.array(func)[pos], s) for pos, s in _images([members[i] for i in func], a)]
-    symbol: dict[tuple[int, ...], list] = {}
-    for i, member in enumerate(members):
-        if member.kind not in ("eval", "block"):
-            image = rep_apply(member, a)
-            symbol.setdefault(image.shape, []).append((i, image))
-    stacks += [(np.array([i for i, _ in g]), np.stack([m for _, m in g])) for g in symbol.values()]
-    return stacks
-
-
 def _member_values(
     members: tuple[Representation, ...], a: Element
 ) -> list[tuple[float, float]]:
@@ -166,14 +146,12 @@ def _member_values(
     out = [(0.0, 0.0)] * len(members)
     rest = []
     for i, member in enumerate(members):
-        if member.kind != "toeplitz-identity":
-            rest.append(i)
-        elif not isinstance(a, ToeplitzElement):
-            raise IncompatibleModel("the section ladder applies to symbol-model elements")
-        else:
+        if member.kind == "toeplitz-identity" and isinstance(a, ToeplitzElement):
             est, sigma = a._section_sweep
             out[i] = (est.value, sigma)
-    for pos, stack in _member_images(tuple(members[i] for i in rest), a):
+        else:
+            rest.append(i)  # _images raises for the first member that does not act on a
+    for pos, stack in _images([members[i] for i in rest], a):
         if stack.size:
             svals = np.linalg.svd(stack, compute_uv=False)
             for i, top, low in zip(pos.tolist(), svals[:, 0].tolist(), svals[:, -1].tolist()):
@@ -478,12 +456,20 @@ def spectrum_union(
     adjoint entry for entry and not all zero are normal by construction:
     each stack of them goes through one batched eigh.  Every other image
     goes through eig_normal, in member order, so the first member that is
-    not normal raises.  The union is the canonical set of the members'
-    canonical spectra, taken in member order.
+    not normal raises.  If some member has no image, the members are
+    solved one at a time, so the first that fails decides the error.  The
+    union is the canonical set of the members' canonical spectra, taken
+    in member order.
     """
+    try:
+        stacks = _images(family.members, a)
+    except ToolkitError:
+        for member in family.members:  # the first member that fails decides the error
+            eig_normal(rep_apply(member, a), tol)
+        raise
     spectra: list = [()] * len(family.members)
     rest = []
-    for pos, stack in _member_images(family.members, a):
+    for pos, stack in stacks:
         plain = (stack == stack.conj().swapaxes(1, 2)).all(axis=(1, 2)) & stack.any(axis=(1, 2))
         if plain.any():
             try:

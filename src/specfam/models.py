@@ -14,7 +14,7 @@ Two model families are supported:
 
 Representations are lightweight tagged values; rep_apply turns
 (representation, element) into a concrete matrix, and _images turns many
-evaluation and block members into stacked images at once.
+members into their images at once, one stack per image shape.
 """
 
 from __future__ import annotations
@@ -656,16 +656,34 @@ class Representation:
         return cls("toeplitz-character", theta=float(theta), label=f"chi({_fmt(float(theta))})")
 
 
-def _images(members: Sequence[Representation], a: Element) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Images of the element under evaluation and block members, as
-    (member positions, stack) per image shape.
+def _symbol_image(rep: Representation, a: Element) -> np.ndarray:
+    """A character's scalar symbol value, or the ladder's largest section."""
+    if rep.kind == "toeplitz-character":
+        if not isinstance(a, ToeplitzElement):
+            raise IncompatibleModel("characters apply to symbol-model elements")
+        return np.array([[a.symbol_at(rep.theta)]], dtype=complex)
+    if rep.kind == "toeplitz-identity":
+        if not isinstance(a, ToeplitzElement):
+            raise IncompatibleModel("the section ladder applies to symbol-model elements")
+        return a.section(max(a.section_sizes))
+    raise UnsupportedModel(f"unknown representation kind {rep.kind!r}")
 
-    All members read one values_at lookup over their points; a block
-    image is its evaluation compressed to the block.  The first member
-    that does not act on the element raises.
+
+def _images(members: Sequence[Representation], a: Element) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Images of the element under the members, as (member positions,
+    stack) per image shape.
+
+    Evaluation and block members read one values_at lookup over their
+    points; a block image is its evaluation compressed to the block.
+    Characters and the section ladder are applied one member at a time.
+    The first member that does not act on the element raises.
     """
-    points, groups = [], {}
+    points, groups, single = [], {}, {}
     for i, rep in enumerate(members):
+        if rep.kind not in ("eval", "block"):
+            image = _symbol_image(rep, a)
+            single.setdefault(len(image), []).append((i, image))
+            continue
         if not isinstance(a, AlgebraElement):
             raise IncompatibleModel(f"{rep.label} applies to function-model elements")
         block = None  # the whole fiber
@@ -687,6 +705,9 @@ def _images(members: Sequence[Representation], a: Element) -> list[tuple[np.ndar
         pos, ks = np.array(pairs).T
         image = values[ks] if block is None else values[np.ix_(ks, block, block)]
         shapes.setdefault(image.shape[-1], []).append((pos, image))
+    for n, pairs in single.items():
+        pos, images = zip(*pairs)
+        shapes.setdefault(n, []).append((np.array(pos), np.stack(images)))
     return [
         (np.concatenate([pos for pos, _ in same]), np.concatenate([m for _, m in same]))
         for same in shapes.values()
@@ -694,24 +715,14 @@ def _images(members: Sequence[Representation], a: Element) -> list[tuple[np.ndar
 
 
 def rep_apply(rep: Representation, a: Element) -> np.ndarray:
-    """Matrix image of the element under the representation.
+    """Matrix image of the element under the representation: the
+    one-member view of _images.
 
-    An evaluation or block image is the one-member view of _images.  For
-    the finite-section ladder this is the element's largest section;
+    For the finite-section ladder this is the element's largest section;
     TruncationTooSmall if it cannot hold the correction.
     """
-    if rep.kind in ("eval", "block"):
-        ((_, stack),) = _images((rep,), a)
-        return stack[0]
-    if rep.kind == "toeplitz-character":
-        if not isinstance(a, ToeplitzElement):
-            raise IncompatibleModel("characters apply to symbol-model elements")
-        return np.array([[a.symbol_at(rep.theta)]], dtype=complex)
-    if rep.kind == "toeplitz-identity":
-        if not isinstance(a, ToeplitzElement):
-            raise IncompatibleModel("the section ladder applies to symbol-model elements")
-        return a.section(max(a.section_sizes))
-    raise UnsupportedModel(f"unknown representation kind {rep.kind!r}")
+    ((_, stack),) = _images((rep,), a)
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------

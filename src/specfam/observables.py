@@ -35,7 +35,7 @@ class _InfiniteFiber:
 INFINITE = _InfiniteFiber()
 
 
-def _check_self_adjoint(stack: np.ndarray) -> None:
+def check_self_adjoint(stack: np.ndarray) -> None:
     """Raise for the first fiber of an (m, d, d) stack that is not finite or
     not self-adjoint: max |f - f*| must stay within 1e-10 * max(1, max |f|).
 
@@ -73,7 +73,7 @@ class Observable:
         for f in self.fibers:
             if f is not INFINITE:
                 f = as_matrix(f)
-                _check_self_adjoint(f[None])
+                check_self_adjoint(f[None])
                 f.setflags(write=False)
             checked.append(f)
         object.__setattr__(self, "fibers", tuple(checked))

@@ -27,10 +27,10 @@ from .errors import (
     IncompatibleModel,
     IncompatibleQuery,
     ParseError,
+    ToolkitError,
 )
 from .families import (
     RepFamily,
-    _member_images,
     direct_invertible,
     family_report,
     fredholm_via_family,
@@ -44,12 +44,14 @@ from .models import (
     FunctionModel,
     ToeplitzElement,
     ToeplitzModel,
+    _images,
     elem_norm,
+    rep_apply,
 )
 from .observables import (
     Observable,
-    _check_self_adjoint,
     _fiber_points,
+    check_self_adjoint,
     spec_observable,
     spec_union_observable,
 )
@@ -691,13 +693,19 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
         parts = []
         for block in _fiber_chunks(op, _q_grid(q, op).nodes, op.reduction):
             block = _as_matrices(block)
-            _check_self_adjoint(block)
+            check_self_adjoint(block)
             parts.append(_fiber_points(block, tol)[0])
         return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True).as_dict()
     a = _q_element(scenario, q)
     fam = _q_family(scenario, q)
+    try:
+        stacks = _images(fam.members, a)
+    except ToolkitError:
+        for m in fam.members:  # the first member that fails decides the error
+            Observable.bounded(rep_apply(m, a))
+        raise
     images: list = [None] * len(fam.members)
-    for pos, stack in _member_images(fam.members, a):
+    for pos, stack in stacks:
         for i, image in zip(pos.tolist(), stack):
             images[i] = image
     members = [

@@ -19,6 +19,7 @@ from specfam import (
     BlockConstraint,
     BlockStructure,
     FunctionModel,
+    IncompatibleModel,
     NotNormal,
     Representation,
     RepFamily,
@@ -780,6 +781,33 @@ def test_spectrum_union_raises_for_the_first_non_normal_member(monkeypatch):
     with pytest.raises(NotNormal) as again:
         spectrum_union(fam, a)
     assert str(again.value) == str(first.value)
+
+
+def test_the_first_member_that_fails_decides_the_error():
+    # an 8-point family on an element of a 4-point model: members 4..7 have
+    # no image, and member 0's image is not normal, so member 0 decides
+    fam = build_family(build_model("discrete", points=8, dim=2), "prim-all")
+    small = build_model("discrete", points=4, dim=2)
+    mats = [np.diag([float(k), 1.0]) for k in range(4)]
+    normal = AlgebraElement(small, small.space.sample_grid, tuple(mats), 0.0)
+    mats[0] = np.array([[0.0, 1.0], [0.0, 0.0]])
+    jordan = AlgebraElement(small, small.space.sample_grid, tuple(mats), 0.0)
+    with pytest.raises(NotNormal) as first:
+        eig_normal(mats[0], 1e-9)
+    with pytest.raises(NotNormal) as got:
+        spectrum_union(fam, jordan)
+    assert str(got.value) == str(first.value)
+    with pytest.raises(IncompatibleModel) as missing:
+        rep_apply(fam.members[4], normal)
+    with pytest.raises(IncompatibleModel) as got:
+        spectrum_union(fam, normal)
+    assert str(got.value) == str(missing.value)
+
+    # a character before the section ladder, on a function-model element
+    tmodel = build_model("toeplitz")
+    members = (Representation.toeplitz_character(0.0), Representation.toeplitz_identity())
+    with pytest.raises(IncompatibleModel, match="^characters apply"):
+        norm_via_family(RepFamily(tmodel, members), normal)
     for fam, b in _union_cases():
         parts = [eig_normal(rep_apply(m, b), 1e-9) for m in fam.members]
         ladder = [m.kind == "toeplitz-identity" for m in fam.members]

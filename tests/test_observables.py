@@ -14,8 +14,8 @@ from specfam import (
 from specfam.observables import (
     INFINITE,
     Observable,
-    _check_self_adjoint,
     cayley,
+    check_self_adjoint,
     invertible_observable,
     spec_observable,
     spec_union_observable,
@@ -58,7 +58,7 @@ def test_stacked_check_raises_for_the_first_bad_fiber():
     # 16x16 fibers: 256 to a 1 MiB slice, so the second bad fiber lies in a later slice
     for d, count, bad_at in ((3, 12, (4, 9)), (16, 600, (200, 550)), (1, 40, (0, 3))):
         fibers = np.stack([random_selfadjoint(rng, d) for _ in range(count)])
-        assert _check_self_adjoint(fibers) is None
+        assert check_self_adjoint(fibers) is None
         tilt = np.zeros((d, d), dtype=complex)
         tilt[0, -1] = 1j
         for first, second in ((1e-3, np.inf), (np.inf, 1e-3), (1e-3, 1e-2), (7e-11, 1e-3)):
@@ -67,10 +67,10 @@ def test_stacked_check_raises_for_the_first_bad_fiber():
                 bad[at] += tilt * size if np.isfinite(size) else np.inf
             want = _first_fiber_error(bad)
             if want is None:
-                assert _check_self_adjoint(bad) is None
+                assert check_self_adjoint(bad) is None
                 continue
             with pytest.raises(want[0]) as got:
-                _check_self_adjoint(bad)
+                check_self_adjoint(bad)
             assert str(got.value) == want[1]
 
 
