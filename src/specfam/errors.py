@@ -2,8 +2,8 @@
 
 Every failure the command line surfaces as a nonzero exit code is an
 instance of ToolkitError; numeric failures (lost preconditions, solver
-breakdowns, uncertifiable requests) all derive from NumericError so the
-runner can map them to a single exit code.
+breakdowns) all derive from NumericError so the runner can map them to a
+single exit code.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class NoConvergence(NumericError):
     """Eigensolver failed to converge."""
 
 
-class DomainError(NumericError):
-    """Functional calculus asked to evaluate outside the sampled domain."""
-
-
 class EmptySet(NumericError):
     """Hausdorff distance against an empty spectrum."""
 
@@ -60,10 +56,6 @@ class TruncationTooSmall(NumericError):
 
 class NotSelfAdjoint(NumericError):
     """Observable payload is not self-adjoint within tolerance."""
-
-
-class NotCertified(NumericError):
-    """Family lacks the certificate the requested verdict relies on."""
 
 
 class NotElliptic(NumericError):

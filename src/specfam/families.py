@@ -39,6 +39,7 @@ from .models import (
     Representation,
     ToeplitzElement,
     ToeplitzModel,
+    _acting_error,
     _images,
     enum_prim,
     rep_apply,
@@ -59,16 +60,8 @@ class RepFamily:
     def __post_init__(self):
         if not self.members:
             raise ValueError("a family needs at least one member")
-        toeplitz = isinstance(self.model, ToeplitzModel)
         for m in self.members:
-            if toeplitz or m.kind.startswith("toeplitz"):
-                acts = toeplitz and m.kind.startswith("toeplitz")
-            elif m.kind == "eval":
-                acts = self.model.space.contains(m.point)
-            else:
-                c = self.model.structure.constraint_at(m.point)
-                acts = c is not None and 0 <= m.block < len(c.blocks)
-            if not acts:
+            if _acting_error(m, self.model) is not None:
                 raise ValueError(f"member {m.label} does not act on this model")
 
     @cached_property

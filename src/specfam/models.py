@@ -19,13 +19,14 @@ members into their images at once, one stack per image shape.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleModel, TruncationTooSmall, UnsupportedModel
+from .errors import IncompatibleModel, ToolkitError, TruncationTooSmall, UnsupportedModel
 from .spectral import op_norm
 
 _POINT_TOL = 1e-12
@@ -89,7 +90,9 @@ class BaseSpace:
 
     def contains(self, t: float) -> bool:
         if self.kind == "discrete":
-            return any(abs(t - p) <= _POINT_TOL for p in self.sample_grid)
+            # the sorted grid's neighbours of t are the points nearest it
+            grid, i = self.sample_grid, bisect_left(self.sample_grid, t)
+            return any(abs(t - grid[j]) <= _POINT_TOL for j in (i - 1, i) if 0 <= j < len(grid))
         if self.kind == "interval":
             return -_POINT_TOL <= t <= 1.0 + _POINT_TOL
         return True  # circle wraps
@@ -656,17 +659,33 @@ class Representation:
         return cls("toeplitz-character", theta=float(theta), label=f"chi({_fmt(float(theta))})")
 
 
-def _symbol_image(rep: Representation, a: Element) -> np.ndarray:
-    """A character's scalar symbol value, or the ladder's largest section."""
-    if rep.kind == "toeplitz-character":
-        if not isinstance(a, ToeplitzElement):
-            raise IncompatibleModel("characters apply to symbol-model elements")
-        return np.array([[a.symbol_at(rep.theta)]], dtype=complex)
-    if rep.kind == "toeplitz-identity":
-        if not isinstance(a, ToeplitzElement):
-            raise IncompatibleModel("the section ladder applies to symbol-model elements")
-        return a.section(max(a.section_sizes))
-    raise UnsupportedModel(f"unknown representation kind {rep.kind!r}")
+def _acting_error(rep: Representation, model) -> ToolkitError | None:
+    """The error for a member that does not act on the model's elements, or None.
+
+    Characters and the section ladder act on the symbol model; evaluations
+    at points of the base space and compressions to a constrained block act
+    on function models.
+    """
+    if rep.kind in ("toeplitz-character", "toeplitz-identity"):
+        if isinstance(model, ToeplitzModel):
+            return None
+        if rep.kind == "toeplitz-character":
+            return IncompatibleModel("characters apply to symbol-model elements")
+        return IncompatibleModel("the section ladder applies to symbol-model elements")
+    if rep.kind not in ("eval", "block"):
+        return UnsupportedModel(f"unknown representation kind {rep.kind!r}")
+    if not isinstance(model, FunctionModel):
+        return IncompatibleModel(f"{rep.label} applies to function-model elements")
+    if rep.kind == "eval":
+        if not model.space.contains(rep.point):
+            return IncompatibleModel(f"point {rep.point!r} outside the base space")
+        return None
+    c = model.structure.constraint_at(rep.point)
+    if c is None:
+        return IncompatibleModel(f"no block constraint at {rep.point!r}")
+    if not 0 <= rep.block < len(c.blocks):
+        return IncompatibleModel(f"block index {rep.block} out of range at {rep.point!r}")
+    return None
 
 
 def _images(members: Sequence[Representation], a: Element) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -680,25 +699,21 @@ def _images(members: Sequence[Representation], a: Element) -> list[tuple[np.ndar
     """
     points, groups, single = [], {}, {}
     for i, rep in enumerate(members):
-        if rep.kind not in ("eval", "block"):
-            image = _symbol_image(rep, a)
-            single.setdefault(len(image), []).append((i, image))
+        error = _acting_error(rep, a.model)
+        if error is not None:
+            raise error
+        if rep.kind in ("eval", "block"):
+            block = None  # the whole fiber
+            if rep.kind == "block":
+                block = a.model.structure.constraint_at(rep.point).blocks[rep.block]
+            groups.setdefault(block, []).append((i, len(points)))
+            points.append(rep.point)
             continue
-        if not isinstance(a, AlgebraElement):
-            raise IncompatibleModel(f"{rep.label} applies to function-model elements")
-        block = None  # the whole fiber
-        if rep.kind == "eval":
-            if not a.model.space.contains(rep.point):
-                raise IncompatibleModel(f"point {rep.point!r} outside the base space")
+        if rep.kind == "toeplitz-character":
+            image = np.array([[a.symbol_at(rep.theta)]], dtype=complex)
         else:
-            c = a.model.structure.constraint_at(rep.point)
-            if c is None:
-                raise IncompatibleModel(f"no block constraint at {rep.point!r}")
-            if not 0 <= rep.block < len(c.blocks):
-                raise IncompatibleModel(f"block index {rep.block} out of range at {rep.point!r}")
-            block = c.blocks[rep.block]
-        groups.setdefault(block, []).append((i, len(points)))
-        points.append(rep.point)
+            image = a.section(max(a.section_sizes))
+        single.setdefault(len(image), []).append((i, image))
     values = a.values_at(points) if points else None
     shapes: dict[int, list] = {}
     for block, pairs in groups.items():

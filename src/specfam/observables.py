@@ -17,7 +17,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import NotCertified, NotSelfAdjoint
+from .errors import NotSelfAdjoint
 from .spectral import DEFAULT_RESOLUTION, SpectrumSet, _distinct, as_matrix, union_spectra
 
 _SELFADJOINT_TOL = 1e-10
@@ -183,64 +183,4 @@ def spec_union_observable(
         raise ValueError("the member list must be nonempty")
     return union_spectra(
         [spec_observable(o, resolution) for o in members], resolution=resolution
-    )
-
-
-@dataclass(frozen=True)
-class ObservableVerdict:
-    invertible: bool
-    degenerate: bool
-    min_distance: float | None
-    bound_used: float | None
-    certificate: str
-
-    def as_dict(self) -> dict:
-        return {
-            "invertible": self.invertible,
-            "degenerate": self.degenerate,
-            "min_distance": self.min_distance,
-            "bound_used": self.bound_used,
-            "certificate": self.certificate,
-        }
-
-
-def invertible_observable(
-    members,
-    certificate: str = "exhausting",
-    bound: float | None = None,
-    tol: float = DEFAULT_RESOLUTION,
-) -> ObservableVerdict:
-    """Invertibility of a fibered observable from its member spectra.
-
-    exhausting: invertible iff no member spectrum meets zero beyond tol.
-    faithful:   additionally needs the uniform bound, and the distance
-                from zero must clear 1/bound.
-    All-infinite members make the union empty; that verdict is flagged
-    degenerate rather than silently claimed.
-    """
-    if certificate not in ("exhausting", "faithful"):
-        raise ValueError(f"unknown certificate {certificate!r}")
-    if certificate == "faithful" and bound is None:
-        raise NotCertified("the faithful route needs a uniform inverse bound")
-    if bound is not None and bound <= 0:
-        raise ValueError("the uniform inverse bound must be positive")
-    union = spec_union_observable(members, resolution=tol)
-    if len(union) == 0:
-        return ObservableVerdict(
-            invertible=True,
-            degenerate=True,
-            min_distance=None,
-            bound_used=bound if certificate == "faithful" else None,
-            certificate=certificate,
-        )
-    dist = min(abs(p) for p in union.points)
-    ok = dist > tol
-    if certificate == "faithful":
-        ok = ok and dist * bound >= 1.0 - 1e-12
-    return ObservableVerdict(
-        invertible=bool(ok),
-        degenerate=False,
-        min_distance=float(dist),
-        bound_used=bound if certificate == "faithful" else None,
-        certificate=certificate,
     )

@@ -1,4 +1,4 @@
-"""Dense spectral primitives: norms, normal eigensystems, functional calculus.
+"""Dense spectral primitives: norms, normal eigensystems, spectrum sets.
 
 Everything here works on finite square complex matrices (numpy arrays
 validated by as_matrix).  Default tolerances are absolute and tuned for
@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptySet, NoConvergence, NotNormal
+from .errors import EmptySet, NoConvergence, NotNormal
 
 DEFAULT_RESOLUTION = 1e-10
 
@@ -220,72 +220,6 @@ def eig_normal(a, tol: float = DEFAULT_RESOLUTION) -> SpectrumSet:
     """Spectrum of a normal matrix as a SpectrumSet at resolution tol."""
     eigs, _ = normal_eigensystem(a, tol)
     return SpectrumSet.canonical(eigs, tol, truncated=False)
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Piecewise-linear function given by breakpoints on a real interval.
-
-    Evaluation outside [breakpoints[0], breakpoints[-1]] raises
-    DomainError rather than extrapolating; a relative slack of 1e-12 at
-    the endpoints absorbs rounding in eigenvalue computations.
-    """
-
-    breakpoints: tuple[float, ...]
-    values: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.breakpoints) != len(self.values) or not self.breakpoints:
-            raise ValueError("breakpoints and values must align and be nonempty")
-        if any(b >= a for b, a in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    @classmethod
-    def sample(
-        cls, fn: Callable[[float], complex], lo: float, hi: float, count: int = 257
-    ) -> "SampledFunction":
-        if hi < lo:
-            raise ValueError("empty sampling interval")
-        if hi == lo:
-            return cls((lo,), (complex(fn(lo)),))
-        xs = np.linspace(lo, hi, count)
-        return cls(tuple(float(x) for x in xs), tuple(complex(fn(float(x))) for x in xs))
-
-    def domain(self) -> tuple[float, float]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
-    def __call__(self, x: float) -> complex:
-        lo, hi = self.domain()
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if x < lo - slack or x > hi + slack:
-            raise DomainError(f"argument {x!r} outside the sampled domain [{lo}, {hi}]")
-        x = min(max(x, lo), hi)
-        if len(self.breakpoints) == 1:
-            return self.values[0]
-        xs = np.asarray(self.breakpoints)
-        re = float(np.interp(x, xs, np.asarray([v.real for v in self.values])))
-        im = float(np.interp(x, xs, np.asarray([v.imag for v in self.values])))
-        return complex(re, im)
-
-
-def func_calc(a, f: SampledFunction, tol: float = DEFAULT_RESOLUTION) -> np.ndarray:
-    """Apply a sampled function to a normal matrix with real spectrum.
-
-    Diagonalizes a, maps each eigenvalue through f and reassembles
-    u f(d) u*.  Eigenvalues off the real axis (beyond tol * scale) or
-    outside the sampled domain raise DomainError.
-    """
-    eigs, v = normal_eigensystem(a, tol)
-    scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-    vals = []
-    for lam in eigs:
-        if abs(lam.imag) > tol * scale:
-            raise DomainError(
-                f"eigenvalue {lam!r} lies off the real axis; sampled functions take real arguments"
-            )
-        vals.append(f(float(lam.real)))
-    d = np.diag(np.asarray(vals, dtype=complex))
-    return v @ d @ v.conj().T
 
 
 def _directed_real(a: np.ndarray, b: np.ndarray) -> float:

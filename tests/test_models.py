@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +47,29 @@ def test_interval_grid_contains_endpoints():
     s = BaseSpace.interval(1.0 / 3.0)
     assert s.sample_grid[0] == 0.0 and s.sample_grid[-1] == 1.0
     assert s.grid_step <= 1.0 / 3.0 + 1e-15
+
+
+def test_discrete_contains_matches_a_scan_of_the_grid():
+    s = BaseSpace.discrete(5)
+
+    def scan(t):
+        return any(abs(t - p) <= 1e-12 for p in s.sample_grid)
+
+    probes = [-1.0, 5.0, 7.5, -0.0, float("nan"), float("inf"), -float("inf")]
+    for p in s.sample_grid:
+        probes += [p + d for d in (0.0, 1e-12, -1e-12, 2e-12, -2e-12)]
+    for t in probes:
+        assert s.contains(t) == scan(t), t
+    assert s.contains(-0.0) and s.contains(4.0 + 5e-13) and not s.contains(4.0 + 2e-12)
+    assert not s.contains(float("nan")) and not s.contains(-float("inf"))
+
+
+def test_prim_all_on_a_wide_discrete_model_builds_in_time():
+    model = build_model("discrete", points=2**16, dim=1)
+    started = time.perf_counter()
+    family = build_family(model, "prim-all")
+    assert time.perf_counter() - started < 2.0
+    assert len(family.members) == 2**16
 
 
 def test_circle_distance_wraps():

@@ -1,4 +1,4 @@
-"""Cayley route: unitarity, round trips, the infinite fiber, verdicts."""
+"""Cayley route: unitarity, round trips, the infinite fiber, member unions."""
 
 import tracemalloc
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from specfam import (
-    NotCertified,
     NotSelfAdjoint,
     SpectrumSet,
     hausdorff,
@@ -16,7 +15,6 @@ from specfam.observables import (
     Observable,
     cayley,
     check_self_adjoint,
-    invertible_observable,
     spec_observable,
     spec_union_observable,
 )
@@ -328,6 +326,13 @@ def test_union_over_members():
     s = spec_union_observable(members, resolution=1e-10)
     assert [p.real for p in s.points] == pytest.approx([1.0, 2.0])
     assert not s.truncated
+    # all-infinite members: the union is exactly empty, not truncated
+    s = spec_union_observable([Observable.infinite(), Observable.infinite()])
+    assert s.points == () and not s.truncated
+    # mixed members: only the finite fibers contribute
+    s = spec_union_observable([Observable.infinite(), Observable.bounded(np.diag([0.5]))])
+    assert [p.real for p in s.points] == pytest.approx([0.5])
+    assert not s.truncated
 
 
 def test_union_requires_members():
@@ -338,50 +343,3 @@ def test_union_requires_members():
 def test_fibered_default_marks_truncation():
     obs = Observable.fibered([np.diag([1.0]), np.diag([2.0])])
     assert spec_observable(obs).truncated
-
-
-# ---------------------------------------------------------------------------
-# invertibility verdicts
-
-
-def test_invertible_when_spectrum_clears_zero():
-    v = invertible_observable([Observable.bounded(np.diag([1.0, 2.0]))])
-    assert v.invertible and not v.degenerate
-    assert v.min_distance == pytest.approx(1.0)
-    assert v.bound_used is None
-
-
-def test_zero_eigenvalue_blocks_invertibility():
-    v = invertible_observable([Observable.bounded(np.diag([0.0, 2.0]))])
-    assert not v.invertible
-    assert v.min_distance == pytest.approx(0.0, abs=1e-12)
-
-
-def test_faithful_route_needs_bound():
-    members = [Observable.bounded(np.diag([1.0]))]
-    with pytest.raises(NotCertified):
-        invertible_observable(members, certificate="faithful")
-    ok = invertible_observable(members, certificate="faithful", bound=2.0)
-    assert ok.invertible and ok.bound_used == 2.0
-    small = invertible_observable(members, certificate="faithful", bound=0.5)
-    assert not small.invertible
-
-
-def test_unknown_certificate_rejected():
-    with pytest.raises(ValueError):
-        invertible_observable([Observable.infinite()], certificate="hopeful")
-    with pytest.raises(ValueError):
-        invertible_observable([Observable.infinite()], certificate="faithful", bound=-1.0)
-
-
-def test_all_infinite_members_are_degenerate():
-    v = invertible_observable([Observable.infinite(), Observable.infinite()])
-    assert v.invertible and v.degenerate
-    assert v.min_distance is None
-
-
-def test_mixed_members_use_finite_spectra():
-    members = [Observable.infinite(), Observable.bounded(np.diag([0.5]))]
-    v = invertible_observable(members)
-    assert v.invertible and not v.degenerate
-    assert v.min_distance == pytest.approx(0.5)

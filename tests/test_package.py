@@ -1,0 +1,42 @@
+"""Package hygiene: every module uses each name it imports."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "specfam"
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations such as -> "SpectrumSet"
+            try:
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name))
+            except SyntaxError:
+                pass
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports((SRC / path).read_text()) == []
+
+
+def test_unused_import_check_flags_a_leftover():
+    source = "from typing import Callable, Sequence\nfrom .errors import EmptySet\nx: Sequence = ()\n"
+    assert _unused_imports(source) == ["Callable (line 1)", "EmptySet (line 2)"]

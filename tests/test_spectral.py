@@ -10,15 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from specfam.errors import DomainError, EmptySet, NotNormal
+from specfam.errors import EmptySet, NotNormal
 from specfam.spectral import (
     DEFAULT_RESOLUTION,
-    SampledFunction,
     SpectrumSet,
     _distinct,
     as_matrix,
     eig_normal,
-    func_calc,
     hausdorff,
     normal_eigensystem,
     op_norm,
@@ -230,7 +228,6 @@ def test_self_adjoint_input_runs_no_svd(monkeypatch):
     for _, h in _self_adjoint_inputs():
         normal_eigensystem(h)
     eig_normal(random_hermitian(rng, 8))
-    func_calc(random_hermitian(rng, 8), SampledFunction.sample(abs, -20.0, 20.0))
     assert calls == []
     normal_eigensystem(random_normal(rng, 4)[0])
     assert len(calls) == 3  # scale, commutator, self-adjoint test
@@ -380,53 +377,6 @@ def test_spectral_mapping_polynomial():
         s = eig_normal(p_of_a)
         oracle = SpectrumSet.canonical(eigs * eigs - eigs, 1e-10)
         assert hausdorff(s, oracle) <= 1e-8
-
-
-def test_func_calc_identity_function_roundtrip():
-    rng = np.random.RandomState(31)
-    h = random_hermitian(rng, 5)
-    lo = float(np.min(oracle_eigenvalues(h).real)) - 1.0
-    hi = float(np.max(oracle_eigenvalues(h).real)) + 1.0
-    ident = SampledFunction.sample(lambda t: t, lo, hi, 2)
-    assert op_norm(func_calc(h, ident) - h) <= 1e-9
-
-
-def test_func_calc_clamp_example():
-    # clamp(t) = t below 1, = 1 above; sends diag(0.5, 3) to diag(0.5, 1)
-    clamp = SampledFunction((0.0, 1.0, 4.0), (0.0, 1.0, 1.0))
-    out = func_calc(np.diag([0.5, 3.0]), clamp)
-    assert op_norm(out - np.diag([0.5, 1.0])) <= 1e-12
-
-
-def test_func_calc_commutes_with_argument():
-    rng = np.random.RandomState(37)
-    for _ in range(10):
-        h = random_hermitian(rng, 6)
-        hi = op_norm(h) + 1.0
-        sq = SampledFunction.sample(lambda t: t * t, -hi, hi, 801)
-        out = func_calc(h, sq)
-        assert op_norm(out @ h - h @ out) <= 1e-9
-
-
-def test_func_calc_square_matches_matrix_product():
-    h = np.diag([0.25, 0.5, 0.75])
-    sq = SampledFunction(tuple(np.linspace(0.0, 1.0, 5)), tuple(x * x for x in np.linspace(0.0, 1.0, 5)))
-    # piecewise-linear interpolation is exact at the breakpoints
-    out = func_calc(np.diag([0.25, 0.5, 0.75]), sq)
-    assert op_norm(out - h @ h) <= 1e-12
-
-
-def test_func_calc_domain_error():
-    clamp = SampledFunction((0.0, 1.0), (0.0, 1.0))
-    with pytest.raises(DomainError):
-        func_calc(np.diag([0.5, 3.0]), clamp)
-
-
-def test_func_calc_rejects_complex_spectrum():
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # eigenvalues +/- i
-    f = SampledFunction((-2.0, 2.0), (0.0, 0.0))
-    with pytest.raises(DomainError):
-        func_calc(rot, f)
 
 
 def test_hausdorff_basics():
