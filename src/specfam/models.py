@@ -19,6 +19,7 @@ members into their images at once, one stack per image shape.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,7 +96,7 @@ class BaseSpace:
             return any(abs(t - grid[j]) <= _POINT_TOL for j in (i - 1, i) if 0 <= j < len(grid))
         if self.kind == "interval":
             return -_POINT_TOL <= t <= 1.0 + _POINT_TOL
-        return True  # circle wraps
+        return math.isfinite(t)  # the circle wraps every finite point
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,22 @@ turns an order-m operator into a bounded one, together with uniform
 invertibility of the principal symbol along directions that keep a
 definite parameter component.
 
-Fibers are assembled for a block of nodes at once, as one (m, d, d)
-stack, and each block goes straight into eigvalsh or the SVD.  A circle
-operator without couplings has diagonal fibers: its blocks are the (m, d)
-diagonals, whose real parts are the eigenvalues and, when the diagonal is
-real, whose smallest absolute values are the sigma_min, with no LAPACK
-call.  A block holds a fixed number of complex entries, so memory follows
-the block, not the grid; the single-node fiber() is a view of the same
-builder.
+A grid is kept as its axis.  Per axis, coordinates whose powers (and,
+for reduced fibers, squares) are bitwise equal form one class, and only
+the product of the classes is assembled: its fibers are all the distinct
+fibers of the grid.  They are built a block of nodes at a time, as one
+(m, d, d) stack, and each block goes straight into eigvalsh or the SVD.
+A circle operator without couplings has diagonal fibers: its blocks are
+the (m, d) diagonals, whose real parts are the eigenvalues and, when the
+diagonal is real, whose smallest absolute values are the sigma_min, with
+no LAPACK call.  A block holds a fixed number of complex entries, so
+memory follows the block, not the grid; the single-node fiber() is a
+view of the same builder.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,16 +238,18 @@ def _monomials(lam: np.ndarray, alpha: tuple) -> np.ndarray:
     return out
 
 
-def _fiber_chunks(op: InvariantOperator, nodes, reduction: tuple | None = None):
-    """Fiber blocks for consecutive blocks of nodes, in node order.
+def _fiber_chunks(op: InvariantOperator, axes, reduction: tuple | None = None):
+    """Fiber blocks over the product of per-axis coordinates, in lexicographic order.
 
-    Per node the arithmetic is that of one fiber: coeff * lam^alpha * L^j
-    summed in term order (the circle Laplacian as its diagonal), then the
-    couplings, then, for reduction = (s, order), the conjugation
-    D^((s - order)/2) . p-hat . D^(-s/2) with D = 1 + |lam|^2 + L.  The
-    Laplacian powers and its eigenbasis are computed once per call.  A
-    circle operator without couplings yields its (m, d) diagonals, any
-    other operator (m, d, d) stacks; _as_matrices expands the former.
+    Each block is built from a range of flat indices into the product, so
+    no array grows with the node count.  Per node the arithmetic is that
+    of one fiber: coeff * lam^alpha * L^j summed in term order (the circle
+    Laplacian as its diagonal), then the couplings, then, for reduction =
+    (s, order), the conjugation D^((s - order)/2) . p-hat . D^(-s/2) with
+    D = 1 + |lam|^2 + L.  The Laplacian powers and its eigenbasis are
+    computed once per call.  A circle operator without couplings yields
+    its (m, d) diagonals, any other operator (m, d, d) stacks;
+    _as_matrices expands the former.
     """
     d = op.base.dim
     circle = isinstance(op.base, CircleBase)
@@ -256,10 +262,12 @@ def _fiber_chunks(op: InvariantOperator, nodes, reduction: tuple | None = None):
     if reduction is not None:
         s, order = reduction
         w, v = (lap, None) if circle else np.linalg.eigh(lap)
-    lams = np.array(nodes, dtype=float).reshape(-1, op.n)
-    size = max(1, _CHUNK_ENTRIES // (d * d))
-    for start in range(0, len(lams), size):
-        lam = lams[start : start + size]
+    axes = [np.array(a, dtype=float) for a in axes]
+    shape = [len(a) for a in axes]
+    total, size = math.prod(shape), max(1, _CHUNK_ENTRIES // (d * d))
+    for start in range(0, total, size):
+        index = np.unravel_index(np.arange(start, min(start + size, total)), shape)
+        lam = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
         m = len(lam)
         column = (m,) + (1,) * lap.ndim
         acc = np.zeros((m,) + lap.shape, dtype=complex)
@@ -302,7 +310,7 @@ def fiber(op: InvariantOperator, lam) -> np.ndarray:
     lam = tuple(float(x) for x in (lam if np.iterable(lam) else (lam,)))
     if len(lam) != op.n:
         raise IncompatibleQuery(f"parameter must have {op.n} components, got {len(lam)}")
-    return _as_matrices(next(_fiber_chunks(op, [lam], op.reduction)))[0]
+    return _as_matrices(next(_fiber_chunks(op, [(x,) for x in lam], op.reduction)))[0]
 
 
 def order_reduction(op: InvariantOperator) -> InvariantOperator:
@@ -318,12 +326,16 @@ def order_reduction(op: InvariantOperator) -> InvariantOperator:
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Symmetric parameter grid: every axis runs -window .. window by step."""
+    """Symmetric parameter grid: every axis runs -window .. window by step.
+
+    The grid keeps its axis, k * step for k = -half .. half; its nodes,
+    the n-fold product of the axis in lexicographic order, are never built.
+    """
 
     n: int
     window: float
     step: float
-    nodes: tuple
+    axis: tuple
 
     @classmethod
     def build(cls, n: int, window: float, step: float) -> "LambdaGrid":
@@ -332,15 +344,32 @@ class LambdaGrid:
         if not (0 < step <= window):
             raise ValueError("need 0 < step <= window")
         half = int(round(window / step))
-        axis = [k * step for k in range(-half, half + 1)]
-        if n == 1:
-            nodes = tuple((x,) for x in axis)
-        else:
-            nodes = [()]
-            for _ in range(n):
-                nodes = [node + (x,) for node in nodes for x in axis]
-            nodes = tuple(nodes)
-        return cls(int(n), float(window), float(step), nodes)
+        step = float(step)
+        return cls(int(n), float(window), step, tuple(k * step for k in range(-half, half + 1)))
+
+
+def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduction: tuple | None) -> list[tuple]:
+    """Per axis, the first coordinate of each class, in order of first occurrence.
+
+    Two coordinates share a class when their keys are bitwise equal: x**a
+    for every nonzero exponent a that a term or coupling puts on the axis,
+    computed as _monomials computes it, and x * x when the fibers are
+    reduced.  Nodes whose coordinates share a class on every axis multiply
+    the same factors onto 1.0 and sum the same squares, in axis order, so
+    _fiber_chunks gives them bitwise-equal fibers.  A class's first index
+    grows with the class, so the first minimum over the product of the
+    classes lies at the first minimizing node of the grid.
+    """
+    alphas = [alpha for (_j, alpha), _c in op.terms] + [alpha for alpha, _m in op.couplings]
+    axes = []
+    for i in range(op.n):
+        keys = [[x**a for x in grid.axis] for a in sorted({alpha[i] for alpha in alphas} - {0})]
+        if reduction is not None:
+            keys.append([x * x for x in grid.axis])
+        bits = np.array(keys, dtype=float).reshape(len(keys), len(grid.axis)).T.view(np.int64)
+        first = np.sort(np.unique(bits, axis=0, return_index=True)[1])
+        axes.append(tuple(grid.axis[j] for j in first.tolist()))
+    return axes
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +500,7 @@ def spectrum_parametric(
     # eigvalsh reads only the real part of a Hermitian diagonal
     parts = [
         _distinct((chunk.real if chunk.ndim == 2 else np.linalg.eigvalsh(chunk)).ravel())
-        for chunk in _fiber_chunks(op, grid.nodes)
+        for chunk in _fiber_chunks(op, _class_axes(op, grid, None))
     ]
     return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
 
@@ -514,8 +543,9 @@ def invertible_parametric(
             f"grid has {grid.n} directions, the operator has {op.n}"
         )
     reduced = order_reduction(op)
+    axes = _class_axes(reduced, grid, reduced.reduction)
     worst, min_sigma, start = None, np.inf, 0
-    for chunk in _fiber_chunks(reduced, grid.nodes, reduced.reduction):
+    for chunk in _fiber_chunks(reduced, axes, reduced.reduction):
         if chunk.ndim == 2 and not chunk.imag.any():
             sigmas = np.abs(chunk.real).min(axis=1)
         else:
@@ -540,7 +570,9 @@ def invertible_parametric(
     return ParametricVerdict(
         invertible=bool(fib_ok and sym_ok),
         min_sigma=min_sigma,
-        failing_lambda=None if fib_ok else grid.nodes[worst],
+        failing_lambda=None if fib_ok else tuple(
+            a[i] for a, i in zip(axes, np.unravel_index(worst, [len(a) for a in axes]))
+        ),
         min_symbol=float(min_symbol),
         failing_direction=None if sym_ok else failing_dir,
     )
@@ -576,9 +608,8 @@ def symbol_restriction_check(op: InvariantOperator) -> RestrictionCheck:
     if k < 2:
         raise CutoffTooSmall("the restriction check needs a mode cutoff of at least 2")
     top = 2 * k  # index of mode +K
-    lam0 = (0.0,) * op.n
-    lam1 = tuple(1.0 if i == 0 else 0.0 for i in range(op.n))
-    f = np.concatenate(list(_fiber_chunks(op, (lam0, lam1))))
+    # the product of these axes is lam = 0, then lam = e1
+    f = np.concatenate(list(_fiber_chunks(op, [(0.0, 1.0)] + [(0.0,)] * (op.n - 1))))
     c0, c1 = (
         float(x.real) / float(k**op.order) for x in (f[:, top] if f.ndim == 2 else f[:, top, top])
     )

@@ -61,6 +61,7 @@ from .parametric import (
     InvariantOperator,
     LambdaGrid,
     _as_matrices,
+    _class_axes,
     _fiber_chunks,
     invertible_parametric,
     spectrum_parametric,
@@ -691,7 +692,8 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     if op_pair is not None:
         op = _lookup(scenario.operators, op_pair, "operator")
         parts = []
-        for block in _fiber_chunks(op, _q_grid(q, op).nodes, op.reduction):
+        axes = _class_axes(op, _q_grid(q, op), op.reduction)
+        for block in _fiber_chunks(op, axes, op.reduction):
             block = _as_matrices(block)
             check_self_adjoint(block)
             parts.append(_fiber_points(block, tol)[0])

@@ -80,14 +80,18 @@ class SpectrumSet:
 
         The kept representative of each cluster is its smallest member in
         the (real, imag) order, which makes the result independent of the
-        input ordering.  A 1-D float array whose values all lie more than
-        resolution apart, such as a _distinct array without close pairs,
-        keeps every value and runs no Python loop.
+        input ordering.  On a 1-D float array every value more than
+        resolution above its predecessor is kept, and the greedy loop runs
+        only over the others, each compared with the last kept value.
         """
         if isinstance(points, np.ndarray) and points.ndim == 1 and points.dtype == float:
-            values = np.sort(points)
-            if (np.diff(values) > resolution).all():
-                return cls(tuple(values.astype(complex).tolist()), float(resolution), bool(truncated))
+            values = np.sort(points, kind="stable")
+            keep = np.ones(len(values), dtype=bool)
+            for i in (np.flatnonzero(np.diff(values) <= resolution) + 1).tolist():
+                if keep[i - 1]:
+                    last = values[i - 1]
+                keep[i] = values[i] - last > resolution
+            return cls(tuple(values[keep].astype(complex).tolist()), float(resolution), bool(truncated))
         pts = sorted((complex(p) for p in points), key=lambda z: (z.real, z.imag))
         kept: list[complex] = []
         for p in pts:

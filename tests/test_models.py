@@ -22,7 +22,7 @@ from specfam.models import (
     rep_apply,
     toeplitz_norm,
 )
-from specfam.families import n_a_profile
+from specfam.families import RepFamily, n_a_profile
 from specfam.gallery import MODEL_NAMES, build_family, build_model
 from specfam.spectral import op_norm
 
@@ -70,6 +70,17 @@ def test_prim_all_on_a_wide_discrete_model_builds_in_time():
     family = build_family(model, "prim-all")
     assert time.perf_counter() - started < 2.0
     assert len(family.members) == 2**16
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_circle_base_holds_only_finite_points(t):
+    model = build_model("circle-scalar", step=1 / 8)
+    f = AlgebraElement.from_polynomials(model, {(0, 0): [1.0, -1.0]}, label="f")
+    assert model.space.contains(1.0) and model.space.contains(-7.25)
+    with pytest.raises(IncompatibleModel):
+        rep_apply(Representation.eval_point(t), f)
+    with pytest.raises(ValueError, match="does not act on this model"):
+        RepFamily(model, (Representation.eval_point(0.5), Representation.eval_point(t)))
 
 
 def test_circle_distance_wraps():

@@ -1,5 +1,6 @@
 """Parameter fibers: construction, reduction, spectra, ellipticity."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from specfam.parametric import (
     GraphBase,
     InvariantOperator,
     LambdaGrid,
+    _class_axes,
     _fiber_chunks,
     fiber,
     invertible_parametric,
@@ -28,6 +30,7 @@ from specfam.parametric import (
     spectrum_parametric,
     symbol_restriction_check,
 )
+from specfam.spectral import _distinct
 
 
 def path_graph(v: int) -> GraphBase:
@@ -35,6 +38,16 @@ def path_graph(v: int) -> GraphBase:
     for i in range(v - 1):
         a[i, i + 1] = a[i + 1, i] = 1.0
     return GraphBase(a)
+
+
+def grid_nodes(grid: LambdaGrid) -> list[tuple]:
+    """Every node of the grid: the n-fold product of its axis, in lexicographic order."""
+    return list(itertools.product(grid.axis, repeat=grid.n))
+
+
+def full_axes(grid: LambdaGrid) -> list[tuple]:
+    """Axes whose product, walked by _fiber_chunks, is every node of the grid."""
+    return [grid.axis] * grid.n
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +63,18 @@ def test_circle_fiber_of_shifted_laplacian():
 
 
 def test_grid_always_contains_zero_and_is_symmetric():
-    g = LambdaGrid.build(1, window=4.0, step=1 / 32)
-    assert (0.0,) in g.nodes
-    assert len(g.nodes) == 257
-    xs = [x for (x,) in g.nodes]
+    nodes = grid_nodes(LambdaGrid.build(1, window=4.0, step=1 / 32))
+    assert (0.0,) in nodes
+    assert len(nodes) == 257
+    xs = [x for (x,) in nodes]
     assert xs == sorted(xs)
     assert xs[0] == -4.0 and xs[-1] == 4.0
 
 
 def test_grid_two_directions():
-    g = LambdaGrid.build(2, window=1.0, step=0.5)
-    assert len(g.nodes) == 25
-    assert (0.0, 0.0) in g.nodes
+    nodes = grid_nodes(LambdaGrid.build(2, window=1.0, step=0.5))
+    assert len(nodes) == 25
+    assert (0.0, 0.0) in nodes
 
 
 def test_coupling_beyond_cutoff_is_rejected():
@@ -168,35 +181,43 @@ def test_fiber_blocks_equal_the_per_node_reference(kind, n, reduced, step):
     if reduced:
         op = order_reduction(op)
     grid = LambdaGrid.build(n, window=3 * step, step=step)
-    got = np.concatenate(list(_fiber_chunks(op, grid.nodes, op.reduction)))
-    want = np.stack([_ref_fiber(op, lam) for lam in grid.nodes])
+    nodes = grid_nodes(grid)
+    got = np.concatenate(list(_fiber_chunks(op, full_axes(grid), op.reduction)))
+    want = np.stack([_ref_fiber(op, lam) for lam in nodes])
     assert np.array_equal(got, want)
-    for lam in grid.nodes[:: max(1, len(grid.nodes) // 5)]:
+    for lam in nodes[:: max(1, len(nodes) // 5)]:
         assert np.array_equal(fiber(op, lam), _ref_fiber(op, lam))
 
 
 def test_worst_fiber_and_spectrum_do_not_depend_on_chunks():
-    # the reduced fibers are smallest where -1.5 + lam^2 + 1 nearly
-    # vanishes: at the tied nodes lam = -181/256 and +181/256, which fall
-    # in different blocks of the 2049-node grid
-    op = InvariantOperator.shifted_laplacian(CircleBase(8), n=1, shift=-1.5)
+    # p = k^2 + (lam + 181/256)(lam + 96/256) vanishes exactly on mode 0 at
+    # the tied nodes lam = -181/256 and -96/256 (dyadic, so every sum is
+    # exact).  The odd term makes every class a single node, so the tied
+    # nodes lie in different classes and in different blocks; the class of
+    # -96/256 has the smaller key, so only the order of first occurrence
+    # puts -181/256 first.
+    terms = {(1, (0,)): 1.0, (0, (2,)): 1.0, (0, (1,)): 277 / 256, (0, (0,)): 17376 / 65536}
+    op = InvariantOperator.build(CircleBase(8), 1, terms)
     grid = LambdaGrid.build(1, window=4.0, step=1 / 256)
+    nodes = grid_nodes(grid)
     per_chunk = parametric._CHUNK_ENTRIES // op.base.dim**2
-    assert len(grid.nodes) > 2 * per_chunk
-
     reduced = order_reduction(op)
+    assert _class_axes(reduced, grid, reduced.reduction) == [grid.axis]
+    assert len(nodes) > 2 * per_chunk
+
     sigmas = np.linalg.svd(
-        np.stack([fiber(reduced, lam) for lam in grid.nodes]), compute_uv=False
+        np.stack([fiber(reduced, lam) for lam in nodes]), compute_uv=False
     )[:, -1]
     worst = int(np.argmin(sigmas))
     ties = np.flatnonzero(sigmas == sigmas[worst])
+    assert [nodes[i] for i in ties] == [(-181 / 256,), (-96 / 256,)]
     assert len({int(i) // per_chunk for i in ties}) == 2
     v = invertible_parametric(op, grid, tol=0.01)
     assert not v.invertible
-    assert v.failing_lambda == grid.nodes[worst] == (-181 / 256,)
-    assert v.min_sigma == float(sigmas[worst])
+    assert v.failing_lambda == nodes[worst] == (-181 / 256,)
+    assert v.min_sigma == float(sigmas[worst]) == 0.0
 
-    eigs = np.linalg.eigvalsh(np.stack([fiber(op, lam) for lam in grid.nodes]))
+    eigs = np.linalg.eigvalsh(np.stack([fiber(op, lam) for lam in nodes]))
     want = SpectrumSet.canonical([complex(x) for x in eigs.ravel()], 1e-9, truncated=True)
     assert spectrum_parametric(op, grid, tol=1e-9) == want
 
@@ -244,9 +265,9 @@ def test_diagonal_fibers_equal_the_lapack_path(n, reduced):
         if reduced:
             op = order_reduction(op)
         twin = _with_zero_coupling(op)
-        blocks = list(_fiber_chunks(op, grid.nodes, op.reduction))
+        blocks = list(_fiber_chunks(op, full_axes(grid), op.reduction))
         assert all(b.ndim == 2 for b in blocks)
-        dense = np.concatenate(list(_fiber_chunks(twin, grid.nodes, twin.reduction)))
+        dense = np.concatenate(list(_fiber_chunks(twin, full_axes(grid), twin.reduction)))
         assert np.array_equal(parametric._as_matrices(np.concatenate(blocks)), dense)
         got, want = invertible_parametric(op, grid), invertible_parametric(twin, grid)
         assert np.array_equal(got.min_sigma, want.min_sigma)
@@ -256,7 +277,8 @@ def test_diagonal_fibers_equal_the_lapack_path(n, reduced):
         spectrum = spectrum_parametric(op, grid, tol=1e-9)
         assert repr(spectrum) == repr(spectrum_parametric(twin, grid, tol=1e-9))
         assert symbol_restriction_check(op) == symbol_restriction_check(twin)
-        for lam in grid.nodes[:: max(1, len(grid.nodes) // 4)]:
+        nodes = grid_nodes(grid)
+        for lam in nodes[:: max(1, len(nodes) // 4)]:
             assert np.array_equal(fiber(op, lam), fiber(twin, lam))
 
 
@@ -276,10 +298,11 @@ def test_only_real_diagonal_fibers_skip_lapack(monkeypatch):
     svd = _count_calls(monkeypatch, "svd")
     eigvalsh = _count_calls(monkeypatch, "eigvalsh")
     grid = LambdaGrid.build(1, window=1.0, step=0.25)
+    classes = 5  # +-lam share a class: 5 distinct fibers on the 9 nodes
     real = InvariantOperator.shifted_laplacian(CircleBase(3), n=1, shift=1.0)
 
-    def fiber_stacks():  # the symbol sweep's SVD is over directions, not nodes
-        return [shape for shape in svd if shape[0] == len(grid.nodes)]
+    def fiber_stacks():  # the symbol sweep's SVD is over 64 (circle) or 2 (graph) directions
+        return [shape for shape in svd if shape[0] not in (64, 2)]
 
     invertible_parametric(real, grid)
     spectrum_parametric(real, grid)
@@ -295,11 +318,11 @@ def test_only_real_diagonal_fibers_skip_lapack(monkeypatch):
     for op in (complex_coeff, coupled, graph):
         svd.clear()
         invertible_parametric(op, grid)
-        assert fiber_stacks() == [(len(grid.nodes), op.base.dim, op.base.dim)]
+        assert fiber_stacks() == [(classes, op.base.dim, op.base.dim)]
     for op in (coupled, graph):
         eigvalsh.clear()
         spectrum_parametric(op, grid)
-        assert eigvalsh == [(len(grid.nodes), op.base.dim, op.base.dim)]
+        assert eigvalsh == [(classes, op.base.dim, op.base.dim)]
 
 
 def test_parametric_memory_follows_the_chunk_not_the_grid():
@@ -315,6 +338,118 @@ def test_parametric_memory_follows_the_chunk_not_the_grid():
             tracemalloc.stop()
     # 4 times the nodes; the bound was fixed before measuring
     assert peaks[1] - peaks[0] <= 4 * 2**20
+
+
+def test_wide_grid_keeps_its_axis_not_its_nodes():
+    tracemalloc.start()
+    try:
+        grid = LambdaGrid.build(3, window=4.0, step=1 / 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid.axis) ** 3 == 2_146_689
+    assert peak < 2**20
+
+
+def test_invertible_on_a_wide_grid_peaks_within_two_blocks():
+    # 65^3 classes of the 129^3 nodes; all of them at once would take 21 MiB
+    op = InvariantOperator.shifted_laplacian(CircleBase(2), n=3, shift=1.0)
+    grid = LambdaGrid.build(3, window=4.0, step=1 / 16)
+    block = parametric._CHUNK_ENTRIES * np.dtype(complex).itemsize  # 4 MiB
+    tracemalloc.start()
+    try:
+        v = invertible_parametric(op, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.invertible and v.min_sigma > 0.0
+    assert peak <= 2 * block
+
+
+# ---------------------------------------------------------------------------
+# the class grid against every node of the grid
+
+
+def _class_test_operator(rng, base, n: int, odd: bool, hermitian: bool, coupled: bool):
+    """An elliptic order-4 operator with random lower-order terms and couplings.
+
+    Lower-order exponents are even unless odd is set; coefficients are real
+    and couplings Hermitian when hermitian is set, complex otherwise.
+    """
+    terms = {(2, (0,) * n): 1.0}
+    for i in range(n):
+        terms[(0, tuple(4 if j == i else 0 for j in range(n)))] = 1.0
+    exponents = [0, 1, 2, 3] if odd else [0, 2]
+
+    def lower_alpha(limit: int) -> tuple:
+        while True:
+            alpha = tuple(int(a) for a in rng.choice(exponents, n))
+            if sum(alpha) <= limit:
+                return alpha
+
+    def value():
+        return float(rng.normal()) if hermitian else complex(*rng.normal(size=2))
+
+    for _ in range(3):
+        terms[(0, lower_alpha(3))] = value()
+    terms[(1, lower_alpha(1))] = value()
+    lo, hi = (-base.cutoff, base.cutoff + 1) if isinstance(base, CircleBase) else (0, base.dim)
+    couplings = {}
+    for _ in range(2 if coupled else 0):
+        k1, k2 = (int(k) for k in rng.integers(lo, hi, 2))
+        v = value() + (1j * float(rng.normal()) if hermitian and k1 != k2 else 0.0)
+        entries = {(k1, k2): v, (k2, k1): np.conj(v)} if hermitian else {(k1, k2): v}
+        couplings[lower_alpha(3)] = entries
+    return InvariantOperator.build(base, n, terms, couplings)
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["circle", "graph"])
+def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, odd):
+    # blocks of 3 fibers, so that both walks cross many block boundaries
+    base = CircleBase(2) if kind == "circle" else path_graph(4)
+    monkeypatch.setattr(parametric, "_CHUNK_ENTRIES", 3 * base.dim**2)
+    step = {1: 1 / 8, 2: 0.25, 3: 0.5}[n]
+    grid = LambdaGrid.build(n, window=1.0, step=step)
+    nodes = grid_nodes(grid)
+    # no term on the axes after the first: one class each, unless the
+    # fibers are reduced, which reads |lam|^2
+    flat = InvariantOperator.build(
+        base, n, {(1, (0,) * n): 1.0, (0, (2,) + (0,) * (n - 1)): 1.0, (0, (0,) * n): -0.5}
+    )
+    assert _class_axes(flat, grid, None)[1:] == [(grid.axis[0],)] * (n - 1)
+    cases = [(flat, False)]
+    for seed in range(4):
+        rng = np.random.default_rng([1400, n, int(odd), seed])
+        for hermitian in (True, False):
+            op = _class_test_operator(rng, base, n, odd, hermitian, coupled=seed > 0)
+            cases.append((op, hermitian))
+    for op, hermitian in cases:
+        reduced = order_reduction(op)
+        for target, reduction in ((op, None), (reduced, reduced.reduction)):
+            axes = _class_axes(target, grid, reduction)
+            if not odd or op is flat:  # +-x share a class on every axis
+                assert all(len(a) <= len(grid.axis) // 2 + 1 for a in axes)
+            if reduction is not None and op is flat:
+                assert [len(a) for a in axes] == [len(grid.axis) // 2 + 1] * n
+            every = np.concatenate(list(_fiber_chunks(target, full_axes(grid), reduction)))
+            distinct = np.concatenate(list(_fiber_chunks(target, axes, reduction)))
+            assert len(distinct) == np.prod([len(a) for a in axes])
+            assert {f.tobytes() for f in distinct} == {f.tobytes() for f in every}
+
+        # the full-grid reference: one fiber per node, each solved alone
+        sigmas = np.array(
+            [np.linalg.svd(fiber(reduced, lam), compute_uv=False)[-1] for lam in nodes]
+        )
+        v = invertible_parametric(op, grid, tol=np.inf)
+        assert not v.invertible
+        assert v.min_sigma == float(sigmas.min())
+        assert v.failing_lambda == nodes[int(np.argmin(sigmas))]
+        if hermitian:
+            eigs = np.concatenate([np.linalg.eigvalsh(fiber(op, lam)) for lam in nodes])
+            want = SpectrumSet.canonical(_distinct(eigs), 1e-9, truncated=True)
+            assert repr(spectrum_parametric(op, grid, tol=1e-9)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +496,7 @@ def test_reduction_preserves_invertibility_verdicts():
         v_red = invertible_parametric(red, grid)
         raw_singular = any(
             np.linalg.svd(fiber(op, lam), compute_uv=False)[-1] <= 1e-9
-            for lam in grid.nodes
+            for lam in grid_nodes(grid)
         )
         assert v_red.invertible == (not raw_singular)
 
@@ -376,7 +511,7 @@ def test_spectrum_matches_analytic_laplacian_values():
     got = spectrum_parametric(op, grid, tol=1e-9)
     assert got.truncated
     want_points = sorted(
-        {1.0 + k * k + lam[0] ** 2 for k in range(-16, 17) for lam in grid.nodes}
+        {1.0 + k * k + lam[0] ** 2 for k in range(-16, 17) for lam in grid_nodes(grid)}
     )
     want = SpectrumSet.canonical([complex(x) for x in want_points], 1e-9)
     assert hausdorff(got, want) <= 1e-9
@@ -396,7 +531,7 @@ def test_spectrum_agrees_with_observable_route():
     op = InvariantOperator.shifted_laplacian(CircleBase(6), n=1, shift=1.0)
     grid = LambdaGrid.build(1, window=2.0, step=0.25)
     direct = spectrum_parametric(op, grid, tol=1e-9)
-    obs = Observable.fibered([fiber(op, lam) for lam in grid.nodes])
+    obs = Observable.fibered([fiber(op, lam) for lam in grid_nodes(grid)])
     via_cayley = spec_union_observable([obs], resolution=1e-9)
     assert hausdorff(direct, via_cayley) <= 1e-8
 
@@ -434,7 +569,7 @@ def test_graph_spectrum_is_exact_in_the_compact_direction():
     got = spectrum_parametric(op, grid, tol=1e-9)
     lap_eigs = np.linalg.eigvalsh(base.laplacian())
     want = SpectrumSet.canonical(
-        [complex(mu + lam[0] ** 2) for mu in lap_eigs for lam in grid.nodes], 1e-9
+        [complex(mu + lam[0] ** 2) for mu in lap_eigs for lam in grid_nodes(grid)], 1e-9
     )
     assert hausdorff(got, want) <= 1e-9
 

@@ -347,6 +347,37 @@ def test_canonical_real_axis_path_equals_the_general_loop():
             assert repr(got) == repr(want), values
 
 
+def _greedy_merge(values: np.ndarray, resolution: float) -> tuple:
+    """The greedy loop over every sorted point: keep p unless a kept q lies within resolution."""
+    kept: list[complex] = []
+    for p in sorted((complex(x) for x in values), key=lambda z: (z.real, z.imag)):
+        merged = False
+        for q in reversed(kept):
+            if p.real - q.real > resolution:
+                break
+            if abs(p - q) <= resolution:
+                merged = True
+                break
+        if not merged:
+            kept.append(p)
+    return tuple(kept)
+
+
+def test_canonical_loops_only_over_close_runs_and_keeps_the_greedy_result():
+    rng = np.random.default_rng(1405)
+    for trial in range(60):
+        resolution = [1e-9, 2.0**-12, 0.0][trial % 3]
+        values = list(rng.uniform(-50.0, 50.0, int(rng.integers(0, 3000))))
+        for _ in range(int(rng.integers(0, 16))):  # chains of close values
+            start, gaps = rng.uniform(-50.0, 50.0), rng.uniform(0.0, 2.0, int(rng.integers(1, 9)))
+            values += (start + np.cumsum(gaps) * resolution).tolist()
+            values += [start] * int(rng.integers(0, 3))
+        values = rng.permutation(np.array(values, dtype=float))
+        got = SpectrumSet.canonical(values, resolution, truncated=True)
+        assert repr(got.points) == repr(_greedy_merge(values, resolution)), trial
+        assert (got.resolution, got.truncated) == (resolution, True)
+
+
 def test_spectrum_union_propagates_truncation():
     a = SpectrumSet.canonical([0.0], 1e-10, truncated=True)
     b = SpectrumSet.canonical([1.0], 1e-10)
