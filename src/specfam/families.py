@@ -354,17 +354,6 @@ class InvertibilityVerdict:
     exhausting_route: dict
     faithful_route: tuple[dict, ...]
 
-    def as_dict(self) -> dict:
-        out = {
-            "threshold": self.threshold,
-            "members_all_invertible": self.members_all_invertible,
-            "member_min_sigma": self.member_min_sigma,
-            "exhausting_route": dict(self.exhausting_route),
-        }
-        if self.faithful_route:
-            out["faithful_route"] = [dict(v) for v in self.faithful_route]
-        return out
-
 
 def invertible_via_family(
     family: RepFamily,
@@ -431,7 +420,7 @@ def direct_invertible(a: AlgebraElement, tol: float = DEFAULT_RESOLUTION) -> Dir
             gap = max(gap, 1.0 - bps[-1])
     sigma = float(np.linalg.svd(a.values_at(pts), compute_uv=False)[:, -1].min())
     margin = sigma - a.lipschitz_bound * gap / 2.0
-    return DirectCheck(margin > tol, sigma, margin)
+    return DirectCheck(bool(margin > tol), sigma, float(margin))
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +479,6 @@ class FredholmVerdict:
     failing_theta: float | None
     min_symbol: float
     certified_margin: float
-
-    def as_dict(self) -> dict:
-        return {
-            "fredholm": self.fredholm,
-            "inverse_bound": self.inverse_bound,
-            "failing_theta": self.failing_theta,
-            "min_symbol": self.min_symbol,
-            "certified_margin": self.certified_margin,
-        }
 
 
 def fredholm_via_family(

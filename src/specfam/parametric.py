@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -217,6 +218,20 @@ class InvariantOperator:
             terms[(0, (0,) * n)] = float(shift)
         return cls.build(base, n, terms, label=label or f"{shift:g}-laplacian")
 
+    @cached_property
+    def _symbol_sweep(self) -> list[tuple]:
+        """Pairs ((xi, eta), sigma_min of the principal symbol there), from one stacked SVD.
+
+        Kept on the operator: its ellipticity check and verdicts read one sweep.
+        """
+        if isinstance(self.base, GraphBase):
+            etas = [(1.0,), (-1.0,)] if self.n == 1 else _lattice_directions(self.n)
+            dirs = [(0.0, eta) for eta in etas]
+        else:
+            dirs = _sphere_directions(self.n)
+        symbols = _principal_symbols(self, dirs)
+        return list(zip(dirs, np.linalg.svd(symbols, compute_uv=False)[:, -1]))
+
 
 # Complex entries per fiber block: a block holds _CHUNK_ENTRIES // d^2
 # fibers (about 4 MiB), so memory follows the block and not the grid.
@@ -360,6 +375,8 @@ def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduction: tuple | None
     grows with the class, so the first minimum over the product of the
     classes lies at the first minimizing node of the grid.
     """
+    if grid.n != op.n:
+        raise IncompatibleQuery(f"grid has {grid.n} directions, the operator has {op.n}")
     alphas = [alpha for (_j, alpha), _c in op.terms] + [alpha for alpha, _m in op.couplings]
     axes = []
     for i in range(op.n):
@@ -370,6 +387,22 @@ def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduction: tuple | None
         first = np.sort(np.unique(bits, axis=0, return_index=True)[1])
         axes.append(tuple(grid.axis[j] for j in first.tolist()))
     return axes
+
+
+def _fiber_bound(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> float:
+    """Bound on the fiber entries over the grid (and on D's when reduced), inf on overflow.
+
+    With r = max(1, largest coordinate) and |L| at most its largest row sum:
+    sum |c| |L|^j r^|alpha| + sum max|C| r^|alpha|, and 1 + n r^2 + |L| for D.
+    """
+    r = max(1.0, grid.axis[-1])
+    lap = float(np.abs(_compact_laplacian(op.base)).sum(axis=1).max())
+    try:  # a Python float power raises OverflowError where a product gives inf
+        bound = sum(abs(c) * lap**j * r ** sum(alpha) for (j, alpha), c in op.terms)
+        bound += sum(float(np.abs(m).max()) * r ** sum(alpha) for alpha, m in op.couplings)
+    except OverflowError:
+        return math.inf
+    return max(bound, 1.0 + op.n * r * r + lap) if reduced else bound
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +443,8 @@ def _sphere_directions(n: int) -> list[tuple]:
     uses normalized small-lattice points, which also include every axis.
     """
     if n == 1:
-        return [(np.cos(2 * np.pi * i / 64), (np.sin(2 * np.pi * i / 64),)) for i in range(64)]
+        angles = [2 * np.pi * i / 64 for i in range(64)]
+        return [(float(np.cos(a)), (float(np.sin(a)),)) for a in angles]
     return [(vec[0], vec[1:]) for vec in _lattice_directions(n + 1)]
 
 
@@ -442,16 +476,6 @@ def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
     return out
 
 
-def _symbol_sweep(op: InvariantOperator):
-    """Pairs ((xi, eta), sigma_min of the principal symbol there), from one stacked SVD."""
-    if isinstance(op.base, GraphBase):
-        etas = [(1.0,), (-1.0,)] if op.n == 1 else _lattice_directions(op.n)
-        dirs = [(0.0, eta) for eta in etas]
-    else:
-        dirs = _sphere_directions(op.n)
-    return zip(dirs, np.linalg.svd(_principal_symbols(op, dirs), compute_uv=False)[:, -1])
-
-
 def principal_symbol(op: InvariantOperator, xi: float, eta: tuple) -> np.ndarray:
     """Top joint-degree part at one direction (xi, eta); xi is ignored on a graph."""
     return _principal_symbols(op, [(xi, eta)])[0]
@@ -474,7 +498,7 @@ def _check_elliptic(op: InvariantOperator):
         + [float(np.abs(m).max()) for _a, m in op.couplings]
         + [1.0]
     )
-    for (xi, eta), smin in _symbol_sweep(op):
+    for (xi, eta), smin in op._symbol_sweep:
         if smin <= 1e-12 * scale:
             raise NotElliptic(
                 f"principal symbol degenerates at direction (xi={xi:.6g}, eta={eta})"
@@ -491,16 +515,13 @@ def spectrum_parametric(
     self-adjoint elliptic operator; reduction is ignored here because
     the reduced fibers belong to a different bounded operator.
     """
-    if grid.n != op.n:
-        raise IncompatibleQuery(
-            f"grid has {grid.n} directions, the operator has {op.n}"
-        )
+    axes = _class_axes(op, grid, None)
     _check_selfadjoint(op)
     _check_elliptic(op)
     # eigvalsh reads only the real part of a Hermitian diagonal
     parts = [
         _distinct((chunk.real if chunk.ndim == 2 else np.linalg.eigvalsh(chunk)).ravel())
-        for chunk in _fiber_chunks(op, _class_axes(op, grid, None))
+        for chunk in _fiber_chunks(op, axes)
     ]
     return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
 
@@ -512,17 +533,6 @@ class ParametricVerdict:
     failing_lambda: tuple | None
     min_symbol: float
     failing_direction: tuple | None
-
-    def as_dict(self) -> dict:
-        return {
-            "invertible": self.invertible,
-            "min_sigma": self.min_sigma,
-            "failing_lambda": list(self.failing_lambda) if self.failing_lambda else None,
-            "min_symbol": self.min_symbol,
-            "failing_direction": (
-                list(self.failing_direction) if self.failing_direction else None
-            ),
-        }
 
 
 def invertible_parametric(
@@ -538,10 +548,6 @@ def invertible_parametric(
     value, and the principal symbol must stay at least delta_sym along
     sphere directions whose parameter part is at least delta_dir.
     """
-    if grid.n != op.n:
-        raise IncompatibleQuery(
-            f"grid has {grid.n} directions, the operator has {op.n}"
-        )
     reduced = order_reduction(op)
     axes = _class_axes(reduced, grid, reduced.reduction)
     worst, min_sigma, start = None, np.inf, 0
@@ -560,7 +566,7 @@ def invertible_parametric(
 
     min_symbol = np.inf
     failing_dir = None
-    for (xi, eta), smin in _symbol_sweep(op):
+    for (xi, eta), smin in op._symbol_sweep:
         if _norm(eta) < delta_dir:
             continue
         if smin < min_symbol:
@@ -584,14 +590,6 @@ class RestrictionCheck:
     c0: float
     c1: float
     tolerance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "c0": self.c0,
-            "c1": self.c1,
-            "tolerance": self.tolerance,
-        }
 
 
 def symbol_restriction_check(op: InvariantOperator) -> RestrictionCheck:

@@ -62,6 +62,7 @@ from .parametric import (
     LambdaGrid,
     _as_matrices,
     _class_axes,
+    _fiber_bound,
     _fiber_chunks,
     invertible_parametric,
     spectrum_parametric,
@@ -72,17 +73,20 @@ from .spectral import DEFAULT_RESOLUTION, SpectrumSet, _distinct
 SCENARIO_VERSION = 1
 REPORT_VERSION = "0.1.0"
 
-QUERY_KINDS = (
-    "norm",
-    "invertible",
-    "spectrum",
-    "family-report",
-    "fredholm",
-    "parametric-spectrum",
-    "parametric-invertible",
-    "restriction-check",
-    "observable-spectrum",
-)
+# each query kind and the keys its runner reads, besides id and kind
+QUERY_KINDS = {
+    "norm": ("element", "family"),
+    "invertible": ("element", "family", "resolution", "bounds"),
+    "spectrum": ("element", "family", "resolution"),
+    "family-report": ("family", "element"),
+    "fredholm": ("element", "family", "resolution"),
+    "parametric-spectrum": ("operator", "window", "step", "resolution"),
+    "parametric-invertible": ("operator", "window", "step", "delta-dir", "delta-sym", "resolution"),
+    "restriction-check": ("operator",),
+    "observable-spectrum": (
+        "infinite", "operator", "element", "family", "window", "step", "resolution",
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +155,23 @@ def _parse_section(rows, pos: int, indent: int) -> tuple[list[_Pair], int]:
         if rest:
             pairs.append(_Pair(key, rest, line))
             continue
-        if pos < len(rows) and rows[pos][0] > indent:
-            child_indent = rows[pos][0]
-            if child_indent != indent + 2:
-                raise ParseError(
-                    "nested blocks must indent by exactly two spaces",
-                    rows[pos][2],
-                    child_indent + 1,
-                )
-            if rows[pos][1].startswith("- "):
-                value, pos = _parse_items(rows, pos, child_indent)
-            else:
-                value, pos = _parse_section(rows, pos, child_indent)
-            pairs.append(_Pair(key, value, line))
-        else:
+        if not _nests(rows, pos, indent):
             raise ParseError(f"section {key!r} has no content", line, ind + 1)
+        parse = _parse_items if rows[pos][1].startswith("- ") else _parse_section
+        value, pos = parse(rows, pos, indent + 2)
+        pairs.append(_Pair(key, value, line))
     return _unique_keys(pairs), pos
+
+
+def _nests(rows, pos: int, indent: int) -> bool:
+    """Does a block nested under indent start at rows[pos]?  It must indent by two."""
+    if pos == len(rows) or rows[pos][0] <= indent:
+        return False
+    if rows[pos][0] != indent + 2:
+        raise ParseError(
+            "nested blocks must indent by exactly two spaces", rows[pos][2], rows[pos][0] + 1
+        )
+    return True
 
 
 def _parse_items(rows, pos: int, indent: int) -> tuple[list, int]:
@@ -189,15 +194,8 @@ def _parse_items(rows, pos: int, indent: int) -> tuple[list, int]:
             if not first.key:
                 raise ParseError("empty key", line, ind + 3)
             body: list[_Pair] = [first]
-            if pos < len(rows) and rows[pos][0] > indent:
-                child_indent = rows[pos][0]
-                if child_indent != indent + 2:
-                    raise ParseError(
-                        "item fields must indent by exactly two spaces",
-                        rows[pos][2],
-                        child_indent + 1,
-                    )
-                more, pos = _parse_section(rows, pos, child_indent)
+            if _nests(rows, pos, indent):
+                more, pos = _parse_section(rows, pos, indent + 2)
                 body.extend(more)
             items.append(_unique_keys(body))
         else:
@@ -250,12 +248,6 @@ def _section_pairs(value, line: int) -> list[_Pair]:
     return value
 
 
-def _items(value, line: int) -> list:
-    if not isinstance(value, list):
-        raise ParseError("expected a list", line)
-    return value
-
-
 def _get(pairs: list[_Pair], key: str):
     for p in pairs:
         if p.key == key:
@@ -274,6 +266,25 @@ def _scalar(p: _Pair) -> str:
     if not isinstance(p.value, str):
         raise ParseError(f"field {p.key!r} must be a scalar", p.line)
     return p.value
+
+
+def _check_keys(pairs: list[_Pair], fixed, what: str, indexed=()) -> None:
+    """Refuse a key that is not in fixed and whose first word is not in indexed."""
+    for p in pairs:
+        if p.key not in fixed and p.key.split()[0] not in indexed:
+            raise ParseError(f"unknown {what} {p.key!r}", p.line)
+
+
+def _indexed(pairs: list[_Pair], word: str, arity: int, usage: str) -> list:
+    """(indices, pair) for each key 'word i ..', in order; usage is the error for a bad arity."""
+    out = []
+    for p in pairs:
+        toks = p.key.split()
+        if toks[0] == word:
+            if len(toks) != 1 + arity:
+                raise ParseError(usage, p.line)
+            out.append((tuple(_int(t, p.line) for t in toks[1:]), p))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +322,7 @@ def parse_scenario(text: str) -> Scenario:
     if version != SCENARIO_VERSION:
         raise ParseError(f"unsupported scenario version {version}", pairs[0].line)
 
-    known = {
-        "scenario-version", "label", "model",
-        "elements", "families", "operators", "queries",
-    }
-    for p in pairs:
-        if p.key not in known:
-            raise ParseError(f"unknown top-level section {p.key!r}", p.line)
-
+    _check_keys(pairs, ("scenario-version", "label", "model", *_LISTS), "top-level section")
     label_pair = _get(pairs, "label")
     label = _scalar(label_pair) if label_pair else ""
 
@@ -327,53 +331,23 @@ def parse_scenario(text: str) -> Scenario:
     if model_pair:
         model = _build_model(_section_pairs(model_pair.value, model_pair.line))
 
-    scenario = Scenario(label, model, {}, {}, {}, [])
-
-    el_pair = _get(pairs, "elements")
-    if el_pair:
-        for item in _items(el_pair.value, el_pair.line):
-            body = _section_pairs(item, el_pair.line)
-            eid, element = _build_element(body, model)
-            if eid in scenario.elements:
-                raise ParseError(f"duplicate element id {eid!r}", body[0].line)
-            scenario.elements[eid] = element
-
-    fam_pair = _get(pairs, "families")
-    if fam_pair:
-        for item in _items(fam_pair.value, fam_pair.line):
-            body = _section_pairs(item, fam_pair.line)
+    tables: dict[str, dict] = {}
+    for section, (noun, build) in _LISTS.items():
+        table = tables[section] = {}
+        pair = _get(pairs, section)
+        if pair and not isinstance(pair.value, list):
+            raise ParseError("expected a list", pair.line)
+        for item in pair.value if pair else ():
+            body = _section_pairs(item, pair.line)
             try:
-                fid, fam = _build_family_entry(body, model)
+                key, value = build(body, model)
             except ValueError as err:
                 raise ParseError(str(err), body[0].line) from None
-            if fid in scenario.families:
-                raise ParseError(f"duplicate family id {fid!r}", body[0].line)
-            scenario.families[fid] = fam
-
-    op_pair = _get(pairs, "operators")
-    if op_pair:
-        for item in _items(op_pair.value, op_pair.line):
-            body = _section_pairs(item, op_pair.line)
-            try:
-                oid, op = _build_operator(body)
-            except ValueError as err:
-                raise ParseError(str(err), body[0].line) from None
-            if oid in scenario.operators:
-                raise ParseError(f"duplicate operator id {oid!r}", body[0].line)
-            scenario.operators[oid] = op
-
-    q_pair = _get(pairs, "queries")
-    if q_pair:
-        for item in _items(q_pair.value, q_pair.line):
-            body = _section_pairs(item, q_pair.line)
-            qid = _scalar(_need(body, "id", body[0].line))
-            kind = _scalar(_need(body, "kind", body[0].line))
-            if kind not in QUERY_KINDS:
-                raise ParseError(f"unknown query kind {kind!r}", body[0].line)
-            if any(q.id == qid for q in scenario.queries):
-                raise ParseError(f"duplicate query id {qid!r}", body[0].line)
-            scenario.queries.append(Query(qid, kind, body, body[0].line))
-    return scenario
+            if key in table:
+                raise ParseError(f"duplicate {noun} id {key!r}", body[0].line)
+            table[key] = value
+    queries = list(tables.pop("queries").values())
+    return Scenario(label, model, **tables, queries=queries)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -393,28 +367,26 @@ def load_scenario(path: str) -> Scenario:
 # -- builders ----------------------------------------------------------------
 
 
+# each model key, the build_model parameter it sets and how its value reads
+_MODEL_KEYS = {
+    "step": ("step", _num),
+    "points": ("points", _int),
+    "dim": ("dim", _int),
+    "constraint-point": ("constraint_point", _num),
+    "theta-count": ("theta_count", _int),
+    "sections": ("sections", lambda val, line: tuple(int(x) for x in _nums(val, line))),
+}
+
+
 def _build_model(pairs: list[_Pair]):
     name_pair = _need(pairs, "name", pairs[0].line if pairs else 1)
     name = _scalar(name_pair)
+    _check_keys(pairs, ("name", *_MODEL_KEYS), "model field")
     params = {}
     for p in pairs:
-        if p.key == "name":
-            continue
-        val = _scalar(p)
-        if p.key == "step":
-            params["step"] = _num(val, p.line)
-        elif p.key == "points":
-            params["points"] = _int(val, p.line)
-        elif p.key == "dim":
-            params["dim"] = _int(val, p.line)
-        elif p.key == "constraint-point":
-            params["constraint_point"] = _num(val, p.line)
-        elif p.key == "theta-count":
-            params["theta_count"] = _int(val, p.line)
-        elif p.key == "sections":
-            params["sections"] = tuple(int(x) for x in _nums(val, p.line))
-        else:
-            raise ParseError(f"unknown model field {p.key!r}", p.line)
+        if p.key != "name":
+            field, read = _MODEL_KEYS[p.key]
+            params[field] = read(_scalar(p), p.line)
     try:
         return build_model(name, **params)
     except ValueError as err:
@@ -428,43 +400,40 @@ def _complex_value(pair: _Pair, what: str) -> complex:
     return complex(vals[0], vals[1] if len(vals) > 1 else 0.0)
 
 
+# the indexed keys of each element kind, besides id and kind
+_ELEMENT_KEYS = {"matrix-poly": ("entry",), "toeplitz": ("c", "corr")}
+
+
 def _build_element(pairs: list[_Pair], model):
     line = pairs[0].line
     eid = _scalar(_need(pairs, "id", line))
     kind = _scalar(_need(pairs, "kind", line))
     if model is None:
         raise ParseError("elements need a model section", line)
+    if kind not in _ELEMENT_KEYS:
+        raise ParseError(f"unknown element kind {kind!r}", line)
+    _check_keys(pairs, ("id", "kind"), "element field", _ELEMENT_KEYS[kind])
     if kind == "matrix-poly":
         if not isinstance(model, FunctionModel):
             raise IncompatibleModel("matrix-poly elements need a function model")
-        entries = {}
-        for p in pairs:
-            toks = p.key.split()
-            if toks[:1] != ["entry"]:
-                continue
-            if len(toks) != 3:
-                raise ParseError("entry keys look like 'entry i j'", p.line)
-            i, j = _int(toks[1], p.line), _int(toks[2], p.line)
-            entries[(i, j)] = [complex(c) for c in _nums(_scalar(p), p.line)]
+        entries = {
+            ij: [complex(c) for c in _nums(_scalar(p), p.line)]
+            for ij, p in _indexed(pairs, "entry", 2, "entry keys look like 'entry i j'")
+        }
         if not entries:
             raise ParseError("matrix-poly elements need at least one entry", line)
         make = partial(AlgebraElement.from_polynomials, model, entries, label=eid)
     elif kind == "toeplitz":
         if not isinstance(model, ToeplitzModel):
             raise IncompatibleModel("toeplitz elements need a symbol model")
-        symbol = {}
-        corr_entries = {}
-        for p in pairs:
-            toks = p.key.split()
-            if toks[:1] == ["c"]:
-                if len(toks) != 2:
-                    raise ParseError("symbol keys look like 'c k'", p.line)
-                symbol[_int(toks[1], p.line)] = _complex_value(p, "symbol")
-            elif toks[:1] == ["corr"]:
-                if len(toks) != 3:
-                    raise ParseError("correction keys look like 'corr i j'", p.line)
-                value = _complex_value(p, "correction")
-                corr_entries[(_int(toks[1], p.line), _int(toks[2], p.line))] = value
+        symbol = {
+            k: _complex_value(p, "symbol")
+            for (k,), p in _indexed(pairs, "c", 1, "symbol keys look like 'c k'")
+        }
+        corr_entries = {
+            ij: _complex_value(p, "correction")
+            for ij, p in _indexed(pairs, "corr", 2, "correction keys look like 'corr i j'")
+        }
         correction = None
         if corr_entries:
             side = 1 + max(max(i, j) for i, j in corr_entries)
@@ -474,8 +443,6 @@ def _build_element(pairs: list[_Pair], model):
                     raise ParseError("correction indices must be nonnegative", line)
                 correction[i, j] = v
         make = partial(ToeplitzElement.build, model, symbol, correction=correction, label=eid)
-    else:
-        raise ParseError(f"unknown element kind {kind!r}", line)
     try:
         return eid, make()
     except (ValueError, OverflowError) as err:
@@ -490,87 +457,82 @@ def _build_family_entry(pairs: list[_Pair], model):
     generator = _scalar(_need(pairs, "generator", line))
     if model is None:
         raise ParseError("families need a model section", line)
+    keys = ("id", "generator", "exclude-points", "add-block", "stride", "at")
+    _check_keys(pairs, keys, "family field")
     options = {}
-    add_blocks = []
     for p in pairs:
-        if p.key in ("id", "generator"):
-            continue
-        val = _scalar(p)
         if p.key == "exclude-points":
-            options["exclude_points"] = _nums(val, p.line)
+            options["exclude_points"] = _nums(_scalar(p), p.line)
         elif p.key == "add-block":
-            toks = _nums(val, p.line)
+            toks = _nums(_scalar(p), p.line)
             if len(toks) != 2:
                 raise ParseError("add-block takes 'point block'", p.line)
-            add_blocks.append((toks[0], int(toks[1])))
+            options.setdefault("add_blocks", []).append((toks[0], int(toks[1])))
         elif p.key == "stride":
-            options["stride"] = _int(val, p.line)
+            options["stride"] = _int(_scalar(p), p.line)
             if options["stride"] < 1:
                 raise ParseError("stride must be at least 1", p.line)
         elif p.key == "at":
-            options["at"] = _num(val, p.line)
-        else:
-            raise ParseError(f"unknown family field {p.key!r}", p.line)
-    if add_blocks:
-        options["add_blocks"] = add_blocks
+            options["at"] = _num(_scalar(p), p.line)
     fam = build_family(model, generator, **options)
     return fid, RepFamily(fam.model, fam.members, label=fid)
 
 
-def _build_operator(pairs: list[_Pair]):
+def _build_operator(pairs: list[_Pair], _model):
     line = pairs[0].line
     oid = _scalar(_need(pairs, "id", line))
+    _check_keys(pairs, ("id", "base", "directions"), "operator field", ("term",))
     base_pair = _need(pairs, "base", line)
     toks = _scalar(base_pair).split()
     if toks[:1] == ["circle"] and len(toks) == 2:
         base = CircleBase(_int(toks[1], base_pair.line))
     elif toks[:1] == ["graph-path"] and len(toks) == 2:
         v = _int(toks[1], base_pair.line)
-        a = np.zeros((v, v))
-        for i in range(v - 1):
-            a[i, i + 1] = a[i + 1, i] = 1.0
-        base = GraphBase(a)
+        base = GraphBase(np.eye(v, k=1) + np.eye(v, k=-1))
     else:
         raise ParseError("base looks like 'circle K' or 'graph-path V'", base_pair.line)
     n = _int(_scalar(_need(pairs, "directions", line)), line)
-    terms = {}
-    for p in pairs:
-        toks = p.key.split()
-        if toks[:1] != ["term"]:
-            continue
-        if len(toks) != 2 + n:
-            raise ParseError(
-                f"term keys look like 'term j a1 .. a{n}'", p.line
-            )
-        j = _int(toks[1], p.line)
-        alpha = tuple(_int(t, p.line) for t in toks[2:])
-        terms[(j, alpha)] = _num(_scalar(p), p.line)
+    terms = {
+        (ja[0], ja[1:]): _num(_scalar(p), p.line)
+        for ja, p in _indexed(pairs, "term", 1 + n, f"term keys look like 'term j a1 .. a{n}'")
+    }
     if not terms:
         raise ParseError("operators need at least one term", line)
     return oid, InvariantOperator.build(base, n, terms, label=oid)
+
+
+def _build_query(pairs: list[_Pair], _model):
+    line = pairs[0].line
+    qid = _scalar(_need(pairs, "id", line))
+    kind = _scalar(_need(pairs, "kind", line))
+    if kind not in QUERY_KINDS:
+        raise ParseError(f"unknown query kind {kind!r}", line)
+    _check_keys(pairs, ("id", "kind", *QUERY_KINDS[kind]), "query field")
+    return qid, Query(qid, kind, pairs, line)
+
+
+# each list section, the noun its items go by and the builder of one item
+_LISTS = {
+    "elements": ("element", _build_element),
+    "families": ("family", _build_family_entry),
+    "operators": ("operator", _build_operator),
+    "queries": ("query", _build_query),
+}
 
 
 # ---------------------------------------------------------------------------
 # query execution
 
 
-def _lookup(table: dict, pair: _Pair, what: str):
-    key = _scalar(pair)
+def _ref(scenario: Scenario, q: Query, what: str):
+    """The element, family or operator that the query names under the key what."""
+    key = _scalar(_need(q.params, what, q.line))
+    table = {
+        "element": scenario.elements, "family": scenario.families, "operator": scenario.operators,
+    }[what]
     if key not in table:
         raise IncompatibleQuery(f"unknown {what} {key!r}")
     return table[key]
-
-
-def _q_element(scenario: Scenario, q: Query):
-    return _lookup(scenario.elements, _need(q.params, "element", q.line), "element")
-
-
-def _q_family(scenario: Scenario, q: Query):
-    return _lookup(scenario.families, _need(q.params, "family", q.line), "family")
-
-
-def _q_operator(scenario: Scenario, q: Query):
-    return _lookup(scenario.operators, _need(q.params, "operator", q.line), "operator")
 
 
 def _q_num(q: Query, key: str, default: float) -> float:
@@ -582,18 +544,22 @@ def _q_num(q: Query, key: str, default: float) -> float:
     return value
 
 
-def _q_grid(q: Query, op: InvariantOperator) -> LambdaGrid:
+def _q_grid(q: Query, op: InvariantOperator, reduced: bool = False) -> LambdaGrid:
+    """The query's grid, refused before any fiber is built if a fiber entry could overflow."""
     window = _q_num(q, "window", 4.0)
     step = _q_num(q, "step", 1 / 32)
     try:
-        return LambdaGrid.build(op.n, window, step)
+        grid = LambdaGrid.build(op.n, window, step)
     except ValueError as err:
         raise ParseError(str(err), q.line) from None
+    if not math.isfinite(_fiber_bound(op, grid, reduced)):
+        raise IncompatibleModel(f"line {q.line}: the fibers of {op.label!r} overflow on the window")
+    return grid
 
 
 def _run_norm(scenario: Scenario, q: Query) -> dict:
-    a = _q_element(scenario, q)
-    fam = _q_family(scenario, q)
+    a = _ref(scenario, q, "element")
+    fam = _ref(scenario, q, "family")
     est = elem_norm(a)
     return {
         "family_value": float(norm_via_family(fam, a)),
@@ -603,72 +569,59 @@ def _run_norm(scenario: Scenario, q: Query) -> dict:
 
 
 def _run_invertible(scenario: Scenario, q: Query) -> dict:
-    a = _q_element(scenario, q)
-    fam = _q_family(scenario, q)
+    a = _ref(scenario, q, "element")
+    fam = _ref(scenario, q, "family")
     tol = _q_num(q, "resolution", DEFAULT_RESOLUTION)
     bounds_pair = _get(q.params, "bounds")
     bounds = _nums(_scalar(bounds_pair), bounds_pair.line) if bounds_pair else []
     if bounds and min(bounds) <= 0:
         raise ParseError(f"bounds must be positive, got {min(bounds)!r}", bounds_pair.line)
-    out = invertible_via_family(fam, a, tol, tuple(bounds)).as_dict()
-    if isinstance(a, AlgebraElement):
-        d = direct_invertible(a, tol)
-        out["direct"] = {
-            "invertible": bool(d.invertible),
-            "sigma_min": float(d.sigma_min),
-            "margin": float(d.margin),
-        }
-    else:
-        out["direct"] = None
+    out = dict(vars(invertible_via_family(fam, a, tol, tuple(bounds))))
+    if not bounds:
+        del out["faithful_route"]
+    direct = isinstance(a, AlgebraElement)
+    out["direct"] = dict(vars(direct_invertible(a, tol))) if direct else None
     return out
 
 
 def _run_spectrum(scenario: Scenario, q: Query) -> dict:
-    a = _q_element(scenario, q)
-    fam = _q_family(scenario, q)
+    a = _ref(scenario, q, "element")
+    fam = _ref(scenario, q, "family")
     tol = _q_num(q, "resolution", 1e-9)
     report = family_report(fam)
-    out = spectrum_union(fam, a, tol).as_dict()
-    out["contract"] = (
-        "equality" if report.exhausting else "closure" if report.faithful else "uncertified"
-    )
-    return out
+    contract = "equality" if report.exhausting else "closure" if report.faithful else "uncertified"
+    return {**spectrum_union(fam, a, tol).as_dict(), "contract": contract}
 
 
 def _run_family_report(scenario: Scenario, q: Query) -> dict:
-    fam = _q_family(scenario, q)
-    extras = []
-    p = _get(q.params, "element")
-    if p is not None:
-        extras.append(_lookup(scenario.elements, p, "element"))
-    return family_report(fam, probes=tuple(extras)).as_dict()
+    fam = _ref(scenario, q, "family")
+    extras = () if _get(q.params, "element") is None else (_ref(scenario, q, "element"),)
+    return family_report(fam, probes=extras).as_dict()
 
 
 def _run_fredholm(scenario: Scenario, q: Query) -> dict:
-    a = _q_element(scenario, q)
-    fam = _q_family(scenario, q)
+    a = _ref(scenario, q, "element")
+    fam = _ref(scenario, q, "family")
     tol = _q_num(q, "resolution", DEFAULT_RESOLUTION)
     verdict = fredholm_via_family(fam, a, tol)
     if not math.isfinite(verdict.certified_margin):
         raise IncompatibleModel(
             f"line {q.line}: the certified margin of {a.label!r} overflows (slope bound x radius)"
         )
-    return verdict.as_dict()
+    return dict(vars(verdict))
 
 
 def _run_parametric_spectrum(scenario: Scenario, q: Query) -> dict:
-    op = _q_operator(scenario, q)
+    op = _ref(scenario, q, "operator")
     grid = _q_grid(q, op)
     tol = _q_num(q, "resolution", 1e-9)
     out = spectrum_parametric(op, grid, tol).as_dict()
-    out["window"] = float(grid.window)
-    out["step"] = float(grid.step)
-    return out
+    return {**out, "window": grid.window, "step": grid.step}
 
 
 def _run_parametric_invertible(scenario: Scenario, q: Query) -> dict:
-    op = _q_operator(scenario, q)
-    grid = _q_grid(q, op)
+    op = _ref(scenario, q, "operator")
+    grid = _q_grid(q, op, reduced=True)
     v = invertible_parametric(
         op,
         grid,
@@ -676,11 +629,11 @@ def _run_parametric_invertible(scenario: Scenario, q: Query) -> dict:
         delta_sym=_q_num(q, "delta-sym", 1e-6),
         tol=_q_num(q, "resolution", 1e-9),
     )
-    return v.as_dict()
+    return dict(vars(v))
 
 
 def _run_restriction_check(scenario: Scenario, q: Query) -> dict:
-    return symbol_restriction_check(_q_operator(scenario, q)).as_dict()
+    return dict(vars(symbol_restriction_check(_ref(scenario, q, "operator"))))
 
 
 def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
@@ -688,9 +641,8 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     inf_pair = _get(q.params, "infinite")
     if inf_pair is not None and _bool(_scalar(inf_pair), inf_pair.line):
         return spec_observable(Observable.infinite(), tol).as_dict()
-    op_pair = _get(q.params, "operator")
-    if op_pair is not None:
-        op = _lookup(scenario.operators, op_pair, "operator")
+    if _get(q.params, "operator") is not None:
+        op = _ref(scenario, q, "operator")
         parts = []
         axes = _class_axes(op, _q_grid(q, op), op.reduction)
         for block in _fiber_chunks(op, axes, op.reduction):
@@ -698,22 +650,19 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
             check_self_adjoint(block)
             parts.append(_fiber_points(block, tol)[0])
         return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True).as_dict()
-    a = _q_element(scenario, q)
-    fam = _q_family(scenario, q)
+    a = _ref(scenario, q, "element")
+    fam = _ref(scenario, q, "family")
     try:
         stacks = _images(fam.members, a)
     except ToolkitError:
         for m in fam.members:  # the first member that fails decides the error
             Observable.bounded(rep_apply(m, a))
         raise
-    images: list = [None] * len(fam.members)
+    members: list = [None] * len(fam.members)
     for pos, stack in stacks:
         for i, image in zip(pos.tolist(), stack):
-            images[i] = image
-    members = [
-        Observable.fibered([image], truncated=m.kind == "toeplitz-identity")
-        for m, image in zip(fam.members, images)
-    ]
+            ladder = fam.members[i].kind == "toeplitz-identity"
+            members[i] = Observable.fibered([image], truncated=ladder)
     return spec_union_observable(members, tol).as_dict()
 
 
@@ -737,7 +686,7 @@ def run_scenario(scenario: Scenario, with_timing: bool = False) -> dict:
     for q in scenario.queries:
         payload = _RUNNERS[q.kind](scenario, q)
         results.append({"id": q.id, "kind": q.kind, "result": payload})
-    report = {
+    return {
         "version": REPORT_VERSION,
         "scenario_version": SCENARIO_VERSION,
         "label": scenario.label,
@@ -746,7 +695,6 @@ def run_scenario(scenario: Scenario, with_timing: bool = False) -> dict:
         ),
         "results": results,
     }
-    return report
 
 
 def report_text(report: dict) -> str:
@@ -798,10 +746,9 @@ _SPECTRUM_KINDS = ("spectrum", "parametric-spectrum", "observable-spectrum")
 
 def dump_spectrum_csv(scenario: Scenario, query_id: str) -> str:
     """Plot-ready CSV of one spectrum query: re,im,resolution,truncated."""
-    match = [q for q in scenario.queries if q.id == query_id]
-    if not match:
+    q = next((q for q in scenario.queries if q.id == query_id), None)
+    if q is None:
         raise IncompatibleQuery(f"no query with id {query_id!r}")
-    q = match[0]
     if q.kind not in _SPECTRUM_KINDS:
         raise IncompatibleQuery(
             f"query {query_id!r} has kind {q.kind!r}, not a spectrum query"

@@ -294,6 +294,19 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def test_one_operator_sweeps_its_principal_symbol_once(monkeypatch):
+    svd = _count_calls(monkeypatch, "svd")
+    op = InvariantOperator.shifted_laplacian(CircleBase(3), n=1, shift=1.0)
+    grid = LambdaGrid.build(1, window=1.0, step=0.25)
+    spectrum_parametric(op, grid)
+    invertible_parametric(op, grid)
+    spectrum_parametric(op, grid)
+    assert svd == [(64, 7, 7)]  # real diagonal fibers need no SVD of their own
+    assert all(type(x) is float for (xi, eta), _s in op._symbol_sweep for x in (xi, *eta))
+    with pytest.raises(NotElliptic, match=r"eta=\(1\.0,\)"):
+        spectrum_parametric(InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0}), grid)
+
+
 def test_only_real_diagonal_fibers_skip_lapack(monkeypatch):
     svd = _count_calls(monkeypatch, "svd")
     eigvalsh = _count_calls(monkeypatch, "eigvalsh")
@@ -560,6 +573,8 @@ def test_spectrum_checks_grid_dimension():
     op = InvariantOperator.shifted_laplacian(CircleBase(2), n=2, shift=1.0)
     with pytest.raises(IncompatibleQuery):
         spectrum_parametric(op, LambdaGrid.build(1, 1.0, 0.5))
+    with pytest.raises(IncompatibleQuery):
+        invertible_parametric(op, LambdaGrid.build(1, 1.0, 0.5))
 
 
 def test_graph_spectrum_is_exact_in_the_compact_direction():
@@ -711,7 +726,7 @@ def test_symbol_stack_equals_the_per_direction_reference(kind, n):
         base = CircleBase(3) if kind == "circle" else GraphBase(weights)
         op = _random_top_operator(rng, base, n)
         assert op.order == 4
-        swept = [dirn for dirn, _smin in parametric._symbol_sweep(op)]
+        swept = [dirn for dirn, _smin in op._symbol_sweep]
         extra = [
             (float(x), tuple(float(y) for y in rng.choice([-1.5, -0.5, 0.0, 0.3, 2.0], n)))
             for x in rng.normal(size=6)

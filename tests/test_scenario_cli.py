@@ -15,6 +15,7 @@ from specfam.cli import main
 from specfam.errors import IncompatibleModel, IncompatibleQuery, ParseError
 from specfam.gallery import build_model
 from specfam.scenario import (
+    QUERY_KINDS,
     dump_spectrum_csv,
     load_scenario,
     parse_scenario,
@@ -72,6 +73,23 @@ _LAPLACIAN = _OPERATOR.format(base="circle 4", term="1 0: 1\n    term 0 2")
 
 def _line_of(text: str, needle: str) -> int:
     return text.splitlines().index(needle) + 1
+
+
+def _operator_query(operator: str, kind: str, fields: str) -> dict:
+    """Edits that add the operator section and a query `pi` of this kind on `lap`."""
+    return {
+        "queries:": operator,
+        "    element: ramp\n": f"    element: ramp\n  - id: pi\n    kind: {kind}\n"
+        f"    operator: lap\n{fields}",
+    }
+
+
+# circle 2 x R^2 with terms L and lam1 lam2: every power is finite at 1e160, their product is not
+_PRODUCT = _OPERATOR.format(base="circle 2", term="1 0 0: 1\n    term 0 1 1").replace(
+    "directions: 1", "directions: 2"
+)
+# the coefficients alone overflow a fiber entry: 1e308 k^2 + lam^2 + 1e308
+_HUGE = _OPERATOR.format(base="circle 2", term="1 0: 1e308\n    term 0 0: 1e308\n    term 0 2")
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +615,71 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "incompatible",
             "  - id: n",
         ),
+        (
+            {"queries:": _LAPLACIAN.replace("\n\nqueries:", "\n    trem 0 0: -1\n\nqueries:")},
+            2,
+            "parse error",
+            "    trem 0 0: -1",
+        ),
+        (
+            _operator_query(_LAPLACIAN, "parametric-spectrum", "    windwo: 400\n"),
+            2,
+            "parse error",
+            "    windwo: 400",
+        ),
+        (
+            _operator_query(_LAPLACIAN, "restriction-check", "    resolution: 1e-9\n"),
+            2,
+            "parse error",
+            "    resolution: 1e-9",
+        ),
+        (
+            {
+                "name: interval-scalar\n  step: 1/16": "name: toeplitz",
+                "kind: matrix-poly\n    entry 0 0: 0 1": "kind: toeplitz\n    c 0: 1\n"
+                "    entry 0 0: 1",
+                "generator: eval-grid": "generator: toeplitz-chars",
+            },
+            2,
+            "parse error",
+            "    entry 0 0: 1",
+        ),
+        ({"entry 0 0: 0 1": "entry 0 0: 0 1\n    c 0: 1"}, 2, "parse error", "    c 0: 1"),
+        ({"step: 1/16": "step: 1/16\n  step 2: 1"}, 2, "parse error", "  step 2: 1"),
+        (
+            _operator_query(
+                _OPERATOR.format(base="circle 2", term="1 0: 1\n    term 0 2: 1\n    term 0 0"),
+                "parametric-invertible",
+                "    window: 1e200\n    step: 1e199\n",
+            ),
+            4,
+            "incompatible",
+            "  - id: pi",
+        ),
+        (
+            _operator_query(_PRODUCT, "parametric-invertible", "    window: 1e160\n    step: 1e159\n"),
+            4,
+            "incompatible",
+            "  - id: pi",
+        ),
+        (
+            _operator_query(_PRODUCT, "observable-spectrum", "    window: 1e160\n    step: 1e159\n"),
+            4,
+            "incompatible",
+            "  - id: pi",
+        ),
+        (
+            _operator_query(_HUGE, "parametric-invertible", "    window: 1\n    step: 1/4\n"),
+            4,
+            "incompatible",
+            "  - id: pi",
+        ),
+        (
+            _operator_query(_HUGE, "observable-spectrum", "    window: 1\n    step: 1/4\n"),
+            4,
+            "incompatible",
+            "  - id: pi",
+        ),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
@@ -613,6 +696,10 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
         "symbol-norm-overflows", "lipschitz-overflows", "lipschitz-square-overflows",
         "power-overflows", "symbol-margin-overflows", "symbol-slope-overflows",
         "matrix-value-overflows", "fredholm-margin-overflows",
+        "operator-unknown-key", "query-unknown-key", "restriction-check-resolution",
+        "toeplitz-entry", "matrix-poly-c", "model-indexed-step",
+        "lambda-power-overflows", "lambda-product-overflows", "observable-product-overflows",
+        "coefficients-overflow", "observable-coefficients-overflow",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
@@ -666,6 +753,18 @@ def test_models_up_to_the_cap_are_admitted():
     assert len(build_model("interval-matrix", step=1 / 1024).space.sample_grid) == 1025
     for name in FIXTURES:
         load_scenario(str(SCENARIOS / name))
+
+
+def test_bundled_and_parity_scenarios_use_every_declared_query_key():
+    # so the report-parity step reads every key of QUERY_KINDS on both trees
+    used = {
+        (q.kind, p.key)
+        for path in [*SCENARIOS.glob("*.scn"), *PARITY.glob("*.scn")]
+        for q in load_scenario(str(path)).queries
+        for p in q.params
+    }
+    declared = {(kind, key) for kind, keys in QUERY_KINDS.items() for key in keys}
+    assert declared - used == set()
 
 
 @pytest.mark.parametrize("path", sorted(PARITY.glob("*.scn")), ids=lambda p: p.name)
