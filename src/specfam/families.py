@@ -461,13 +461,12 @@ def spectrum_union(
             else:
                 close = (np.diff(w, axis=1) <= tol).any(axis=1)
                 for i, row, merge in zip(pos[plain].tolist(), w, close.tolist()):
-                    spectra[i] = SpectrumSet.canonical(row, tol).points if merge else row
+                    spectra[i] = SpectrumSet.canonical(row, tol).values if merge else row
         rest += zip(pos[~plain].tolist(), stack[~plain])
     for i, image in sorted(rest, key=lambda r: r[0]):
-        spectra[i] = eig_normal(image, tol).points
-    points = np.concatenate([np.zeros(0, dtype=complex), *map(np.asarray, spectra)])
-    if not (points.imag.any() or np.signbit(points.imag).any()):
-        points = points.real
+        spectra[i] = eig_normal(image, tol).values
+    # float unless some member spectrum has a point off the real axis
+    points = np.concatenate([np.zeros(0), *spectra])
     truncated = any(m.kind == "toeplitz-identity" for m in family.members)
     return SpectrumSet.canonical(points, tol, truncated)
 

@@ -181,6 +181,4 @@ def spec_union_observable(
     members = tuple(members)
     if not members:
         raise ValueError("the member list must be nonempty")
-    return union_spectra(
-        [spec_observable(o, resolution) for o in members], resolution=resolution
-    )
+    return union_spectra([spec_observable(o, resolution) for o in members], resolution)

@@ -19,7 +19,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -275,16 +274,19 @@ def _check_keys(pairs: list[_Pair], fixed, what: str, indexed=()) -> None:
             raise ParseError(f"unknown {what} {p.key!r}", p.line)
 
 
-def _indexed(pairs: list[_Pair], word: str, arity: int, usage: str) -> list:
-    """(indices, pair) for each key 'word i ..', in order; usage is the error for a bad arity."""
-    out = []
+def _indexed(pairs: list[_Pair], word: str, arity: int, usage: str):
+    """(indices, pair) for each key 'word i ..', compared by integers; usage is the arity error."""
+    out: dict[tuple, _Pair] = {}
     for p in pairs:
         toks = p.key.split()
         if toks[0] == word:
             if len(toks) != 1 + arity:
                 raise ParseError(usage, p.line)
-            out.append((tuple(_int(t, p.line) for t in toks[1:]), p))
-    return out
+            ix = tuple(_int(t, p.line) for t in toks[1:])
+            if ix in out:
+                raise ParseError(f"key {p.key!r} repeats {out[ix].key!r}", p.line)
+            out[ix] = p
+    return out.items()
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +590,8 @@ def _run_spectrum(scenario: Scenario, q: Query) -> dict:
     a = _ref(scenario, q, "element")
     fam = _ref(scenario, q, "family")
     tol = _q_num(q, "resolution", 1e-9)
-    report = family_report(fam)
-    contract = "equality" if report.exhausting else "closure" if report.faithful else "uncertified"
+    _, exhausting, faithful = fam._checks
+    contract = "equality" if exhausting.ok else "closure" if faithful.ok else "uncertified"
     return {**spectrum_union(fam, a, tol).as_dict(), "contract": contract}
 
 
@@ -702,9 +704,8 @@ def report_text(report: dict) -> str:
 
     With an indent, json.dumps runs CPython's pure-Python encoder.  Here
     every key (a report's keys are strings) and scalar goes through the C
-    encoder, and only the indented layout is Python.  A list of nonempty
-    float lists, such as a spectrum's points, is one C call laid out by
-    two replaces: floats never contain "], [" or ", ".
+    encoder, and only the indented layout is Python.  An array of spectrum
+    points (SpectrumSet.values) is laid out as its [[re, im], ...] list.
     """
     encode = json.JSONEncoder().encode
     parts = []
@@ -718,15 +719,18 @@ def report_text(report: dict) -> str:
                 write(obj[key], inner)
                 sep = ",\n" + inner
             parts.extend(("\n", pad, "}"))
+        elif isinstance(obj, np.ndarray):
+            deep = inner + "  "
+            point, zero = f"\n{inner}],\n{inner}[\n{deep}", f",\n{deep}0.0"
+            if obj.dtype == complex:
+                pairs = zip(obj.real.tolist(), obj.imag.tolist())
+                text = point.join(f"{re!r},\n{deep}{im!r}" for re, im in pairs)
+            else:  # one repr per value; the imaginary part is the constant 0.0
+                text = (zero + point).join(map(float.__repr__, obj.tolist())) + zero
+            if not np.isfinite(obj).all():  # as json.dumps writes them; finite reprs hold no n or i
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            parts.append(f"[\n{inner}[\n{deep}{text}\n{inner}]\n{pad}]" if obj.size else "[]")
         elif isinstance(obj, (list, tuple)) and obj:
-            if (set(map(type, obj)) == {list} and all(obj)
-                    and set(map(type, chain.from_iterable(obj))) == {float}):
-                deep = inner + "  "
-                # slice the short encoding, not the laid-out text
-                text = encode(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deep}")
-                text = text.replace(", ", ",\n" + deep)
-                parts.extend(("[\n", inner, "[\n", deep, text, "\n", inner, "]\n", pad, "]"))
-                return
             sep = "[\n" + inner
             for item in obj:
                 parts.append(sep)
@@ -754,9 +758,7 @@ def dump_spectrum_csv(scenario: Scenario, query_id: str) -> str:
             f"query {query_id!r} has kind {q.kind!r}, not a spectrum query"
         )
     payload = _RUNNERS[q.kind](scenario, q)
-    lines = ["re,im,resolution,truncated"]
-    flag = "true" if payload["truncated"] else "false"
-    res = repr(payload["resolution"])
-    for re_part, im_part in payload["points"]:
-        lines.append(f"{re_part!r},{im_part!r},{res},{flag}")
-    return "\n".join(lines) + "\n"
+    tail = f"{payload['resolution']!r},{'true' if payload['truncated'] else 'false'}\n"
+    values = payload["points"]  # floats from tolist: numpy 2 prints np.float64(...)
+    rows = zip(values.real.tolist(), values.imag.tolist())
+    return "".join(["re,im,resolution,truncated\n", *(f"{re!r},{im!r},{tail}" for re, im in rows)])

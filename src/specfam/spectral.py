@@ -5,7 +5,7 @@ validated by as_matrix).  Default tolerances are absolute and tuned for
 operators of norm up to about 1e3; callers above that scale should
 pre-normalize.
 
-Spectra are returned as SpectrumSet values: a canonicalized tuple of
+Spectra are returned as SpectrumSet values: a canonicalized array of
 points together with the resolution at which nearby points were merged
 and a flag marking sets that sample a possibly larger object (finite
 sections, truncated parameter windows).
@@ -56,18 +56,36 @@ def op_norm(a) -> float:
 class SpectrumSet:
     """Canonicalized finite set of spectral points.
 
-    points     -- sorted by (real, imag); no two points within `resolution`
+    values     -- read-only array sorted by (real, imag), no two points within `resolution`;
+                  float64 when every imaginary part is +0.0, complex128 otherwise
     resolution -- merge radius used during canonicalization (>= 0)
     truncated  -- True when the set samples a larger / unbounded object
     """
 
-    points: tuple[complex, ...]
+    values: np.ndarray
     resolution: float
     truncated: bool = False
 
     def __post_init__(self):
         if self.resolution < 0:
             raise ValueError("resolution must be nonnegative")
+        values = np.array(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
+        if values.dtype == complex and not (values.imag.any() or np.signbit(values.imag).any()):
+            values = values.real.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def points(self) -> tuple[complex, ...]:
+        return tuple(self.values.astype(complex).tolist())
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, SpectrumSet) and self.points == other.points
+        return same and (self.resolution, self.truncated) == (other.resolution, other.truncated)
+
+    def __repr__(self) -> str:  # every digit, where numpy's array repr rounds and elides
+        fields = f"points={self.points!r}, resolution={self.resolution!r}"
+        return f"SpectrumSet({fields}, truncated={self.truncated!r})"
 
     @classmethod
     def canonical(
@@ -91,7 +109,7 @@ class SpectrumSet:
                 if keep[i - 1]:
                     last = values[i - 1]
                 keep[i] = values[i] - last > resolution
-            return cls(tuple(values[keep].astype(complex).tolist()), float(resolution), bool(truncated))
+            return cls(values[keep], float(resolution), bool(truncated))
         pts = sorted((complex(p) for p in points), key=lambda z: (z.real, z.imag))
         kept: list[complex] = []
         for p in pts:
@@ -104,20 +122,16 @@ class SpectrumSet:
                     break
             if not merged:
                 kept.append(p)
-        return cls(tuple(kept), float(resolution), bool(truncated))
+        return cls(kept, float(resolution), bool(truncated))
 
     def union(self, other: "SpectrumSet") -> "SpectrumSet":
         return union_spectra((self, other))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.values)
 
     def as_dict(self) -> dict:
-        return {
-            "points": [[p.real, p.imag] for p in self.points],
-            "resolution": self.resolution,
-            "truncated": self.truncated,
-        }
+        return {"points": self.values, "resolution": self.resolution, "truncated": self.truncated}
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -134,16 +148,9 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 def union_spectra(parts: Sequence[SpectrumSet], resolution: float | None = None) -> SpectrumSet:
     """Canonicalized union of several spectrum sets."""
-    pts: list[complex] = []
-    trunc = False
-    res = 0.0
-    for s in parts:
-        pts.extend(s.points)
-        trunc = trunc or s.truncated
-        res = max(res, s.resolution)
-    if resolution is not None:
-        res = resolution
-    return SpectrumSet.canonical(pts, res, trunc)
+    res = max((s.resolution for s in parts), default=0.0) if resolution is None else resolution
+    values = np.concatenate([np.zeros(0), *(s.values for s in parts)])
+    return SpectrumSet.canonical(values, res, any(s.truncated for s in parts))
 
 
 def _hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,21 +248,15 @@ def hausdorff(s1: SpectrumSet, s2: SpectrumSet) -> float:
     Raises EmptySet when either side has no points (the distance to an
     empty spectrum is not a number the callers can act on).
     """
-    if not s1.points or not s2.points:
+    if not len(s1) or not len(s2):
         raise EmptySet("hausdorff distance needs two nonempty spectra")
-    a = np.asarray(s1.points, dtype=complex)
-    b = np.asarray(s2.points, dtype=complex)
-    if np.all(a.imag == 0.0) and np.all(b.imag == 0.0):
-        ar = np.sort(a.real)
-        br = np.sort(b.real)
-        return max(_directed_real(ar, br), _directed_real(br, ar))
-    # chunked pairwise distances; sets here are desk-sized
+    a, b = s1.values, s2.values
+    if a.dtype == b.dtype == float:
+        a, b = np.sort(a), np.sort(b)
+        return max(_directed_real(a, b), _directed_real(b, a))
     def directed(x: np.ndarray, y: np.ndarray) -> float:
-        worst = 0.0
-        step = 512
-        for i in range(0, len(x), step):
-            block = np.abs(x[i : i + step, None] - y[None, :])
-            worst = max(worst, float(np.max(np.min(block, axis=1))))
-        return worst
+        # chunked pairwise distances; sets here are desk-sized
+        chunks = (x[i : i + 512, None] for i in range(0, len(x), 512))
+        return float(max(np.abs(c - y[None, :]).min(axis=1).max() for c in chunks))
 
     return max(directed(a, b), directed(b, a))

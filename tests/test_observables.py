@@ -20,6 +20,7 @@ from specfam.observables import (
 )
 from specfam.scenario import parse_scenario, run_scenario
 from specfam.spectral import eig_normal
+from util import as_json_lists
 
 
 def random_selfadjoint(rng, n):
@@ -270,6 +271,34 @@ def test_operator_route_memory_follows_the_block_not_the_grid():
     assert peaks[1] - peaks[0] <= 8 * 2**20
 
 
+def test_operator_route_report_stays_one_float_array():
+    # 147,431 points: the report dict holds the set's float array, not a list pair per point
+    scenario = parse_scenario(
+        "scenario-version: 1\n"
+        "operators:\n"
+        "  - id: lap\n"
+        "    base: circle 8\n"
+        "    directions: 1\n"
+        "    term 1 0: 1\n"
+        "    term 0 2: 1\n"
+        "    term 0 0: 1\n"
+        "queries:\n"
+        "  - id: obs\n"
+        "    kind: observable-spectrum\n"
+        "    operator: lap\n"
+        "    window: 4\n"
+        "    step: 1/4096\n"
+    )
+    tracemalloc.start()
+    try:
+        result = run_scenario(scenario)["results"][0]["result"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["points"].dtype == np.float64 and result["points"].shape == (147431,)
+    assert peak <= 16 * 2**20
+
+
 def test_infinite_fiber_has_exactly_empty_spectrum():
     s = spec_observable(Observable.infinite())
     assert len(s) == 0
@@ -303,7 +332,7 @@ def test_fibers_near_the_float_limit_raise_no_overflow():
         "queries:\n  - id: obs\n    kind: observable-spectrum\n"
         "    family: all\n    element: a\n"
     ))
-    assert report["results"][0]["result"] == {
+    assert as_json_lists(report["results"][0]["result"]) == {
         "points": [], "resolution": 1e-10, "truncated": True,
     }
     s = spec_observable(Observable.bounded(np.diag([1e308, -1.5e308, 2.0])))

@@ -9,8 +9,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from specfam import scenario as scenario_module
 from specfam.cli import main
 from specfam.errors import IncompatibleModel, IncompatibleQuery, ParseError
 from specfam.gallery import build_model
@@ -22,6 +24,8 @@ from specfam.scenario import (
     report_text,
     run_scenario,
 )
+from specfam.spectral import SpectrumSet
+from util import as_json_lists, point_pairs
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PARITY = Path(__file__).resolve().parent / "parity"
@@ -165,6 +169,39 @@ def test_duplicate_element_id_rejected():
     assert "duplicate element id" in str(exc.value)
 
 
+_TOEPLITZ = {
+    "name: interval-scalar\n  step: 1/16": "name: toeplitz\n  theta-count: 8",
+    "kind: matrix-poly\n    entry 0 0: 0 1": "kind: toeplitz\n    c 1: 1\n    corr 0 1: 1",
+    "generator: eval-grid": "generator: toeplitz-chars",
+}
+
+
+@pytest.mark.parametrize(
+    "edits, culprit",
+    [
+        ({"entry 0 0: 0 1": "entry 0 0: 0 1\n    entry 00 0: 7"}, "    entry 00 0: 7"),
+        ({**_TOEPLITZ, "c 1: 1": "c 1: 1\n    c +1: 5"}, "    c +1: 5"),
+        ({**_TOEPLITZ, "corr 0 1: 1": "corr 0 1: 1\n    corr 0 01: 2"}, "    corr 0 01: 2"),
+        (
+            {"queries:": _OPERATOR.format(base="circle 4", term="0 2: 1\n    term 0 +2")},
+            "    term 0 +2: 1",
+        ),
+    ],
+    ids=["entry", "c", "corr", "term"],
+)
+def test_indexed_keys_naming_one_entry_are_a_duplicate(tmp_path, capsys, edits, culprit):
+    # the keys are compared by their integers, so the later line cannot silently win
+    text = MINIMAL
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "dup.scn"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    key = culprit.split(":")[0].strip()
+    assert err.startswith(f"parse error: line {_line_of(text, culprit)}, column 1: key {key!r} repeats")
+
+
 def test_unknown_top_level_section_rejected():
     text = MINIMAL + "\nplots:\n  - id: p\n"
     with pytest.raises(ParseError) as exc:
@@ -238,14 +275,23 @@ _ODD_REPORTS = [
     {"special": [[float("nan"), float("inf")], [-float("inf"), -0.0]], "x": [-0.0, 1e-300]},
     {"tuples": ((1.0, 2.0), [3.0]), "mixed": [[0.5, 1.5], (2.5, 3.5)], "deep": {"p": [[1e300]]}},
     [], {}, [[1.0]], 1.5, "text", [{"a": [[2.0, -3.0]]}, [[]], []],
+    # points arrays, as SpectrumSet.as_dict puts them in a report
+    {"empty": np.zeros(0), "empty-complex": np.zeros(0, dtype=complex), "one": np.array([2.5])},
+    {"edges": np.array([-0.0, 1e-300, 1e-05, 1e16, -1e16]), "deep": [{"p": np.array([0.5, 1.5])}]},
+    {"complex": np.array([-1.0j, -0.0 - 0.0j, 1e-300 + 1e16j, 2.0 + 0.0j])},
+    {"nonfinite": np.array([np.nan, np.inf, -np.inf, 1.0])},
+    {"nonfinite-complex": np.array([complex(np.nan, np.inf), complex(-np.inf, -0.0), 1.0j])},
+    np.array([3.0, 4.0]),
 ]
 
 
 def test_report_text_is_json_dumps_with_indent_2():
+    # the reference writes each points array as the [[re, im], ...] list of floats
     reports = [run_scenario(load_scenario(str(SCENARIOS / name))) for name in FIXTURES]
     reports += _generated_reports() + _ODD_REPORTS
     for report in reports:
-        assert report_text(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        want = json.dumps(as_json_lists(report), sort_keys=True, indent=2) + "\n"
+        assert report_text(report) == want
 
 
 def test_off_grid_member_does_not_make_a_family_exhausting():
@@ -264,7 +310,7 @@ def test_off_grid_member_does_not_make_a_family_exhausting():
         "certified": False,
         "reason": "family 'grid' is not exhausting over the probe gallery (witness tent(0))",
     }
-    assert spec["points"] == [[2.5, 0.0]]
+    assert point_pairs(spec["points"]) == [[2.5, 0.0]]
     assert spec["contract"] == "closure"
 
 
@@ -317,6 +363,50 @@ def test_dump_spectrum_csv_rows():
     re_parts = [float(row.split(",")[0]) for row in lines[1:]]
     assert re_parts == sorted(re_parts)
     assert re_parts[-1] == pytest.approx(1.0)
+
+
+CSV_EDGES = """\
+scenario-version: 1
+model:
+  name: discrete
+  points: 1
+  dim: 3
+elements:
+  - id: r
+    kind: matrix-poly
+    entry 0 1: -1e-05
+    entry 1 0: 1e-05
+    entry 2 2: 1e16
+families:
+  - id: all
+    generator: prim-all
+queries:
+  - id: spec
+    kind: spectrum
+    family: all
+    element: r
+    resolution: 0
+"""
+
+
+@pytest.mark.parametrize("values", [
+    None,  # the runner's own complex spectrum: +-1e-05 i and 1e16
+    np.array([-0.0, 1e-05, 1e16]),
+    np.array([-0.0 - 0.0j, 1e-05 - 1e16j, 1e16 + 1e-05j]),
+])
+def test_dump_spectrum_csv_rows_are_the_report_points(values, monkeypatch):
+    scenario = parse_scenario(CSV_EDGES)
+    if values is not None:
+        spec = SpectrumSet(values, 0.0).as_dict()
+        monkeypatch.setitem(scenario_module._RUNNERS, "spectrum", lambda *_: dict(spec))
+    points = json.loads(report_text(run_scenario(scenario)))["results"][0]["result"]["points"]
+    rows = dump_spectrum_csv(scenario, "spec").splitlines()
+    assert rows[0] == "re,im,resolution,truncated" and len(rows) == 1 + len(points) == 4
+    assert [row.split(",") for row in rows[1:]] == [
+        [repr(re), repr(im), "0.0", "false"] for re, im in points
+    ]
+    if values is not None:
+        assert points == point_pairs(values)
 
 
 def test_dump_spectrum_csv_empty_is_header_only():

@@ -309,6 +309,32 @@ def test_spectrum_canonical_greedy_merge():
     assert s.points == (0.0 + 0j, 0.12 + 0j, 1.0 + 0j)
 
 
+def test_spectrum_set_holds_one_read_only_array():
+    real = SpectrumSet.canonical([2.0 + 0j, -0.0, 1e-300], resolution=0.0)
+    assert real.values.dtype == np.float64 and not real.values.flags.writeable
+    assert real.values.tolist() == [-0.0, 1e-300, 2.0] and np.signbit(real.values[0])
+    assert real.points == (-0.0 + 0j, 1e-300 + 0j, 2.0 + 0j)
+    with pytest.raises(ValueError):
+        real.values[0] = 1.0
+    # a point off the real axis, or an imaginary part -0.0, keeps the set complex
+    for pts in ([1.0, 2.0 + 1e-300j], [complex(1.0, -0.0)]):
+        s = SpectrumSet.canonical(pts, resolution=0.0)
+        assert s.values.dtype == np.complex128 and s.points == tuple(map(complex, pts))
+    assert repr(SpectrumSet.canonical([complex(1.0, -0.0)], 0.0)).startswith(
+        "SpectrumSet(points=((1-0j),), resolution=0.0"
+    )
+    # the constructor copies and normalizes its input the same way
+    raw = np.array([1.0 + 0j, 3.0])
+    made = SpectrumSet(raw, 1e-9)
+    raw[0] = 7.0
+    assert made.values.dtype == np.float64 and made.points == (1.0 + 0j, 3.0 + 0j)
+    assert SpectrumSet((), 0.0).values.dtype == np.float64 and len(SpectrumSet((), 0.0)) == 0
+    # every digit in the repr, where numpy's array repr would round to 8
+    assert repr(SpectrumSet([0.1 + 0.2], 0.0)) == (
+        "SpectrumSet(points=((0.30000000000000004+0j),), resolution=0.0, truncated=False)"
+    )
+
+
 def test_spectrum_canonical_order_independent_and_idempotent():
     rng = np.random.RandomState(23)
     pts = list(rng.standard_normal(40) + 1j * rng.standard_normal(40))

@@ -101,3 +101,19 @@ def tridiagonal_section_norm(n: int) -> float:
     k = 1..n, so its norm is 2 cos(pi / (n+1)).
     """
     return 2.0 * float(np.cos(np.pi / (n + 1)))
+
+
+def point_pairs(values) -> list[list[float]]:
+    """A spectrum's points array as the [[re, im], ...] list of floats a report prints."""
+    return [[z.real, z.imag] for z in np.asarray(values).astype(complex).tolist()]
+
+
+def as_json_lists(obj):
+    """A report with each points array replaced by its point_pairs list."""
+    if isinstance(obj, np.ndarray):
+        return point_pairs(obj)
+    if isinstance(obj, dict):
+        return {k: as_json_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_json_lists(v) for v in obj]
+    return obj
