@@ -406,7 +406,7 @@ def direct_invertible(a: AlgebraElement, tol: float = DEFAULT_RESOLUTION) -> Dir
     """Certified direct invertibility over a midpoint-refined grid."""
     if not isinstance(a, AlgebraElement):
         raise UnsupportedModel("direct invertibility applies to function-model elements")
-    bps = np.asarray(a.breakpoints)
+    bps = a.breakpoints
     space = a.model.space
     if space.kind == "discrete":
         pts = bps

@@ -28,7 +28,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IncompatibleModel, ToolkitError, TruncationTooSmall, UnsupportedModel
-from .spectral import op_norm
 
 _POINT_TOL = 1e-12
 _CONSTRAINT_TOL = 1e-12
@@ -224,45 +223,49 @@ class _Reflected:
 class AlgebraElement(_Reflected):
     """Piecewise-linear matrix function with a certified Lipschitz bound.
 
-    Breakpoints contain the model's sample grid; constrained points must
-    satisfy their block structure to 1e-12 exactly.  Instances are
-    immutable: the stored matrices are read-only copies.
+    breakpoints is a float64 array of shape (k,) and matrices the complex128
+    stack of shape (k, d, d) of the values there.  Breakpoints contain the
+    model's sample grid; constrained points must satisfy their block
+    structure to 1e-12 exactly.  Instances are immutable: the stored
+    matrices are read-only copies, taken once from any sequence of values.
     """
 
     model: FunctionModel
-    breakpoints: tuple[float, ...]
-    matrices: tuple[np.ndarray, ...]
+    breakpoints: np.ndarray
+    matrices: np.ndarray
     lipschitz_bound: float
     label: str = ""
 
     def __post_init__(self):
-        if len(self.breakpoints) != len(self.matrices) or not self.breakpoints:
+        if len(self.breakpoints) != len(self.matrices) or len(self.breakpoints) == 0:
             raise ValueError("breakpoints and matrices must align and be nonempty")
-        if any(b >= a for b, a in zip(self.breakpoints, self.breakpoints[1:])):
+        bps = np.array(self.breakpoints, dtype=float)
+        if np.any(bps[1:] <= bps[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         if not 0.0 <= self.lipschitz_bound < np.inf:
             raise ValueError("lipschitz bound must be finite and nonnegative")
         d = self.model.fiber_dim
-        mats = []
-        for m in self.matrices:
-            arr = np.array(m, dtype=complex)
-            if arr.shape != (d, d):
-                raise ValueError(f"each value must be a {d}x{d} matrix")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("matrix entries must be finite")
-            arr.setflags(write=False)
-            mats.append(arr)
+        try:
+            mats = np.array(self.matrices, dtype=complex)
+        except ValueError:  # values of differing shapes do not stack
+            mats = None
+        if mats is None or mats.shape != (len(bps), d, d):
+            raise ValueError(f"each value must be a {d}x{d} matrix")
+        if not np.isfinite(mats).all():
+            raise ValueError("matrix entries must be finite")
         # sum |entries| bounds each value's norm, and with it every image norm
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.abs(np.stack(mats)).sum(axis=(1, 2)).max()):
+            if not np.isfinite(np.abs(mats).sum(axis=(1, 2)).max()):
                 raise ValueError("the entry sum of every value must be finite")
-        object.__setattr__(self, "matrices", tuple(mats))
-        bp = np.asarray(self.breakpoints)
+        bps.setflags(write=False)
+        mats.setflags(write=False)
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "matrices", mats)
         grid = np.asarray(self.model.space.sample_grid)
-        pos = np.searchsorted(bp, grid)
-        lo = np.clip(pos - 1, 0, len(bp) - 1)
-        hi = np.clip(pos, 0, len(bp) - 1)
-        near = np.minimum(np.abs(grid - bp[lo]), np.abs(grid - bp[hi]))
+        pos = np.searchsorted(bps, grid)
+        lo = np.clip(pos - 1, 0, len(bps) - 1)
+        hi = np.clip(pos, 0, len(bps) - 1)
+        near = np.minimum(np.abs(grid - bps[lo]), np.abs(grid - bps[hi]))
         if np.any(near > _POINT_TOL):
             missing = grid[int(np.argmax(near > _POINT_TOL))]
             raise ValueError(f"breakpoints must contain the grid point {missing}")
@@ -296,7 +299,8 @@ class AlgebraElement(_Reflected):
         """
         d = model.fiber_dim
         space = model.space
-        hi = 1.0 if space.kind in ("interval", "circle") else max(space.sample_grid)
+        grid = space.sample_grid
+        hi = 1.0 if space.kind in ("interval", "circle") else max(grid)
         slopes = np.zeros((d, d))
         for (i, j), coeffs in entry_coeffs.items():
             if not (0 <= i < d and 0 <= j < d):
@@ -306,33 +310,18 @@ class AlgebraElement(_Reflected):
             )
         with np.errstate(over="ignore"):
             lip = float(np.linalg.norm(slopes, "fro"))
-
-        def fn(t: float) -> np.ndarray:
-            m = np.zeros((d, d), dtype=complex)
-            for (i, j), coeffs in entry_coeffs.items():
-                m[i, j] = sum(c * t**k for k, c in enumerate(coeffs))
-            return m
-
-        bps = space.sample_grid
-        mats = tuple(fn(t) for t in bps)
-        return cls(model, bps, mats, lip, label)
+        mats = np.zeros((len(grid), d, d), dtype=complex)
+        for (i, j), coeffs in entry_coeffs.items():
+            mats[:, i, j] = [sum(c * t**k for k, c in enumerate(coeffs)) for t in grid]
+        return cls(model, grid, mats, lip, label)
 
     @classmethod
     def identity(cls, model: FunctionModel, scale: complex = 1.0, label: str = "1") -> "AlgebraElement":
-        d = model.fiber_dim
-        bps = model.space.sample_grid
-        mats = tuple(scale * np.eye(d, dtype=complex) for _ in bps)
+        d, bps = model.fiber_dim, model.space.sample_grid
+        mats = np.broadcast_to(scale * np.eye(d, dtype=complex), (len(bps), d, d))
         return cls(model, bps, mats, 0.0, label)
 
     # -- evaluation --------------------------------------------------------
-
-    @cached_property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Breakpoints and matrices as read-only arrays, built once per element."""
-        bps, stack = np.asarray(self.breakpoints), np.stack(self.matrices)
-        bps.setflags(write=False)
-        stack.setflags(write=False)
-        return bps, stack
 
     def values_at(self, points) -> np.ndarray:
         """Values at many points as one (k, d, d) stack, with one searchsorted.
@@ -346,7 +335,7 @@ class AlgebraElement(_Reflected):
         The first point that fails raises.
         """
         t = np.array(points, dtype=float).reshape(-1)
-        bps, stack = self._knots
+        bps, stack = self.breakpoints, self.matrices
         n, kind = len(bps), self.model.space.kind
         if kind == "discrete":
             # the breakpoints within 1e-9 of t are one run: step down to its first
@@ -386,57 +375,49 @@ class AlgebraElement(_Reflected):
 
     def sup_bound(self) -> float:
         """Certified upper bound for the sup norm over the base space."""
-        worst = max(op_norm(m) for m in self.matrices)
-        gap = max(
-            (b - a for a, b in zip(self.breakpoints, self.breakpoints[1:])),
-            default=0.0,
-        )
+        worst = float(np.linalg.svd(self.matrices, compute_uv=False)[:, 0].max())
+        gap = float(np.diff(self.breakpoints).max(initial=0.0))
         if self.model.space.kind == "circle":
-            gap = max(gap, 1.0 - self.breakpoints[-1])
+            gap = max(gap, 1.0 - float(self.breakpoints[-1]))
         return worst + self.lipschitz_bound * gap / 2.0
 
     # -- algebra -----------------------------------------------------------
 
-    def _aligned(self, other: "AlgebraElement") -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    def _aligned(self, other: "AlgebraElement") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if other.model is not self.model and other.model != self.model:
             raise IncompatibleModel("elements live on different models")
-        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return tuple(bps), self.values_at(bps), other.values_at(bps)
+        bps = np.union1d(self.breakpoints, other.breakpoints)
+        return bps, self.values_at(bps), other.values_at(bps)
 
     def adjoint(self) -> "AlgebraElement":
-        mats = tuple(m.conj().T for m in self.matrices)
+        mats = self.matrices.conj().swapaxes(1, 2)
         return AlgebraElement(
             self.model, self.breakpoints, mats, self.lipschitz_bound, f"adj({self.label})"
         )
 
     def __add__(self, other):
         if np.isscalar(other):
-            mats = tuple(
-                m + complex(other) * np.eye(self.model.fiber_dim) for m in self.matrices
-            )
+            mats = self.matrices + complex(other) * np.eye(self.model.fiber_dim)
             return AlgebraElement(
                 self.model, self.breakpoints, mats, self.lipschitz_bound,
                 f"({self.label}+{other})",
             )
         bps, left, right = self._aligned(other)
-        mats = tuple(l + r for l, r in zip(left, right))
         return AlgebraElement(
-            self.model, bps, mats, self.lipschitz_bound + other.lipschitz_bound,
+            self.model, bps, left + right, self.lipschitz_bound + other.lipschitz_bound,
             f"({self.label}+{other.label})",
         )
 
     def __mul__(self, other):
         if np.isscalar(other):
             c = complex(other)
-            mats = tuple(c * m for m in self.matrices)
             return AlgebraElement(
-                self.model, self.breakpoints, mats,
+                self.model, self.breakpoints, c * self.matrices,
                 abs(c) * self.lipschitz_bound, f"({other}*{self.label})",
             )
         bps, left, right = self._aligned(other)
-        mats = tuple(l @ r for l, r in zip(left, right))
         lip = self.lipschitz_bound * other.sup_bound() + self.sup_bound() * other.lipschitz_bound
-        return AlgebraElement(self.model, bps, mats, lip, f"({self.label}*{other.label})")
+        return AlgebraElement(self.model, bps, left @ right, lip, f"({self.label}*{other.label})")
 
 
 @dataclass(frozen=True, eq=False)

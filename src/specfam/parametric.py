@@ -42,6 +42,7 @@ from .errors import (
     NotSelfAdjoint,
     UnsupportedModel,
 )
+from .gallery import MAX_DENSE_ENTRIES
 from .spectral import SpectrumSet, _distinct
 
 
@@ -345,6 +346,7 @@ class LambdaGrid:
 
     The grid keeps its axis, k * step for k = -half .. half; its nodes,
     the n-fold product of the axis in lexicographic order, are never built.
+    An axis of more than 2^20 points is refused before it is built.
     """
 
     n: int
@@ -358,7 +360,14 @@ class LambdaGrid:
             raise ValueError("the grid dimension must be at least 1")
         if not (0 < step <= window):
             raise ValueError("need 0 < step <= window")
-        half = int(round(window / step))
+        ratio = window / step
+        points = 2 * round(ratio) + 1 if math.isfinite(ratio) else math.inf
+        if points > MAX_DENSE_ENTRIES:
+            raise ValueError(
+                f"the grid axis would hold {points:.4g} points, "
+                f"above the cap of {MAX_DENSE_ENTRIES} (2^20)"
+            )
+        half = (points - 1) // 2
         step = float(step)
         return cls(int(n), float(window), step, tuple(k * step for k in range(-half, half + 1)))
 

@@ -37,7 +37,7 @@ from .families import (
     norm_via_family,
     spectrum_union,
 )
-from .gallery import build_family, build_model
+from .gallery import MAX_DENSE_ENTRIES, build_family, build_model
 from .models import (
     AlgebraElement,
     FunctionModel,
@@ -432,18 +432,24 @@ def _build_element(pairs: list[_Pair], model):
             k: _complex_value(p, "symbol")
             for (k,), p in _indexed(pairs, "c", 1, "symbol keys look like 'c k'")
         }
-        corr_entries = {
-            ij: _complex_value(p, "correction")
-            for ij, p in _indexed(pairs, "corr", 2, "correction keys look like 'corr i j'")
-        }
+        corr_keys = dict(_indexed(pairs, "corr", 2, "correction keys look like 'corr i j'"))
+        corr_entries = {ij: _complex_value(p, "correction") for ij, p in corr_keys.items()}
         correction = None
         if corr_entries:
-            side = 1 + max(max(i, j) for i, j in corr_entries)
+            # both refusals come before the dense correction is allocated
+            low, far = min(corr_keys, key=min), max(corr_keys, key=max)
+            if min(low) < 0:
+                raise ParseError("correction indices must be nonnegative", corr_keys[low].line)
+            side = 1 + max(far)
+            if side**2 > MAX_DENSE_ENTRIES:
+                raise ParseError(
+                    f"the correction would hold {side**2:.4g} dense matrix entries, "
+                    f"above the cap of {MAX_DENSE_ENTRIES} (2^20)",
+                    corr_keys[far].line,
+                )
             correction = np.zeros((side, side), dtype=complex)
-            for (i, j), v in corr_entries.items():
-                if i < 0 or j < 0:
-                    raise ParseError("correction indices must be nonnegative", line)
-                correction[i, j] = v
+            for ij, v in corr_entries.items():
+                correction[ij] = v
         make = partial(ToeplitzElement.build, model, symbol, correction=correction, label=eid)
     try:
         return eid, make()

@@ -98,8 +98,68 @@ def test_element_rejects_constraint_violation():
     bps = model.space.sample_grid
     mats = [np.eye(2, dtype=complex) for _ in bps]
     mats[-1] = np.array([[1.0, 0.5], [0.5, 1.0]])  # not diagonal at t = 1
-    with pytest.raises(ValueError):
+    want = "value at constrained point 1.0 violates its block structure (off-block magnitude 5.000e-01)"
+    with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
         AlgebraElement(model, bps, tuple(mats), 1.0)
+
+
+def _values(t: float) -> np.ndarray:
+    return np.diag([1.0 + t, 2.0 - 1j * t])
+
+
+_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # matrix_model(1 / 4)
+_EYES = tuple(np.eye(2) for _ in _GRID)
+
+
+@pytest.mark.parametrize(
+    "bps, mats, lip, message",
+    [
+        (_GRID, _EYES[:-1], 1.0, "breakpoints and matrices must align and be nonempty"),
+        ((), (), 1.0, "breakpoints and matrices must align and be nonempty"),
+        (_GRID[::-1], _EYES, 1.0, "breakpoints must be strictly increasing"),
+        ((0.0, 0.25, 0.25, 0.75, 1.0), _EYES, 1.0, "breakpoints must be strictly increasing"),
+        (_GRID, _EYES, -1.0, "lipschitz bound must be finite and nonnegative"),
+        (_GRID, _EYES, np.inf, "lipschitz bound must be finite and nonnegative"),
+        (_GRID, _EYES[:-1] + (np.eye(3),), 1.0, "each value must be a 2x2 matrix"),
+        (_GRID, tuple(np.eye(3) for _ in _GRID), 1.0, "each value must be a 2x2 matrix"),
+        (_GRID, (1.0,) * 5, 1.0, "each value must be a 2x2 matrix"),
+        (_GRID, _EYES[:-1] + (np.diag([1.0, np.nan]),), 1.0, "matrix entries must be finite"),
+        (_GRID, _EYES[:-1] + (np.diag([1e308, 1e308]),), 1.0, "the entry sum of every value must be finite"),
+        ((0.0, 0.25, 0.5, 0.8, 1.0), _EYES, 1.0, "breakpoints must contain the grid point 0.75"),
+    ],
+    ids=[
+        "misaligned", "empty", "decreasing", "repeated", "lipschitz-negative",
+        "lipschitz-infinite", "ragged", "wrong-size", "scalars", "nan-entry",
+        "entry-sum-overflows", "grid-point-missing",
+    ],
+)
+def test_element_refusals_keep_their_messages(bps, mats, lip, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        AlgebraElement(matrix_model(1.0 / 4.0), bps, mats, lip)
+
+
+def test_element_holds_two_read_only_arrays_from_any_sequence():
+    model = matrix_model(1.0 / 4.0)
+    bps = model.space.sample_grid
+    vals = [_values(t) for t in bps]
+    given = [(tuple(bps), tuple(vals)), (list(bps), list(vals)), (np.array(bps), np.stack(vals))]
+    elements = [AlgebraElement(model, b, m, 1.0) for b, m in given]
+    for a in elements:
+        assert a.breakpoints.dtype == np.float64 and a.breakpoints.shape == (5,)
+        assert a.matrices.dtype == np.complex128 and a.matrices.shape == (5, 2, 2)
+        assert np.array_equal(a.breakpoints, elements[0].breakpoints)
+        assert np.array_equal(a.matrices, elements[0].matrices)
+        for field in (a.breakpoints, a.matrices):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 7.0
+    # the element keeps copies: the caller's sequences stay the caller's
+    (_, listed), (stacked_bps, stacked) = given[1], given[2]
+    listed[0][0, 0] = 99.0
+    stacked[:, 1, 1] = 99.0
+    stacked_bps[1] = 0.3
+    for a in elements:
+        assert a.breakpoints.tolist() == list(bps)
+        assert np.array_equal(a.matrices, np.stack([_values(t) for t in bps]))
 
 
 def test_from_polynomials_certifies_lipschitz():

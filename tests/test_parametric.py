@@ -1,6 +1,7 @@
 """Parameter fibers: construction, reduction, spectra, ellipticity."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -75,6 +76,17 @@ def test_grid_two_directions():
     nodes = grid_nodes(LambdaGrid.build(2, window=1.0, step=0.5))
     assert len(nodes) == 25
     assert (0.0, 0.0) in nodes
+
+
+@pytest.mark.parametrize(
+    "window, step, points",
+    [(1e300, 1e-300, "inf"), (float("inf"), 1.0, "inf"), (2.0**19, 1.0, "1.049e+06")],
+    ids=["ratio-overflows", "window-infinite", "one-past-the-cap"],
+)
+def test_grid_axis_above_the_cap_is_refused_before_it_is_built(window, step, points):
+    want = f"the grid axis would hold {points} points, above the cap of 1048576 (2^20)"
+    with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+        LambdaGrid.build(1, window, step)
 
 
 def test_coupling_beyond_cutoff_is_rejected():

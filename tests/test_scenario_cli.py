@@ -770,6 +770,24 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "incompatible",
             "  - id: pi",
         ),
+        (
+            _operator_query(_LAPLACIAN, "parametric-spectrum", "    window: 1e300\n    step: 1e-300\n"),
+            2,
+            "parse error",
+            "  - id: pi",
+        ),
+        (
+            _operator_query(_LAPLACIAN, "parametric-spectrum", "    window: 1\n    step: 1e-6\n"),
+            2,
+            "parse error",
+            "  - id: pi",
+        ),
+        (
+            {**_TOEPLITZ, "corr 0 1: 1": "corr 0 1: 1\n    corr 2 -1: 1"},
+            2,
+            "parse error",
+            "    corr 2 -1: 1",
+        ),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
@@ -790,6 +808,7 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
         "toeplitz-entry", "matrix-poly-c", "model-indexed-step",
         "lambda-power-overflows", "lambda-product-overflows", "observable-product-overflows",
         "coefficients-overflow", "observable-coefficients-overflow",
+        "lambda-axis-overflows", "lambda-axis-too-long", "correction-index-negative",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
@@ -835,6 +854,31 @@ def test_cli_refuses_an_oversize_model_before_allocating(tmp_path, capsys, model
         f"parse error: line {_line_of(text, '  ' + model.split(chr(10))[0])}, column 1: "
         f"model {model.split()[1]!r} would hold {entries} dense matrix entries, "
         "above the cap of 1048576 (2^20)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "row, entries", [(1500, "2.253e+06"), (10**10, "1e+20")], ids=["corr-1500", "corr-1e10"]
+)
+def test_cli_refuses_an_oversize_correction_before_allocating(tmp_path, capsys, row, entries):
+    culprit = f"    corr {row} 0: 1"
+    text = MINIMAL
+    for old, new in {**_TOEPLITZ, "corr 0 1: 1": "corr 0 1: 1\n" + culprit}.items():
+        text = text.replace(old, new)
+    bad = tmp_path / "big.scn"
+    bad.write_text(text)
+    tracemalloc.start()
+    try:
+        assert main(["run", str(bad)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"parse error: line {_line_of(text, culprit)}, column 1: the correction would hold "
+        f"{entries} dense matrix entries, above the cap of 1048576 (2^20)\n"
     )
 
 
