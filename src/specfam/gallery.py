@@ -116,7 +116,7 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-12
 
 
-def build_family(model, generator: str, **options) -> RepFamily:
+def build_family(model, generator: str, label: str | None = None, **options) -> RepFamily:
     """Family of representations by generator name.
 
     prim-all:       one member per primitive point
@@ -129,8 +129,11 @@ def build_family(model, generator: str, **options) -> RepFamily:
     toeplitz-pi:    the section ladder alone
     toeplitz-chars: every character
     toeplitz-all:   ladder plus characters
+
+    label names the family; by default it is made from the generator
+    and its options.
     """
-    label = generator
+    generated = generator
     members: list[Representation] = []
     if generator == "prim-all":
         members = list(enum_prim(model))
@@ -148,7 +151,7 @@ def build_family(model, generator: str, **options) -> RepFamily:
         for t, i in added:
             members.append(Representation.block_eval(t, i))
         if excluded or added:
-            label = f"{generator}[-{len(excluded)}+{len(added)}]"
+            generated = f"{generator}[-{len(excluded)}+{len(added)}]"
     elif generator == "coarse":
         _needs_function_model(model, generator)
         stride = int(options.pop("stride", 2))
@@ -157,12 +160,12 @@ def build_family(model, generator: str, **options) -> RepFamily:
         for k, t in enumerate(model.space.sample_grid):
             if k % stride == 0:
                 members.append(Representation.eval_point(t))
-        label = f"coarse[{stride}]"
+        generated = f"coarse[{stride}]"
     elif generator == "single":
         _needs_function_model(model, generator)
         at = float(options.pop("at", model.space.sample_grid[0]))
         members = [Representation.eval_point(at)]
-        label = f"single[{at:.12g}]"
+        generated = f"single[{at:.12g}]"
     elif generator == "blocks-only":
         _needs_function_model(model, generator)
         for c in model.structure.constraints:
@@ -185,7 +188,7 @@ def build_family(model, generator: str, **options) -> RepFamily:
     if options:
         keys = ", ".join(sorted(options))
         raise ValueError(f"generator {generator!r} does not accept options: {keys}")
-    return RepFamily(model, tuple(members), label)
+    return RepFamily(model, tuple(members), generated if label is None else label)
 
 
 def _needs_function_model(model, generator: str):

@@ -218,6 +218,10 @@ class _Reflected:
             return self.__mul__(other)
         return NotImplemented
 
+    def _same_model(self, other):
+        if other.model is not self.model and other.model != self.model:
+            raise IncompatibleModel("elements live on different models")
+
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement(_Reflected):
@@ -384,8 +388,7 @@ class AlgebraElement(_Reflected):
     # -- algebra -----------------------------------------------------------
 
     def _aligned(self, other: "AlgebraElement") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if other.model is not self.model and other.model != self.model:
-            raise IncompatibleModel("elements live on different models")
+        self._same_model(other)
         bps = np.union1d(self.breakpoints, other.breakpoints)
         return bps, self.values_at(bps), other.values_at(bps)
 
@@ -531,12 +534,10 @@ class ToeplitzElement(_Reflected):
             self.section_sizes, f"adj({self.label})",
         )
 
-    def _sections_union(self, other: "ToeplitzElement") -> tuple[int, ...]:
-        return tuple(sorted(set(self.section_sizes) | set(other.section_sizes)))
-
     def __add__(self, other):
         if np.isscalar(other):
             other = ToeplitzElement.build(self.model, {0: complex(other)}, label=str(other))
+        self._same_model(other)
         k = max(self.offset, other.offset)
         coeffs = [self.coeff(i) + other.coeff(i) for i in range(-k, k + 1)]
         n0 = max(self.correction.shape[0], other.correction.shape[0])
@@ -547,7 +548,7 @@ class ToeplitzElement(_Reflected):
         if b0:
             corr[:b0, :b0] += other.correction
         return ToeplitzElement(
-            self.model, tuple(coeffs), k, corr, self._sections_union(other),
+            self.model, tuple(coeffs), k, corr, self.section_sizes,
             f"({self.label}+{other.label})",
         )
 
@@ -558,6 +559,7 @@ class ToeplitzElement(_Reflected):
                 self.model, tuple(c * x for x in self.coeffs), self.offset,
                 c * self.correction, self.section_sizes, f"({other}*{self.label})",
             )
+        self._same_model(other)
         # T(f)T(g) = T(fg) - H(f)H(g~); corrections multiply through exactly
         kf, kg = self.offset, other.offset
         k = kf + kg
@@ -596,7 +598,7 @@ class ToeplitzElement(_Reflected):
         keep = int(max(nz[0].max(), nz[1].max()) + 1) if nz[0].size else 0
         return ToeplitzElement(
             self.model, tuple(coeffs), k, corr[:keep, :keep],
-            self._sections_union(other), f"({self.label}*{other.label})",
+            self.section_sizes, f"({self.label}*{other.label})",
         )
 
 

@@ -7,12 +7,14 @@ of finite matrices p-hat(lam); its spectrum is the closure of the fiber
 spectra over lam, so sampling lam on a window grid yields a truncated
 but certified-from-inside picture.
 
-Invertibility of the operator between Sobolev levels is decided on the
-order-reduced fibers, whose conjugation by powers of
+Invertibility of an order-m operator from the Sobolev level s to s - m
+is decided on the order-reduced fibers D^((s - m)/2) . p-hat . D^(-s/2),
+whose conjugation by powers of
     D(lam) = 1 + |lam|^2 + (compact-direction Laplacian)
-turns an order-m operator into a bounded one, together with uniform
+turns the operator into a bounded one, together with uniform
 invertibility of the principal symbol along directions that keep a
-definite parameter component.
+definite parameter component.  Reduction is a flag of the fiber
+builder, read from the operator's s and order, not a second operator.
 
 A grid is kept as its axis.  Per axis, coordinates whose powers (and,
 for reduced fibers, squares) are bitwise equal form one class, and only
@@ -30,7 +32,7 @@ view of the same builder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -108,20 +110,18 @@ class InvariantOperator:
     terms maps (j, alpha) to a coefficient and contributes
     coeff * L^j * lam^alpha, where L is the compact-direction Laplacian
     (joint degree 2j + |alpha|).  couplings add lam^alpha times a fixed
-    matrix on the compact fibers (joint degree |alpha|).  order must
-    equal the maximal joint degree; sobolev = (s, s - order) declares
-    the mapping levels, and reduction, when set to (s, m), means fibers
-    come out conjugated to bounded form.
+    matrix on the compact fibers (joint degree |alpha|).  order is worked
+    out as the largest joint degree of a nonzero term or a coupling; the
+    operator maps the Sobolev level s (default: the order) to s - order.
     """
 
     base: CircleBase | GraphBase
     n: int
     terms: tuple
     couplings: tuple
-    order: int
-    sobolev: tuple
-    reduction: tuple | None = None
+    s: float | None = None
     label: str = ""
+    order: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -148,20 +148,14 @@ class InvariantOperator:
             m.setflags(write=False)
             couplings.append((alpha, m))
             degrees.append(sum(alpha))
-        if self.order != max(degrees):
-            raise ValueError(
-                f"declared order {self.order} differs from the joint degree {max(degrees)}"
-            )
-        s, lo = (float(self.sobolev[0]), float(self.sobolev[1]))
-        if abs((s - lo) - self.order) > 1e-12:
-            raise ValueError("sobolev levels must differ by the order")
-        if self.reduction is not None:
-            object.__setattr__(
-                self, "reduction", (float(self.reduction[0]), float(self.reduction[1]))
-            )
+        order = max(degrees)
+        s = float(order if self.s is None else self.s)
+        if not math.isfinite(s):
+            raise ValueError("the Sobolev level s must be finite")
         object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "couplings", tuple(couplings))
-        object.__setattr__(self, "sobolev", (s, lo))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def build(
@@ -170,7 +164,6 @@ class InvariantOperator:
         n: int,
         terms: dict,
         couplings: dict | None = None,
-        order: int | None = None,
         s: float | None = None,
         label: str = "",
     ) -> "InvariantOperator":
@@ -178,9 +171,7 @@ class InvariantOperator:
 
         couplings maps alpha to {(k1, k2): value} in circle mode indices
         (CutoffTooSmall beyond the cutoff) or vertex indices for graphs.
-        order defaults to the computed joint degree, s to the order.
         """
-        term_list = tuple(terms.items())
         coupling_list = []
         d = base.dim
         for alpha, entries in (couplings or {}).items():
@@ -198,15 +189,7 @@ class InvariantOperator:
                     raise ValueError(f"coupling vertex ({i1}, {i2}) outside the graph")
                 m[i1, i2] += complex(val)
             coupling_list.append((tuple(int(x) for x in alpha), m))
-        degrees = [0]
-        degrees += [2 * int(j) + sum(alpha) for (j, alpha), c in term_list if complex(c) != 0]
-        degrees += [sum(alpha) for alpha, _m in coupling_list]
-        order = max(degrees) if order is None else int(order)
-        s = float(order) if s is None else float(s)
-        return cls(
-            base, int(n), term_list, tuple(coupling_list), order,
-            (s, s - order), None, label,
-        )
+        return cls(base, int(n), tuple(terms.items()), tuple(coupling_list), s, label)
 
     @classmethod
     def shifted_laplacian(cls, base, n: int, shift: float = 0.0, label: str = "") -> "InvariantOperator":
@@ -254,14 +237,14 @@ def _monomials(lam: np.ndarray, alpha: tuple) -> np.ndarray:
     return out
 
 
-def _fiber_chunks(op: InvariantOperator, axes, reduction: tuple | None = None):
+def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False):
     """Fiber blocks over the product of per-axis coordinates, in lexicographic order.
 
     Each block is built from a range of flat indices into the product, so
     no array grows with the node count.  Per node the arithmetic is that
     of one fiber: coeff * lam^alpha * L^j summed in term order (the circle
-    Laplacian as its diagonal), then the couplings, then, for reduction =
-    (s, order), the conjugation D^((s - order)/2) . p-hat . D^(-s/2) with
+    Laplacian as its diagonal), then the couplings, then, when reduced,
+    the conjugation D^((s - order)/2) . p-hat . D^(-s/2) with
     D = 1 + |lam|^2 + L.  The Laplacian powers and its eigenbasis are
     computed once per call.  A circle operator without couplings yields
     its (m, d) diagonals, any other operator (m, d, d) stacks;
@@ -275,8 +258,8 @@ def _fiber_chunks(op: InvariantOperator, axes, reduction: tuple | None = None):
         j: lap**j if circle else np.linalg.matrix_power(lap, j)
         for (j, _alpha), _coeff in op.terms
     }
-    if reduction is not None:
-        s, order = reduction
+    if reduced:
+        s, order = op.s, float(op.order)
         w, v = (lap, None) if circle else np.linalg.eigh(lap)
     axes = [np.array(a, dtype=float) for a in axes]
     shape = [len(a) for a in axes]
@@ -289,18 +272,18 @@ def _fiber_chunks(op: InvariantOperator, axes, reduction: tuple | None = None):
         acc = np.zeros((m,) + lap.shape, dtype=complex)
         for (j, alpha), coeff in op.terms:
             acc += (coeff * _monomials(lam, alpha)).reshape(column) * powers[j]
-        if reduction is not None:
+        if reduced:
             lam_sq = sum(x * x for x in lam.T)
             dd = (1.0 + lam_sq)[:, None] + w
             left = dd ** ((s - order) / 2.0)
             right = dd ** (-s / 2.0)
         if diagonal:
-            yield acc if reduction is None else (acc * left) * right
+            yield (acc * left) * right if reduced else acc
             continue
         out = _as_matrices(acc) if circle else acc
         for alpha, mat in op.couplings:
             out += _monomials(lam, alpha)[:, None, None] * mat
-        if reduction is not None:
+        if reduced:
             if circle:
                 out *= left[:, :, None]
                 out *= right[:, None, :]
@@ -321,23 +304,12 @@ def _as_matrices(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def fiber(op: InvariantOperator, lam) -> np.ndarray:
-    """Fiber matrix at one parameter value, reduced if the operator is."""
+def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
+    """Fiber matrix at one parameter value; reduced, D^((s - order)/2) . p-hat . D^(-s/2)."""
     lam = tuple(float(x) for x in (lam if np.iterable(lam) else (lam,)))
     if len(lam) != op.n:
         raise IncompatibleQuery(f"parameter must have {op.n} components, got {len(lam)}")
-    return _as_matrices(next(_fiber_chunks(op, [(x,) for x in lam], op.reduction)))[0]
-
-
-def order_reduction(op: InvariantOperator) -> InvariantOperator:
-    """Bounded-form copy: same symbol data, fibers conjugated to order 0."""
-    if op.reduction is not None:
-        return op
-    s = op.sobolev[0]
-    return InvariantOperator(
-        op.base, op.n, op.terms, op.couplings, op.order, op.sobolev,
-        (s, float(op.order)), f"reduced({op.label})" if op.label else "reduced",
-    )
+    return _as_matrices(next(_fiber_chunks(op, [(x,) for x in lam], reduced)))[0]
 
 
 @dataclass(frozen=True)
@@ -372,7 +344,7 @@ class LambdaGrid:
         return cls(int(n), float(window), step, tuple(k * step for k in range(-half, half + 1)))
 
 
-def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduction: tuple | None) -> list[tuple]:
+def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> list[tuple]:
     """Per axis, the first coordinate of each class, in order of first occurrence.
 
     Two coordinates share a class when their keys are bitwise equal: x**a
@@ -390,7 +362,7 @@ def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduction: tuple | None
     axes = []
     for i in range(op.n):
         keys = [[x**a for x in grid.axis] for a in sorted({alpha[i] for alpha in alphas} - {0})]
-        if reduction is not None:
+        if reduced:
             keys.append([x * x for x in grid.axis])
         bits = np.array(keys, dtype=float).reshape(len(keys), len(grid.axis)).T.view(np.int64)
         first = np.sort(np.unique(bits, axis=0, return_index=True)[1])
@@ -521,10 +493,10 @@ def spectrum_parametric(
 
     The fibers exhaust the spectrum as the window and cutoff grow; any
     finite grid sees it from inside, hence the flag.  Requires a
-    self-adjoint elliptic operator; reduction is ignored here because
-    the reduced fibers belong to a different bounded operator.
+    self-adjoint elliptic operator.  The fibers are the unreduced ones,
+    because the reduced fibers belong to a different bounded operator.
     """
-    axes = _class_axes(op, grid, None)
+    axes = _class_axes(op, grid, False)
     _check_selfadjoint(op)
     _check_elliptic(op)
     # eigvalsh reads only the real part of a Hermitian diagonal
@@ -557,10 +529,9 @@ def invertible_parametric(
     value, and the principal symbol must stay at least delta_sym along
     sphere directions whose parameter part is at least delta_dir.
     """
-    reduced = order_reduction(op)
-    axes = _class_axes(reduced, grid, reduced.reduction)
+    axes = _class_axes(op, grid, True)
     worst, min_sigma, start = None, np.inf, 0
-    for chunk in _fiber_chunks(reduced, axes, reduced.reduction):
+    for chunk in _fiber_chunks(op, axes, True):
         if chunk.ndim == 2 and not chunk.imag.any():
             sigmas = np.abs(chunk.real).min(axis=1)
         else:

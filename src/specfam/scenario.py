@@ -22,14 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (
-    IncompatibleModel,
-    IncompatibleQuery,
-    ParseError,
-    ToolkitError,
-)
+from .errors import IncompatibleModel, IncompatibleQuery, ParseError
 from .families import (
-    RepFamily,
     direct_invertible,
     family_report,
     fredholm_via_family,
@@ -45,7 +39,6 @@ from .models import (
     ToeplitzModel,
     _images,
     elem_norm,
-    rep_apply,
 )
 from .observables import (
     Observable,
@@ -482,8 +475,7 @@ def _build_family_entry(pairs: list[_Pair], model):
                 raise ParseError("stride must be at least 1", p.line)
         elif p.key == "at":
             options["at"] = _num(_scalar(p), p.line)
-    fam = build_family(model, generator, **options)
-    return fid, RepFamily(fam.model, fam.members, label=fid)
+    return fid, build_family(model, generator, label=fid, **options)
 
 
 def _build_operator(pairs: list[_Pair], _model):
@@ -652,22 +644,16 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     if _get(q.params, "operator") is not None:
         op = _ref(scenario, q, "operator")
         parts = []
-        axes = _class_axes(op, _q_grid(q, op), op.reduction)
-        for block in _fiber_chunks(op, axes, op.reduction):
+        axes = _class_axes(op, _q_grid(q, op), False)
+        for block in _fiber_chunks(op, axes):
             block = _as_matrices(block)
             check_self_adjoint(block)
             parts.append(_fiber_points(block, tol)[0])
         return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True).as_dict()
     a = _ref(scenario, q, "element")
     fam = _ref(scenario, q, "family")
-    try:
-        stacks = _images(fam.members, a)
-    except ToolkitError:
-        for m in fam.members:  # the first member that fails decides the error
-            Observable.bounded(rep_apply(m, a))
-        raise
     members: list = [None] * len(fam.members)
-    for pos, stack in stacks:
+    for pos, stack in _images(fam.members, a):
         for i, image in zip(pos.tolist(), stack):
             ladder = fam.members[i].kind == "toeplitz-identity"
             members[i] = Observable.fibered([image], truncated=ladder)

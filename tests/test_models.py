@@ -306,6 +306,20 @@ def test_rep_apply_cross_model_rejected():
         rep_apply(Representation.eval_point(0.0), s)
 
 
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_toeplitz_algebra_across_models_rejected(op):
+    # the sum or product would keep one model's sections on the other's
+    small = ToeplitzElement.shift(ToeplitzModel.standard(8, (4, 8)))
+    large = ToeplitzElement.shift(ToeplitzModel.standard(8, (8, 1000)))
+    combine = (lambda x, y: x + y) if op == "+" else (lambda x, y: x * y)
+    with pytest.raises(IncompatibleModel, match="^elements live on different models$"):
+        combine(small, large)
+    with pytest.raises(IncompatibleModel):
+        combine(small, counterexample_element(matrix_model(1.0 / 8.0)))
+    twin = ToeplitzElement.shift(ToeplitzModel.standard(8, (4, 8)))
+    assert combine(small, twin).section_sizes == (4, 8)
+
 # ---------------------------------------------------------------------------
 # representation property: multiplicative, adjoint-preserving, contractive
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import specfam
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "specfam"
 
@@ -40,3 +43,12 @@ def test_module_uses_every_name_it_imports(path):
 def test_unused_import_check_flags_a_leftover():
     source = "from typing import Callable, Sequence\nfrom .errors import EmptySet\nx: Sequence = ()\n"
     assert _unused_imports(source) == ["Callable (line 1)", "EmptySet (line 2)"]
+
+
+def test_all_lists_exactly_the_public_names_the_package_binds():
+    bound = {
+        name for name, value in vars(specfam).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(specfam.__all__) == len(set(specfam.__all__))
+    assert set(specfam.__all__) == bound | {"__version__"}

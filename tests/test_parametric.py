@@ -26,7 +26,6 @@ from specfam.parametric import (
     _fiber_chunks,
     fiber,
     invertible_parametric,
-    order_reduction,
     principal_symbol,
     spectrum_parametric,
     symbol_restriction_check,
@@ -97,9 +96,23 @@ def test_coupling_beyond_cutoff_is_rejected():
         )
 
 
-def test_declared_order_is_validated():
-    with pytest.raises(ValueError):
+def test_order_is_the_joint_degree_of_the_nonzero_terms_and_couplings():
+    # a zero coefficient drops its term; a coupling counts whatever its matrix
+    op = InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0, (2, (1,)): 0.0})
+    assert (op.order, op.s) == (2, 2.0)
+    assert op.terms == (((1, (0,)), 1.0 + 0j),)
+    coupled = InvariantOperator.build(
+        CircleBase(2), 1, {(1, (0,)): 1.0}, couplings={(3,): {(0, 0): 0.0}}, s=0.5
+    )
+    assert (coupled.order, coupled.s) == (3, 0.5)
+    with pytest.raises(TypeError):
         InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0}, order=3)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_sobolev_level_must_be_finite(s):
+    with pytest.raises(ValueError, match="^the Sobolev level s must be finite$"):
+        InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0}, s=s)
 
 
 def test_fiber_dimension_mismatch_rejected():
@@ -128,7 +141,7 @@ def _ref_lam_power(lam: tuple, alpha: tuple) -> float:
     return out
 
 
-def _ref_fiber(op: InvariantOperator, lam: tuple) -> np.ndarray:
+def _ref_fiber(op: InvariantOperator, lam: tuple, reduced: bool) -> np.ndarray:
     """One fiber, node by node, with the arithmetic the builder must keep."""
     d = op.base.dim
     out = np.zeros((d, d), dtype=complex)
@@ -147,9 +160,9 @@ def _ref_fiber(op: InvariantOperator, lam: tuple) -> np.ndarray:
             out += coeff * _ref_lam_power(lam, alpha) * powers[j]
     for alpha, mat in op.couplings:
         out += _ref_lam_power(lam, alpha) * mat
-    if op.reduction is None:
+    if not reduced:
         return out
-    s, order = op.reduction
+    s, order = op.s, float(op.order)
     lam_sq = sum(x * x for x in lam)
     if isinstance(op.base, CircleBase):
         dd = 1.0 + lam_sq + op.base.laplacian_diagonal()
@@ -179,7 +192,7 @@ def _random_operator(rng, base, n: int) -> InvariantOperator:
         }
         for k1, k2 in modes
     }
-    return InvariantOperator.build(base, n, terms, couplings)
+    return InvariantOperator.build(base, n, terms, couplings, s=float(rng.uniform(0.5, 3.0)))
 
 
 @pytest.mark.parametrize("step", [0.1, 1 / 3, 0.25], ids=["0.1", "1/3", "1/4"])
@@ -190,15 +203,13 @@ def test_fiber_blocks_equal_the_per_node_reference(kind, n, reduced, step):
     rng = np.random.default_rng([n, int(reduced), round(1 / step)])
     base = CircleBase(3) if kind == "circle" else path_graph(5)
     op = _random_operator(rng, base, n)
-    if reduced:
-        op = order_reduction(op)
     grid = LambdaGrid.build(n, window=3 * step, step=step)
     nodes = grid_nodes(grid)
-    got = np.concatenate(list(_fiber_chunks(op, full_axes(grid), op.reduction)))
-    want = np.stack([_ref_fiber(op, lam) for lam in nodes])
+    got = np.concatenate(list(_fiber_chunks(op, full_axes(grid), reduced)))
+    want = np.stack([_ref_fiber(op, lam, reduced) for lam in nodes])
     assert np.array_equal(got, want)
     for lam in nodes[:: max(1, len(nodes) // 5)]:
-        assert np.array_equal(fiber(op, lam), _ref_fiber(op, lam))
+        assert np.array_equal(fiber(op, lam, reduced), _ref_fiber(op, lam, reduced))
 
 
 def test_worst_fiber_and_spectrum_do_not_depend_on_chunks():
@@ -213,12 +224,11 @@ def test_worst_fiber_and_spectrum_do_not_depend_on_chunks():
     grid = LambdaGrid.build(1, window=4.0, step=1 / 256)
     nodes = grid_nodes(grid)
     per_chunk = parametric._CHUNK_ENTRIES // op.base.dim**2
-    reduced = order_reduction(op)
-    assert _class_axes(reduced, grid, reduced.reduction) == [grid.axis]
+    assert _class_axes(op, grid, True) == [grid.axis]
     assert len(nodes) > 2 * per_chunk
 
     sigmas = np.linalg.svd(
-        np.stack([fiber(reduced, lam) for lam in nodes]), compute_uv=False
+        np.stack([fiber(op, lam, True) for lam in nodes]), compute_uv=False
     )[:, -1]
     worst = int(np.argmin(sigmas))
     ties = np.flatnonzero(sigmas == sigmas[worst])
@@ -258,10 +268,9 @@ def _real_circle_operator(rng, n: int, zero_at: tuple | None = None) -> Invarian
 def _with_zero_coupling(op: InvariantOperator) -> InvariantOperator:
     """The same fibers through the dense path: a zero coupling adds only zeros."""
     terms = {ja: c for ja, c in op.terms}
-    twin = InvariantOperator.build(
-        op.base, op.n, terms, couplings={(0,) * op.n: {(0, 0): 0.0}}, s=op.sobolev[0]
+    return InvariantOperator.build(
+        op.base, op.n, terms, couplings={(0,) * op.n: {(0, 0): 0.0}}, s=op.s
     )
-    return order_reduction(twin) if op.reduction is not None else twin
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["raw", "reduced"])
@@ -274,12 +283,10 @@ def test_diagonal_fibers_equal_the_lapack_path(n, reduced):
     zeros = [None, None, None, (step,) + (0.0,) * (n - 1), (-2 * step,) * n]
     for zero_at in zeros:
         op = _real_circle_operator(rng, n, zero_at)
-        if reduced:
-            op = order_reduction(op)
         twin = _with_zero_coupling(op)
-        blocks = list(_fiber_chunks(op, full_axes(grid), op.reduction))
+        blocks = list(_fiber_chunks(op, full_axes(grid), reduced))
         assert all(b.ndim == 2 for b in blocks)
-        dense = np.concatenate(list(_fiber_chunks(twin, full_axes(grid), twin.reduction)))
+        dense = np.concatenate(list(_fiber_chunks(twin, full_axes(grid), reduced)))
         assert np.array_equal(parametric._as_matrices(np.concatenate(blocks)), dense)
         got, want = invertible_parametric(op, grid), invertible_parametric(twin, grid)
         assert np.array_equal(got.min_sigma, want.min_sigma)
@@ -291,7 +298,7 @@ def test_diagonal_fibers_equal_the_lapack_path(n, reduced):
         assert symbol_restriction_check(op) == symbol_restriction_check(twin)
         nodes = grid_nodes(grid)
         for lam in nodes[:: max(1, len(nodes) // 4)]:
-            assert np.array_equal(fiber(op, lam), fiber(twin, lam))
+            assert np.array_equal(fiber(op, lam, reduced), fiber(twin, lam, reduced))
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -443,7 +450,7 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
     flat = InvariantOperator.build(
         base, n, {(1, (0,) * n): 1.0, (0, (2,) + (0,) * (n - 1)): 1.0, (0, (0,) * n): -0.5}
     )
-    assert _class_axes(flat, grid, None)[1:] == [(grid.axis[0],)] * (n - 1)
+    assert _class_axes(flat, grid, False)[1:] == [(grid.axis[0],)] * (n - 1)
     cases = [(flat, False)]
     for seed in range(4):
         rng = np.random.default_rng([1400, n, int(odd), seed])
@@ -451,21 +458,20 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
             op = _class_test_operator(rng, base, n, odd, hermitian, coupled=seed > 0)
             cases.append((op, hermitian))
     for op, hermitian in cases:
-        reduced = order_reduction(op)
-        for target, reduction in ((op, None), (reduced, reduced.reduction)):
-            axes = _class_axes(target, grid, reduction)
+        for reduced in (False, True):
+            axes = _class_axes(op, grid, reduced)
             if not odd or op is flat:  # +-x share a class on every axis
                 assert all(len(a) <= len(grid.axis) // 2 + 1 for a in axes)
-            if reduction is not None and op is flat:
+            if reduced and op is flat:
                 assert [len(a) for a in axes] == [len(grid.axis) // 2 + 1] * n
-            every = np.concatenate(list(_fiber_chunks(target, full_axes(grid), reduction)))
-            distinct = np.concatenate(list(_fiber_chunks(target, axes, reduction)))
+            every = np.concatenate(list(_fiber_chunks(op, full_axes(grid), reduced)))
+            distinct = np.concatenate(list(_fiber_chunks(op, axes, reduced)))
             assert len(distinct) == np.prod([len(a) for a in axes])
             assert {f.tobytes() for f in distinct} == {f.tobytes() for f in every}
 
         # the full-grid reference: one fiber per node, each solved alone
         sigmas = np.array(
-            [np.linalg.svd(fiber(reduced, lam), compute_uv=False)[-1] for lam in nodes]
+            [np.linalg.svd(fiber(op, lam, True), compute_uv=False)[-1] for lam in nodes]
         )
         v = invertible_parametric(op, grid, tol=np.inf)
         assert not v.invertible
@@ -484,18 +490,9 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
 def test_reduction_makes_identity_from_shifted_laplacian():
     # (1 - Laplacian) reduced at s = order: fibers become exactly 1
     op = InvariantOperator.shifted_laplacian(CircleBase(4), n=1, shift=1.0)
-    red = order_reduction(op)
     for lam in ((0.0,), (1.5,), (-3.0,)):
-        m = fiber(red, lam)
+        m = fiber(op, lam, True)
         assert np.abs(m - np.eye(op.base.dim)).max() <= 1e-12
-
-
-def test_reduction_is_idempotent_and_keeps_symbol_data():
-    op = InvariantOperator.shifted_laplacian(CircleBase(3), n=1, shift=2.0)
-    red = order_reduction(op)
-    assert order_reduction(red) is red
-    assert red.terms == op.terms
-    assert red.reduction == (2.0, 2.0)
 
 
 def test_reduced_fibers_are_bounded_in_the_cutoff():
@@ -503,7 +500,7 @@ def test_reduced_fibers_are_bounded_in_the_cutoff():
     for cutoff in (4, 16, 64):
         op = InvariantOperator.shifted_laplacian(CircleBase(cutoff), n=1, shift=1.0)
         raw = np.linalg.norm(fiber(op, (0.5,)), 2)
-        red = np.linalg.norm(fiber(order_reduction(op), (0.5,)), 2)
+        red = np.linalg.norm(fiber(op, (0.5,), True), 2)
         assert raw >= cutoff**2
         assert red <= 2.0
 
@@ -515,10 +512,9 @@ def test_reduction_preserves_invertibility_verdicts():
     for _ in range(50):
         shift = float(rng.uniform(-3.0, 3.0))
         op = InvariantOperator.shifted_laplacian(base, n=1, shift=shift)
-        red = order_reduction(op)
         # the reduced fiber is the raw fiber scaled by positive weights,
         # so singular fibers stay singular and invertible ones invertible
-        v_red = invertible_parametric(red, grid)
+        v_red = invertible_parametric(op, grid)
         raw_singular = any(
             np.linalg.svd(fiber(op, lam), compute_uv=False)[-1] <= 1e-9
             for lam in grid_nodes(grid)

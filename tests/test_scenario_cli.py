@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specfam import families as families_module
 from specfam import scenario as scenario_module
 from specfam.cli import main
 from specfam.errors import IncompatibleModel, IncompatibleQuery, ParseError
@@ -106,6 +107,19 @@ def test_minimal_scenario_parses():
     assert set(scenario.elements) == {"ramp"}
     assert set(scenario.families) == {"grid"}
     assert [q.kind for q in scenario.queries] == ["norm"]
+
+
+def test_parse_checks_each_family_member_once(monkeypatch):
+    # the scenario's label goes to build_family, so no second family is built
+    calls = []
+    real = families_module._acting_error
+    monkeypatch.setattr(
+        families_module, "_acting_error", lambda rep, model: calls.append(rep) or real(rep, model)
+    )
+    extra = "generator: eval-grid\n  - id: prims\n    generator: prim-all"
+    scenario = parse_scenario(MINIMAL.replace("generator: eval-grid", extra))
+    assert [f.label for f in scenario.families.values()] == ["grid", "prims"]
+    assert len(calls) == sum(len(f.members) for f in scenario.families.values()) == 34
 
 
 def test_fraction_step_expands_grid():
@@ -960,6 +974,23 @@ queries:
     )
     assert main(["run", str(bad)]) == 5
     assert "NotNormal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["observable-spectrum", "spectrum", "norm", "invertible"])
+def test_cli_correction_beyond_the_top_section_exits_5(tmp_path, capsys, kind):
+    # toeplitz-all puts the section ladder first, and a 9x9 correction fits no section
+    text = MINIMAL
+    for old, new in {
+        "name: interval-scalar\n  step: 1/16": "name: toeplitz\n  theta-count: 8\n  sections: 4 8",
+        "kind: matrix-poly\n    entry 0 0: 0 1": "kind: toeplitz\n    c 1: 1\n    corr 8 8: 1",
+        "generator: eval-grid": "generator: toeplitz-all",
+        "kind: norm": f"kind: {kind}",
+    }.items():
+        text = text.replace(old, new)
+    bad = tmp_path / "big.scn"
+    bad.write_text(text)
+    assert main(["run", str(bad)]) == 5
+    assert "TruncationTooSmall: section size" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
