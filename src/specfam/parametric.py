@@ -24,9 +24,12 @@ fibers of the grid.  They are built a block of nodes at a time, as one
 A circle operator without couplings has diagonal fibers: its blocks are
 the (m, d) diagonals, whose real parts are the eigenvalues and, when the
 diagonal is real, whose smallest absolute values are the sigma_min, with
-no LAPACK call.  A block holds a fixed number of complex entries, so
-memory follows the block, not the grid; the single-node fiber() is a
-view of the same builder.
+no LAPACK call.  On a graph without couplings, the eigenvalues of the
+graph Laplacian give every reduced fiber's sigma_min up to rounding, so
+invertibility solves only the fibers whose bound can reach the grid's
+minimum.  A block holds a fixed number of complex entries, so memory
+follows the block, not the grid; the single-node fiber() is a view of
+the same builder.
 """
 
 from __future__ import annotations
@@ -204,7 +207,7 @@ class InvariantOperator:
 
     @cached_property
     def _symbol_sweep(self) -> list[tuple]:
-        """Pairs ((xi, eta), sigma_min of the principal symbol there), from one stacked SVD.
+        """Pairs ((xi, eta), sigma_min of the principal symbol there), from one _sigma_min.
 
         Kept on the operator: its ellipticity check and verdicts read one sweep.
         """
@@ -213,8 +216,7 @@ class InvariantOperator:
             dirs = [(0.0, eta) for eta in etas]
         else:
             dirs = _sphere_directions(self.n)
-        symbols = _principal_symbols(self, dirs)
-        return list(zip(dirs, np.linalg.svd(symbols, compute_uv=False)[:, -1]))
+        return list(zip(dirs, _sigma_min(_principal_symbols(self, dirs))))
 
 
 # Complex entries per fiber block: a block holds _CHUNK_ENTRIES // d^2
@@ -237,11 +239,28 @@ def _monomials(lam: np.ndarray, alpha: tuple) -> np.ndarray:
     return out
 
 
-def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False):
+def _node_blocks(axes, d: int, nodes=None):
+    """(flat indices, (m, n) coordinates) of consecutive blocks of nodes of the product.
+
+    The nodes are every node of the product of the axes, in lexicographic
+    order, or the given array of flat indices into it; a block holds at
+    most _CHUNK_ENTRIES // d^2 of them, so no array grows with the node count.
+    """
+    axes = [np.array(a, dtype=float) for a in axes]
+    shape = [len(a) for a in axes]
+    count = math.prod(shape) if nodes is None else len(nodes)
+    size = max(1, _CHUNK_ENTRIES // (d * d))
+    for start in range(0, count, size):
+        stop = min(start + size, count)
+        index = np.arange(start, stop) if nodes is None else nodes[start:stop]
+        yield index, np.stack([a[i] for a, i in zip(axes, np.unravel_index(index, shape))], axis=1)
+
+
+def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False, nodes=None):
     """Fiber blocks over the product of per-axis coordinates, in lexicographic order.
 
-    Each block is built from a range of flat indices into the product, so
-    no array grows with the node count.  Per node the arithmetic is that
+    The blocks come from _node_blocks: every node of the product, or only
+    the flat indices in nodes.  Per node the arithmetic is that
     of one fiber: coeff * lam^alpha * L^j summed in term order (the circle
     Laplacian as its diagonal), then the couplings, then, when reduced,
     the conjugation D^((s - order)/2) . p-hat . D^(-s/2) with
@@ -261,12 +280,7 @@ def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False):
     if reduced:
         s, order = op.s, float(op.order)
         w, v = (lap, None) if circle else np.linalg.eigh(lap)
-    axes = [np.array(a, dtype=float) for a in axes]
-    shape = [len(a) for a in axes]
-    total, size = math.prod(shape), max(1, _CHUNK_ENTRIES // (d * d))
-    for start in range(0, total, size):
-        index = np.unravel_index(np.arange(start, min(start + size, total)), shape)
-        lam = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+    for _index, lam in _node_blocks(axes, d, nodes):
         m = len(lam)
         column = (m,) + (1,) * lap.ndim
         acc = np.zeros((m,) + lap.shape, dtype=complex)
@@ -302,6 +316,18 @@ def _as_matrices(block: np.ndarray) -> np.ndarray:
     out = np.zeros((m, d, d), dtype=complex)
     out[:, np.arange(d), np.arange(d)] = block
     return out
+
+
+def _sigma_min(block: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each matrix of a block of diagonals or of matrices.
+
+    A real (m, d) diagonal gives its smallest |entry|, with no LAPACK call;
+    any other block goes to one stacked SVD, since numpy's complex |z| can
+    differ from LAPACK's in the last place.
+    """
+    if block.ndim == 2 and not block.imag.any():
+        return np.abs(block.real).min(axis=1)
+    return np.linalg.svd(_as_matrices(block), compute_uv=False)[:, -1]
 
 
 def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
@@ -386,6 +412,47 @@ def _fiber_bound(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> floa
     return max(bound, 1.0 + op.n * r * r + lap) if reduced else bound
 
 
+def _candidates(op: InvariantOperator, axes) -> np.ndarray | None:
+    """Flat indices of the reduced fibers that can hold the smallest sigma_min; None for all.
+
+    On a graph without couplings every fiber is a polynomial p(lam, L), and
+    in exact arithmetic its reduced sigma_min is, with w_i the eigenvalues
+    of L and d_i = 1 + |lam|^2 + w_i,
+        est = min_i |p(lam, w_i)| d_i^(-order/2).
+    Rounding moves the computed sigma_min off est by a few d 2^-52 scale,
+    far below margin = 2^-24 scale, where, with |L| its largest row sum,
+        scale = (sum |c| |lam^alpha| |L|^j) max_i d_i^((s - order)/2) max_i d_i^(-s/2)
+    bounds the fiber's norm.  So every node that can tie the grid's minimum
+    has est - margin <= T, the least est + margin.  Circle and coupled
+    operators and a non-finite bound give None.
+    """
+    if not isinstance(op.base, GraphBase) or op.couplings:
+        return None
+    lap = op.base.laplacian()
+    w = np.linalg.eigvalsh(lap)
+    lap_norm = np.abs(lap).sum(axis=1).max()
+    s, order = op.s, float(op.order)
+    best, kept = np.inf, []
+    for index, lam in _node_blocks(axes, op.base.dim):
+        p = np.zeros((len(lam), len(w)), dtype=complex)
+        bound = np.zeros(len(lam))
+        for (j, alpha), coeff in op.terms:
+            mono = _monomials(lam, alpha)
+            p += (coeff * mono)[:, None] * w**j
+            bound += abs(coeff) * np.abs(mono) * lap_norm**j
+        dd = (1.0 + sum(x * x for x in lam.T))[:, None] + w
+        est = (np.abs(p) * dd ** (-order / 2.0)).min(axis=1)
+        left, right = dd ** ((s - order) / 2.0), dd ** (-s / 2.0)
+        margin = 2.0**-24 * bound * left.max(axis=1) * right.max(axis=1)
+        if not np.isfinite(est + margin).all():
+            return None
+        best = min(best, float((est + margin).min()))
+        keep = est - margin <= best
+        kept.append((index[keep], (est - margin)[keep]))
+    index, low = (np.concatenate(parts) for parts in zip(*kept))
+    return index[low <= best]
+
+
 # ---------------------------------------------------------------------------
 # principal symbol on the sphere of directions
 
@@ -430,17 +497,20 @@ def _sphere_directions(n: int) -> list[tuple]:
 
 
 def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
-    """Top joint-degree parts at the directions (xi, eta), one (m, d, d) stack.
+    """Top joint-degree parts at the directions (xi, eta), one stack.
 
     Per direction, the top terms in term order as (coeff * xi^(2j)) * eta^alpha
     times I, then the top couplings.  A graph has no cotangent xi: there the
-    term is (coeff * eta^alpha) times the Laplacian power.
+    term is (coeff * eta^alpha) times the Laplacian power.  Like the fibers,
+    a circle operator without couplings gives (m, d) diagonals, any other
+    operator an (m, d, d) stack.
     """
     d = op.base.dim
     graph = isinstance(op.base, GraphBase)
+    diagonal = not graph and not op.couplings
     xi = np.array([[x] for x, _eta in dirs], dtype=float)
     eta = np.array([e for _xi, e in dirs], dtype=float).reshape(-1, op.n)
-    out = np.zeros((len(dirs), d, d), dtype=complex)
+    out = np.zeros((len(dirs), d) if diagonal else (len(dirs), d, d), dtype=complex)
     for (j, alpha), coeff in op.terms:
         if 2 * j + sum(alpha) != op.order:
             continue
@@ -449,8 +519,8 @@ def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
             basis = np.linalg.matrix_power(_compact_laplacian(op.base), j)
         else:
             scalar = (coeff * _monomials(xi, (2 * j,))) * _monomials(eta, alpha)
-            basis = np.eye(d)
-        out = out + scalar[:, None, None] * basis
+            basis = np.ones(d) if diagonal else np.eye(d)
+        out = out + scalar.reshape((-1,) + (1,) * basis.ndim) * basis
     for alpha, mat in op.couplings:
         if sum(alpha) == op.order:
             out = out + _monomials(eta, alpha)[:, None, None] * mat
@@ -459,7 +529,7 @@ def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
 
 def principal_symbol(op: InvariantOperator, xi: float, eta: tuple) -> np.ndarray:
     """Top joint-degree part at one direction (xi, eta); xi is ignored on a graph."""
-    return _principal_symbols(op, [(xi, eta)])[0]
+    return _as_matrices(_principal_symbols(op, [(xi, eta)]))[0]
 
 
 def _check_selfadjoint(op: InvariantOperator):
@@ -527,28 +597,32 @@ def invertible_parametric(
 
     Every reduced fiber on the grid must clear tol in smallest singular
     value, and the principal symbol must stay at least delta_sym along
-    sphere directions whose parameter part is at least delta_dir.
+    sphere directions whose parameter part is at least delta_dir.  A
+    delta_dir above every swept direction's |eta| is an IncompatibleQuery.
     """
     axes = _class_axes(op, grid, True)
+    swept = [(xi, eta, smin) for (xi, eta), smin in op._symbol_sweep if _norm(eta) >= delta_dir]
+    if not swept:
+        largest = max(_norm(eta) for (_xi, eta), _smin in op._symbol_sweep)
+        raise IncompatibleQuery(
+            f"delta-dir {delta_dir!r} leaves no symbol direction: the largest |eta| is {largest!r}"
+        )
+    nodes = _candidates(op, axes)
     worst, min_sigma, start = None, np.inf, 0
-    for chunk in _fiber_chunks(op, axes, True):
-        if chunk.ndim == 2 and not chunk.imag.any():
-            sigmas = np.abs(chunk.real).min(axis=1)
-        else:
-            # numpy's complex |z| can differ from LAPACK's in the last place
-            sigmas = np.linalg.svd(_as_matrices(chunk), compute_uv=False)[:, -1]
+    for chunk in _fiber_chunks(op, axes, True, nodes):
+        sigmas = _sigma_min(chunk)
         i = int(np.argmin(sigmas))
         # strict <: a tie with an earlier block keeps the earlier node
         if worst is None or sigmas[i] < min_sigma:
             worst, min_sigma = start + i, float(sigmas[i])
         start += len(chunk)
+    if nodes is not None:
+        worst = int(nodes[worst])
     fib_ok = min_sigma > tol
 
     min_symbol = np.inf
     failing_dir = None
-    for (xi, eta), smin in op._symbol_sweep:
-        if _norm(eta) < delta_dir:
-            continue
+    for xi, eta, smin in swept:
         if smin < min_symbol:
             min_symbol = float(smin)
             failing_dir = (float(xi), *(float(x) for x in eta))

@@ -622,13 +622,16 @@ def _run_parametric_spectrum(scenario: Scenario, q: Query) -> dict:
 def _run_parametric_invertible(scenario: Scenario, q: Query) -> dict:
     op = _ref(scenario, q, "operator")
     grid = _q_grid(q, op, reduced=True)
-    v = invertible_parametric(
-        op,
-        grid,
-        delta_dir=_q_num(q, "delta-dir", 0.1),
-        delta_sym=_q_num(q, "delta-sym", 1e-6),
-        tol=_q_num(q, "resolution", 1e-9),
-    )
+    try:
+        v = invertible_parametric(
+            op,
+            grid,
+            delta_dir=_q_num(q, "delta-dir", 0.1),
+            delta_sym=_q_num(q, "delta-sym", 1e-6),
+            tol=_q_num(q, "resolution", 1e-9),
+        )
+    except IncompatibleQuery as err:  # a delta-dir that leaves no symbol direction
+        raise IncompatibleQuery(f"line {q.line}: {err}") from None
     return dict(vars(v))
 
 

@@ -315,12 +315,26 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 def test_one_operator_sweeps_its_principal_symbol_once(monkeypatch):
     svd = _count_calls(monkeypatch, "svd")
-    op = InvariantOperator.shifted_laplacian(CircleBase(3), n=1, shift=1.0)
     grid = LambdaGrid.build(1, window=1.0, step=0.25)
+    coupled = InvariantOperator.build(
+        CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0, (0, (0,)): 1.0},
+        couplings={(0,): {(1, -1): 0.25, (-1, 1): 0.25}},
+    )
+    spectrum_parametric(coupled, grid)
+    invertible_parametric(coupled, grid)
+    spectrum_parametric(coupled, grid)
+    assert svd == [(64, 7, 7), (5, 7, 7)]  # one symbol sweep, then the 5 fiber classes
+    # a real circle operator's symbols and fibers are real diagonals: no SVD at all
+    svd.clear()
+    op = InvariantOperator.shifted_laplacian(CircleBase(3), n=1, shift=1.0)
     spectrum_parametric(op, grid)
     invertible_parametric(op, grid)
     spectrum_parametric(op, grid)
-    assert svd == [(64, 7, 7)]  # real diagonal fibers need no SVD of their own
+    assert svd == []
+    dirs = [dirn for dirn, _smin in op._symbol_sweep]
+    dense = parametric._as_matrices(parametric._principal_symbols(op, dirs))
+    want = np.linalg.svd(dense, compute_uv=False)[:, -1]
+    assert np.array_equal([smin for _dirn, smin in op._symbol_sweep], want)
     assert all(type(x) is float for (xi, eta), _s in op._symbol_sweep for x in (xi, *eta))
     with pytest.raises(NotElliptic, match=r"eta=\(1\.0,\)"):
         spectrum_parametric(InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0}), grid)
@@ -383,11 +397,8 @@ def test_wide_grid_keeps_its_axis_not_its_nodes():
     assert peak < 2**20
 
 
-def test_invertible_on_a_wide_grid_peaks_within_two_blocks():
-    # 65^3 classes of the 129^3 nodes; all of them at once would take 21 MiB
-    op = InvariantOperator.shifted_laplacian(CircleBase(2), n=3, shift=1.0)
-    grid = LambdaGrid.build(3, window=4.0, step=1 / 16)
-    block = parametric._CHUNK_ENTRIES * np.dtype(complex).itemsize  # 4 MiB
+def _invertible_peak(op: InvariantOperator, grid: LambdaGrid) -> int:
+    """tracemalloc peak of invertible_parametric on an invertible operator."""
     tracemalloc.start()
     try:
         v = invertible_parametric(op, grid)
@@ -395,18 +406,54 @@ def test_invertible_on_a_wide_grid_peaks_within_two_blocks():
     finally:
         tracemalloc.stop()
     assert v.invertible and v.min_sigma > 0.0
-    assert peak <= 2 * block
+    return peak
+
+
+def test_invertible_on_a_wide_grid_peaks_within_two_blocks():
+    # 65^3 classes of the 129^3 nodes; all of them at once would take 21 MiB
+    op = InvariantOperator.shifted_laplacian(CircleBase(2), n=3, shift=1.0)
+    grid = LambdaGrid.build(3, window=4.0, step=1 / 16)
+    block = parametric._CHUNK_ENTRIES * np.dtype(complex).itemsize  # 4 MiB
+    assert _invertible_peak(op, grid) <= 2 * block
+
+
+def test_graph_invertible_on_a_wide_grid_peaks_within_two_blocks():
+    # the bound pass streams the 65^3 classes too: their eigenbasis values
+    # at once would take 21 MiB; the shift leaves few fibers to solve
+    op = InvariantOperator.shifted_laplacian(path_graph(5), n=3, shift=2.0)
+    grid = LambdaGrid.build(3, window=4.0, step=1 / 16)
+    block = parametric._CHUNK_ENTRIES * np.dtype(complex).itemsize  # 4 MiB
+    assert _invertible_peak(op, grid) <= 2 * block
+
+
+@pytest.mark.parametrize("shift", [0.5, 2.5, 0.0, -((37 / 128) ** 2)])
+def test_graph_invertibility_solves_only_the_fibers_that_can_hold_the_minimum(monkeypatch, shift):
+    # the graph operator of the fiber-sweep benchmark: 513 classes of 1025 nodes
+    op = InvariantOperator.shifted_laplacian(path_graph(8), n=1, shift=shift)
+    grid = LambdaGrid.build(1, window=4.0, step=1 / 128)
+    axes = _class_axes(op, grid, True)
+    sigmas = parametric._sigma_min(np.concatenate(list(_fiber_chunks(op, axes, True))))
+    assert len(sigmas) == 513
+    assert len(op._symbol_sweep) == 2  # the symbol is swept before the count
+    svd = _count_calls(monkeypatch, "svd")
+    v = invertible_parametric(op, grid)
+    assert sum(shape[0] for shape in svd) <= 4
+    worst = int(np.argmin(sigmas))
+    assert v.min_sigma == float(sigmas[worst])
+    assert v.invertible == (shift > 0)
+    assert v.failing_lambda == (None if shift > 0 else (axes[0][worst],))
 
 
 # ---------------------------------------------------------------------------
 # the class grid against every node of the grid
 
 
-def _class_test_operator(rng, base, n: int, odd: bool, hermitian: bool, coupled: bool):
+def _class_test_operator(rng, base, n: int, odd: bool, hermitian: bool, coupled: bool, s=None):
     """An elliptic order-4 operator with random lower-order terms and couplings.
 
     Lower-order exponents are even unless odd is set; coefficients are real
-    and couplings Hermitian when hermitian is set, complex otherwise.
+    and couplings Hermitian when hermitian is set, complex otherwise.  s is
+    the Sobolev level (default: the order).
     """
     terms = {(2, (0,) * n): 1.0}
     for i in range(n):
@@ -432,15 +479,15 @@ def _class_test_operator(rng, base, n: int, odd: bool, hermitian: bool, coupled:
         v = value() + (1j * float(rng.normal()) if hermitian and k1 != k2 else 0.0)
         entries = {(k1, k2): v, (k2, k1): np.conj(v)} if hermitian else {(k1, k2): v}
         couplings[lower_alpha(3)] = entries
-    return InvariantOperator.build(base, n, terms, couplings)
+    return InvariantOperator.build(base, n, terms, couplings, s)
 
 
 @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["circle", "graph"])
+@pytest.mark.parametrize("kind", ["circle", "graph", "graph-9"])
 def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, odd):
     # blocks of 3 fibers, so that both walks cross many block boundaries
-    base = CircleBase(2) if kind == "circle" else path_graph(4)
+    base = {"circle": CircleBase(2), "graph": path_graph(4), "graph-9": path_graph(9)}[kind]
     monkeypatch.setattr(parametric, "_CHUNK_ENTRIES", 3 * base.dim**2)
     step = {1: 1 / 8, 2: 0.25, 3: 0.5}[n]
     grid = LambdaGrid.build(n, window=1.0, step=step)
@@ -451,11 +498,26 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
         base, n, {(1, (0,) * n): 1.0, (0, (2,) + (0,) * (n - 1)): 1.0, (0, (0,) * n): -0.5}
     )
     assert _class_axes(flat, grid, False)[1:] == [(grid.axis[0],)] * (n - 1)
-    cases = [(flat, False)]
+    # singular on mode 0 where |lam|^2 (+ lam1 when odd) hits the shift: on
+    # dyadic nodes such as (-1/2, 0) and (0, -1/2), which lie in different
+    # classes, the even fibers are bitwise equal, so their sigma_min tie
+    squares = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
+    zero = {(1, (0,) * n): 1.0, (0, (0,) * n): -0.75 if odd else -0.25}
+    zero.update({(0, alpha): 1.0 for alpha in squares})
+    if odd:
+        zero[(0, (1,) + (0,) * (n - 1))] = 1.0
+    singular = InvariantOperator.build(base, n, zero, s=5.5)
+    # 0.7 (|lam|^2 - r) vanishes in exact arithmetic on permutations of one
+    # node, in different classes, and rounding alone orders their fibers
+    r = {1: 1 / 4, 2: 5 / 16, 3: 5 / 4}[n]
+    near = {(1, (0,) * n): 1.0, (0, (0,) * n): -0.7 * r}
+    near.update({(0, alpha): 0.7 for alpha in squares})
+    cases = [(flat, False), (singular, True), (InvariantOperator.build(base, n, near), True)]
     for seed in range(4):
         rng = np.random.default_rng([1400, n, int(odd), seed])
         for hermitian in (True, False):
-            op = _class_test_operator(rng, base, n, odd, hermitian, coupled=seed > 0)
+            s = None if seed % 2 == 0 else float(rng.uniform(-3.0, 6.0))
+            op = _class_test_operator(rng, base, n, odd, hermitian, coupled=seed > 0, s=s)
             cases.append((op, hermitian))
     for op, hermitian in cases:
         for reduced in (False, True):
@@ -473,6 +535,9 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
         sigmas = np.array(
             [np.linalg.svd(fiber(op, lam, True), compute_uv=False)[-1] for lam in nodes]
         )
+        if op is singular and not odd and n > 1:
+            ties = np.flatnonzero(sigmas == sigmas.min())
+            assert len({tuple(abs(x) for x in nodes[i]) for i in ties}) > 1
         v = invertible_parametric(op, grid, tol=np.inf)
         assert not v.invertible
         assert v.min_sigma == float(sigmas.min())
@@ -640,6 +705,17 @@ def test_direction_margin_detects_degenerate_symbol():
     assert not v.invertible
     assert v.failing_direction is not None
     assert v.min_symbol < 1e-6
+
+
+@pytest.mark.parametrize("base, n", [(path_graph(4), 1), (CircleBase(2), 2)], ids=["graph", "circle"])
+def test_a_delta_dir_above_every_direction_is_refused(base, n):
+    op = InvariantOperator.shifted_laplacian(base, n, shift=0.5)
+    grid = LambdaGrid.build(n, window=1.0, step=0.5)
+    largest = max(parametric._norm(eta) for (_xi, eta), _smin in op._symbol_sweep)
+    assert largest == 1.0
+    assert invertible_parametric(op, grid, delta_dir=largest).min_symbol < np.inf
+    with pytest.raises(IncompatibleQuery, match=re.escape("the largest |eta| is 1.0")):
+        invertible_parametric(op, grid, delta_dir=2.0)
 
 
 def test_graph_invertibility():

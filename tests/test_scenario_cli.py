@@ -1039,6 +1039,30 @@ def test_cli_dump_spectrum_wrong_kind_exits_4(tmp_path):
     assert main(["dump-spectrum", path, "norm-f", str(tmp_path / "x.csv")]) == 4
 
 
+@pytest.mark.parametrize("delta_dir", ["1", "2"])
+def test_cli_refuses_a_delta_dir_that_leaves_no_symbol_direction(tmp_path, capsys, delta_dir):
+    # every swept direction has |eta| <= 1: above that, no symbol check would back a "yes"
+    operator = _OPERATOR.format(base="graph-path 4", term="1 0: 1\n    term 0 0: 0.5\n    term 0 2")
+    text = (
+        f"scenario-version: 1\nlabel: delta-dir\n\n{operator}\n  - id: pi\n"
+        f"    kind: parametric-invertible\n    operator: lap\n    delta-dir: {delta_dir}\n"
+    )
+    path = tmp_path / "delta-dir.scn"
+    path.write_text(text)
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    if delta_dir == "1":
+        assert code == 0 and captured.err == ""
+        result = json.loads(captured.out)["results"][0]["result"]
+        assert result["invertible"] and abs(result["min_symbol"] - 1.0) < 1e-12
+        return
+    assert code == 4 and captured.out == ""
+    assert captured.err == (
+        f"incompatible: line {_line_of(text, '  - id: pi')}: delta-dir 2.0 leaves no "
+        "symbol direction: the largest |eta| is 1.0\n"
+    )
+
+
 def test_cli_gallery_lists_models_and_generators(capsys):
     assert main(["gallery"]) == 0
     out = capsys.readouterr().out
