@@ -24,8 +24,9 @@ when it clears max(resolution, lipschitz * grid_step); anything less is
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -40,7 +41,10 @@ from .models import (
     ToeplitzElement,
     ToeplitzModel,
     _acting_error,
+    _acting_layout,
     _images,
+    _layout,
+    _Layout,
     enum_prim,
     rep_apply,
 )
@@ -51,11 +55,19 @@ _SLACK = 1e-9
 
 @dataclass(frozen=True)
 class RepFamily:
-    """Nonempty list of representations of one model, each acting on it."""
+    """Nonempty list of representations of one model, each acting on it.
+
+    The members are checked against the model once, here.  What the
+    queries share is kept on the family: the members' layout on its model,
+    the cover and its verdicts, and each element's member values.
+    """
 
     model: FunctionModel | ToeplitzModel
     members: tuple[Representation, ...]
     label: str = ""
+    _memo: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.members:
@@ -63,6 +75,26 @@ class RepFamily:
         for m in self.members:
             if _acting_error(m, self.model) is not None:
                 raise ValueError(f"member {m.label} does not act on this model")
+
+    def __reduce__(self):
+        # weak references do not pickle: a copy is built anew from the fields
+        return RepFamily, (self.model, self.members, self.label)
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        """The members' layout on the family's model, once per family."""
+        return _layout(self.members, self.model)
+
+    def _layout_on(self, model) -> _Layout | None:
+        """The kept layout on the family's model or an equal one, else None."""
+        return self._layout if model is self.model or model == self.model else None
+
+    def _values_of(self, a: Element) -> tuple[tuple[float, float], ...]:
+        """_member_values of the members, once per element: the memo holds
+        elements weakly and by identity, as they compare."""
+        if a not in self._memo:
+            self._memo[a] = _member_values(self.members, a, self._layout_on(a.model))
+        return self._memo[a]
 
     @cached_property
     def _cover(self) -> tuple[Representation, ...]:
@@ -127,29 +159,30 @@ class FamilyReport:
 
 
 def _member_values(
-    members: tuple[Representation, ...], a: Element
-) -> list[tuple[float, float]]:
+    members: tuple[Representation, ...], a: Element, layout: _Layout | None = None
+) -> tuple[tuple[float, float], ...]:
     """(norm, sigma_min) of each member's image of the element.
 
     Each stack of equal-shape images goes through one batched SVD.  The
     section-ladder member takes both values from the ladder sweep instead:
     the norm is the largest section norm, sigma_min the top section's
-    smallest singular value.  An empty image counts as (0, 0).
+    smallest singular value.  An empty image counts as (0, 0).  layout is
+    as in _images.
     """
+    if layout is None:
+        layout = _acting_layout(members, a.model)
     out = [(0.0, 0.0)] * len(members)
-    rest = []
-    for i, member in enumerate(members):
-        if member.kind == "toeplitz-identity" and isinstance(a, ToeplitzElement):
-            est, sigma = a._section_sweep
+    if layout.ladders:  # only a symbol-model element gets here
+        est, sigma = a._section_sweep
+        for i in layout.ladders:
             out[i] = (est.value, sigma)
-        else:
-            rest.append(i)  # _images raises for the first member that does not act on a
-    for pos, stack in _images([members[i] for i in rest], a):
+        layout = layout._replace(ladders=())
+    for pos, stack in _images(members, a, layout):
         if stack.size:
             svals = np.linalg.svd(stack, compute_uv=False)
             for i, top, low in zip(pos.tolist(), svals[:, 0].tolist(), svals[:, -1].tolist()):
-                out[rest[i]] = (top, low)
-    return out
+                out[i] = (top, low)
+    return tuple(out)
 
 
 def member_norm(member: Representation, a: Element) -> float:
@@ -159,7 +192,7 @@ def member_norm(member: Representation, a: Element) -> float:
 
 def norm_via_family(family: RepFamily, a: Element) -> float:
     """sup of member image norms; equals the norm for exhausting families."""
-    return max(norm for norm, _ in _member_values(family.members, a))
+    return max(norm for norm, _ in family._values_of(a))
 
 
 def n_a_profile(a: Element) -> list[tuple[Representation, float]]:
@@ -369,7 +402,7 @@ def invertible_via_family(
     """
     if any(b <= 0 for b in bounds):
         raise ValueError("the uniform inverse bound must be positive")
-    sigma = min(s for _, s in _member_values(family.members, a))
+    sigma = min(s for _, s in family._values_of(a))
     threshold = invertibility_threshold(a, tol)
     _, exhausting, faithful = family._checks
 
@@ -406,21 +439,8 @@ def direct_invertible(a: AlgebraElement, tol: float = DEFAULT_RESOLUTION) -> Dir
     """Certified direct invertibility over a midpoint-refined grid."""
     if not isinstance(a, AlgebraElement):
         raise UnsupportedModel("direct invertibility applies to function-model elements")
-    bps = a.breakpoints
-    space = a.model.space
-    if space.kind == "discrete":
-        pts = bps
-        gap = 0.0
-    else:
-        pts = np.empty(2 * len(bps) - 1)
-        pts[0::2], pts[1::2] = bps, (bps[:-1] + bps[1:]) / 2.0
-        gap = float(np.diff(pts).max(initial=0.0))
-        if space.kind == "circle":
-            pts = np.append(pts, (bps[-1] + 1.0) / 2.0)
-            gap = max(gap, 1.0 - bps[-1])
-    sigma = float(np.linalg.svd(a.values_at(pts), compute_uv=False)[:, -1].min())
-    margin = sigma - a.lipschitz_bound * gap / 2.0
-    return DirectCheck(bool(margin > tol), sigma, float(margin))
+    sigma, margin = a._direct_sweep
+    return DirectCheck(bool(margin > tol), sigma, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +464,7 @@ def spectrum_union(
     in member order.
     """
     try:
-        stacks = _images(family.members, a)
+        stacks = _images(family.members, a, family._layout_on(a.model))
     except ToolkitError:
         for member in family.members:  # the first member that fails decides the error
             eig_normal(rep_apply(member, a), tol)

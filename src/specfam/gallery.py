@@ -144,10 +144,9 @@ def build_family(model, generator: str, label: str | None = None, **options) -> 
         for x in excluded:
             if not any(_close(t, x) for t in model.space.sample_grid):
                 raise ValueError(f"excluded point {x!r} is not a grid point")
-        for t in model.space.sample_grid:
-            if any(_close(t, x) for x in excluded):
-                continue
-            members.append(Representation.eval_point(t))
+        for t, ev in zip(model.space.sample_grid, model._evals):
+            if not any(_close(t, x) for x in excluded):
+                members.append(ev)
         for t, i in added:
             members.append(Representation.block_eval(t, i))
         if excluded or added:
@@ -157,9 +156,7 @@ def build_family(model, generator: str, label: str | None = None, **options) -> 
         stride = int(options.pop("stride", 2))
         if stride < 1:
             raise ValueError("stride must be at least 1")
-        for k, t in enumerate(model.space.sample_grid):
-            if k % stride == 0:
-                members.append(Representation.eval_point(t))
+        members = list(model._evals[::stride])
         generated = f"coarse[{stride}]"
     elif generator == "single":
         _needs_function_model(model, generator)

@@ -156,13 +156,18 @@ class FunctionModel:
         return self.structure.fiber_dim
 
     @cached_property
+    def _evals(self) -> tuple[Representation, ...]:
+        """The evaluation at each grid point, for enum_prim and the grid families."""
+        return tuple(map(Representation.eval_point, self.space.sample_grid))
+
+    @cached_property
     def _prims(self) -> tuple[Representation, ...]:
         """enum_prim's list: an evaluation per grid point, or its block compressions."""
         out: list[Representation] = []
-        for t in self.space.sample_grid:
+        for t, ev in zip(self.space.sample_grid, self._evals):
             c = self.structure.constraint_at(t)
             if c is None:
-                out.append(Representation.eval_point(t))
+                out.append(ev)
             else:
                 out += [Representation.block_eval(t, i) for i in range(len(c.blocks))]
         return tuple(out)
@@ -299,7 +304,9 @@ class AlgebraElement(_Reflected):
         The Lipschitz bound is certified from the coefficients: each
         entry's derivative is bounded by sum |c_k| k hi^(k-1) over the
         parameter range, and the matrix bound is the Frobenius norm of
-        the entrywise bounds.  A bound that overflows is refused.
+        the entrywise bounds.  A bound that overflows is refused.  Entries
+        sum c_k t**k in ascending k over one table of Python powers t**k
+        per exponent, bit for bit the per-point Python sum.
         """
         d = model.fiber_dim
         space = model.space
@@ -314,9 +321,13 @@ class AlgebraElement(_Reflected):
             )
         with np.errstate(over="ignore"):
             lip = float(np.linalg.norm(slopes, "fro"))
+        degree = max(map(len, entry_coeffs.values()), default=0)
+        powers = [np.array([t**k for t in grid]) for k in range(degree)]
         mats = np.zeros((len(grid), d, d), dtype=complex)
         for (i, j), coeffs in entry_coeffs.items():
-            mats[:, i, j] = [sum(c * t**k for k, c in enumerate(coeffs)) for t in grid]
+            for c, p in zip(map(complex, coeffs), powers):
+                mats.real[:, i, j] += c.real * p
+                mats.imag[:, i, j] += c.imag * p
         return cls(model, grid, mats, lip, label)
 
     @classmethod
@@ -376,6 +387,26 @@ class AlgebraElement(_Reflected):
     def value_at(self, t: float) -> np.ndarray:
         """The value at one point: values_at's one-point view."""
         return self.values_at((t,))[0]
+
+    @cached_property
+    def _direct_sweep(self) -> tuple[float, float]:
+        """sigma_min over the midpoint-refined grid and the certified margin
+        sigma_min - lipschitz * gap / 2, once per element (kept on it, like
+        the Toeplitz ladder sweep)."""
+        bps = self.breakpoints
+        kind = self.model.space.kind
+        if kind == "discrete":
+            pts = bps
+            gap = 0.0
+        else:
+            pts = np.empty(2 * len(bps) - 1)
+            pts[0::2], pts[1::2] = bps, (bps[:-1] + bps[1:]) / 2.0
+            gap = float(np.diff(pts).max(initial=0.0))
+            if kind == "circle":
+                pts = np.append(pts, (bps[-1] + 1.0) / 2.0)
+                gap = max(gap, 1.0 - bps[-1])
+        sigma = float(np.linalg.svd(self.values_at(pts), compute_uv=False)[:, -1].min())
+        return sigma, float(sigma - self.lipschitz_bound * gap / 2.0)
 
     def sup_bound(self) -> float:
         """Certified upper bound for the sup norm over the base space."""
@@ -672,41 +703,71 @@ def _acting_error(rep: Representation, model) -> ToolkitError | None:
     return None
 
 
-def _images(members: Sequence[Representation], a: Element) -> list[tuple[np.ndarray, np.ndarray]]:
+class _Layout(NamedTuple):
+    """Where each member reads its image of an element of one model: the
+    evaluation points, (member positions, point indices) per block (None
+    for the whole fiber), and the positions of characters and ladders."""
+
+    points: np.ndarray
+    groups: dict[tuple[int, ...] | None, np.ndarray]
+    characters: tuple[int, ...]
+    ladders: tuple[int, ...]
+
+
+def _layout(members: Sequence[Representation], model) -> _Layout:
+    """The members' layout on a model that every one of them acts on."""
+    points, groups, characters, ladders = [], {}, [], []
+    for i, rep in enumerate(members):
+        if rep.kind == "toeplitz-character":
+            characters.append(i)
+        elif rep.kind == "toeplitz-identity":
+            ladders.append(i)
+        else:
+            block = None  # the whole fiber
+            if rep.kind == "block":
+                block = model.structure.constraint_at(rep.point).blocks[rep.block]
+            groups.setdefault(block, []).append((i, len(points)))
+            points.append(rep.point)
+    groups = {block: np.array(pairs).T for block, pairs in groups.items()}
+    return _Layout(np.array(points, dtype=float), groups, tuple(characters), tuple(ladders))
+
+
+def _acting_layout(members: Sequence[Representation], model) -> _Layout:
+    """_layout of members not yet checked against the model: the first
+    member that does not act on its elements raises."""
+    for rep in members:
+        error = _acting_error(rep, model)
+        if error is not None:
+            raise error
+    return _layout(members, model)
+
+
+def _images(
+    members: Sequence[Representation], a: Element, layout: _Layout | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Images of the element under the members, as (member positions,
     stack) per image shape.
 
     Evaluation and block members read one values_at lookup over their
     points; a block image is its evaluation compressed to the block.
     Characters and the section ladder are applied one member at a time.
-    The first member that does not act on the element raises.
+    layout is the members' layout on the element's model when the caller
+    keeps one (a family does); without it the first member that does not
+    act on the element raises.
     """
-    points, groups, single = [], {}, {}
-    for i, rep in enumerate(members):
-        error = _acting_error(rep, a.model)
-        if error is not None:
-            raise error
-        if rep.kind in ("eval", "block"):
-            block = None  # the whole fiber
-            if rep.kind == "block":
-                block = a.model.structure.constraint_at(rep.point).blocks[rep.block]
-            groups.setdefault(block, []).append((i, len(points)))
-            points.append(rep.point)
-            continue
-        if rep.kind == "toeplitz-character":
-            image = np.array([[a.symbol_at(rep.theta)]], dtype=complex)
-        else:
-            image = a.section(max(a.section_sizes))
-        single.setdefault(len(image), []).append((i, image))
-    values = a.values_at(points) if points else None
+    if layout is None:
+        layout = _acting_layout(members, a.model)
+    values = a.values_at(layout.points) if layout.groups else None
     shapes: dict[int, list] = {}
-    for block, pairs in groups.items():
-        pos, ks = np.array(pairs).T
+    for block, (pos, ks) in layout.groups.items():
         image = values[ks] if block is None else values[np.ix_(ks, block, block)]
         shapes.setdefault(image.shape[-1], []).append((pos, image))
-    for n, pairs in single.items():
-        pos, images = zip(*pairs)
-        shapes.setdefault(n, []).append((np.array(pos), np.stack(images)))
+    if layout.characters:
+        chars = [[[a.symbol_at(members[i].theta)]] for i in layout.characters]
+        shapes.setdefault(1, []).append((np.array(layout.characters), np.array(chars, complex)))
+    for i in layout.ladders:
+        image = a.section(max(a.section_sizes))
+        shapes.setdefault(len(image), []).append((np.array([i]), image[None]))
     return [
         (np.concatenate([pos for pos, _ in same]), np.concatenate([m for _, m in same]))
         for same in shapes.values()

@@ -656,7 +656,7 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     a = _ref(scenario, q, "element")
     fam = _ref(scenario, q, "family")
     members: list = [None] * len(fam.members)
-    for pos, stack in _images(fam.members, a):
+    for pos, stack in _images(fam.members, a, fam._layout_on(a.model)):
         for i, image in zip(pos.tolist(), stack):
             ladder = fam.members[i].kind == "toeplitz-identity"
             members[i] = Observable.fibered([image], truncated=ladder)
@@ -699,10 +699,11 @@ def report_text(report: dict) -> str:
 
     With an indent, json.dumps runs CPython's pure-Python encoder.  Here
     every key (a report's keys are strings) and scalar goes through the C
-    encoder, and only the indented layout is Python.  An array of spectrum
-    points (SpectrumSet.values) is laid out as its [[re, im], ...] list.
+    encoder, and only the indented layout is Python; a list of strings
+    (such as probes_used) is one join.  An array of spectrum points
+    (SpectrumSet.values) is laid out as its [[re, im], ...] list.
     """
-    encode = json.JSONEncoder().encode
+    encode, quote = json.JSONEncoder().encode, json.encoder.encode_basestring_ascii
     parts = []
 
     def write(obj, pad):
@@ -710,7 +711,7 @@ def report_text(report: dict) -> str:
         if isinstance(obj, dict) and obj:
             sep = "{\n" + inner
             for key in sorted(obj):
-                parts.extend((sep, encode(key), ": "))
+                parts.extend((sep, quote(key), ": "))
                 write(obj[key], inner)
                 sep = ",\n" + inner
             parts.extend(("\n", pad, "}"))
@@ -725,6 +726,8 @@ def report_text(report: dict) -> str:
             if not np.isfinite(obj).all():  # as json.dumps writes them; finite reprs hold no n or i
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
             parts.append(f"[\n{inner}[\n{deep}{text}\n{inner}]\n{pad}]" if obj.size else "[]")
+        elif isinstance(obj, (list, tuple)) and obj and all(isinstance(x, str) for x in obj):
+            parts.extend(("[\n", inner, f",\n{inner}".join(map(quote, obj)), "\n", pad, "]"))
         elif isinstance(obj, (list, tuple)) and obj:
             sep = "[\n" + inner
             for item in obj:

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import gc
+import pickle
 import random
 import weakref
 from pathlib import Path
@@ -815,6 +816,56 @@ def test_the_first_member_that_fails_decides_the_error():
         assert repr(spectrum_union(fam, b)) == repr(union_spectra(parts, resolution=1e-9))
 
 
+def test_images_through_a_family_equal_rep_apply_member_by_member():
+    # the family's kept layout serves its own model and an equal copy of it;
+    # an element that a member cannot act on gets that member's error
+    fam = build_family(matrix_model(1.0 / 8.0), "prim-all")
+    copy = matrix_model(1.0 / 8.0)
+    assert copy == fam.model and copy is not fam.model
+    rng = np.random.RandomState(3)
+    for model in (fam.model, copy):
+        a = random_element(model, rng)
+        assert fam._layout_on(a.model) is fam._layout
+        images = [None] * len(fam.members)
+        for pos, stack in specfam.models._images(fam.members, a, fam._layout_on(a.model)):
+            for i, image in zip(pos.tolist(), stack):
+                images[i] = image
+        for member, image in zip(fam.members, images):
+            assert np.array_equal(image, rep_apply(member, a))
+    foreign = random_selfadjoint_element(build_model("discrete", points=4, dim=2), rng)
+    assert fam._layout_on(foreign.model) is None
+    errors = []
+    for member in fam.members:
+        try:
+            rep_apply(member, foreign)
+        except IncompatibleModel as err:
+            errors.append(err)
+    assert str(errors[0]) == "point 0.125 outside the base space"
+    for query in (norm_via_family, invertible_via_family, spectrum_union):
+        with pytest.raises(IncompatibleModel) as got:
+            query(fam, foreign)
+        assert str(got.value) == str(errors[0])
+
+
+def test_member_values_are_kept_per_element_and_drop_with_it():
+    fam = build_family(matrix_model(1.0 / 8.0), "prim-all")
+    twins = [random_element(fam.model, np.random.RandomState(4)) for _ in range(2)]
+    other = twins[0] * 2.0
+    assert np.array_equal(twins[0].matrices, twins[1].matrices)
+    for a in (*twins, other):
+        assert norm_via_family(fam, a) == max(n for n, _ in _member_values(fam.members, a))
+        assert fam._memo[a] == _member_values(fam.members, a)
+    assert len(fam._memo) == 3  # equal data, one entry per element
+    assert fam._memo[other] != fam._memo[twins[0]]
+    ref = weakref.ref(twins[0])
+    del twins[0]
+    gc.collect()
+    assert ref() is None and len(fam._memo) == 2
+    copy = pickle.loads(pickle.dumps(fam))  # a copy starts with an empty memo
+    assert copy == fam and len(copy._memo) == 0
+    assert norm_via_family(copy, other) == norm_via_family(fam, other)
+
+
 _CERTIFY_SCN = """\
 scenario-version: 1
 model:
@@ -882,9 +933,13 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, lambda m: ("eigh", m.shape[-1])))
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, lambda m: ("svd", m.shape)))
     for name in ("_uncovered", "check_full"):
         fn = getattr(specfam.families, name)
         monkeypatch.setattr(specfam.families, name, counting(fn, lambda f, n=name: (n, f.label)))
+    for mod in (specfam.models, specfam.families):
+        acting = counting(mod._acting_error, lambda rep: ("acting",))
+        monkeypatch.setattr(mod, "_acting_error", acting)
     model_class = specfam.models.FunctionModel
     counted = functools.cached_property(counting(model_class._prims.func, lambda _: ("prims",)))
     counted.__set_name__(model_class, "_prims")
@@ -895,6 +950,12 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
     run_scenario(scenario)
     # two spectrum queries over families with 2x2 and 1x1 images
     assert sorted(c for c in calls if c[0] == "eigh") == [("eigh", 1)] * 2 + [("eigh", 2)] * 2
+    # one SVD per image shape for each of (all, f) and (dropped, f), though
+    # three queries read them; one direct sweep of f for both invertible
+    # queries (33 midpoint-grid points); one elem_norm (17 grid points)
+    shapes = [(1, 1, 1), (2, 1, 1), (16, 2, 2), (16, 2, 2), (17, 2, 2), (33, 2, 2)]
+    assert sorted(c for c in calls if c[0] == "svd") == [("svd", shape) for shape in shapes]
+    assert ("acting",) not in calls  # the families checked their members when built
     for name in ("_uncovered", "check_full"):
         assert sorted(c for c in calls if c[0] == name) == [(name, f) for f in ("all", "dropped", "sparse")]
     assert ("prims",) not in calls  # built once per model, while parsing

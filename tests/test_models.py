@@ -167,6 +167,26 @@ def test_from_polynomials_certifies_lipschitz():
     assert f.lipschitz_bound == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("name", ["interval-scalar", "circle-scalar", "discrete"])
+def test_from_polynomials_equals_the_per_point_python_sum_bitwise(name):
+    model = build_model(name, step=1 / 16) if name != "discrete" else build_model(name, points=5)
+    d, grid = model.fiber_dim, model.space.sample_grid
+    rng = np.random.RandomState(7)
+    for _ in range(20):
+        entries = {}
+        for i in range(d):
+            for j in range(d):
+                re, im = rng.uniform(-2.0, 2.0, (2, rng.randint(0, 6) + 1))
+                re[rng.rand(len(re)) < 0.3] = 0.0  # zero terms and zero parts
+                im[rng.rand(len(im)) < 0.3] = 0.0
+                entries[(i, j)] = [complex(x, y) for x, y in zip(re, im)]
+        a = AlgebraElement.from_polynomials(model, entries)
+        want = np.zeros((len(grid), d, d), dtype=complex)
+        for (i, j), coeffs in entries.items():
+            want[:, i, j] = [sum(c * t**k for k, c in enumerate(coeffs)) for t in grid]
+        assert a.matrices.tobytes() == want.tobytes()
+
+
 def test_value_at_interpolates():
     f = counterexample_element(matrix_model(1.0 / 8.0))
     v = f.value_at(0.3125)  # between grid points is fine: entries are linear
