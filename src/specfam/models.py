@@ -550,10 +550,9 @@ class ToeplitzElement(_Reflected):
                 f"section size {n} cannot hold the {n0}x{n0} correction"
             )
         m = np.zeros((n, n), dtype=complex)
-        for k in range(-self.offset, self.offset + 1):
-            c = self.coeff(k)
+        for k, c in enumerate(self.coeffs, -self.offset):
             if c != 0 and abs(k) < n:
-                m += c * np.eye(n, k=-k)
+                m.reshape(-1)[max(k * n, -k) :: n + 1][: n - abs(k)] += c  # diagonal -k, in place
         if n0:
             m[:n0, :n0] += self.correction
         return m

@@ -16,20 +16,21 @@ invertibility of the principal symbol along directions that keep a
 definite parameter component.  Reduction is a flag of the fiber
 builder, read from the operator's s and order, not a second operator.
 
-A grid is kept as its axis.  Per axis, coordinates whose powers (and,
-for reduced fibers, squares) are bitwise equal form one class, and only
-the product of the classes is assembled: its fibers are all the distinct
-fibers of the grid.  They are built a block of nodes at a time, as one
-(m, d, d) stack, and each block goes straight into eigvalsh or the SVD.
-A circle operator without couplings has diagonal fibers: its blocks are
-the (m, d) diagonals, whose real parts are the eigenvalues and, when the
-diagonal is real, whose smallest absolute values are the sigma_min, with
-no LAPACK call.  On a graph without couplings, the eigenvalues of the
-graph Laplacian give every reduced fiber's sigma_min up to rounding, so
-invertibility solves only the fibers whose bound can reach the grid's
-minimum.  A block holds a fixed number of complex entries, so memory
-follows the block, not the grid; the single-node fiber() is a view of
-the same builder.
+A grid is kept as its axis, with Python's x**a once per coordinate and
+exponent.  Per axis, coordinates whose powers (and, for reduced fibers,
+squares) are bitwise equal form one class, and only the product of the
+classes is assembled, its monomials read from those powers: its fibers
+are all the distinct fibers of the grid.  They are built a block of
+nodes at a time, as one (m, d, d) stack, and each block goes straight
+into eigvalsh or the SVD.  A circle operator without couplings has
+diagonal fibers: its blocks are the (m, d) diagonals, whose real parts
+are the eigenvalues and, when the diagonal is real, whose smallest
+absolute values are the sigma_min, with no LAPACK call.  On a graph
+without couplings, the eigenvalues of the graph Laplacian give every
+reduced fiber's sigma_min up to rounding, so invertibility solves only
+the fibers whose bound can reach the grid's minimum.  A block holds a
+fixed number of complex entries, so memory follows the block, not the
+grid; the single-node fiber() is a view of the same builder.
 """
 
 from __future__ import annotations
@@ -224,70 +225,75 @@ class InvariantOperator:
 _CHUNK_ENTRIES = 2**18
 
 
-def _monomials(lam: np.ndarray, alpha: tuple) -> np.ndarray:
-    """lam^alpha for every row of lam.
+def _power_axes(op: InvariantOperator, axes) -> list[tuple]:
+    """Per axis of the given coordinates, the pair (coordinates, powers).
 
-    Python's float power runs once per distinct coordinate value, and the
-    axis factors multiply onto 1.0 in axis order, so each row equals the
-    scalar product of its powers bit for bit.
+    powers maps each nonzero exponent a that a term or coupling puts on
+    the axis to Python's float power x**a over the coordinates.
     """
-    out = np.ones(len(lam))
-    for x, a in zip(lam.T, alpha):
-        if a:
-            values, index = np.unique(x, return_inverse=True)
-            out = out * np.array([v**a for v in values.tolist()])[index]
+    alphas = [alpha for (_j, alpha), _c in op.terms] + [alpha for alpha, _m in op.couplings]
+    out = []
+    for i, xs in enumerate(axes):
+        exponents = sorted({alpha[i] for alpha in alphas} - {0})
+        out.append((tuple(xs), {a: np.array([x**a for x in xs]) for a in exponents}))
     return out
 
 
-def _node_blocks(axes, d: int, nodes=None):
-    """(flat indices, (m, n) coordinates) of consecutive blocks of nodes of the product.
+def _monomial(axes: list[tuple], at: tuple, alpha: tuple) -> np.ndarray:
+    """lam^alpha at per-axis indices at, the table entries multiplied onto 1.0 in axis order."""
+    out = np.ones(len(at[0]))
+    for (_coords, powers), i, a in zip(axes, at, alpha):
+        if a:
+            out = out * powers[a][i]
+    return out
+
+
+def _node_blocks(axes: list[tuple], d: int, nodes=None):
+    """(flat indices, per-axis indices, |lam|^2) of consecutive blocks of nodes of the product.
 
     The nodes are every node of the product of the axes, in lexicographic
     order, or the given array of flat indices into it; a block holds at
     most _CHUNK_ENTRIES // d^2 of them, so no array grows with the node count.
     """
-    axes = [np.array(a, dtype=float) for a in axes]
-    shape = [len(a) for a in axes]
+    coords = [np.array(c, dtype=float) for c, _powers in axes]
+    shape = [len(c) for c in coords]
     count = math.prod(shape) if nodes is None else len(nodes)
     size = max(1, _CHUNK_ENTRIES // (d * d))
     for start in range(0, count, size):
         stop = min(start + size, count)
         index = np.arange(start, stop) if nodes is None else nodes[start:stop]
-        yield index, np.stack([a[i] for a, i in zip(axes, np.unravel_index(index, shape))], axis=1)
+        at = np.unravel_index(index, shape)
+        yield index, at, sum(c[i] * c[i] for c, i in zip(coords, at))
 
 
 def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False, nodes=None):
     """Fiber blocks over the product of per-axis coordinates, in lexicographic order.
 
     The blocks come from _node_blocks: every node of the product, or only
-    the flat indices in nodes.  Per node the arithmetic is that
-    of one fiber: coeff * lam^alpha * L^j summed in term order (the circle
-    Laplacian as its diagonal), then the couplings, then, when reduced,
-    the conjugation D^((s - order)/2) . p-hat . D^(-s/2) with
-    D = 1 + |lam|^2 + L.  The Laplacian powers and its eigenbasis are
-    computed once per call.  A circle operator without couplings yields
-    its (m, d) diagonals, any other operator (m, d, d) stacks;
-    _as_matrices expands the former.
+    the flat indices in nodes.  Per node the arithmetic is that of one
+    fiber: coeff * lam^alpha * L^j summed in term order (lam^alpha read
+    from the axes' powers, the circle Laplacian as its diagonal), then the
+    couplings, then, when reduced, the conjugation
+    D^((s - order)/2) . p-hat . D^(-s/2) with D = 1 + |lam|^2 + L.  The
+    Laplacian powers and its eigenbasis are computed once per call.  A
+    circle operator without couplings yields its (m, d) diagonals, any
+    other operator (m, d, d) stacks; _as_matrices expands the former.
     """
     d = op.base.dim
     circle = isinstance(op.base, CircleBase)
     diagonal = circle and not op.couplings
     lap = op.base.laplacian_diagonal() if circle else _compact_laplacian(op.base)
-    powers = {
-        j: lap**j if circle else np.linalg.matrix_power(lap, j)
-        for (j, _alpha), _coeff in op.terms
-    }
+    lap_pow = {j: lap**j if circle else np.linalg.matrix_power(lap, j) for (j, _a), _c in op.terms}
     if reduced:
         s, order = op.s, float(op.order)
         w, v = (lap, None) if circle else np.linalg.eigh(lap)
-    for _index, lam in _node_blocks(axes, d, nodes):
-        m = len(lam)
+    for _index, at, lam_sq in _node_blocks(axes, d, nodes):
+        m = len(lam_sq)
         column = (m,) + (1,) * lap.ndim
         acc = np.zeros((m,) + lap.shape, dtype=complex)
         for (j, alpha), coeff in op.terms:
-            acc += (coeff * _monomials(lam, alpha)).reshape(column) * powers[j]
+            acc += (coeff * _monomial(axes, at, alpha)).reshape(column) * lap_pow[j]
         if reduced:
-            lam_sq = sum(x * x for x in lam.T)
             dd = (1.0 + lam_sq)[:, None] + w
             left = dd ** ((s - order) / 2.0)
             right = dd ** (-s / 2.0)
@@ -296,7 +302,7 @@ def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False, nodes=None
             continue
         out = _as_matrices(acc) if circle else acc
         for alpha, mat in op.couplings:
-            out += _monomials(lam, alpha)[:, None, None] * mat
+            out += _monomial(axes, at, alpha)[:, None, None] * mat
         if reduced:
             if circle:
                 out *= left[:, :, None]
@@ -335,7 +341,7 @@ def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
     lam = tuple(float(x) for x in (lam if np.iterable(lam) else (lam,)))
     if len(lam) != op.n:
         raise IncompatibleQuery(f"parameter must have {op.n} components, got {len(lam)}")
-    return _as_matrices(next(_fiber_chunks(op, [(x,) for x in lam], reduced)))[0]
+    return _as_matrices(next(_fiber_chunks(op, _power_axes(op, [(x,) for x in lam]), reduced)))[0]
 
 
 @dataclass(frozen=True)
@@ -365,34 +371,37 @@ class LambdaGrid:
                 f"the grid axis would hold {points:.4g} points, "
                 f"above the cap of {MAX_DENSE_ENTRIES} (2^20)"
             )
-        half = (points - 1) // 2
-        step = float(step)
-        return cls(int(n), float(window), step, tuple(k * step for k in range(-half, half + 1)))
+        step, half = float(step), (points - 1) // 2
+        return cls(int(n), float(window), step, tuple((np.arange(-half, half + 1) * step).tolist()))
+
+
+def _first_columns(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct column of an int array."""
+    order = np.lexsort(keys)  # stable: each run of equal columns starts at its first index
+    runs = keys[:, order]
+    return np.sort(order[np.concatenate(([True], (runs[:, 1:] != runs[:, :-1]).any(axis=0)))])
 
 
 def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> list[tuple]:
-    """Per axis, the first coordinate of each class, in order of first occurrence.
+    """Per axis, (coordinates, powers) over the first coordinate of each class.
 
-    Two coordinates share a class when their keys are bitwise equal: x**a
-    for every nonzero exponent a that a term or coupling puts on the axis,
-    computed as _monomials computes it, and x * x when the fibers are
-    reduced.  Nodes whose coordinates share a class on every axis multiply
-    the same factors onto 1.0 and sum the same squares, in axis order, so
+    Two coordinates share a class when their keys are bitwise equal: their
+    row of the axis's power table, plus x * x when the fibers are reduced.
+    The classes keep those rows, so each power is computed once per grid.
+    Nodes whose coordinates share a class on every axis multiply the same
+    factors onto 1.0 and sum the same squares, in axis order, so
     _fiber_chunks gives them bitwise-equal fibers.  A class's first index
     grows with the class, so the first minimum over the product of the
     classes lies at the first minimizing node of the grid.
     """
     if grid.n != op.n:
         raise IncompatibleQuery(f"grid has {grid.n} directions, the operator has {op.n}")
-    alphas = [alpha for (_j, alpha), _c in op.terms] + [alpha for alpha, _m in op.couplings]
+    x = np.array(grid.axis)
     axes = []
-    for i in range(op.n):
-        keys = [[x**a for x in grid.axis] for a in sorted({alpha[i] for alpha in alphas} - {0})]
-        if reduced:
-            keys.append([x * x for x in grid.axis])
-        bits = np.array(keys, dtype=float).reshape(len(keys), len(grid.axis)).T.view(np.int64)
-        first = np.sort(np.unique(bits, axis=0, return_index=True)[1])
-        axes.append(tuple(grid.axis[j] for j in first.tolist()))
+    for _coords, powers in _power_axes(op, [grid.axis] * op.n):
+        keys = list(powers.values()) + ([x * x] if reduced else [])
+        first = _first_columns(np.array(keys or [np.zeros(len(x))]).view(np.int64))
+        axes.append((tuple(x[first].tolist()), {a: p[first] for a, p in powers.items()}))
     return axes
 
 
@@ -433,14 +442,14 @@ def _candidates(op: InvariantOperator, axes) -> np.ndarray | None:
     lap_norm = np.abs(lap).sum(axis=1).max()
     s, order = op.s, float(op.order)
     best, kept = np.inf, []
-    for index, lam in _node_blocks(axes, op.base.dim):
-        p = np.zeros((len(lam), len(w)), dtype=complex)
-        bound = np.zeros(len(lam))
+    for index, at, lam_sq in _node_blocks(axes, op.base.dim):
+        p = np.zeros((len(lam_sq), len(w)), dtype=complex)
+        bound = np.zeros(len(lam_sq))
         for (j, alpha), coeff in op.terms:
-            mono = _monomials(lam, alpha)
+            mono = _monomial(axes, at, alpha)
             p += (coeff * mono)[:, None] * w**j
             bound += abs(coeff) * np.abs(mono) * lap_norm**j
-        dd = (1.0 + sum(x * x for x in lam.T))[:, None] + w
+        dd = (1.0 + lam_sq)[:, None] + w
         est = (np.abs(p) * dd ** (-order / 2.0)).min(axis=1)
         left, right = dd ** ((s - order) / 2.0), dd ** (-s / 2.0)
         margin = 2.0**-24 * bound * left.max(axis=1) * right.max(axis=1)
@@ -465,23 +474,13 @@ def _lattice_directions(dim: int) -> list[tuple]:
     """Normalized nonzero points of {-2, .., 2}^dim, one per direction.
 
     Lexicographic lattice order, first occurrence kept; the order matters
-    because verdicts report the first minimizing direction.
+    because verdicts report the first minimizing direction.  Two points
+    share a direction when they divide down to the same primitive point.
     """
-    grids = [()]
-    for _ in range(dim):
-        grids = [g + (v,) for g in grids for v in range(-2, 3)]
-    seen = set()
-    out = []
-    for g in grids:
-        norm = _norm(g)
-        if norm == 0.0:
-            continue
-        vec = tuple(x / norm for x in g)
-        key = tuple(round(x, 12) for x in vec)
-        if key not in seen:
-            seen.add(key)
-            out.append(vec)
-    return out
+    g = np.indices((5,) * dim).reshape(dim, -1).T - 2
+    g = g[(g != 0).any(axis=1)]
+    g = g[_first_columns((g // np.gcd.reduce(g, axis=1)[:, None]).T)]
+    return [tuple(v) for v in (g / np.sqrt((g * g).sum(axis=1))[:, None]).tolist()]
 
 
 def _sphere_directions(n: int) -> list[tuple]:
@@ -508,22 +507,23 @@ def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
     d = op.base.dim
     graph = isinstance(op.base, GraphBase)
     diagonal = not graph and not op.couplings
-    xi = np.array([[x] for x, _eta in dirs], dtype=float)
-    eta = np.array([e for _xi, e in dirs], dtype=float).reshape(-1, op.n)
+    eta = _power_axes(op, [[float(e[i]) for _xi, e in dirs] for i in range(op.n)])
+    at = (np.arange(len(dirs)),) * op.n
     out = np.zeros((len(dirs), d) if diagonal else (len(dirs), d, d), dtype=complex)
     for (j, alpha), coeff in op.terms:
         if 2 * j + sum(alpha) != op.order:
             continue
         if graph:
-            scalar = coeff * _monomials(eta, alpha)
+            scalar = coeff * _monomial(eta, at, alpha)
             basis = np.linalg.matrix_power(_compact_laplacian(op.base), j)
         else:
-            scalar = (coeff * _monomials(xi, (2 * j,))) * _monomials(eta, alpha)
+            xi = np.array([float(x) ** (2 * j) for x, _eta in dirs])
+            scalar = (coeff * xi) * _monomial(eta, at, alpha)
             basis = np.ones(d) if diagonal else np.eye(d)
         out = out + scalar.reshape((-1,) + (1,) * basis.ndim) * basis
     for alpha, mat in op.couplings:
         if sum(alpha) == op.order:
-            out = out + _monomials(eta, alpha)[:, None, None] * mat
+            out = out + _monomial(eta, at, alpha)[:, None, None] * mat
     return out
 
 
@@ -631,7 +631,7 @@ def invertible_parametric(
         invertible=bool(fib_ok and sym_ok),
         min_sigma=min_sigma,
         failing_lambda=None if fib_ok else tuple(
-            a[i] for a, i in zip(axes, np.unravel_index(worst, [len(a) for a in axes]))
+            c[i] for (c, _p), i in zip(axes, np.unravel_index(worst, [len(c) for c, _p in axes]))
         ),
         min_symbol=float(min_symbol),
         failing_direction=None if sym_ok else failing_dir,
@@ -661,7 +661,8 @@ def symbol_restriction_check(op: InvariantOperator) -> RestrictionCheck:
         raise CutoffTooSmall("the restriction check needs a mode cutoff of at least 2")
     top = 2 * k  # index of mode +K
     # the product of these axes is lam = 0, then lam = e1
-    f = np.concatenate(list(_fiber_chunks(op, [(0.0, 1.0)] + [(0.0,)] * (op.n - 1))))
+    axes = _power_axes(op, [(0.0, 1.0)] + [(0.0,)] * (op.n - 1))
+    f = np.concatenate(list(_fiber_chunks(op, axes)))
     c0, c1 = (
         float(x.real) / float(k**op.order) for x in (f[:, top] if f.ndim == 2 else f[:, top, top])
     )

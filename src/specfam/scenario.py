@@ -647,9 +647,7 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     if _get(q.params, "operator") is not None:
         op = _ref(scenario, q, "operator")
         parts = []
-        axes = _class_axes(op, _q_grid(q, op), False)
-        for block in _fiber_chunks(op, axes):
-            block = _as_matrices(block)
+        for block in map(_as_matrices, _fiber_chunks(op, _class_axes(op, _q_grid(q, op), False))):
             check_self_adjoint(block)
             parts.append(_fiber_points(block, tol)[0])
         return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True).as_dict()

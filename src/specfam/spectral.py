@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -163,7 +162,10 @@ def _hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _times_4_to(x: float, e: int) -> str:
     """x * 4^e in the .3e layout, also where it lies beyond the float range."""
     v = x * 2.0**e * 2.0**e
-    return f"{Decimal(x) * Decimal(4) ** e:.3e}" if math.isinf(v) else f"{v:.3e}"
+    if math.isinf(v):
+        from decimal import Decimal  # imported here: only an overflowing power reads it
+        return f"{Decimal(x) * Decimal(4) ** e:.3e}"
+    return f"{v:.3e}"
 
 
 def normal_eigensystem(a, tol: float = DEFAULT_RESOLUTION) -> tuple[np.ndarray, np.ndarray]:

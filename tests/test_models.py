@@ -310,6 +310,36 @@ def test_rep_apply_section_of_shift():
     assert op_norm(out - expected) <= 1e-12
 
 
+def test_sections_equal_the_sum_of_eye_diagonals_bitwise():
+    # the reference adds c * eye(n, k=-k) per coefficient; signed zeros in
+    # the coefficients must come out as the reference rounds them
+    rng = np.random.default_rng(546)
+    model = toeplitz_model()
+    values = [
+        0.0, complex(0.75, -0.0), complex(-0.0, -1.25), complex(-0.0, 0.5), complex(-2.0, 0.0),
+    ]
+    for _ in range(60):
+        offset = int(rng.integers(0, 5))
+        symbol = {
+            k: values[int(rng.integers(0, len(values)))] * float(rng.uniform(0.5, 2.0))
+            if rng.random() < 0.5 else complex(*rng.normal(size=2))
+            for k in range(-offset, offset + 1)
+        }
+        n0 = int(rng.integers(0, 3))
+        correction = rng.normal(size=(n0, n0)) + 1j * rng.normal(size=(n0, n0)) if n0 else None
+        x = ToeplitzElement.build(model, symbol, correction)
+        # sizes below the symbol's width 2 * offset + 1 drop its outer diagonals
+        for n in sorted({n for n in (1, 2, 3, 5, 2 * offset + 3, 17) if n >= max(n0, 1)}):
+            want = np.zeros((n, n), dtype=complex)
+            for k in range(-x.offset, x.offset + 1):
+                c = x.coeff(k)
+                if c != 0 and abs(k) < n:
+                    want += c * np.eye(n, k=-k)
+            if n0:
+                want[:n0, :n0] += x.correction
+            assert np.array_equal(x.section(n).view(np.int64), want.view(np.int64))
+
+
 def test_rep_apply_truncation_too_small():
     model = toeplitz_model()
     x = ToeplitzElement.build(model, {}, correction=np.eye(4))

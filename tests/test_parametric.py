@@ -1,5 +1,6 @@
 """Parameter fibers: construction, reduction, spectra, ellipticity."""
 
+import hashlib
 import itertools
 import re
 import tracemalloc
@@ -45,9 +46,9 @@ def grid_nodes(grid: LambdaGrid) -> list[tuple]:
     return list(itertools.product(grid.axis, repeat=grid.n))
 
 
-def full_axes(grid: LambdaGrid) -> list[tuple]:
+def full_axes(op: InvariantOperator, grid: LambdaGrid) -> list:
     """Axes whose product, walked by _fiber_chunks, is every node of the grid."""
-    return [grid.axis] * grid.n
+    return parametric._power_axes(op, [grid.axis] * grid.n)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def test_fiber_blocks_equal_the_per_node_reference(kind, n, reduced, step):
     op = _random_operator(rng, base, n)
     grid = LambdaGrid.build(n, window=3 * step, step=step)
     nodes = grid_nodes(grid)
-    got = np.concatenate(list(_fiber_chunks(op, full_axes(grid), reduced)))
+    got = np.concatenate(list(_fiber_chunks(op, full_axes(op, grid), reduced)))
     want = np.stack([_ref_fiber(op, lam, reduced) for lam in nodes])
     assert np.array_equal(got, want)
     for lam in nodes[:: max(1, len(nodes) // 5)]:
@@ -224,7 +225,7 @@ def test_worst_fiber_and_spectrum_do_not_depend_on_chunks():
     grid = LambdaGrid.build(1, window=4.0, step=1 / 256)
     nodes = grid_nodes(grid)
     per_chunk = parametric._CHUNK_ENTRIES // op.base.dim**2
-    assert _class_axes(op, grid, True) == [grid.axis]
+    assert [coords for coords, _powers in _class_axes(op, grid, True)] == [grid.axis]
     assert len(nodes) > 2 * per_chunk
 
     sigmas = np.linalg.svd(
@@ -284,9 +285,9 @@ def test_diagonal_fibers_equal_the_lapack_path(n, reduced):
     for zero_at in zeros:
         op = _real_circle_operator(rng, n, zero_at)
         twin = _with_zero_coupling(op)
-        blocks = list(_fiber_chunks(op, full_axes(grid), reduced))
+        blocks = list(_fiber_chunks(op, full_axes(op, grid), reduced))
         assert all(b.ndim == 2 for b in blocks)
-        dense = np.concatenate(list(_fiber_chunks(twin, full_axes(grid), reduced)))
+        dense = np.concatenate(list(_fiber_chunks(twin, full_axes(twin, grid), reduced)))
         assert np.array_equal(parametric._as_matrices(np.concatenate(blocks)), dense)
         got, want = invertible_parametric(op, grid), invertible_parametric(twin, grid)
         assert np.array_equal(got.min_sigma, want.min_sigma)
@@ -432,6 +433,7 @@ def test_graph_invertibility_solves_only_the_fibers_that_can_hold_the_minimum(mo
     op = InvariantOperator.shifted_laplacian(path_graph(8), n=1, shift=shift)
     grid = LambdaGrid.build(1, window=4.0, step=1 / 128)
     axes = _class_axes(op, grid, True)
+    [(coords, _powers)] = axes
     sigmas = parametric._sigma_min(np.concatenate(list(_fiber_chunks(op, axes, True))))
     assert len(sigmas) == 513
     assert len(op._symbol_sweep) == 2  # the symbol is swept before the count
@@ -441,7 +443,7 @@ def test_graph_invertibility_solves_only_the_fibers_that_can_hold_the_minimum(mo
     worst = int(np.argmin(sigmas))
     assert v.min_sigma == float(sigmas[worst])
     assert v.invertible == (shift > 0)
-    assert v.failing_lambda == (None if shift > 0 else (axes[0][worst],))
+    assert v.failing_lambda == (None if shift > 0 else (coords[worst],))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +499,8 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
     flat = InvariantOperator.build(
         base, n, {(1, (0,) * n): 1.0, (0, (2,) + (0,) * (n - 1)): 1.0, (0, (0,) * n): -0.5}
     )
-    assert _class_axes(flat, grid, False)[1:] == [(grid.axis[0],)] * (n - 1)
+    classes = [coords for coords, _powers in _class_axes(flat, grid, False)]
+    assert classes[1:] == [(grid.axis[0],)] * (n - 1)
     # singular on mode 0 where |lam|^2 (+ lam1 when odd) hits the shift: on
     # dyadic nodes such as (-1/2, 0) and (0, -1/2), which lie in different
     # classes, the even fibers are bitwise equal, so their sigma_min tie
@@ -522,13 +525,14 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
     for op, hermitian in cases:
         for reduced in (False, True):
             axes = _class_axes(op, grid, reduced)
+            sizes = [len(coords) for coords, _powers in axes]
             if not odd or op is flat:  # +-x share a class on every axis
-                assert all(len(a) <= len(grid.axis) // 2 + 1 for a in axes)
+                assert all(size <= len(grid.axis) // 2 + 1 for size in sizes)
             if reduced and op is flat:
-                assert [len(a) for a in axes] == [len(grid.axis) // 2 + 1] * n
-            every = np.concatenate(list(_fiber_chunks(op, full_axes(grid), reduced)))
+                assert sizes == [len(grid.axis) // 2 + 1] * n
+            every = np.concatenate(list(_fiber_chunks(op, full_axes(op, grid), reduced)))
             distinct = np.concatenate(list(_fiber_chunks(op, axes, reduced)))
-            assert len(distinct) == np.prod([len(a) for a in axes])
+            assert len(distinct) == np.prod(sizes)
             assert {f.tobytes() for f in distinct} == {f.tobytes() for f in every}
 
         # the full-grid reference: one fiber per node, each solved alone
@@ -546,6 +550,93 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
             eigs = np.concatenate([np.linalg.eigvalsh(fiber(op, lam)) for lam in nodes])
             want = SpectrumSet.canonical(_distinct(eigs), 1e-9, truncated=True)
             assert repr(spectrum_parametric(op, grid, tol=1e-9)) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# monomials from the per-axis power tables against the per-block power path
+
+
+def _unique_power_monomials(lam: np.ndarray, alpha: tuple) -> np.ndarray:
+    """lam^alpha by the path the power tables replaced: per column, np.unique,
+    then Python's v**a on the distinct values, multiplied onto 1.0 in axis order."""
+    out = np.ones(len(lam))
+    for x, a in zip(lam.T, alpha):
+        if a:
+            values, index = np.unique(x, return_inverse=True)
+            out = out * np.array([v**a for v in values.tolist()])[index]
+    return out
+
+
+def _unique_power_chunks(monkeypatch, op, axes, reduced, nodes=None) -> list:
+    """_fiber_chunks with each monomial recomputed from the block's coordinates."""
+
+    def monomial(axes, at, alpha):
+        lam = np.stack([np.array(coords)[i] for (coords, _powers), i in zip(axes, at)], axis=1)
+        return _unique_power_monomials(lam, alpha)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parametric, "_monomial", monomial)
+        return list(_fiber_chunks(op, axes, reduced, nodes))
+
+
+def _assert_same_blocks(got: list, want: list):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def _power_test_operator(base, n: int, coupled: bool) -> InvariantOperator:
+    """Exponents 1 to 4 on every axis, mixed monomials, and couplings when asked."""
+    terms = {(1, (0,) * n): 1.0, (0, (0,) * n): 0.5}
+    for i in range(n):
+        for a in range(1, 5):
+            terms[(0, tuple(a if k == i else 0 for k in range(n)))] = (-1) ** a * (a + 1) / 7
+    if n > 1:
+        terms[(0, (1, 3) + (0,) * (n - 2))] = 0.7
+        terms[(1, (2, 1) + (0,) * (n - 2))] = complex(-0.3, 0.1)
+    couplings = {}
+    if coupled:
+        couplings = {
+            (1, 2) + (0,) * (n - 2): {(1, -2): complex(0.5, 0.25)},
+            (3,) + (0,) * (n - 1): {(0, 0): -1.5, (2, -1): 0.125j},
+            (0, 4) + (0,) * (n - 2): {(-3, 3): 0.75},
+        }
+    return InvariantOperator.build(base, n, terms, couplings, s=1.5)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["raw", "reduced"])
+@pytest.mark.parametrize("kind", ["circle", "circle-coupled", "graph"])
+def test_fiber_blocks_equal_the_per_block_unique_power_path_bitwise(monkeypatch, kind, reduced):
+    base = path_graph(5) if kind == "graph" else CircleBase(3)
+    op = _power_test_operator(base, 2, coupled=kind == "circle-coupled")
+    # at step 1/10 Python's x**3 and x*x*x differ on some coordinates, so
+    # products in place of the powers would change the fibers
+    grid = LambdaGrid.build(2, window=1.0, step=0.1)
+    assert any(x**3 != x * x * x for x in grid.axis)
+    for axes in (full_axes(op, grid), _class_axes(op, grid, reduced)):
+        total = np.prod([len(coords) for coords, _powers in axes])
+        subset = np.flatnonzero(np.random.default_rng(7).random(total) < 0.3)
+        for nodes in (None, subset):
+            got = list(_fiber_chunks(op, axes, reduced, nodes))
+            assert sum(len(block) for block in got) == (total if nodes is None else len(subset))
+            _assert_same_blocks(got, _unique_power_chunks(monkeypatch, op, axes, reduced, nodes))
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["raw", "reduced"])
+def test_both_blocks_of_an_axis_longer_than_one_chunk_equal_the_unique_power_path(
+    monkeypatch, reduced
+):
+    op = _power_test_operator(CircleBase(3), 1, coupled=False)
+    op = InvariantOperator.build(
+        op.base, 1, dict(op.terms), couplings={(3,): {(1, -1): 0.5j}, (2,): {(0, 0): 0.25}}
+    )
+    grid = LambdaGrid.build(1, window=4.0, step=1 / 1024)
+    axes = _class_axes(op, grid, reduced)  # odd exponents: every coordinate is a class
+    assert len(axes[0][0]) == len(grid.axis) > parametric._CHUNK_ENTRIES // op.base.dim**2
+    got = list(_fiber_chunks(op, axes, reduced))
+    assert len(got) == 2
+    _assert_same_blocks(got, _unique_power_chunks(monkeypatch, op, axes, reduced))
 
 
 # ---------------------------------------------------------------------------
@@ -820,6 +911,28 @@ def test_symbol_stack_equals_the_per_direction_reference(kind, n):
         assert np.array_equal(parametric._principal_symbols(op, dirs), want)
         for i in range(0, len(dirs), 7):
             assert np.array_equal(principal_symbol(op, *dirs[i]), want[i])
+
+
+# length and sha256 of repr(list) of each direction set, as the per-point
+# loops with round(x, 12) merging built them; verdicts report the first
+# minimizing direction, so the order is pinned along with the bits
+_DIRECTION_SETS = {
+    ("sphere", 1): (64, "1725f574d9d29e376b99c5bda92fde8db7d6fdc0ab8b8e20dd54cdfa640d05c2"),
+    ("sphere", 2): (98, "36daa44907bc74b68a49c8536fb7293e3e1298b22a5be24cd783d8a765feeec8"),
+    ("sphere", 3): (544, "9a75f1df9be1cabda69c3dfde17595f31ff5155999cc2125cd4f3ec94221f554"),
+    ("lattice", 2): (16, "22278bd6751bcb59fb6facbbd4e8d1be9c67888aced1daeffc8b88d1565d210e"),
+    ("lattice", 3): (98, "584cd075db2845d020f5f93db53016ccb9a883b15741a943a5053c0c39c4f600"),
+    ("lattice", 4): (544, "abdcfe9700bd02839b71879909674a2a23be39aacc4dd5c9b82d2f80b91d9db1"),
+}
+
+
+@pytest.mark.parametrize("kind, n", list(_DIRECTION_SETS))
+def test_direction_sets_keep_their_order_and_bits(kind, n):
+    build = parametric._sphere_directions if kind == "sphere" else parametric._lattice_directions
+    dirs = build(n)
+    length, digest = _DIRECTION_SETS[kind, n]
+    assert len(dirs) == length
+    assert hashlib.sha256(repr(dirs).encode()).hexdigest() == digest
 
 
 def test_principal_symbol_of_shifted_laplacian_is_the_sphere_constant():
