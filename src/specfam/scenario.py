@@ -737,8 +737,8 @@ def report_text(report: dict) -> str:
             parts.append(encode(obj))
 
     write(report, "")
-    parts.append("\n")
-    return "".join(parts)
+    del write  # a closure that holds itself: unbinding it frees parts on return, not at a GC pass
+    return "".join(parts + ["\n"])
 
 
 _SPECTRUM_KINDS = ("spectrum", "parametric-spectrum", "observable-spectrum")

@@ -1,5 +1,6 @@
 """Scenario files, report determinism, and the command line front end."""
 
+import gc
 import json
 import os
 import shutil
@@ -306,6 +307,19 @@ def test_report_text_is_json_dumps_with_indent_2():
     for report in reports:
         want = json.dumps(as_json_lists(report), sort_keys=True, indent=2) + "\n"
         assert report_text(report) == want
+
+
+def test_report_text_leaves_no_reference_cycle():
+    # its recursive writer is a closure that refers to itself; left bound,
+    # it kept every text part of the report alive until a cyclic GC pass
+    report = run_scenario(load_scenario(str(SCENARIOS / "laplacian-line.scn")))
+    gc.collect()
+    gc.disable()
+    try:
+        report_text(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_off_grid_member_does_not_make_a_family_exhausting():
