@@ -63,4 +63,4 @@ class NotElliptic(NumericError):
 
 
 class CutoffTooSmall(NumericError):
-    """Mode cutoff cannot hold the requested coupling or check."""
+    """Mode cutoff is too small for the requested check."""

@@ -16,21 +16,23 @@ invertibility of the principal symbol along directions that keep a
 definite parameter component.  Reduction is a flag of the fiber
 builder, read from the operator's s and order, not a second operator.
 
-A grid is kept as its axis, with Python's x**a once per coordinate and
-exponent.  Per axis, coordinates whose powers (and, for reduced fibers,
-squares) are bitwise equal form one class, and only the product of the
-classes is assembled, its monomials read from those powers: its fibers
-are all the distinct fibers of the grid.  They are built a block of
-nodes at a time, as one (m, d, d) stack, and each block goes straight
-into eigvalsh or the SVD.  A circle operator without couplings has
+Every term is c . L^j . lam^alpha, so every fiber is a polynomial in the
+compact Laplacian L and all fibers commute.  A grid is kept as its
+axis, with Python's x**a once per coordinate and exponent.  Per axis,
+coordinates whose powers (and, for reduced fibers, squares) are bitwise
+equal form one class, and only the product of the classes is assembled,
+its monomials read from those powers: its fibers are all the distinct
+fibers of the grid.  They are built a block of nodes at a time, and each
+block goes straight into eigvalsh or the SVD.  A circle operator has
 diagonal fibers: its blocks are the (m, d) diagonals, whose real parts
 are the eigenvalues and, when the diagonal is real, whose smallest
-absolute values are the sigma_min, with no LAPACK call.  On a graph
-without couplings, the eigenvalues of the graph Laplacian give every
-reduced fiber's sigma_min up to rounding, so invertibility solves only
-the fibers whose bound can reach the grid's minimum.  A block holds a
-fixed number of complex entries, so memory follows the block, not the
-grid; the single-node fiber() is a view of the same builder.
+absolute values are the sigma_min, with no LAPACK call.  A graph
+operator's blocks are (m, d, d) stacks; the eigenvalues of the graph
+Laplacian give every reduced fiber's sigma_min up to rounding, so
+invertibility solves only the fibers whose bound can reach the grid's
+minimum.  A block holds a fixed number of complex entries, so memory
+follows the block, not the grid; the single-node fiber() is a view of
+the same builder.
 """
 
 from __future__ import annotations
@@ -99,30 +101,20 @@ class GraphBase:
         return np.diag(a.sum(axis=1)) - a
 
 
-def _compact_laplacian(base) -> np.ndarray:
-    if isinstance(base, CircleBase):
-        return np.diag(base.laplacian_diagonal())
-    if isinstance(base, GraphBase):
-        return base.laplacian()
-    raise UnsupportedModel(f"unknown base geometry {type(base).__name__}")
-
-
 @dataclass(frozen=True, eq=False)
 class InvariantOperator:
     """Polynomial invariant operator on (compact base) x R^n.
 
     terms maps (j, alpha) to a coefficient and contributes
     coeff * L^j * lam^alpha, where L is the compact-direction Laplacian
-    (joint degree 2j + |alpha|).  couplings add lam^alpha times a fixed
-    matrix on the compact fibers (joint degree |alpha|).  order is worked
-    out as the largest joint degree of a nonzero term or a coupling; the
-    operator maps the Sobolev level s (default: the order) to s - order.
+    (joint degree 2j + |alpha|).  order is worked out as the largest joint
+    degree of a nonzero term; the operator maps the Sobolev level s
+    (default: the order) to s - order.
     """
 
     base: CircleBase | GraphBase
     n: int
     terms: tuple
-    couplings: tuple
     s: float | None = None
     label: str = ""
     order: int = field(init=False)
@@ -140,60 +132,20 @@ class InvariantOperator:
             if c != 0:
                 terms.append(((int(j), alpha), c))
                 degrees.append(2 * int(j) + sum(alpha))
-        couplings = []
-        d = self.base.dim
-        for alpha, mat in self.couplings:
-            alpha = tuple(int(x) for x in alpha)
-            if len(alpha) != self.n or any(x < 0 for x in alpha):
-                raise ValueError(f"bad coupling exponents alpha={alpha}")
-            m = np.asarray(mat, dtype=complex)
-            if m.shape != (d, d):
-                raise ValueError(f"coupling matrices must be {d}x{d}")
-            m.setflags(write=False)
-            couplings.append((alpha, m))
-            degrees.append(sum(alpha))
         order = max(degrees)
         s = float(order if self.s is None else self.s)
         if not math.isfinite(s):
             raise ValueError("the Sobolev level s must be finite")
         object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "couplings", tuple(couplings))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "s", s)
 
     @classmethod
     def build(
-        cls,
-        base,
-        n: int,
-        terms: dict,
-        couplings: dict | None = None,
-        s: float | None = None,
-        label: str = "",
+        cls, base, n: int, terms: dict, *, s: float | None = None, label: str = ""
     ) -> "InvariantOperator":
-        """Operator from {(j, alpha): coeff} plus optional mode couplings.
-
-        couplings maps alpha to {(k1, k2): value} in circle mode indices
-        (CutoffTooSmall beyond the cutoff) or vertex indices for graphs.
-        """
-        coupling_list = []
-        d = base.dim
-        for alpha, entries in (couplings or {}).items():
-            m = np.zeros((d, d), dtype=complex)
-            for (k1, k2), val in entries.items():
-                i1, i2 = int(k1), int(k2)
-                if isinstance(base, CircleBase):
-                    if max(abs(i1), abs(i2)) > base.cutoff:
-                        raise CutoffTooSmall(
-                            f"coupling mode ({i1}, {i2}) needs cutoff above {base.cutoff}"
-                        )
-                    i1 += base.cutoff
-                    i2 += base.cutoff
-                elif not (0 <= i1 < d and 0 <= i2 < d):
-                    raise ValueError(f"coupling vertex ({i1}, {i2}) outside the graph")
-                m[i1, i2] += complex(val)
-            coupling_list.append((tuple(int(x) for x in alpha), m))
-        return cls(base, int(n), tuple(terms.items()), tuple(coupling_list), s, label)
+        """Operator from {(j, alpha): coeff}; s and label are keyword-only."""
+        return cls(base, int(n), tuple(terms.items()), s, label)
 
     @classmethod
     def shifted_laplacian(cls, base, n: int, shift: float = 0.0, label: str = "") -> "InvariantOperator":
@@ -228,10 +180,10 @@ _CHUNK_ENTRIES = 2**18
 def _power_axes(op: InvariantOperator, axes) -> list[tuple]:
     """Per axis of the given coordinates, the pair (coordinates, powers).
 
-    powers maps each nonzero exponent a that a term or coupling puts on
-    the axis to Python's float power x**a over the coordinates.
+    powers maps each nonzero exponent a that a term puts on the axis to
+    Python's float power x**a over the coordinates.
     """
-    alphas = [alpha for (_j, alpha), _c in op.terms] + [alpha for alpha, _m in op.couplings]
+    alphas = [alpha for (_j, alpha), _c in op.terms]
     out = []
     for i, xs in enumerate(axes):
         exponents = sorted({alpha[i] for alpha in alphas} - {0})
@@ -272,17 +224,15 @@ def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False, nodes=None
     The blocks come from _node_blocks: every node of the product, or only
     the flat indices in nodes.  Per node the arithmetic is that of one
     fiber: coeff * lam^alpha * L^j summed in term order (lam^alpha read
-    from the axes' powers, the circle Laplacian as its diagonal), then the
-    couplings, then, when reduced, the conjugation
-    D^((s - order)/2) . p-hat . D^(-s/2) with D = 1 + |lam|^2 + L.  The
-    Laplacian powers and its eigenbasis are computed once per call.  A
-    circle operator without couplings yields its (m, d) diagonals, any
-    other operator (m, d, d) stacks; _as_matrices expands the former.
+    from the axes' powers, the circle Laplacian as its diagonal), then,
+    when reduced, the conjugation D^((s - order)/2) . p-hat . D^(-s/2) with
+    D = 1 + |lam|^2 + L.  The Laplacian powers and its eigenbasis are
+    computed once per call.  A circle operator yields its (m, d) diagonals,
+    a graph operator (m, d, d) stacks; _as_matrices expands the former.
     """
     d = op.base.dim
     circle = isinstance(op.base, CircleBase)
-    diagonal = circle and not op.couplings
-    lap = op.base.laplacian_diagonal() if circle else _compact_laplacian(op.base)
+    lap = op.base.laplacian_diagonal() if circle else op.base.laplacian()
     lap_pow = {j: lap**j if circle else np.linalg.matrix_power(lap, j) for (j, _a), _c in op.terms}
     if reduced:
         s, order = op.s, float(op.order)
@@ -297,21 +247,13 @@ def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False, nodes=None
             dd = (1.0 + lam_sq)[:, None] + w
             left = dd ** ((s - order) / 2.0)
             right = dd ** (-s / 2.0)
-        if diagonal:
-            yield (acc * left) * right if reduced else acc
-            continue
-        out = _as_matrices(acc) if circle else acc
-        for alpha, mat in op.couplings:
-            out += _monomial(axes, at, alpha)[:, None, None] * mat
-        if reduced:
             if circle:
-                out *= left[:, :, None]
-                out *= right[:, None, :]
+                acc = (acc * left) * right
             else:
                 left = (v * left[:, None, :]) @ v.conj().T
                 right = (v * right[:, None, :]) @ v.conj().T
-                out = left @ out @ right
-        yield out
+                acc = left @ acc @ right
+        yield acc
 
 
 def _as_matrices(block: np.ndarray) -> np.ndarray:
@@ -408,14 +350,16 @@ def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> list[
 def _fiber_bound(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> float:
     """Bound on the fiber entries over the grid (and on D's when reduced), inf on overflow.
 
-    With r = max(1, largest coordinate) and |L| at most its largest row sum:
-    sum |c| |L|^j r^|alpha| + sum max|C| r^|alpha|, and 1 + n r^2 + |L| for D.
+    With r = max(1, largest coordinate) and |L| at most its largest row sum
+    (cutoff^2 on a circle): sum |c| |L|^j r^|alpha|, and 1 + n r^2 + |L| for D.
     """
     r = max(1.0, grid.axis[-1])
-    lap = float(np.abs(_compact_laplacian(op.base)).sum(axis=1).max())
+    if isinstance(op.base, CircleBase):
+        lap = float(op.base.cutoff**2)
+    else:
+        lap = float(np.abs(op.base.laplacian()).sum(axis=1).max())
     try:  # a Python float power raises OverflowError where a product gives inf
         bound = sum(abs(c) * lap**j * r ** sum(alpha) for (j, alpha), c in op.terms)
-        bound += sum(float(np.abs(m).max()) * r ** sum(alpha) for alpha, m in op.couplings)
     except OverflowError:
         return math.inf
     return max(bound, 1.0 + op.n * r * r + lap) if reduced else bound
@@ -424,18 +368,18 @@ def _fiber_bound(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> floa
 def _candidates(op: InvariantOperator, axes) -> np.ndarray | None:
     """Flat indices of the reduced fibers that can hold the smallest sigma_min; None for all.
 
-    On a graph without couplings every fiber is a polynomial p(lam, L), and
-    in exact arithmetic its reduced sigma_min is, with w_i the eigenvalues
-    of L and d_i = 1 + |lam|^2 + w_i,
+    On a graph every fiber is a polynomial p(lam, L), and in exact
+    arithmetic its reduced sigma_min is, with w_i the eigenvalues of L and
+    d_i = 1 + |lam|^2 + w_i,
         est = min_i |p(lam, w_i)| d_i^(-order/2).
     Rounding moves the computed sigma_min off est by a few d 2^-52 scale,
     far below margin = 2^-24 scale, where, with |L| its largest row sum,
         scale = (sum |c| |lam^alpha| |L|^j) max_i d_i^((s - order)/2) max_i d_i^(-s/2)
     bounds the fiber's norm.  So every node that can tie the grid's minimum
-    has est - margin <= T, the least est + margin.  Circle and coupled
-    operators and a non-finite bound give None.
+    has est - margin <= T, the least est + margin.  Circle operators and a
+    non-finite bound give None.
     """
-    if not isinstance(op.base, GraphBase) or op.couplings:
+    if not isinstance(op.base, GraphBase):
         return None
     lap = op.base.laplacian()
     w = np.linalg.eigvalsh(lap)
@@ -499,31 +443,27 @@ def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
     """Top joint-degree parts at the directions (xi, eta), one stack.
 
     Per direction, the top terms in term order as (coeff * xi^(2j)) * eta^alpha
-    times I, then the top couplings.  A graph has no cotangent xi: there the
-    term is (coeff * eta^alpha) times the Laplacian power.  Like the fibers,
-    a circle operator without couplings gives (m, d) diagonals, any other
-    operator an (m, d, d) stack.
+    times I.  A graph has no cotangent xi: there the term is
+    (coeff * eta^alpha) times the Laplacian power.  Like the fibers, a
+    circle operator gives (m, d) diagonals, a graph operator an (m, d, d)
+    stack.
     """
     d = op.base.dim
     graph = isinstance(op.base, GraphBase)
-    diagonal = not graph and not op.couplings
     eta = _power_axes(op, [[float(e[i]) for _xi, e in dirs] for i in range(op.n)])
     at = (np.arange(len(dirs)),) * op.n
-    out = np.zeros((len(dirs), d) if diagonal else (len(dirs), d, d), dtype=complex)
+    out = np.zeros((len(dirs), d, d) if graph else (len(dirs), d), dtype=complex)
     for (j, alpha), coeff in op.terms:
         if 2 * j + sum(alpha) != op.order:
             continue
         if graph:
             scalar = coeff * _monomial(eta, at, alpha)
-            basis = np.linalg.matrix_power(_compact_laplacian(op.base), j)
+            basis = np.linalg.matrix_power(op.base.laplacian(), j)
         else:
             xi = np.array([float(x) ** (2 * j) for x, _eta in dirs])
             scalar = (coeff * xi) * _monomial(eta, at, alpha)
-            basis = np.ones(d) if diagonal else np.eye(d)
+            basis = np.ones(d)
         out = out + scalar.reshape((-1,) + (1,) * basis.ndim) * basis
-    for alpha, mat in op.couplings:
-        if sum(alpha) == op.order:
-            out = out + _monomial(eta, at, alpha)[:, None, None] * mat
     return out
 
 
@@ -538,17 +478,10 @@ def _check_selfadjoint(op: InvariantOperator):
             raise NotSelfAdjoint(
                 f"term (j={j}, alpha={alpha}) has a non-real coefficient {coeff}"
             )
-    for alpha, mat in op.couplings:
-        if np.abs(mat - mat.conj().T).max() > 1e-12:
-            raise NotSelfAdjoint(f"coupling at alpha={alpha} is not Hermitian")
 
 
 def _check_elliptic(op: InvariantOperator):
-    scale = max(
-        [abs(c) for _ja, c in op.terms]
-        + [float(np.abs(m).max()) for _a, m in op.couplings]
-        + [1.0]
-    )
+    scale = max([abs(c) for _ja, c in op.terms] + [1.0])
     for (xi, eta), smin in op._symbol_sweep:
         if smin <= 1e-12 * scale:
             raise NotElliptic(
@@ -663,8 +596,6 @@ def symbol_restriction_check(op: InvariantOperator) -> RestrictionCheck:
     # the product of these axes is lam = 0, then lam = e1
     axes = _power_axes(op, [(0.0, 1.0)] + [(0.0,)] * (op.n - 1))
     f = np.concatenate(list(_fiber_chunks(op, axes)))
-    c0, c1 = (
-        float(x.real) / float(k**op.order) for x in (f[:, top] if f.ndim == 2 else f[:, top, top])
-    )
+    c0, c1 = (float(x.real) / float(k**op.order) for x in f[:, top])
     tolerance = (abs(c0) + abs(c1) + 1e-9) / k
     return RestrictionCheck(abs(c0 - c1) <= tolerance, c0, c1, tolerance)

@@ -484,13 +484,19 @@ def _build_operator(pairs: list[_Pair], _model):
     _check_keys(pairs, ("id", "base", "directions"), "operator field", ("term",))
     base_pair = _need(pairs, "base", line)
     toks = _scalar(base_pair).split()
-    if toks[:1] == ["circle"] and len(toks) == 2:
-        base = CircleBase(_int(toks[1], base_pair.line))
-    elif toks[:1] == ["graph-path"] and len(toks) == 2:
-        v = _int(toks[1], base_pair.line)
-        base = GraphBase(np.eye(v, k=1) + np.eye(v, k=-1))
-    else:
+    if len(toks) != 2 or toks[0] not in ("circle", "graph-path"):
         raise ParseError("base looks like 'circle K' or 'graph-path V'", base_pair.line)
+    size = _int(toks[1], base_pair.line)
+    circle = toks[0] == "circle"
+    dim = 2 * size + 1 if circle else size
+    # refused before the dense graph adjacency or any fiber is allocated
+    if dim * dim > MAX_DENSE_ENTRIES:
+        raise ParseError(
+            f"the base's {dim}x{dim} fibers would hold {dim * dim:.4g} dense matrix entries, "
+            f"above the cap of {MAX_DENSE_ENTRIES} (2^20)",
+            base_pair.line,
+        )
+    base = CircleBase(size) if circle else GraphBase(np.eye(size, k=1) + np.eye(size, k=-1))
     n = _int(_scalar(_need(pairs, "directions", line)), line)
     terms = {
         (ja[0], ja[1:]): _num(_scalar(p), p.line)

@@ -89,25 +89,22 @@ def test_grid_axis_above_the_cap_is_refused_before_it_is_built(window, step, poi
         LambdaGrid.build(1, window, step)
 
 
-def test_coupling_beyond_cutoff_is_rejected():
-    with pytest.raises(CutoffTooSmall):
-        InvariantOperator.build(
-            CircleBase(2), 1, {(0, (0,)): 1.0},
-            couplings={(0,): {(3, 0): 1.0}},
-        )
-
-
-def test_order_is_the_joint_degree_of_the_nonzero_terms_and_couplings():
-    # a zero coefficient drops its term; a coupling counts whatever its matrix
+def test_order_is_the_joint_degree_of_the_nonzero_terms():
+    # a zero coefficient drops its term, however high its degree
     op = InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0, (2, (1,)): 0.0})
     assert (op.order, op.s) == (2, 2.0)
     assert op.terms == (((1, (0,)), 1.0 + 0j),)
-    coupled = InvariantOperator.build(
-        CircleBase(2), 1, {(1, (0,)): 1.0}, couplings={(3,): {(0, 0): 0.0}}, s=0.5
-    )
-    assert (coupled.order, coupled.s) == (3, 0.5)
+    odd = InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0, (1, (1,)): 1e-9}, s=0.5)
+    assert (odd.order, odd.s) == (3, 0.5)
     with pytest.raises(TypeError):
         InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0}, order=3)
+
+
+@pytest.mark.parametrize("extra", [(0.5,), ({}, 0.5), ("lap",)], ids=["s", "dict-s", "label"])
+def test_sobolev_level_and_label_are_keyword_only(extra):
+    # any argument after the terms must be named, so a stray positional one is refused
+    with pytest.raises(TypeError, match="positional argument"):
+        InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0}, *extra)
 
 
 @pytest.mark.parametrize("s", [float("nan"), float("inf")])
@@ -159,8 +156,6 @@ def _ref_fiber(op: InvariantOperator, lam: tuple, reduced: bool) -> np.ndarray:
             if j not in powers:
                 powers[j] = np.linalg.matrix_power(lap, j)
             out += coeff * _ref_lam_power(lam, alpha) * powers[j]
-    for alpha, mat in op.couplings:
-        out += _ref_lam_power(lam, alpha) * mat
     if not reduced:
         return out
     s, order = op.s, float(op.order)
@@ -183,17 +178,7 @@ def _random_operator(rng, base, n: int) -> InvariantOperator:
         alpha = tuple(int(a) for a in rng.integers(0, 4, n))
         terms[(int(rng.integers(0, 3)), alpha)] = float(rng.normal())
     terms[(0, tuple(int(a) for a in rng.integers(0, 3, n)))] = complex(*rng.normal(size=2))
-    if isinstance(base, CircleBase):
-        modes = rng.integers(-base.cutoff, base.cutoff + 1, size=(2, 2))
-    else:
-        modes = rng.integers(0, base.dim, size=(2, 2))
-    couplings = {
-        tuple(int(a) for a in rng.integers(0, 3, n)): {
-            (int(k1), int(k2)): complex(*rng.normal(size=2))
-        }
-        for k1, k2 in modes
-    }
-    return InvariantOperator.build(base, n, terms, couplings, s=float(rng.uniform(0.5, 3.0)))
+    return InvariantOperator.build(base, n, terms, s=float(rng.uniform(0.5, 3.0)))
 
 
 @pytest.mark.parametrize("step", [0.1, 1 / 3, 0.25], ids=["0.1", "1/3", "1/4"])
@@ -206,9 +191,10 @@ def test_fiber_blocks_equal_the_per_node_reference(kind, n, reduced, step):
     op = _random_operator(rng, base, n)
     grid = LambdaGrid.build(n, window=3 * step, step=step)
     nodes = grid_nodes(grid)
-    got = np.concatenate(list(_fiber_chunks(op, full_axes(op, grid), reduced)))
+    blocks = list(_fiber_chunks(op, full_axes(op, grid), reduced))
+    assert all(b.ndim == (2 if kind == "circle" else 3) for b in blocks)
     want = np.stack([_ref_fiber(op, lam, reduced) for lam in nodes])
-    assert np.array_equal(got, want)
+    assert np.array_equal(parametric._as_matrices(np.concatenate(blocks)), want)
     for lam in nodes[:: max(1, len(nodes) // 5)]:
         assert np.array_equal(fiber(op, lam, reduced), _ref_fiber(op, lam, reduced))
 
@@ -246,7 +232,7 @@ def test_worst_fiber_and_spectrum_do_not_depend_on_chunks():
 
 
 def _real_circle_operator(rng, n: int, zero_at: tuple | None = None) -> InvariantOperator:
-    """An elliptic order-2 circle operator with random real terms and no couplings.
+    """An elliptic order-2 circle operator with random real terms.
 
     With zero_at, the coefficients are quarter-integers and the shift makes
     mode 0 vanish exactly at that node.
@@ -266,40 +252,47 @@ def _real_circle_operator(rng, n: int, zero_at: tuple | None = None) -> Invarian
     return InvariantOperator.build(CircleBase(3), n, terms, s=float(rng.uniform(0.5, 3.0)))
 
 
-def _with_zero_coupling(op: InvariantOperator) -> InvariantOperator:
-    """The same fibers through the dense path: a zero coupling adds only zeros."""
-    terms = {ja: c for ja, c in op.terms}
-    return InvariantOperator.build(
-        op.base, op.n, terms, couplings={(0,) * op.n: {(0, 0): 0.0}}, s=op.s
-    )
-
-
 @pytest.mark.parametrize("reduced", [False, True], ids=["raw", "reduced"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_diagonal_fibers_equal_the_lapack_path(n, reduced):
     rng = np.random.default_rng([n, int(reduced), 11])
     step = 0.25
     grid = LambdaGrid.build(n, window=2 * step if n == 3 else 1.0, step=step)
+    nodes = grid_nodes(grid)
     # random shifts, and ones that zero a fiber at a node exactly
     zeros = [None, None, None, (step,) + (0.0,) * (n - 1), (-2 * step,) * n]
     for zero_at in zeros:
         op = _real_circle_operator(rng, n, zero_at)
-        twin = _with_zero_coupling(op)
         blocks = list(_fiber_chunks(op, full_axes(op, grid), reduced))
         assert all(b.ndim == 2 for b in blocks)
-        dense = np.concatenate(list(_fiber_chunks(twin, full_axes(twin, grid), reduced)))
+        dense = np.stack([_ref_fiber(op, lam, reduced) for lam in nodes])
         assert np.array_equal(parametric._as_matrices(np.concatenate(blocks)), dense)
-        got, want = invertible_parametric(op, grid), invertible_parametric(twin, grid)
-        assert np.array_equal(got.min_sigma, want.min_sigma)
-        assert (got.invertible, got.failing_lambda) == (want.invertible, want.failing_lambda)
+        # LAPACK on the dense reference fibers, every node solved
+        sigmas = np.linalg.svd(
+            np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False
+        )[:, -1]
+        worst = int(np.argmin(sigmas))
+        got = invertible_parametric(op, grid)
+        assert np.array_equal(got.min_sigma, sigmas[worst])
+        assert got.failing_direction is None
+        assert got.invertible == (sigmas[worst] > 1e-9)
+        assert got.failing_lambda == (None if got.invertible else nodes[worst])
         if zero_at is not None:
             assert got.min_sigma == 0.0 and not got.invertible
-        spectrum = spectrum_parametric(op, grid, tol=1e-9)
-        assert repr(spectrum) == repr(spectrum_parametric(twin, grid, tol=1e-9))
-        assert symbol_restriction_check(op) == symbol_restriction_check(twin)
-        nodes = grid_nodes(grid)
+        eigs = np.linalg.eigvalsh(np.stack([_ref_fiber(op, lam, False) for lam in nodes]))
+        want = SpectrumSet.canonical(_distinct(eigs.ravel()), 1e-9, truncated=True)
+        assert repr(spectrum_parametric(op, grid, tol=1e-9)) == repr(want)
+        # the restriction check's top-mode coefficients, read off the reference
+        k, top = op.base.cutoff, 2 * op.base.cutoff
+        c0, c1 = (
+            float(_ref_fiber(op, lam, False)[top, top].real) / float(k**op.order)
+            for lam in ((0.0,) * n, (1.0,) + (0.0,) * (n - 1))
+        )
+        tolerance = (abs(c0) + abs(c1) + 1e-9) / k
+        want = parametric.RestrictionCheck(abs(c0 - c1) <= tolerance, c0, c1, tolerance)
+        assert symbol_restriction_check(op) == want
         for lam in nodes[:: max(1, len(nodes) // 4)]:
-            assert np.array_equal(fiber(op, lam, reduced), fiber(twin, lam, reduced))
+            assert np.array_equal(fiber(op, lam, reduced), _ref_fiber(op, lam, reduced))
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -317,23 +310,31 @@ def _count_calls(monkeypatch, name: str) -> list:
 def test_one_operator_sweeps_its_principal_symbol_once(monkeypatch):
     svd = _count_calls(monkeypatch, "svd")
     grid = LambdaGrid.build(1, window=1.0, step=0.25)
-    coupled = InvariantOperator.build(
-        CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0, (0, (0,)): 1.0},
-        couplings={(0,): {(1, -1): 0.25, (-1, 1): 0.25}},
+    # a complex top coefficient: complex symbol and fiber diagonals, so both go to the SVD
+    complex_coeff = InvariantOperator.build(
+        CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0 + 0.5j, (0, (0,)): 1.0}
     )
-    spectrum_parametric(coupled, grid)
-    invertible_parametric(coupled, grid)
-    spectrum_parametric(coupled, grid)
-    assert svd == [(64, 7, 7), (5, 7, 7)]  # one symbol sweep, then the 5 fiber classes
-    # a real circle operator's symbols and fibers are real diagonals: no SVD at all
+    invertible_parametric(complex_coeff, grid)
+    invertible_parametric(complex_coeff, grid)
+    # one symbol sweep, then the 5 fiber classes per query
+    assert svd == [(64, 7, 7), (5, 7, 7), (5, 7, 7)]
+    # a real circle operator's symbols and fibers are real diagonals: no SVD at
+    # all, and its spectrum and invertibility queries share one sweep
     svd.clear()
+    sweep, sweeps = parametric._principal_symbols, []
+
+    def counted(op, dirs):
+        sweeps.append(len(dirs))
+        return sweep(op, dirs)
+
+    monkeypatch.setattr(parametric, "_principal_symbols", counted)
     op = InvariantOperator.shifted_laplacian(CircleBase(3), n=1, shift=1.0)
     spectrum_parametric(op, grid)
     invertible_parametric(op, grid)
     spectrum_parametric(op, grid)
-    assert svd == []
+    assert svd == [] and sweeps == [64]
     dirs = [dirn for dirn, _smin in op._symbol_sweep]
-    dense = parametric._as_matrices(parametric._principal_symbols(op, dirs))
+    dense = parametric._as_matrices(sweep(op, dirs))
     want = np.linalg.svd(dense, compute_uv=False)[:, -1]
     assert np.array_equal([smin for _dirn, smin in op._symbol_sweep], want)
     assert all(type(x) is float for (xi, eta), _s in op._symbol_sweep for x in (xi, *eta))
@@ -357,19 +358,18 @@ def test_only_real_diagonal_fibers_skip_lapack(monkeypatch):
     complex_coeff = InvariantOperator.build(
         CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0, (0, (0,)): 1.0 + 0.5j}
     )
-    coupled = InvariantOperator.build(
-        CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0, (0, (0,)): 1.0},
-        couplings={(0,): {(1, -1): 0.25, (-1, 1): 0.25}},
-    )
     graph = InvariantOperator.shifted_laplacian(path_graph(4), n=1, shift=1.0)
-    for op in (complex_coeff, coupled, graph):
+    for op in (complex_coeff, graph):
         svd.clear()
         invertible_parametric(op, grid)
         assert fiber_stacks() == [(classes, op.base.dim, op.base.dim)]
-    for op in (coupled, graph):
-        eigvalsh.clear()
-        spectrum_parametric(op, grid)
-        assert eigvalsh == [(classes, op.base.dim, op.base.dim)]
+    # a circle spectrum reads its diagonals' real parts: only graphs reach eigvalsh
+    eigvalsh.clear()
+    with pytest.raises(NotSelfAdjoint):
+        spectrum_parametric(complex_coeff, grid)
+    assert eigvalsh == []
+    spectrum_parametric(graph, grid)
+    assert eigvalsh == [(classes, graph.base.dim, graph.base.dim)]
 
 
 def test_parametric_memory_follows_the_chunk_not_the_grid():
@@ -450,12 +450,12 @@ def test_graph_invertibility_solves_only_the_fibers_that_can_hold_the_minimum(mo
 # the class grid against every node of the grid
 
 
-def _class_test_operator(rng, base, n: int, odd: bool, hermitian: bool, coupled: bool, s=None):
-    """An elliptic order-4 operator with random lower-order terms and couplings.
+def _class_test_operator(rng, base, n: int, odd: bool, hermitian: bool, s=None):
+    """An elliptic order-4 operator with random lower-order terms.
 
     Lower-order exponents are even unless odd is set; coefficients are real
-    and couplings Hermitian when hermitian is set, complex otherwise.  s is
-    the Sobolev level (default: the order).
+    when hermitian is set, complex otherwise.  s is the Sobolev level
+    (default: the order).
     """
     terms = {(2, (0,) * n): 1.0}
     for i in range(n):
@@ -474,14 +474,7 @@ def _class_test_operator(rng, base, n: int, odd: bool, hermitian: bool, coupled:
     for _ in range(3):
         terms[(0, lower_alpha(3))] = value()
     terms[(1, lower_alpha(1))] = value()
-    lo, hi = (-base.cutoff, base.cutoff + 1) if isinstance(base, CircleBase) else (0, base.dim)
-    couplings = {}
-    for _ in range(2 if coupled else 0):
-        k1, k2 = (int(k) for k in rng.integers(lo, hi, 2))
-        v = value() + (1j * float(rng.normal()) if hermitian and k1 != k2 else 0.0)
-        entries = {(k1, k2): v, (k2, k1): np.conj(v)} if hermitian else {(k1, k2): v}
-        couplings[lower_alpha(3)] = entries
-    return InvariantOperator.build(base, n, terms, couplings, s)
+    return InvariantOperator.build(base, n, terms, s=s)
 
 
 @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
@@ -520,7 +513,7 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
         rng = np.random.default_rng([1400, n, int(odd), seed])
         for hermitian in (True, False):
             s = None if seed % 2 == 0 else float(rng.uniform(-3.0, 6.0))
-            op = _class_test_operator(rng, base, n, odd, hermitian, coupled=seed > 0, s=s)
+            op = _class_test_operator(rng, base, n, odd, hermitian, s=s)
             cases.append((op, hermitian))
     for op, hermitian in cases:
         for reduced in (False, True):
@@ -586,8 +579,8 @@ def _assert_same_blocks(got: list, want: list):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
-def _power_test_operator(base, n: int, coupled: bool) -> InvariantOperator:
-    """Exponents 1 to 4 on every axis, mixed monomials, and couplings when asked."""
+def _power_test_operator(base, n: int) -> InvariantOperator:
+    """Exponents 1 to 4 on every axis, and mixed monomials."""
     terms = {(1, (0,) * n): 1.0, (0, (0,) * n): 0.5}
     for i in range(n):
         for a in range(1, 5):
@@ -595,21 +588,14 @@ def _power_test_operator(base, n: int, coupled: bool) -> InvariantOperator:
     if n > 1:
         terms[(0, (1, 3) + (0,) * (n - 2))] = 0.7
         terms[(1, (2, 1) + (0,) * (n - 2))] = complex(-0.3, 0.1)
-    couplings = {}
-    if coupled:
-        couplings = {
-            (1, 2) + (0,) * (n - 2): {(1, -2): complex(0.5, 0.25)},
-            (3,) + (0,) * (n - 1): {(0, 0): -1.5, (2, -1): 0.125j},
-            (0, 4) + (0,) * (n - 2): {(-3, 3): 0.75},
-        }
-    return InvariantOperator.build(base, n, terms, couplings, s=1.5)
+    return InvariantOperator.build(base, n, terms, s=1.5)
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["raw", "reduced"])
-@pytest.mark.parametrize("kind", ["circle", "circle-coupled", "graph"])
+@pytest.mark.parametrize("kind", ["circle", "graph"])
 def test_fiber_blocks_equal_the_per_block_unique_power_path_bitwise(monkeypatch, kind, reduced):
     base = path_graph(5) if kind == "graph" else CircleBase(3)
-    op = _power_test_operator(base, 2, coupled=kind == "circle-coupled")
+    op = _power_test_operator(base, 2)
     # at step 1/10 Python's x**3 and x*x*x differ on some coordinates, so
     # products in place of the powers would change the fibers
     grid = LambdaGrid.build(2, window=1.0, step=0.1)
@@ -627,10 +613,7 @@ def test_fiber_blocks_equal_the_per_block_unique_power_path_bitwise(monkeypatch,
 def test_both_blocks_of_an_axis_longer_than_one_chunk_equal_the_unique_power_path(
     monkeypatch, reduced
 ):
-    op = _power_test_operator(CircleBase(3), 1, coupled=False)
-    op = InvariantOperator.build(
-        op.base, 1, dict(op.terms), couplings={(3,): {(1, -1): 0.5j}, (2,): {(0, 0): 0.25}}
-    )
+    op = _power_test_operator(CircleBase(3), 1)
     grid = LambdaGrid.build(1, window=4.0, step=1 / 1024)
     axes = _class_axes(op, grid, reduced)  # odd exponents: every coordinate is a class
     assert len(axes[0][0]) == len(grid.axis) > parametric._CHUNK_ENTRIES // op.base.dim**2
@@ -717,12 +700,6 @@ def test_spectrum_rejects_nonselfadjoint_operators():
     op = InvariantOperator.build(CircleBase(2), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0 + 1j})
     with pytest.raises(NotSelfAdjoint):
         spectrum_parametric(op, LambdaGrid.build(1, 1.0, 0.5))
-    bad = InvariantOperator.build(
-        CircleBase(2), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0},
-        couplings={(0,): {(0, 1): 1.0}},
-    )
-    with pytest.raises(NotSelfAdjoint):
-        spectrum_parametric(bad, LambdaGrid.build(1, 1.0, 0.5))
 
 
 def test_spectrum_rejects_nonelliptic_operators():
@@ -868,27 +845,17 @@ def _ref_principal_symbol(op: InvariantOperator, xi: float, eta: tuple) -> np.nd
             out = out + coeff * _ref_lam_power(eta, alpha) * lap_j
         else:
             out = out + coeff * xi ** (2 * j) * _ref_lam_power(eta, alpha) * np.eye(d)
-    for alpha, mat in op.couplings:
-        if sum(alpha) == op.order:
-            out = out + _ref_lam_power(eta, alpha) * mat
     return out
 
 
 def _random_top_operator(rng, base, n: int) -> InvariantOperator:
-    """Complex top terms with j = 0, 1, 2 and top couplings, plus lower-order noise."""
+    """Complex top terms with j = 0, 1, 2, plus lower-order noise."""
     terms = {(0, (1,) + (0,) * (n - 1)): float(rng.normal())}
     for j in (0, 1, 2, int(rng.integers(0, 3))):
         alpha = np.zeros(n, dtype=int)
         np.add.at(alpha, rng.integers(0, n, 4 - 2 * j), 1)
         terms[(j, tuple(int(a) for a in alpha))] = complex(*rng.normal(size=2))
-    lo, hi = (-base.cutoff, base.cutoff + 1) if isinstance(base, CircleBase) else (0, base.dim)
-    couplings = {}
-    for degree in (4, 4, 2):
-        alpha = np.zeros(n, dtype=int)
-        np.add.at(alpha, rng.integers(0, n, degree), 1)
-        k1, k2 = (int(k) for k in rng.integers(lo, hi, 2))
-        couplings[tuple(int(a) for a in alpha)] = {(k1, k2): complex(*rng.normal(size=2))}
-    return InvariantOperator.build(base, n, terms, couplings)
+    return InvariantOperator.build(base, n, terms)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -908,7 +875,7 @@ def test_symbol_stack_equals_the_per_direction_reference(kind, n):
         ]
         dirs = swept + extra
         want = np.stack([_ref_principal_symbol(op, xi, eta) for xi, eta in dirs])
-        assert np.array_equal(parametric._principal_symbols(op, dirs), want)
+        assert np.array_equal(parametric._as_matrices(parametric._principal_symbols(op, dirs)), want)
         for i in range(0, len(dirs), 7):
             assert np.array_equal(principal_symbol(op, *dirs[i]), want[i])
 

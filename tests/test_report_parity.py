@@ -28,13 +28,15 @@ def test_same_tree_gives_identical_reports_for_the_bundled_scenarios():
         assert verdict == "same" and path == str(scn)
 
 
-def _fake_tree(root: Path, report: str, stderr: str = "") -> Path:
+def _fake_tree(root: Path, report: str, stderr: str = "", crash: bool = False) -> Path:
     pkg = root / "specfam"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
     script = f"print({report!r})\n"
     if stderr:
         script = f"import sys\nsys.stderr.write({stderr!r})\n" + script
+    if crash:  # an uncaught exception: a traceback on stderr, exit 1
+        script += "raise RuntimeError('boom')\n"
     (pkg / "cli.py").write_text(script)
     return root
 
@@ -132,6 +134,30 @@ def test_a_new_run_that_exits_0_with_stderr_output_exits_1(tmp_path):
     # only the new tree is held to the rule, and a quiet run passes
     assert _parity(noisy, quiet, scn).returncode == 0
     assert _parity(quiet, quiet, scn).returncode == 0
+
+
+def test_a_new_run_that_exits_1_exits_1_and_names_the_scenario(tmp_path):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    report = _report(a={"points": []})
+    quiet = _fake_tree(tmp_path / "quiet", report)
+    crash = _fake_tree(tmp_path / "crash", report, crash=True)
+    proc = _parity(quiet, crash, scn)
+    assert proc.returncode == 1
+    first, *rest = proc.stdout.splitlines()
+    assert first.split()[2:5] == ["DIFFERENT", "exit", "0/1"]
+    assert rest == [
+        "    queries (none): largest absolute difference 0",  # the exit codes differ
+        f"    new run exited 1 (an uncaught traceback): {scn}",
+    ]
+    # the same crash in both trees is no difference, but still fails
+    proc = _parity(crash, crash, scn)
+    assert proc.returncode == 1
+    first, second = proc.stdout.splitlines()
+    assert first.split()[2] == "same"
+    assert second == f"    new run exited 1 (an uncaught traceback): {scn}"
+    # only the new tree is held to the rule
+    assert _parity(crash, quiet, scn).stdout.count("exited 1") == 0
 
 
 def test_a_missing_tree_or_scenario_exits_2(tmp_path):

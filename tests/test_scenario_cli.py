@@ -816,6 +816,18 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
             "parse error",
             "    corr 2 -1: 1",
         ),
+        (
+            {"queries:": _OPERATOR.format(base="circle 99999999", term="1 0: 1\n    term 0 2")},
+            2,
+            "parse error",
+            "    base: circle 99999999",
+        ),
+        (
+            {"queries:": _OPERATOR.format(base="graph-path 99999999", term="1 0: 1\n    term 0 2")},
+            2,
+            "parse error",
+            "    base: graph-path 99999999",
+        ),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
@@ -837,6 +849,7 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
         "lambda-power-overflows", "lambda-product-overflows", "observable-product-overflows",
         "coefficients-overflow", "observable-coefficients-overflow",
         "lambda-axis-overflows", "lambda-axis-too-long", "correction-index-negative",
+        "circle-base-too-large", "graph-base-too-large",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
@@ -908,6 +921,40 @@ def test_cli_refuses_an_oversize_correction_before_allocating(tmp_path, capsys, 
         f"parse error: line {_line_of(text, culprit)}, column 1: the correction would hold "
         f"{entries} dense matrix entries, above the cap of 1048576 (2^20)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "base, dim, entries",
+    [
+        ("circle 512", 1025, "1.051e+06"),
+        ("circle 3000", 6001, "3.601e+07"),
+        ("graph-path 1025", 1025, "1.051e+06"),
+    ],
+)
+def test_cli_refuses_an_oversize_base_before_allocating(tmp_path, capsys, base, dim, entries):
+    culprit = f"    base: {base}"
+    text = MINIMAL.replace("queries:", _OPERATOR.format(base=base, term="1 0: 1\n    term 0 2"))
+    bad = tmp_path / "big.scn"
+    bad.write_text(text)
+    tracemalloc.start()
+    try:
+        assert main(["run", str(bad)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"parse error: line {_line_of(text, culprit)}, column 1: the base's {dim}x{dim} fibers "
+        f"would hold {entries} dense matrix entries, above the cap of 1048576 (2^20)\n"
+    )
+
+
+def test_bases_up_to_the_cap_are_admitted():
+    for base, dim in (("circle 511", 1023), ("graph-path 1024", 1024)):
+        text = MINIMAL.replace("queries:", _OPERATOR.format(base=base, term="1 0: 1\n    term 0 2"))
+        assert parse_scenario(text).operators["lap"].base.dim == dim
 
 
 def test_models_up_to_the_cap_are_admitted():

@@ -18,13 +18,16 @@ contract says: when it holds NaN, Infinity or -Infinity, an indented line
 under its scenario's line says so and names the scenario.  And a run of the
 new tree that exits 0 must write nothing to stderr, since a report printed
 with warnings (a numpy overflow, say) came from inf or NaN on the way: an
-indented line under the scenario's line shows the first stderr line.
+indented line under the scenario's line shows the first stderr line.  A
+run of the new tree must not exit 1: the README's exit-code table has no
+exit 1, so that code means an uncaught traceback, and an indented line
+under the scenario's line names the scenario.
 
 Exit status: 0 when every report is byte-identical, every new report is
-strict JSON and every new run that exits 0 leaves stderr empty; 1 on any
-difference, on a new report that is not strict JSON or on a new run that
-exits 0 with stderr output; 2 when an argument is not a source tree or a
-scenario file.  Stdlib only.
+strict JSON, every new run that exits 0 leaves stderr empty and no new run
+exits 1; 1 on any difference, on a new report that is not strict JSON, on
+a new run that exits 0 with stderr output or on a new run that exits 1; 2
+when an argument is not a source tree or a scenario file.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -110,7 +113,10 @@ def main(argv: list[str]) -> int:
         if noisy:
             first = new_err.decode("utf-8", "replace").splitlines()[0]
             print(f"    new run exited 0 but wrote to stderr: {first}")
-        status = 1 if loose or noisy or not same else status
+        crashed = new_code == 1
+        if crashed:
+            print(f"    new run exited 1 (an uncaught traceback): {scn}")
+        status = 1 if loose or noisy or crashed or not same else status
     return status
 
 
