@@ -1,6 +1,8 @@
 """Scenario files, report determinism, and the command line front end."""
 
+import ast
 import gc
+import inspect
 import json
 import os
 import shutil
@@ -15,9 +17,9 @@ import pytest
 
 from specfam import families as families_module
 from specfam import scenario as scenario_module
-from specfam.cli import main
+from specfam.cli import _build_parser, main
 from specfam.errors import IncompatibleModel, IncompatibleQuery, ParseError
-from specfam.gallery import build_model
+from specfam.gallery import FAMILY_GENERATORS, MODEL_NAMES, build_model
 from specfam.scenario import (
     QUERY_KINDS,
     dump_spectrum_csv,
@@ -508,6 +510,82 @@ def test_cli_incompatible_element_exits_4(tmp_path, capsys):
     bad.write_text(text.replace("entry 0 0: 0 1", "c 1: 1"))
     assert main(["run", str(bad)]) == 4
     assert "incompatible" in capsys.readouterr().err
+
+
+def test_the_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    scn = str(SCENARIOS / "matrix-counterexample.scn")
+    timed = tmp_path / "timed.json"
+    assert main(["run", scn, "--timings", "--out", str(timed)]) == 0
+    assert json.loads(timed.read_text())["timing"]["seconds"] > 0.0
+    written, stamp = timed.read_bytes(), timed.stat().st_mtime_ns
+    assert main(["run", scn]) == 0
+    plain = capsys.readouterr().out
+    assert json.loads(plain)["timing"] is None
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    assert exc.value.code == 2
+    assert "usage: specfam" in capsys.readouterr().err
+    assert main(["run", scn]) == 0
+    assert capsys.readouterr().out == plain
+    assert (timed.read_bytes(), timed.stat().st_mtime_ns) == (written, stamp)
+    spectrum = SCENARIOS / "observable-interval.scn"
+    csv = tmp_path / "ramp.csv"
+    assert main(["dump-spectrum", str(spectrum), "ramp-union", str(csv)]) == 0
+    assert csv.read_text() == dump_spectrum_csv(load_scenario(str(spectrum)), "ramp-union")
+    assert main(["gallery"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{title}:\n" + "".join(f"  {name}\n" for name in names)
+        for title, names in (("models", MODEL_NAMES), ("family generators", FAMILY_GENERATORS))
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["run"], ["run", str(SCENARIOS / "empty.scn"), "--bogus"]],
+    ids=["no-verb", "run-without-scenario", "unknown-option"],
+)
+def test_cli_usage_errors_exit_2_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specfam.cli", *argv], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "usage: specfam" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_run_leaves_no_reference_cycle(tmp_path):
+    # a parser built per call would leave about 130 objects of cyclic garbage per run
+    args = ["run", str(SCENARIOS / "matrix-counterexample.scn"), "--out", str(tmp_path / "r.json")]
+    assert main(args) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(args) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_build_parser_takes_no_arguments_and_returns_one_parser():
+    assert inspect.signature(_build_parser).parameters == {}
+    assert _build_parser() is _build_parser()
+
+
+def test_the_benchmark_setup_code_builds_the_parser_in_a_fresh_interpreter():
+    run_py = SCENARIOS.parent / "perfbench" / "run.py"
+    setup_code = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(run_py.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SETUP_CODE"]
+    )
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", setup_code], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds, path = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seconds > 0.0
+    assert Path(path).resolve().parent == SCENARIOS.parent / "src" / "specfam"
 
 
 @pytest.mark.parametrize(
