@@ -768,7 +768,8 @@ def _images(
         image = a.section(max(a.section_sizes))
         shapes.setdefault(len(image), []).append((np.array([i]), image[None]))
     return [
-        (np.concatenate([pos for pos, _ in same]), np.concatenate([m for _, m in same]))
+        same[0] if len(same) == 1
+        else (np.concatenate([pos for pos, _ in same]), np.concatenate([m for _, m in same]))
         for same in shapes.values()
     ]
 

@@ -117,11 +117,6 @@ def cayley(obs: Observable) -> CayleyImage:
     return CayleyImage(tuple(out), obs.truncated)
 
 
-def _inverse_cayley(w: complex) -> float:
-    lam = 1j * (w + 1.0) / (w - 1.0)
-    return float(lam.real)
-
-
 def _fiber_points(stack: np.ndarray, resolution: float) -> tuple[np.ndarray, bool]:
     """Distinct lam kept from an (m, d, d) self-adjoint stack, and whether any were cut near w = 1.
 
@@ -130,7 +125,8 @@ def _fiber_points(stack: np.ndarray, resolution: float) -> tuple[np.ndarray, boo
     sorted, so w runs around the circle in row order and only neighbours
     and the wrap pair can be close.  A pair is flagged at twice the radius,
     so that rounding in numpy's |z| cannot hide one.  Exact repeats need no
-    merge; they are dropped before the per-point work.
+    merge; they are dropped before the per-point work.  Points farther than
+    resolution from 1 map back to lam bitwise as CPython's 1j*(w+1.0)/(w-1.0).
     """
     # Halving first is exact and cannot overflow.  The Hermitian parts are
     # formed a 1 MiB slice at a time, so they cost a fraction of the stack.
@@ -149,12 +145,21 @@ def _fiber_points(stack: np.ndarray, resolution: float) -> tuple[np.ndarray, boo
     fresh[:, 1:] = gaps != 0
     on_circle, start = [], 0
     for i in np.flatnonzero(~plain).tolist() + [len(w)]:
-        on_circle += w[start:i][fresh[start:i]].tolist()
+        on_circle.append(w[start:i][fresh[start:i]])
         if i < len(w):
-            on_circle += SpectrumSet.canonical(w[i].tolist(), radius).points
+            on_circle.append(SpectrumSet.canonical(w[i].tolist(), radius).values.astype(complex))
         start = i + 1
-    far = [p for p in on_circle if abs(p - 1.0) > resolution]
-    return _distinct(np.array([_inverse_cayley(p) for p in far])), len(far) < len(on_circle)
+    z = np.concatenate(on_circle)
+    far = np.hypot(z.real - 1.0, z.imag - 0.0) > resolution  # abs(w - 1.0)
+    a, b = z.real[far], z.imag[far]
+    # CPython's steps: t = 1j * (w + 1.0) (1.0 * x is x), then _Py_c_quot(t, w - 1.0),
+    # whose two branches (by the larger of |dr|, |di|) are one formula, as + commutes
+    sr, si, dr, di = a + 1.0, b + 0.0, a - 1.0, b - 0.0
+    tr, ti = 0.0 * sr - si, 0.0 * si + sr
+    big = np.abs(dr) >= np.abs(di)
+    p, q, u, v = (np.where(big, x, y) for x, y in ((di, dr), (dr, di), (tr, ti), (ti, tr)))
+    ratio = p / q
+    return _distinct((u + v * ratio) / (q + p * ratio)), len(a) < len(z)
 
 
 def spec_observable(

@@ -17,29 +17,29 @@ definite parameter component.  Reduction is a flag of the fiber
 builder, read from the operator's s and order, not a second operator.
 
 Every term is c . L^j . lam^alpha, so every fiber is a polynomial in the
-compact Laplacian L and all fibers commute.  A grid is kept as its
-axis, with Python's x**a once per coordinate and exponent.  Per axis,
-coordinates whose powers (and, for reduced fibers, squares) are bitwise
-equal form one class, and only the product of the classes is assembled,
-its monomials read from those powers: its fibers are all the distinct
-fibers of the grid.  They are built a block of nodes at a time, and each
-block goes straight into eigvalsh or the SVD.  A circle operator has
-diagonal fibers: its blocks are the (m, d) diagonals, whose real parts
-are the eigenvalues and, when the diagonal is real, whose smallest
-absolute values are the sigma_min, with no LAPACK call.  A graph
-operator's blocks are (m, d, d) stacks; the eigenvalues of the graph
-Laplacian give every reduced fiber's sigma_min up to rounding, so
-invertibility solves only the fibers whose bound can reach the grid's
-minimum.  A block holds a fixed number of complex entries, so memory
-follows the block, not the grid; the single-node fiber() is a view of
-the same builder.
+compact Laplacian L (a j = 0 term touches only the diagonal) and all
+fibers commute.  A grid is kept as its axis, with Python's x**a once per
+coordinate and exponent.  Per axis, coordinates whose powers (and, for
+reduced fibers, squares) are bitwise equal form one class, and only the
+product of the classes is assembled: its fibers are all the distinct
+fibers of the grid, built a block of nodes at a time, each block going
+straight into eigvalsh or the SVD.  A circle operator's blocks are its
+(m, d) diagonals, whose real parts are the eigenvalues and, when real,
+whose smallest absolute values are the sigma_min, with no LAPACK call;
+modes k and -k give equal columns, so spectra and real-coefficient
+invertibility read modes -K .. 0 only.  A graph operator's blocks are
+(m, d, d) stacks; the eigenvalues of L give every reduced fiber's
+sigma_min up to rounding, so invertibility solves only the fibers whose
+bound can reach the grid's minimum.  A block holds a fixed number of
+complex entries, so memory follows the block, not the grid; the
+single-node fiber() is a view of the same builder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -184,20 +184,19 @@ def _power_axes(op: InvariantOperator, axes) -> list[tuple]:
     Python's float power x**a over the coordinates.
     """
     alphas = [alpha for (_j, alpha), _c in op.terms]
-    out = []
+    tables, out = {}, []
     for i, xs in enumerate(axes):
         exponents = sorted({alpha[i] for alpha in alphas} - {0})
-        out.append((tuple(xs), {a: np.array([x**a for x in xs]) for a in exponents}))
+        known = tables.setdefault(id(xs), {})  # per axis object: a grid passes one axis n times
+        known.update({a: np.array([x**a for x in xs]) for a in exponents if a not in known})
+        out.append((tuple(xs), {a: known[a] for a in exponents}))
     return out
 
 
 def _monomial(axes: list[tuple], at: tuple, alpha: tuple) -> np.ndarray:
-    """lam^alpha at per-axis indices at, the table entries multiplied onto 1.0 in axis order."""
-    out = np.ones(len(at[0]))
-    for (_coords, powers), i, a in zip(axes, at, alpha):
-        if a:
-            out = out * powers[a][i]
-    return out
+    """lam^alpha at per-axis indices at: the table entries multiplied in axis order."""
+    factors = [powers[a][i] for (_coords, powers), i, a in zip(axes, at, alpha) if a]
+    return reduce(np.multiply, factors) if factors else np.ones(len(at[0]))
 
 
 def _node_blocks(axes: list[tuple], d: int, nodes=None):
@@ -218,21 +217,26 @@ def _node_blocks(axes: list[tuple], d: int, nodes=None):
         yield index, at, sum(c[i] * c[i] for c, i in zip(coords, at))
 
 
-def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False, nodes=None):
+def _fiber_chunks(op: InvariantOperator, axes, reduced=False, nodes=None, mode_classes=False):
     """Fiber blocks over the product of per-axis coordinates, in lexicographic order.
 
     The blocks come from _node_blocks: every node of the product, or only
     the flat indices in nodes.  Per node the arithmetic is that of one
     fiber: coeff * lam^alpha * L^j summed in term order (lam^alpha read
-    from the axes' powers, the circle Laplacian as its diagonal), then,
-    when reduced, the conjugation D^((s - order)/2) . p-hat . D^(-s/2) with
-    D = 1 + |lam|^2 + L.  The Laplacian powers and its eigenbasis are
-    computed once per call.  A circle operator yields its (m, d) diagonals,
-    a graph operator (m, d, d) stacks; _as_matrices expands the former.
+    from the axes' powers, the circle Laplacian as its diagonal, a j = 0
+    term added to the diagonal only), then, when reduced, the conjugation
+    D^((s - order)/2) . p-hat . D^(-s/2) with D = 1 + |lam|^2 + L.  The
+    Laplacian powers and its eigenbasis are computed once per call.  A
+    circle operator yields its (m, d) diagonals, a graph operator (m, d, d)
+    stacks; _as_matrices expands the former.  With mode_classes a circle
+    yields only the columns of modes -K .. 0: k and -k share every L^j, so
+    those are its distinct columns, each first in its class.  A block holds
+    as many nodes either way.
     """
     d = op.base.dim
     circle = isinstance(op.base, CircleBase)
     lap = op.base.laplacian_diagonal() if circle else op.base.laplacian()
+    lap = lap[: op.base.cutoff + 1] if circle and mode_classes else lap
     lap_pow = {j: lap**j if circle else np.linalg.matrix_power(lap, j) for (j, _a), _c in op.terms}
     if reduced:
         s, order = op.s, float(op.order)
@@ -241,8 +245,13 @@ def _fiber_chunks(op: InvariantOperator, axes, reduced: bool = False, nodes=None
         m = len(lam_sq)
         column = (m,) + (1,) * lap.ndim
         acc = np.zeros((m,) + lap.shape, dtype=complex)
+        diagonal = acc if circle else acc.reshape(m, -1)[:, :: d + 1]  # a view
         for (j, alpha), coeff in op.terms:
-            acc += (coeff * _monomial(axes, at, alpha)).reshape(column) * lap_pow[j]
+            term = coeff * _monomial(axes, at, alpha)
+            if j:
+                acc += term.reshape(column) * lap_pow[j]
+            else:  # a multiple of the identity: only the diagonal
+                diagonal += term[:, None]
         if reduced:
             dd = (1.0 + lam_sq)[:, None] + w
             left = dd ** ((s - order) / 2.0)
@@ -331,7 +340,7 @@ def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> list[
     row of the axis's power table, plus x * x when the fibers are reduced.
     The classes keep those rows, so each power is computed once per grid.
     Nodes whose coordinates share a class on every axis multiply the same
-    factors onto 1.0 and sum the same squares, in axis order, so
+    factors and sum the same squares, in axis order, so
     _fiber_chunks gives them bitwise-equal fibers.  A class's first index
     grows with the class, so the first minimum over the product of the
     classes lies at the first minimizing node of the grid.
@@ -499,13 +508,13 @@ def spectrum_parametric(
     self-adjoint elliptic operator.  The fibers are the unreduced ones,
     because the reduced fibers belong to a different bounded operator.
     """
-    axes = _class_axes(op, grid, False)
     _check_selfadjoint(op)
     _check_elliptic(op)
+    axes = _class_axes(op, grid, False)
     # eigvalsh reads only the real part of a Hermitian diagonal
     parts = [
         _distinct((chunk.real if chunk.ndim == 2 else np.linalg.eigvalsh(chunk)).ravel())
-        for chunk in _fiber_chunks(op, axes)
+        for chunk in _fiber_chunks(op, axes, mode_classes=True)
     ]
     return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
 
@@ -533,16 +542,17 @@ def invertible_parametric(
     sphere directions whose parameter part is at least delta_dir.  A
     delta_dir above every swept direction's |eta| is an IncompatibleQuery.
     """
-    axes = _class_axes(op, grid, True)
     swept = [(xi, eta, smin) for (xi, eta), smin in op._symbol_sweep if _norm(eta) >= delta_dir]
     if not swept:
         largest = max(_norm(eta) for (_xi, eta), _smin in op._symbol_sweep)
         raise IncompatibleQuery(
             f"delta-dir {delta_dir!r} leaves no symbol direction: the largest |eta| is {largest!r}"
         )
+    axes = _class_axes(op, grid, True)
     nodes = _candidates(op, axes)
+    real = all(c.imag == 0 for _ja, c in op.terms)  # a complex diagonal's SVD reads every mode
     worst, min_sigma, start = None, np.inf, 0
-    for chunk in _fiber_chunks(op, axes, True, nodes):
+    for chunk in _fiber_chunks(op, axes, True, nodes, mode_classes=real):
         sigmas = _sigma_min(chunk)
         i = int(np.argmin(sigmas))
         # strict <: a tie with an earlier block keeps the earlier node

@@ -13,13 +13,14 @@ from specfam import (
 from specfam.observables import (
     INFINITE,
     Observable,
+    _fiber_points,
     cayley,
     check_self_adjoint,
     spec_observable,
     spec_union_observable,
 )
 from specfam.scenario import parse_scenario, run_scenario
-from specfam.spectral import eig_normal
+from specfam.spectral import _distinct, eig_normal
 from util import as_json_lists
 
 
@@ -240,6 +241,41 @@ def test_fibers_without_close_pairs_skip_the_merge_bit_for_bit(resolution):
             fibers = _fibers_with(rng, [rng.choice(pool, d) for _ in range(int(rng.integers(1, 7)))])
         got = spec_observable(Observable.fibered(fibers, truncated=False), resolution)
         assert repr(got) == repr(_per_fiber_merge_reference(fibers, resolution))
+
+
+def _interpreter_points(stack, resolution):
+    """_fiber_points of 1x1 fibers (no merges) with lam mapped back one
+    Python complex at a time, as the interpreter computes it."""
+    half = stack / 2.0
+    lam = np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))
+    on_circle = ((lam + 1j) / (lam - 1j)).ravel().tolist()
+    far = [w for w in on_circle if abs(w - 1.0) > resolution]
+    points = np.array([float((1j * (w + 1.0) / (w - 1.0)).real) for w in far])
+    return _distinct(points), len(far) < len(on_circle)
+
+
+@pytest.mark.parametrize("resolution", [1e-2, 1e-4, 1e-9])
+def test_the_inverse_cayley_map_is_bitwise_the_interpreters(resolution):
+    # numpy's complex division rounds differently from CPython's, so the
+    # float replay must match the scalar expression bit for bit
+    rng = np.random.default_rng([15, round(-np.log10(resolution))])
+    edge = 2.0 / resolution  # |w - 1| = 2 / sqrt(1 + lam^2)
+    lams = [
+        1.0 / np.tan(rng.uniform(-np.pi, np.pi, 40_000) / 2.0),  # all around the circle
+        rng.normal(scale=1e-6, size=10_000),  # near w = -1
+        np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0]),
+        # both sides of the discard radius around w = 1
+        edge * rng.choice([-1.0, 1.0], 10_000) * (1.0 + rng.uniform(-1e-3, 1e-3, 10_000)),
+        edge * rng.choice([-1.0, 1.0], 10_000) * (1.0 - rng.uniform(0.0, 1e-12, 10_000)),
+        rng.integers(-(2**20), 2**20, 20_000) / 2.0 ** rng.integers(0, 20, 20_000),  # dyadic
+    ]
+    for lam in lams:
+        stack = lam.reshape(-1, 1, 1).astype(complex)
+        got, cut = _fiber_points(stack, resolution)
+        want, want_cut = _interpreter_points(stack, resolution)
+        assert cut == want_cut
+        assert got.dtype == want.dtype == float and got.tobytes() == want.tobytes()
+    assert _fiber_points(lams[3].reshape(-1, 1, 1), resolution)[1]  # some were cut
 
 
 def test_operator_route_memory_follows_the_block_not_the_grid():

@@ -545,6 +545,78 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
             assert repr(spectrum_parametric(op, grid, tol=1e-9)) == repr(want)
 
 
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_circle_mode_classes_answer_equal_every_mode_bitwise(monkeypatch, n, odd):
+    # modes k and -k share every L^j, so their columns are bitwise equal and
+    # the modes -K .. 0 hold every distinct one; spectrum_parametric and the
+    # real-coefficient invertible_parametric build only those
+    base = CircleBase(5)
+    k = base.cutoff
+    monkeypatch.setattr(parametric, "_CHUNK_ENTRIES", 7 * base.dim**2)
+    grid = LambdaGrid.build(n, window=1.0, step={1: 1 / 16, 2: 0.25}[n])
+    full = parametric._fiber_chunks
+
+    def run(op, mode_classes: bool | None) -> tuple:
+        """Both answers, with the classes as the code picks them (None) or forced."""
+        picked = []
+
+        def chunks(*args, **kwargs):
+            picked.append(kwargs.get("mode_classes", False))
+            if mode_classes is not None:
+                kwargs["mode_classes"] = mode_classes
+            return full(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(parametric, "_fiber_chunks", chunks)
+            verdict = invertible_parametric(op, grid, tol=np.inf)
+            if not any(c.imag for _ja, c in op.terms):
+                return verdict, repr(spectrum_parametric(op, grid, tol=1e-9)), picked
+        return verdict, None, picked
+
+    # mode 0 vanishes exactly at lam = (1/2, 0, ..), and when even at its mirror images too
+    zero = {(2, (0,) * n): 1 / 4, (1, (0,) * n): 1.0, (0, (0,) * n): -1 / 16 - (1 / 8 if odd else 0)}
+    zero.update({(0, tuple(4 if j == i else 0 for j in range(n))): 1.0 for i in range(n)})
+    if odd:
+        zero[(0, (1,) + (0,) * (n - 1))] = 1 / 4
+    ops = [InvariantOperator.build(base, n, zero, s=2.5)]
+    for seed in range(4):
+        rng = np.random.default_rng([2400, n, int(odd), seed])
+        s = float(rng.uniform(-3.0, 6.0))
+        ops += [_class_test_operator(rng, base, n, odd, herm, s=s) for herm in (True, False)]
+    assert all(op.order == 4 and op.s != 4 for op in ops)
+    for op in ops:
+        for reduced in (False, True):
+            axes = _class_axes(op, grid, reduced)
+            every = np.concatenate(list(_fiber_chunks(op, axes, reduced)))
+            classes = np.concatenate(list(_fiber_chunks(op, axes, reduced, mode_classes=True)))
+            assert classes.shape == (len(every), k + 1)
+            assert classes.tobytes() == every[:, : k + 1].tobytes()
+            assert every[:, k:].tobytes() == every[:, k::-1].tobytes()
+        verdict, spectrum, picked = run(op, None)
+        hermitian = spectrum is not None
+        assert picked == ([True, True] if hermitian else [False])
+        want, want_spectrum, _picked = run(op, False)
+        assert (repr(vars(verdict)), spectrum) == (repr(vars(want)), want_spectrum)
+        if op is ops[0]:
+            first = (0.5 if odd else -0.5,) + (0.0,) * (n - 1)  # even: +-1/2 tie
+            assert verdict.min_sigma == 0.0 and verdict.failing_lambda == first
+
+
+def test_a_grid_builds_each_power_table_once_for_all_its_directions():
+    terms = {(1, (0, 0, 0)): 1.0, (0, (0, 3, 3)): 0.5, (0, (0, 0, 1)): 0.25}
+    terms.update({(0, tuple(2 if j == i else 0 for j in range(3))): 1.0 for i in range(3)})
+    op = InvariantOperator.build(CircleBase(2), 3, terms)
+    grid = LambdaGrid.build(3, window=1.0, step=0.1)
+    (_c0, p0), (_c1, p1), (_c2, p2) = parametric._power_axes(op, [grid.axis] * 3)
+    assert (sorted(p0), sorted(p1), sorted(p2)) == ([2], [2, 3], [1, 2, 3])
+    assert p0[2] is p1[2] is p2[2] and p1[3] is p2[3]
+    assert np.array_equal(p2[3], np.array([x**3 for x in grid.axis]))
+    # other axis objects get their own tables
+    (_c, q0), (_c, q1), (_c, _q2) = parametric._power_axes(op, [list(grid.axis) for _ in range(3)])
+    assert q0[2] is not q1[2] and np.array_equal(q0[2], p0[2])
+
+
 # ---------------------------------------------------------------------------
 # monomials from the per-axis power tables against the per-block power path
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from specfam import families as families_module
+from specfam import parametric as parametric_module
 from specfam import scenario as scenario_module
 from specfam.cli import _build_parser, main
 from specfam.errors import IncompatibleModel, IncompatibleQuery, ParseError
@@ -1113,6 +1114,36 @@ queries:
     )
     assert main(["run", str(bad)]) == 5
     assert "NotNormal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "query, code, message",
+    [
+        ("kind: parametric-spectrum", 5, "NotElliptic: principal symbol degenerates"),
+        ("kind: parametric-invertible\n    delta-dir: 2", 4, "the largest |eta| is 1.0"),
+    ],
+    ids=["not-elliptic", "delta-dir"],
+)
+def test_parametric_refusals_come_before_the_class_grid(
+    tmp_path, capsys, monkeypatch, query, code, message
+):
+    # on an axis of 800,001 points, the class split would be nearly all of the query's time
+    bad = tmp_path / "refused.scn"
+    bad.write_text(
+        "scenario-version: 1\n"
+        "operators:\n  - id: lap\n    base: circle 2\n    directions: 1\n    term 1 0: 1\n"
+        f"queries:\n  - id: q\n    {query}\n    operator: lap\n    window: 1\n    step: 1/400000\n"
+    )
+    assert main(["run", str(bad)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+
+    def no_class_grid(*_args):
+        raise AssertionError("the class grid was built")
+
+    monkeypatch.setattr(parametric_module, "_class_axes", no_class_grid)
+    assert main(["run", str(bad)]) == code
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("kind", ["observable-spectrum", "spectrum", "norm", "invertible"])
