@@ -477,8 +477,7 @@ def spectrum_union(
         plain &= (im == -im.swapaxes(1, 2)).all(axis=(1, 2))
         if plain.any():
             try:
-                w = np.linalg.eigh(stack if plain.all() else stack[plain])[0]
-                w = np.sort(w, axis=1, kind="stable")
+                w = np.linalg.eigh(stack if plain.all() else stack[plain])[0]  # ascending rows
             except np.linalg.LinAlgError:
                 plain[:] = False  # eig_normal below names the member
             else:

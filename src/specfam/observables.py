@@ -5,9 +5,10 @@ or the formal infinite fiber.  Spectra go through the bounded transform
     w = (lam + i) / (lam - i),
 whose image is the unit circle minus the point 1; the infinite fiber is
 exactly the constant 1 there and has empty spectrum.  Fiber spectra come
-from stacked eigvalsh calls, and the transform inverts exactly: nothing is
-lost for bounded fibers, while numerically huge eigenvalues land within the
-discard radius of w = 1 and are reported through the truncated flag.
+from stacked eigvalsh calls (diagonal fibers: their sorted real parts), and
+the transform inverts exactly: nothing is lost for bounded fibers, while
+numerically huge eigenvalues land within the discard radius of w = 1 and are
+reported through the truncated flag.
 """
 
 from __future__ import annotations
@@ -36,18 +37,19 @@ INFINITE = _InfiniteFiber()
 
 
 def check_self_adjoint(stack: np.ndarray) -> None:
-    """Raise for the first fiber of an (m, d, d) stack that is not finite or
-    not self-adjoint: max |f - f*| must stay within 1e-10 * max(1, max |f|).
+    """Raise for the first fiber of an (m, d, d) stack, or (m, d) diagonals, that is not
+    finite or not self-adjoint: max |f - f*| must stay within 1e-10 * max(1, max |f|).
 
     The checks run over the whole stack, a 1 MiB slice at a time.
     """
     step = max(1, 2**16 // max(1, stack[0].size))
+    axes = tuple(range(1, stack.ndim))
     for start in range(0, len(stack), step):
         part = stack[start : start + step]
-        finite = np.isfinite(part).all(axis=(1, 2))
+        finite = np.isfinite(part).all(axis=axes)
         head = part if finite.all() else part[: int(np.argmin(finite))]
-        scale = np.maximum(1.0, np.abs(head).max(axis=(1, 2)))
-        gap = np.abs(head - head.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(head).max(axis=axes))
+        gap = np.abs(head - head.conj().swapaxes(1, -1)).max(axis=axes)  # no swap on diagonals
         bad = gap > _SELFADJOINT_TOL * scale
         if bad.any():
             i = int(np.argmax(bad))
@@ -118,23 +120,28 @@ def cayley(obs: Observable) -> CayleyImage:
 
 
 def _fiber_points(stack: np.ndarray, resolution: float) -> tuple[np.ndarray, bool]:
-    """Distinct lam kept from an (m, d, d) self-adjoint stack, and whether any were cut near w = 1.
+    """Distinct lam kept from a self-adjoint stack, and whether any were cut near w = 1.
 
-    Each fiber's unitary eigenvalues are merged at max(resolution, 1e-12),
-    but only a fiber with a close pair runs the merge: eigvalsh rows are
-    sorted, so w runs around the circle in row order and only neighbours
-    and the wrap pair can be close.  A pair is flagged at twice the radius,
-    so that rounding in numpy's |z| cannot hide one.  Exact repeats need no
-    merge; they are dropped before the per-point work.  Points farther than
-    resolution from 1 map back to lam bitwise as CPython's 1j*(w+1.0)/(w-1.0).
+    The stack is (m, d, d), or (m, d) diagonals, whose lam are their sorted
+    re/2 + re/2: eigvalsh's, but exact where LAPACK rescales (beyond 1e+-146).
+    Each fiber's unitary eigenvalues are merged at max(resolution, 1e-12), but
+    only a fiber with a close pair runs the merge: the rows are sorted, so w
+    runs around the circle in row order and only neighbours and the wrap pair
+    can be close.  A pair is flagged at twice the radius, so that rounding in
+    numpy's |z| cannot hide one.  Exact repeats need no merge; they are dropped
+    before the per-point work.  Points farther than resolution from 1 map back
+    to lam bitwise as CPython's 1j*(w+1.0)/(w-1.0).
     """
     # Halving first is exact and cannot overflow.  The Hermitian parts are
     # formed a 1 MiB slice at a time, so they cost a fraction of the stack.
-    step = max(1, 2**16 // stack[0].size)
-    lam = np.concatenate([
-        np.linalg.eigvalsh(part / 2.0 + (part / 2.0).conj().swapaxes(-1, -2))
-        for part in (stack[i : i + step] for i in range(0, len(stack), step))
-    ])
+    if stack.ndim == 2:
+        lam = np.sort(stack.real / 2.0 + stack.real / 2.0, axis=1)
+    else:
+        step = max(1, 2**16 // stack[0].size)
+        lam = np.concatenate([
+            np.linalg.eigvalsh(part / 2.0 + (part / 2.0).conj().swapaxes(-1, -2))
+            for part in (stack[i : i + step] for i in range(0, len(stack), step))
+        ])
     w = (lam + 1j) / (lam - 1j)
     radius = max(resolution, 1e-12)
     gaps = np.abs(np.diff(w, axis=1))

@@ -19,27 +19,27 @@ builder, read from the operator's s and order, not a second operator.
 Every term is c . L^j . lam^alpha, so every fiber is a polynomial in the
 compact Laplacian L (a j = 0 term touches only the diagonal) and all
 fibers commute.  A grid is kept as its axis, with Python's x**a once per
-coordinate and exponent.  Per axis, coordinates whose powers (and, for
-reduced fibers, squares) are bitwise equal form one class, and only the
-product of the classes is assembled: its fibers are all the distinct
-fibers of the grid, built a block of nodes at a time, each block going
-straight into eigvalsh or the SVD.  A circle operator's blocks are its
-(m, d) diagonals, whose real parts are the eigenvalues and, when real,
-whose smallest absolute values are the sigma_min, with no LAPACK call;
-modes k and -k give equal columns, so spectra and real-coefficient
-invertibility read modes -K .. 0 only.  A graph operator's blocks are
-(m, d, d) stacks; the eigenvalues of L give every reduced fiber's
-sigma_min up to rounding, so invertibility solves only the fibers whose
-bound can reach the grid's minimum.  A block holds a fixed number of
-complex entries, so memory follows the block, not the grid; the
-single-node fiber() is a view of the same builder.
+coordinate and exponent, kept on the operator with the grid's class
+splits: per axis, coordinates whose powers (and, for reduced fibers,
+squares) are bitwise equal form one class, and only the product of the
+classes is assembled: its fibers are all the distinct fibers of the grid,
+built a block of nodes at a time, each block going straight into eigvalsh
+or the SVD.  A circle operator's blocks are its (m, d) diagonals, whose
+real parts are the eigenvalues and, when real, whose smallest absolute
+values are the sigma_min, with no LAPACK call; modes k and -k give equal
+columns, so spectra and real-coefficient invertibility read modes -K .. 0
+only.  A graph operator's blocks are (m, d, d) stacks; the eigenvalues of
+L give every reduced fiber's sigma_min up to rounding, so invertibility
+solves only the fibers whose bound can reach the grid's minimum.  A block
+holds a fixed number of complex entries, so memory follows the block, not
+the grid; the single-node fiber() is a view of the same builder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -171,6 +171,14 @@ class InvariantOperator:
             dirs = _sphere_directions(self.n)
         return list(zip(dirs, _sigma_min(_principal_symbols(self, dirs))))
 
+    @cached_property
+    def _eta_norms(self) -> list[float]:  # |eta| of each direction of _symbol_sweep
+        return [_norm(eta) for (_xi, eta), _smin in self._symbol_sweep]
+
+    @cached_property
+    def _class_grids(self) -> dict:  # _class_axes's power tables and class splits per grid
+        return {}
+
 
 # Complex entries per fiber block: a block holds _CHUNK_ENTRIES // d^2
 # fibers (about 4 MiB), so memory follows the block and not the grid.
@@ -299,31 +307,34 @@ def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
 class LambdaGrid:
     """Symmetric parameter grid: every axis runs -window .. window by step.
 
-    The grid keeps its axis, k * step for k = -half .. half; its nodes,
+    The grid builds its axis, k * step for k = -half .. half, so step and
+    point count fix it, and refuses one above 2^20 points first; its nodes,
     the n-fold product of the axis in lexicographic order, are never built.
-    An axis of more than 2^20 points is refused before it is built.
     """
 
     n: int
     window: float
     step: float
-    axis: tuple
+    axis: tuple = field(init=False)
 
-    @classmethod
-    def build(cls, n: int, window: float, step: float) -> "LambdaGrid":
-        if n < 1:
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("the grid dimension must be at least 1")
-        if not (0 < step <= window):
+        if not (0 < self.step <= self.window):
             raise ValueError("need 0 < step <= window")
-        ratio = window / step
+        ratio = self.window / self.step
         points = 2 * round(ratio) + 1 if math.isfinite(ratio) else math.inf
         if points > MAX_DENSE_ENTRIES:
             raise ValueError(
                 f"the grid axis would hold {points:.4g} points, "
                 f"above the cap of {MAX_DENSE_ENTRIES} (2^20)"
             )
-        step, half = float(step), (points - 1) // 2
-        return cls(int(n), float(window), step, tuple((np.arange(-half, half + 1) * step).tolist()))
+        half = (points - 1) // 2
+        object.__setattr__(self, "axis", tuple((np.arange(-half, half + 1) * self.step).tolist()))
+
+    @classmethod
+    def build(cls, n: int, window: float, step: float) -> "LambdaGrid":
+        return cls(int(n), float(window), float(step))
 
 
 def _first_columns(keys: np.ndarray) -> np.ndarray:
@@ -338,7 +349,8 @@ def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> list[
 
     Two coordinates share a class when their keys are bitwise equal: their
     row of the axis's power table, plus x * x when the fibers are reduced.
-    The classes keep those rows, so each power is computed once per grid.
+    The classes keep those rows; they and the table are kept on the operator
+    by (n, step, point count), so each power is computed once per operator and grid.
     Nodes whose coordinates share a class on every axis multiply the same
     factors and sum the same squares, in axis order, so
     _fiber_chunks gives them bitwise-equal fibers.  A class's first index
@@ -347,9 +359,14 @@ def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> list[
     """
     if grid.n != op.n:
         raise IncompatibleQuery(f"grid has {grid.n} directions, the operator has {op.n}")
+    kept, key = op._class_grids, (grid.n, grid.step, len(grid.axis))
+    if key not in kept:
+        kept[key] = [powers for _coords, powers in _power_axes(op, [grid.axis] * op.n)]
+    if (key, reduced) in kept:
+        return kept[key, reduced]
     x = np.array(grid.axis)
-    axes = []
-    for _coords, powers in _power_axes(op, [grid.axis] * op.n):
+    axes = kept[key, reduced] = []
+    for powers in kept[key]:
         keys = list(powers.values()) + ([x * x] if reduced else [])
         first = _first_columns(np.array(keys or [np.zeros(len(x))]).view(np.int64))
         axes.append((tuple(x[first].tolist()), {a: p[first] for a, p in powers.items()}))
@@ -423,6 +440,7 @@ def _norm(v: tuple) -> float:
     return float(np.sqrt(sum(x * x for x in v)))
 
 
+@cache
 def _lattice_directions(dim: int) -> list[tuple]:
     """Normalized nonzero points of {-2, .., 2}^dim, one per direction.
 
@@ -436,6 +454,7 @@ def _lattice_directions(dim: int) -> list[tuple]:
     return [tuple(v) for v in (g / np.sqrt((g * g).sum(axis=1))[:, None]).tolist()]
 
 
+@cache
 def _sphere_directions(n: int) -> list[tuple]:
     """Deterministic directions on the joint sphere (xi, eta) in R^(1+n).
 
@@ -542,9 +561,10 @@ def invertible_parametric(
     sphere directions whose parameter part is at least delta_dir.  A
     delta_dir above every swept direction's |eta| is an IncompatibleQuery.
     """
-    swept = [(xi, eta, smin) for (xi, eta), smin in op._symbol_sweep if _norm(eta) >= delta_dir]
+    sweep = zip(op._symbol_sweep, op._eta_norms)
+    swept = [(xi, eta, smin) for ((xi, eta), smin), norm in sweep if norm >= delta_dir]
     if not swept:
-        largest = max(_norm(eta) for (_xi, eta), _smin in op._symbol_sweep)
+        largest = max(op._eta_norms)
         raise IncompatibleQuery(
             f"delta-dir {delta_dir!r} leaves no symbol direction: the largest |eta| is {largest!r}"
         )

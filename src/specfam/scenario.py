@@ -52,7 +52,6 @@ from .parametric import (
     GraphBase,
     InvariantOperator,
     LambdaGrid,
-    _as_matrices,
     _class_axes,
     _fiber_bound,
     _fiber_chunks,
@@ -653,7 +652,7 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
     if _get(q.params, "operator") is not None:
         op = _ref(scenario, q, "operator")
         parts = []
-        for block in map(_as_matrices, _fiber_chunks(op, _class_axes(op, _q_grid(q, op), False))):
+        for block in _fiber_chunks(op, _class_axes(op, _q_grid(q, op), False)):
             check_self_adjoint(block)
             parts.append(_fiber_points(block, tol)[0])
         return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True).as_dict()

@@ -102,7 +102,7 @@ class SpectrumSet:
         only over the others, each compared with the last kept value.
         """
         if isinstance(points, np.ndarray) and points.ndim == 1 and points.dtype == float:
-            values = np.sort(points, kind="stable")
+            values = _sorted(points)
             keep = np.ones(len(values), dtype=bool)
             for i in (np.flatnonzero(np.diff(values) <= resolution) + 1).tolist():
                 if keep[i - 1]:
@@ -133,13 +133,28 @@ class SpectrumSet:
         return {"points": self.values, "resolution": self.resolution, "truncated": self.truncated}
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted values without exact repeats; the first occurrence is kept.
+def _sorted(values: np.ndarray) -> np.ndarray:
+    """A 1-D float array sorted, bit for bit as np.sort(values, kind="stable").
 
-    SpectrumSet.canonical merges exact repeats into their first
-    occurrence anyway, so dropping them first leaves its output unchanged.
+    numpy's default (SIMD) sort may reorder +-0.0 and rewrite NaN payloads; equal
+    non-zero floats are bitwise equal and NaNs go last, so both runs are copied back.
     """
-    values = np.sort(values, kind="stable")
+    out = np.sort(values)
+    lo, hi = out.searchsorted(0.0), out.searchsorted(0.0, "right")
+    if hi - lo > 1:
+        out[lo:hi] = values[values == 0.0]
+    if len(out) and np.isnan(out[-1]):
+        out[np.isnan(out)] = values[np.isnan(values)]
+    return out
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted values of a 1-D float array without exact repeats; the first occurrence is kept.
+
+    SpectrumSet.canonical merges exact repeats into their first occurrence
+    anyway (_sorted keeps +-0.0 in input order), so dropping them changes nothing.
+    """
+    values = _sorted(values)
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]

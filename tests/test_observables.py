@@ -1,5 +1,6 @@
 """Cayley route: unitarity, round trips, the infinite fiber, member unions."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,15 @@ from specfam.observables import (
     check_self_adjoint,
     spec_observable,
     spec_union_observable,
+)
+from specfam import parametric
+from specfam.parametric import (
+    CircleBase,
+    InvariantOperator,
+    LambdaGrid,
+    _as_matrices,
+    _class_axes,
+    _fiber_chunks,
 )
 from specfam.scenario import parse_scenario, run_scenario
 from specfam.spectral import _distinct, eig_normal
@@ -333,6 +343,118 @@ def test_operator_route_report_stays_one_float_array():
         tracemalloc.stop()
     assert result["points"].dtype == np.float64 and result["points"].shape == (147431,)
     assert peak <= 16 * 2**20
+
+
+def _dense_route(op, window, step, resolution):
+    """The operator route as it was before circle diagonals were read
+    directly: every block expanded to dense fibers, checked and solved by
+    eigvalsh.  The reference for the diagonal route."""
+    grid = LambdaGrid.build(op.n, window, step)
+    parts = []
+    for block in map(_as_matrices, _fiber_chunks(op, _class_axes(op, grid, False))):
+        check_self_adjoint(block)
+        parts.append(_fiber_points(block, resolution)[0])
+    return SpectrumSet.canonical(_distinct(np.concatenate(parts)), resolution, truncated=True)
+
+
+def _scenario_route(op, window, step, resolution):
+    """The observable-spectrum query's result for op, through run_scenario."""
+    scenario = parse_scenario(
+        "scenario-version: 1\n"
+        "operators:\n"
+        "  - id: op\n"
+        "    base: circle 1\n"
+        "    directions: 1\n"
+        "    term 0 0: 1\n"
+        "queries:\n"
+        "  - id: obs\n"
+        "    kind: observable-spectrum\n"
+        "    operator: op\n"
+        f"    window: {window!r}\n"
+        f"    step: {step!r}\n"
+        f"    resolution: {resolution!r}\n"
+    )
+    scenario.operators["op"] = op  # library operators may have complex coefficients
+    return run_scenario(scenario)["results"][0]["result"]
+
+
+def _route_cases():
+    lap = {(1, (0,)): 1.0, (0, (2,)): 1.0}
+    yield "exact zero fibers", InvariantOperator.build(
+        CircleBase(3), 1, {**lap, (0, (0,)): -((3 / 8) ** 2)}
+    ), 1.0, 1 / 8, 1e-9
+    # |w - 1| is about 2 / lam: points above about 200 are cut, and close
+    # pairs of one fiber merge on the circle well before that
+    yield "merges and cuts", InvariantOperator.shifted_laplacian(
+        CircleBase(8), 1, shift=-0.3
+    ), 16.0, 1 / 2048, 1e-2
+    yield "n = 2", InvariantOperator.build(
+        CircleBase(2), 2,
+        {(1, (0, 0)): 1.0, (0, (2, 0)): 1.0, (0, (0, 2)): 0.5, (0, (1, 1)): 0.25, (0, (0, 0)): -1.0},
+    ), 2.0, 1 / 8, 1e-9
+    # an imaginary part within the 1e-10 self-adjoint tolerance, on fibers
+    # that also vanish exactly in their real part
+    yield "complex coefficients", InvariantOperator.build(
+        CircleBase(3), 1,
+        {(1, (0,)): 1.0 + 2e-12j, (0, (2,)): 1.0 - 3e-12j, (0, (0,)): -0.25 + 1e-12j},
+    ), 2.0, 1 / 64, 1e-6
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _route_cases()])
+def test_circle_route_reads_diagonals_bitwise_as_the_dense_path(monkeypatch, case):
+    _name, op, window, step, resolution = next(c for c in _route_cases() if c[0] == case)
+    want = _dense_route(op, window, step, resolution)
+    calls = []
+
+    def refused(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the circle route expands or solves a fiber")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(parametric, "_as_matrices", refused)
+    got = _scenario_route(op, window, step, resolution)
+    assert calls == []
+    assert got["points"].tobytes() == want.values.tobytes() and len(got["points"])
+    assert (got["resolution"], got["truncated"]) == (want.resolution, want.truncated)
+    if case == "exact zero fibers":
+        assert (got["points"] == 0.0).any()
+    if case == "merges and cuts":
+        assert got["points"][-1] < 2.0 / resolution
+
+
+def test_circle_route_refuses_a_non_self_adjoint_operator_as_the_dense_path():
+    op = InvariantOperator.build(CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0 + 1e-6j})
+    with pytest.raises(NotSelfAdjoint) as want:
+        _dense_route(op, 2.0, 1 / 8, 1e-9)
+    with pytest.raises(NotSelfAdjoint) as got:
+        _scenario_route(op, 2.0, 1 / 8, 1e-9)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("fiber is not self-adjoint (asymmetry ")
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_circle_route_reports_the_exact_diagonal_where_lapack_rescales(monkeypatch, scale):
+    # zheevd rescales a matrix whose largest entry lies beyond about
+    # 1e+-146, and its eigenvalues come back moved by an ulp, even those of
+    # a diagonal; the diagonal route reports the diagonal itself, which is
+    # the rule parametric-spectrum follows on circle diagonals.  The exact
+    # reference is the dense path with eigvalsh run on the fibers times a
+    # power of two, which is exact and keeps them within range.
+    # At 1e150 mode 0 stays of order 1, so its points are neither cut nor
+    # merged; at 1e-150 every point of a fiber lies within 1e-12 of w = -1,
+    # so each fiber keeps one, and resolution 0 keeps them apart on the axis.
+    terms = {(1, (0,)): 0.7 * scale, (0, (2,)): 0.3 * scale, (0, (0,)): 1.1 * scale}
+    if scale > 1:
+        terms = {(1, (0,)): 0.7 * scale, (0, (2,)): 0.3, (0, (0,)): 1.1}
+    op = InvariantOperator.build(CircleBase(3), 1, terms)
+    e, resolution = -math.frexp(scale)[1], 1e-9 if scale > 1 else 0.0
+    got = _scenario_route(op, 1.0, 1 / 64, resolution)
+    rescaled = _dense_route(op, 1.0, 1 / 64, resolution)
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: solve(h * 2.0**e) * 2.0**-e)
+    exact = _dense_route(op, 1.0, 1 / 64, resolution)
+    assert got["points"].tobytes() == exact.values.tobytes() and len(got["points"])
+    assert got["points"].tobytes() != rescaled.values.tobytes()
 
 
 def test_infinite_fiber_has_exactly_empty_spectrum():

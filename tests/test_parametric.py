@@ -617,6 +617,59 @@ def test_a_grid_builds_each_power_table_once_for_all_its_directions():
     assert q0[2] is not q1[2] and np.array_equal(q0[2], p0[2])
 
 
+def test_queries_on_one_grid_share_its_power_table_and_class_splits(monkeypatch):
+    tables = []
+    power_axes = parametric._power_axes
+
+    def counted(op, axes):
+        tables.append(tuple(len(xs) for xs in axes))
+        return power_axes(op, axes)
+
+    monkeypatch.setattr(parametric, "_power_axes", counted)
+    terms = {(1, (0, 0)): 1.0, (0, (2, 0)): 1.0, (0, (0, 2)): 1.0, (0, (1, 0)): 0.25}
+    terms[(0, (0, 0))] = 0.5
+    op = InvariantOperator.build(CircleBase(2), 2, terms)
+    grid = LambdaGrid.build(2, window=1.0, step=0.25)
+    spectrum = spectrum_parametric(op, grid)
+    verdict = invertible_parametric(op, grid)
+    # the symbol sweep's 98 directions, then one table for the grid's 9-point axes
+    assert tables == [(98, 98), (9, 9)]
+    coarse = (2, 0.25, 9)  # n, step, point count: what fixes the axis
+    assert list(op._class_grids) == [coarse, (coarse, False), (coarse, True)]
+    # an equal grid built again, with a window that rounds to the same axis;
+    # every grid builds its own axis, so its step and point count fix it
+    again = LambdaGrid.build(2, window=1.1, step=1 / 4)
+    assert again is not grid and again.axis == grid.axis == LambdaGrid(2, 1.0, 0.25).axis
+    with pytest.raises(TypeError):
+        LambdaGrid(2, 1.0, 0.25, (-3.0, -1.5, 0.0, 1.5, 3.0))
+    assert repr(spectrum_parametric(op, again)) == repr(spectrum)
+    assert repr(invertible_parametric(op, again)) == repr(verdict)
+    assert tables == [(98, 98), (9, 9)]
+    # another step misses the memo and builds its own table
+    finer = LambdaGrid.build(2, window=1.0, step=0.125)
+    invertible_parametric(op, finer)
+    assert tables == [(98, 98), (9, 9), (17, 17)]
+    fine = (2, 0.125, 17)
+    assert list(op._class_grids)[3:] == [fine, (fine, True)]
+    # the memo lives on the operator: an equal operator builds its own, to the same answers
+    twin = InvariantOperator.build(CircleBase(2), 2, terms)
+    assert "_class_grids" not in vars(twin)
+    assert repr(invertible_parametric(twin, grid)) == repr(verdict)
+    assert repr(spectrum_parametric(twin, grid)) == repr(spectrum)
+    assert tables[3:] == [(98, 98), (9, 9)]
+    # the kept splits: one table, the unreduced and the reduced classes
+    unreduced, reduced = _class_axes(op, grid, False), _class_axes(op, grid, True)
+    assert _class_axes(op, again, True) is reduced and _class_axes(op, grid, False) is unreduced
+    assert [len(c) for c, _p in unreduced] == [9, 5] and [len(c) for c, _p in reduced] == [9, 5]
+    assert len(tables) == 5
+    # the directions are built once per dimension, and each |eta| once per operator
+    assert parametric._sphere_directions(2) is parametric._sphere_directions(2)
+    norms = vars(op)["_eta_norms"]
+    invertible_parametric(op, grid, delta_dir=0.5)
+    assert op._eta_norms is norms and len(norms) == 98
+    assert norms == [parametric._norm(eta) for (_xi, eta), _s in op._symbol_sweep]
+
+
 # ---------------------------------------------------------------------------
 # monomials from the per-axis power tables against the per-block power path
 

@@ -15,6 +15,7 @@ from specfam.spectral import (
     DEFAULT_RESOLUTION,
     SpectrumSet,
     _distinct,
+    _sorted,
     as_matrix,
     eig_normal,
     hausdorff,
@@ -371,6 +372,41 @@ def test_canonical_real_axis_path_equals_the_general_loop():
             SpectrumSet.canonical(_distinct(values), resolution, truncated=True),
         ):
             assert repr(got) == repr(want), values
+
+
+def _nans(*bits: int) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(float)
+
+
+def test_sorted_is_the_stable_sort_bit_for_bit():
+    # numpy's default sort may swap +-0.0 and rewrite NaN payloads; _sorted
+    # must give the stable sort's bits, compared as integers so that a
+    # signed zero or a NaN payload counts
+    nans = _nans(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                 0xFFF0000000000001, 0x7FF0000000000002)
+    pool = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -1.0, 3.5, 1e300],
+        nans,
+    ])
+    rng = np.random.default_rng(2501)
+    cases = [np.zeros(0), np.array([-0.0]), nans, np.array([0.0, -0.0] * 20), pool]
+    for trial in range(400):
+        size = int(rng.integers(0, 300 if trial % 4 else 5000))
+        values = rng.choice(pool, size)
+        if trial % 5 == 1:  # repeats among random values
+            values = np.where(rng.random(size) < 0.5, values, rng.standard_normal(size).round(1))
+        elif trial % 5 == 2:
+            values = np.sort(values, kind="stable")
+        elif trial % 5 == 3:
+            values = np.sort(values, kind="stable")[::-1]
+        cases.append(values)
+    for values in cases:
+        before = values.copy()
+        got = _sorted(values)
+        want = np.sort(values, kind="stable")
+        assert got.dtype == float and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), values
+        assert np.array_equal(values.view(np.int64), before.view(np.int64))  # input untouched
 
 
 def _greedy_merge(values: np.ndarray, resolution: float) -> tuple:
