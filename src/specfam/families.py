@@ -185,11 +185,6 @@ def _member_values(
     return tuple(out)
 
 
-def member_norm(member: Representation, a: Element) -> float:
-    """Norm of the element's image under one member (ladder-aware)."""
-    return _member_values((member,), a)[0][0]
-
-
 def norm_via_family(family: RepFamily, a: Element) -> float:
     """sup of member image norms; equals the norm for exhausting families."""
     return max(norm for norm, _ in family._values_of(a))

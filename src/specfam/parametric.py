@@ -18,13 +18,16 @@ builder, read from the operator's s and order, not a second operator.
 
 Every term is c . L^j . lam^alpha, so every fiber is a polynomial in the
 compact Laplacian L (a j = 0 term touches only the diagonal) and all
-fibers commute.  A grid is kept as its axis, with Python's x**a once per
-coordinate and exponent, kept on the operator with the grid's class
-splits: per axis, coordinates whose powers (and, for reduced fibers,
-squares) are bitwise equal form one class, and only the product of the
-classes is assembled: its fibers are all the distinct fibers of the grid,
-built a block of nodes at a time, each block going straight into eigvalsh
-or the SVD.  A circle operator's blocks are its (m, d) diagonals, whose
+fibers commute.  A grid is kept as its axis, and each query splits every
+axis into classes by the parity of the exponents the terms put on it:
+an axis with an odd exponent keeps every coordinate, any other axis
+keeps k = -half .. 0, since x and -x give bitwise-equal powers and
+squares, and an axis no term mentions is one class for unreduced fibers.
+Python's x**a is computed once per kept coordinate and exponent, nothing
+of a grid is kept on the operator, and only the product of the classes
+is assembled: its fibers are all the distinct fibers of the grid, built
+a block of nodes at a time, each block going straight into eigvalsh or
+the SVD.  A circle operator's blocks are its (m, d) diagonals, whose
 real parts are the eigenvalues and, when real, whose smallest absolute
 values are the sigma_min, with no LAPACK call; modes k and -k give equal
 columns, so spectra and real-coefficient invertibility read modes -K .. 0
@@ -175,10 +178,6 @@ class InvariantOperator:
     def _eta_norms(self) -> list[float]:  # |eta| of each direction of _symbol_sweep
         return [_norm(eta) for (_xi, eta), _smin in self._symbol_sweep]
 
-    @cached_property
-    def _class_grids(self) -> dict:  # _class_axes's power tables and class splits per grid
-        return {}
-
 
 # Complex entries per fiber block: a block holds _CHUNK_ENTRIES // d^2
 # fibers (about 4 MiB), so memory follows the block and not the grid.
@@ -195,7 +194,7 @@ def _power_axes(op: InvariantOperator, axes) -> list[tuple]:
     tables, out = {}, []
     for i, xs in enumerate(axes):
         exponents = sorted({alpha[i] for alpha in alphas} - {0})
-        known = tables.setdefault(id(xs), {})  # per axis object: a grid passes one axis n times
+        known = tables.setdefault(id(xs), {})  # per axis object: _class_axes reuses them
         known.update({a: np.array([x**a for x in xs]) for a in exponents if a not in known})
         out.append((tuple(xs), {a: known[a] for a in exponents}))
     return out
@@ -307,9 +306,9 @@ def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
 class LambdaGrid:
     """Symmetric parameter grid: every axis runs -window .. window by step.
 
-    The grid builds its axis, k * step for k = -half .. half, so step and
-    point count fix it, and refuses one above 2^20 points first; its nodes,
-    the n-fold product of the axis in lexicographic order, are never built.
+    The grid builds its axis, k * step for k = -half .. half, and refuses
+    one above 2^20 points first; its nodes, the n-fold product of the axis
+    in lexicographic order, are never built.
     """
 
     n: int
@@ -347,30 +346,28 @@ def _first_columns(keys: np.ndarray) -> np.ndarray:
 def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> list[tuple]:
     """Per axis, (coordinates, powers) over the first coordinate of each class.
 
-    Two coordinates share a class when their keys are bitwise equal: their
-    row of the axis's power table, plus x * x when the fibers are reduced.
-    The classes keep those rows; they and the table are kept on the operator
-    by (n, step, point count), so each power is computed once per operator and grid.
-    Nodes whose coordinates share a class on every axis multiply the same
-    factors and sum the same squares, in axis order, so
-    _fiber_chunks gives them bitwise-equal fibers.  A class's first index
-    grows with the class, so the first minimum over the product of the
-    classes lies at the first minimizing node of the grid.
+    An axis that a term raises to an odd power keeps every coordinate.
+    Any other axis keeps k = -half .. 0: CPython's x**a is pow(|x|, a) for
+    an even a, and (-x) * (-x) == x * x, so x and -x give bitwise-equal
+    factors and squares.  Unreduced fibers read nothing of an axis that
+    no term mentions, so it is one class, (axis[0],); reduced ones read
+    |lam|^2, so it keeps the half axis.  Nodes whose coordinates share a
+    class on every axis multiply the same factors and sum the same squares,
+    in axis order, so _fiber_chunks gives them bitwise-equal fibers.  A
+    class's first index grows with the class, so the first minimum over
+    the product of the classes lies at the first minimizing node of the
+    grid.  Coordinates whose powers all underflow (|x| below about 1e-162)
+    give equal fibers too but stay apart, which costs time, not bytes.
     """
     if grid.n != op.n:
         raise IncompatibleQuery(f"grid has {grid.n} directions, the operator has {op.n}")
-    kept, key = op._class_grids, (grid.n, grid.step, len(grid.axis))
-    if key not in kept:
-        kept[key] = [powers for _coords, powers in _power_axes(op, [grid.axis] * op.n)]
-    if (key, reduced) in kept:
-        return kept[key, reduced]
-    x = np.array(grid.axis)
-    axes = kept[key, reduced] = []
-    for powers in kept[key]:
-        keys = list(powers.values()) + ([x * x] if reduced else [])
-        first = _first_columns(np.array(keys or [np.zeros(len(x))]).view(np.int64))
-        axes.append((tuple(x[first].tolist()), {a: p[first] for a, p in powers.items()}))
-    return axes
+    half = grid.axis[: len(grid.axis) // 2 + 1]  # one object: _power_axes shares its tables
+    axes = []
+    for i in range(op.n):
+        exponents = {alpha[i] for (_j, alpha), _c in op.terms} - {0}
+        odd = any(a % 2 for a in exponents)
+        axes.append(grid.axis if odd else half if exponents or reduced else grid.axis[:1])
+    return _power_axes(op, axes)
 
 
 def _fiber_bound(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> float:

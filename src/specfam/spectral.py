@@ -123,9 +123,6 @@ class SpectrumSet:
                 kept.append(p)
         return cls(kept, float(resolution), bool(truncated))
 
-    def union(self, other: "SpectrumSet") -> "SpectrumSet":
-        return union_spectra((self, other))
-
     def __len__(self) -> int:
         return len(self.values)
 

@@ -1,5 +1,7 @@
 """Parameter fibers: construction, reduction, spectra, ellipticity."""
 
+import dataclasses
+import gc
 import hashlib
 import itertools
 import re
@@ -487,6 +489,7 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
     step = {1: 1 / 8, 2: 0.25, 3: 0.5}[n]
     grid = LambdaGrid.build(n, window=1.0, step=step)
     nodes = grid_nodes(grid)
+    full, half = len(grid.axis), len(grid.axis) // 2 + 1
     # no term on the axes after the first: one class each, unless the
     # fibers are reduced, which reads |lam|^2
     flat = InvariantOperator.build(
@@ -519,10 +522,13 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
         for reduced in (False, True):
             axes = _class_axes(op, grid, reduced)
             sizes = [len(coords) for coords, _powers in axes]
-            if not odd or op is flat:  # +-x share a class on every axis
-                assert all(size <= len(grid.axis) // 2 + 1 for size in sizes)
-            if reduced and op is flat:
-                assert sizes == [len(grid.axis) // 2 + 1] * n
+            # an axis with an odd exponent keeps all of it, any other axis
+            # k = -half .. 0, and flat's unnamed axes one class unless reduced
+            odd_axes = {i for (_j, alpha), _c in op.terms for i, a in enumerate(alpha) if a % 2}
+            want = [full if i in odd_axes else half for i in range(n)]
+            if op is flat and not reduced:
+                want[1:] = [1] * (n - 1)
+            assert sizes == want
             every = np.concatenate(list(_fiber_chunks(op, full_axes(op, grid), reduced)))
             distinct = np.concatenate(list(_fiber_chunks(op, axes, reduced)))
             assert len(distinct) == np.prod(sizes)
@@ -617,7 +623,7 @@ def test_a_grid_builds_each_power_table_once_for_all_its_directions():
     assert q0[2] is not q1[2] and np.array_equal(q0[2], p0[2])
 
 
-def test_queries_on_one_grid_share_its_power_table_and_class_splits(monkeypatch):
+def test_class_axes_follow_the_parity_of_the_exponents(monkeypatch):
     tables = []
     power_axes = parametric._power_axes
 
@@ -626,48 +632,61 @@ def test_queries_on_one_grid_share_its_power_table_and_class_splits(monkeypatch)
         return power_axes(op, axes)
 
     monkeypatch.setattr(parametric, "_power_axes", counted)
+    # axis 0 odd (lam1 and lam1^2), axis 1 even (lam2^4), axis 2 named by no term
+    terms = {(1, (0, 0, 0)): 1.0, (0, (2, 0, 0)): 1.0, (0, (1, 0, 0)): 0.25, (0, (0, 4, 0)): 1.0}
+    op = InvariantOperator.build(CircleBase(2), 3, terms)
+    grid = LambdaGrid.build(3, window=1.0, step=0.25)
+    axis, half = grid.axis, grid.axis[:5]
+    assert len(axis) == 9 and half[-1] == 0.0
+    unreduced = [coords for coords, _powers in _class_axes(op, grid, False)]
+    reduced = [coords for coords, _powers in _class_axes(op, grid, True)]
+    assert unreduced == [axis, half, (axis[0],)]
+    assert reduced == [axis, half, half]
+    assert tables == [(9, 5, 1), (9, 5, 5)]
+
+    # one power table per query: nothing is kept between queries
+    tables.clear()
     terms = {(1, (0, 0)): 1.0, (0, (2, 0)): 1.0, (0, (0, 2)): 1.0, (0, (1, 0)): 0.25}
     terms[(0, (0, 0))] = 0.5
     op = InvariantOperator.build(CircleBase(2), 2, terms)
     grid = LambdaGrid.build(2, window=1.0, step=0.25)
     spectrum = spectrum_parametric(op, grid)
     verdict = invertible_parametric(op, grid)
-    # the symbol sweep's 98 directions, then one table for the grid's 9-point axes
-    assert tables == [(98, 98), (9, 9)]
-    coarse = (2, 0.25, 9)  # n, step, point count: what fixes the axis
-    assert list(op._class_grids) == [coarse, (coarse, False), (coarse, True)]
-    # an equal grid built again, with a window that rounds to the same axis;
-    # every grid builds its own axis, so its step and point count fix it
+    # the symbol sweep's 98 directions, then one table per query
+    assert tables == [(98, 98), (9, 5), (9, 5)]
+    # a grid built again, with a window that rounds to the same axis
     again = LambdaGrid.build(2, window=1.1, step=1 / 4)
     assert again is not grid and again.axis == grid.axis == LambdaGrid(2, 1.0, 0.25).axis
     with pytest.raises(TypeError):
         LambdaGrid(2, 1.0, 0.25, (-3.0, -1.5, 0.0, 1.5, 3.0))
     assert repr(spectrum_parametric(op, again)) == repr(spectrum)
     assert repr(invertible_parametric(op, again)) == repr(verdict)
-    assert tables == [(98, 98), (9, 9)]
-    # another step misses the memo and builds its own table
-    finer = LambdaGrid.build(2, window=1.0, step=0.125)
-    invertible_parametric(op, finer)
-    assert tables == [(98, 98), (9, 9), (17, 17)]
-    fine = (2, 0.125, 17)
-    assert list(op._class_grids)[3:] == [fine, (fine, True)]
-    # the memo lives on the operator: an equal operator builds its own, to the same answers
-    twin = InvariantOperator.build(CircleBase(2), 2, terms)
-    assert "_class_grids" not in vars(twin)
-    assert repr(invertible_parametric(twin, grid)) == repr(verdict)
-    assert repr(spectrum_parametric(twin, grid)) == repr(spectrum)
-    assert tables[3:] == [(98, 98), (9, 9)]
-    # the kept splits: one table, the unreduced and the reduced classes
-    unreduced, reduced = _class_axes(op, grid, False), _class_axes(op, grid, True)
-    assert _class_axes(op, again, True) is reduced and _class_axes(op, grid, False) is unreduced
-    assert [len(c) for c, _p in unreduced] == [9, 5] and [len(c) for c, _p in reduced] == [9, 5]
-    assert len(tables) == 5
+    assert tables[3:] == [(9, 5), (9, 5)]
+    # the operator keeps its symbol sweep and |eta| values, nothing of a grid
+    kept = set(vars(op)) - {f.name for f in dataclasses.fields(op)}
+    assert kept == {"_symbol_sweep", "_eta_norms"}
     # the directions are built once per dimension, and each |eta| once per operator
     assert parametric._sphere_directions(2) is parametric._sphere_directions(2)
     norms = vars(op)["_eta_norms"]
     invertible_parametric(op, grid, delta_dir=0.5)
     assert op._eta_norms is norms and len(norms) == 98
     assert norms == [parametric._norm(eta) for (_xi, eta), _s in op._symbol_sweep]
+
+
+def test_an_operator_keeps_nothing_of_a_grid_after_its_queries():
+    tracemalloc.start()
+    try:
+        op = InvariantOperator.shifted_laplacian(CircleBase(2), n=1, shift=1.0)
+        grid = LambdaGrid.build(1, window=8.0, step=2.0**-15)  # 524,289 points
+        spectrum_parametric(op, grid)
+        invertible_parametric(op, grid)
+        del grid
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert op._symbol_sweep
+    assert kept < 2**20
 
 
 # ---------------------------------------------------------------------------

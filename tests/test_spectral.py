@@ -443,21 +443,13 @@ def test_canonical_loops_only_over_close_runs_and_keeps_the_greedy_result():
 def test_spectrum_union_propagates_truncation():
     a = SpectrumSet.canonical([0.0], 1e-10, truncated=True)
     b = SpectrumSet.canonical([1.0], 1e-10)
-    u = a.union(b)
+    u = union_spectra((a, b))
     assert u.truncated and u.points == (0.0 + 0j, 1.0 + 0j)
-
-
-def test_spectrum_union_is_union_spectra_of_the_pair():
-    sets = [
+    # the coarser resolution merges points of both sets
+    merged = union_spectra((
         SpectrumSet.canonical([0.0, 1.0, 1.0 + 1e-7j], 1e-10),
         SpectrumSet.canonical([1.0 + 5e-8j, 2.0, -1.0j], 1e-6, truncated=True),
-        SpectrumSet.canonical([0.5, 2.0 + 1e-9j], 0.0),
-        SpectrumSet((), 1e-3, truncated=False),
-    ]
-    for a in sets:
-        for b in sets:
-            assert a.union(b) == union_spectra((a, b))
-    merged = sets[0].union(sets[1])
+    ))
     assert merged.resolution == 1e-6 and merged.truncated
     assert merged.points == (-1.0j, 0.0 + 0j, 1.0 + 0j, 2.0 + 0j)
 
