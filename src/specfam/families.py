@@ -48,6 +48,7 @@ from .models import (
     enum_prim,
     rep_apply,
 )
+from .observables import Observable, spec_union_observable
 from .spectral import DEFAULT_RESOLUTION, SpectrumSet, eig_normal
 
 _SLACK = 1e-9
@@ -59,7 +60,7 @@ class RepFamily:
 
     The members are checked against the model once, here.  What the
     queries share is kept on the family: the members' layout on its model,
-    the cover and its verdicts, and each element's member values.
+    the verdicts of its cover, and each element's member values.
     """
 
     model: FunctionModel | ToeplitzModel
@@ -97,17 +98,8 @@ class RepFamily:
         return self._memo[a]
 
     @cached_property
-    def _cover(self) -> tuple[Representation, ...]:
-        """The primitive points outside every member's support closure, in order.
-
-        The cover runs once per family: it is kept on the family, so every
-        check and query on the family reads the same one.
-        """
-        return _uncovered(self)
-
-    @cached_property
     def _checks(self) -> tuple[CheckResult, CheckResult, CheckResult]:
-        """The full, exhausting and faithful verdicts, once per family."""
+        """The full, exhausting and faithful verdicts, from one cover per family."""
         return _verdicts(self)
 
 
@@ -248,10 +240,7 @@ def _uncovered(family: RepFamily) -> tuple[Representation, ...]:
 
 def check_full(family: RepFamily) -> CheckResult:
     """Exact support cover of the enumerated primitive points."""
-    uncovered = family._cover
-    if uncovered:
-        return CheckResult(False, uncovered[0].label, "uncovered primitive point")
-    return CheckResult(True)
+    return family._checks[0]
 
 
 def _theta_radius(thetas: list[float]) -> float:
@@ -302,17 +291,18 @@ def _verdicts(family: RepFamily) -> tuple[CheckResult, CheckResult, CheckResult]
     evaluation.  On a symbol model both mean that the section ladder is a
     member, since characters annihilate the corner probe e00.
     Witnesses name the probe of the first failing point.  All three read
-    the family's one cover; queries read them through RepFamily._checks.
+    one cover; queries read them through RepFamily._checks.
     """
-    full = check_full(family)
-    if full.ok:
+    uncovered = _uncovered(family)
+    if not uncovered:
+        full = CheckResult(True)
         return full, full, full
+    first = uncovered[0]
+    full = CheckResult(False, first.label, "uncovered primitive point")
     if isinstance(family.model, ToeplitzModel):
         exhausting = CheckResult(False, "probe:e00", "pi is weakly contained in no member")
         faithful = CheckResult(False, "probe:e00", "nonzero probe annihilated by every member")
         return full, exhausting, faithful
-    uncovered = family._cover
-    first = uncovered[0]
     exhausting = CheckResult(
         False, _tent_label(first), f"{first.label} is weakly contained in no member"
     )
@@ -486,6 +476,22 @@ def spectrum_union(
     points = np.concatenate([np.zeros(0), *spectra])
     truncated = any(m.kind == "toeplitz-identity" for m in family.members)
     return SpectrumSet.canonical(points, tol, truncated)
+
+
+def observable_spectrum_union(
+    family: RepFamily, a: Element, resolution: float = DEFAULT_RESOLUTION
+) -> SpectrumSet:
+    """Union of the member images' spectra through the Cayley route.
+
+    Each member image is one fiber, checked for self-adjointness; the
+    section-ladder member's image is flagged truncated, as in spectrum_union.
+    """
+    members: list = [None] * len(family.members)
+    for pos, stack in _images(family.members, a, family._layout_on(a.model)):
+        for i, image in zip(pos.tolist(), stack):
+            ladder = family.members[i].kind == "toeplitz-identity"
+            members[i] = Observable.fibered([image], truncated=ladder)
+    return spec_union_observable(members, resolution)
 
 
 @dataclass(frozen=True)

@@ -17,25 +17,21 @@ definite parameter component.  Reduction is a flag of the fiber
 builder, read from the operator's s and order, not a second operator.
 
 Every term is c . L^j . lam^alpha, so every fiber is a polynomial in the
-compact Laplacian L (a j = 0 term touches only the diagonal) and all
-fibers commute.  A grid is kept as its axis, and each query splits every
-axis into classes by the parity of the exponents the terms put on it:
-an axis with an odd exponent keeps every coordinate, any other axis
-keeps k = -half .. 0, since x and -x give bitwise-equal powers and
-squares, and an axis no term mentions is one class for unreduced fibers.
-Python's x**a is computed once per kept coordinate and exponent, nothing
-of a grid is kept on the operator, and only the product of the classes
-is assembled: its fibers are all the distinct fibers of the grid, built
-a block of nodes at a time, each block going straight into eigvalsh or
-the SVD.  A circle operator's blocks are its (m, d) diagonals, whose
-real parts are the eigenvalues and, when real, whose smallest absolute
-values are the sigma_min, with no LAPACK call; modes k and -k give equal
-columns, so spectra and real-coefficient invertibility read modes -K .. 0
-only.  A graph operator's blocks are (m, d, d) stacks; the eigenvalues of
-L give every reduced fiber's sigma_min up to rounding, so invertibility
-solves only the fibers whose bound can reach the grid's minimum.  A block
-holds a fixed number of complex entries, so memory follows the block, not
-the grid; the single-node fiber() is a view of the same builder.
+compact Laplacian L and all fibers commute.  A grid is kept as its axis,
+and nothing of it on the operator.  Each query splits every axis into
+classes of bitwise-equal coordinates by the parity of the exponents on it
+(_class_axes), and the circle into the mode classes k and -k, which share
+every L^j.  Only the product of the classes is assembled, a block of
+nodes at a time, each block going straight into eigvalsh, the SVD or the
+Cayley route.  A circle operator's blocks are its (m, K + 1) diagonals
+over modes -K .. 0, whose real parts are the eigenvalues and, when real,
+whose smallest absolute values are the sigma_min, with no LAPACK call.
+A graph operator's are (m, d, d) stacks; the eigenvalues of L give every
+reduced fiber's sigma_min up to rounding, so invertibility solves only
+the fibers whose bound can reach the grid's minimum.  A block holds a
+fixed number of complex entries, so memory follows the block, not the
+grid; fiber() is a one-node view of the same builder, mirrored back to
+every mode on a circle.
 """
 
 from __future__ import annotations
@@ -54,7 +50,8 @@ from .errors import (
     UnsupportedModel,
 )
 from .gallery import MAX_DENSE_ENTRIES
-from .spectral import SpectrumSet, _distinct
+from .observables import _fiber_points, check_self_adjoint
+from .spectral import DEFAULT_RESOLUTION, SpectrumSet, _distinct
 
 
 @dataclass(frozen=True)
@@ -224,7 +221,7 @@ def _node_blocks(axes: list[tuple], d: int, nodes=None):
         yield index, at, sum(c[i] * c[i] for c, i in zip(coords, at))
 
 
-def _fiber_chunks(op: InvariantOperator, axes, reduced=False, nodes=None, mode_classes=False):
+def _fiber_chunks(op: InvariantOperator, axes, reduced=False, nodes=None):
     """Fiber blocks over the product of per-axis coordinates, in lexicographic order.
 
     The blocks come from _node_blocks: every node of the product, or only
@@ -234,16 +231,12 @@ def _fiber_chunks(op: InvariantOperator, axes, reduced=False, nodes=None, mode_c
     term added to the diagonal only), then, when reduced, the conjugation
     D^((s - order)/2) . p-hat . D^(-s/2) with D = 1 + |lam|^2 + L.  The
     Laplacian powers and its eigenbasis are computed once per call.  A
-    circle operator yields its (m, d) diagonals, a graph operator (m, d, d)
-    stacks; _as_matrices expands the former.  With mode_classes a circle
-    yields only the columns of modes -K .. 0: k and -k share every L^j, so
-    those are its distinct columns, each first in its class.  A block holds
-    as many nodes either way.
+    circle operator yields (m, K + 1) diagonals over modes -K .. 0, the
+    first of each class k, -k; a graph operator (m, d, d) stacks.
     """
     d = op.base.dim
     circle = isinstance(op.base, CircleBase)
-    lap = op.base.laplacian_diagonal() if circle else op.base.laplacian()
-    lap = lap[: op.base.cutoff + 1] if circle and mode_classes else lap
+    lap = op.base.laplacian_diagonal()[: op.base.cutoff + 1] if circle else op.base.laplacian()
     lap_pow = {j: lap**j if circle else np.linalg.matrix_power(lap, j) for (j, _a), _c in op.terms}
     if reduced:
         s, order = op.s, float(op.order)
@@ -299,7 +292,9 @@ def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
     lam = tuple(float(x) for x in (lam if np.iterable(lam) else (lam,)))
     if len(lam) != op.n:
         raise IncompatibleQuery(f"parameter must have {op.n} components, got {len(lam)}")
-    return _as_matrices(next(_fiber_chunks(op, _power_axes(op, [(x,) for x in lam]), reduced)))[0]
+    f = next(_fiber_chunks(op, _power_axes(op, [(x,) for x in lam]), reduced))
+    # a circle's modes 1 .. K are the columns of modes -1 .. -K, mirrored
+    return _as_matrices(np.concatenate([f, f[:, -2::-1]], axis=1) if f.ndim == 2 else f)[0]
 
 
 @dataclass(frozen=True)
@@ -334,13 +329,6 @@ class LambdaGrid:
     @classmethod
     def build(cls, n: int, window: float, step: float) -> "LambdaGrid":
         return cls(int(n), float(window), float(step))
-
-
-def _first_columns(keys: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct column of an int array."""
-    order = np.lexsort(keys)  # stable: each run of equal columns starts at its first index
-    runs = keys[:, order]
-    return np.sort(order[np.concatenate(([True], (runs[:, 1:] != runs[:, :-1]).any(axis=0)))])
 
 
 def _class_axes(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> list[tuple]:
@@ -447,7 +435,8 @@ def _lattice_directions(dim: int) -> list[tuple]:
     """
     g = np.indices((5,) * dim).reshape(dim, -1).T - 2
     g = g[(g != 0).any(axis=1)]
-    g = g[_first_columns((g // np.gcd.reduce(g, axis=1)[:, None]).T)]
+    prim = g // np.gcd.reduce(g, axis=1)[:, None]  # return_index sorts stably: first rows
+    g = g[np.sort(np.unique(prim, axis=0, return_index=True)[1])]
     return [tuple(v) for v in (g / np.sqrt((g * g).sum(axis=1))[:, None]).tolist()]
 
 
@@ -469,9 +458,9 @@ def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
 
     Per direction, the top terms in term order as (coeff * xi^(2j)) * eta^alpha
     times I.  A graph has no cotangent xi: there the term is
-    (coeff * eta^alpha) times the Laplacian power.  Like the fibers, a
-    circle operator gives (m, d) diagonals, a graph operator an (m, d, d)
-    stack.
+    (coeff * eta^alpha) times the Laplacian power.  A circle operator
+    gives (m, d) diagonals, whose columns are all equal, a graph operator
+    an (m, d, d) stack.
     """
     d = op.base.dim
     graph = isinstance(op.base, GraphBase)
@@ -514,6 +503,12 @@ def _check_elliptic(op: InvariantOperator):
             )
 
 
+def _fiber_spectrum(op: InvariantOperator, grid: LambdaGrid, points, tol: float) -> SpectrumSet:
+    """The canonical set of points(block) over the grid's unreduced class fibers; truncated."""
+    parts = [points(block) for block in _fiber_chunks(op, _class_axes(op, grid, False))]
+    return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
+
+
 def spectrum_parametric(
     op: InvariantOperator, grid: LambdaGrid, tol: float = 1e-9
 ) -> SpectrumSet:
@@ -526,13 +521,23 @@ def spectrum_parametric(
     """
     _check_selfadjoint(op)
     _check_elliptic(op)
-    axes = _class_axes(op, grid, False)
-    # eigvalsh reads only the real part of a Hermitian diagonal
-    parts = [
-        _distinct((chunk.real if chunk.ndim == 2 else np.linalg.eigvalsh(chunk)).ravel())
-        for chunk in _fiber_chunks(op, axes, mode_classes=True)
-    ]
-    return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
+
+    def points(block):  # eigvalsh reads only the real part of a Hermitian diagonal
+        return _distinct((block.real if block.ndim == 2 else np.linalg.eigvalsh(block)).ravel())
+
+    return _fiber_spectrum(op, grid, points, tol)
+
+
+def observable_spectrum_parametric(
+    op: InvariantOperator, grid: LambdaGrid, resolution: float = DEFAULT_RESOLUTION
+) -> SpectrumSet:
+    """Spectrum of the unreduced fibers over the grid by the Cayley route; always truncated."""
+
+    def points(block):
+        check_self_adjoint(block)
+        return _fiber_points(block, resolution)[0]
+
+    return _fiber_spectrum(op, grid, points, resolution)
 
 
 @dataclass(frozen=True)
@@ -567,9 +572,8 @@ def invertible_parametric(
         )
     axes = _class_axes(op, grid, True)
     nodes = _candidates(op, axes)
-    real = all(c.imag == 0 for _ja, c in op.terms)  # a complex diagonal's SVD reads every mode
     worst, min_sigma, start = None, np.inf, 0
-    for chunk in _fiber_chunks(op, axes, True, nodes, mode_classes=real):
+    for chunk in _fiber_chunks(op, axes, True, nodes):
         sigmas = _sigma_min(chunk)
         i = int(np.argmin(sigmas))
         # strict <: a tie with an earlier block keeps the earlier node
@@ -619,10 +623,10 @@ def symbol_restriction_check(op: InvariantOperator) -> RestrictionCheck:
     k = op.base.cutoff
     if k < 2:
         raise CutoffTooSmall("the restriction check needs a mode cutoff of at least 2")
-    top = 2 * k  # index of mode +K
     # the product of these axes is lam = 0, then lam = e1
     axes = _power_axes(op, [(0.0, 1.0)] + [(0.0,)] * (op.n - 1))
     f = np.concatenate(list(_fiber_chunks(op, axes)))
-    c0, c1 = (float(x.real) / float(k**op.order) for x in f[:, top])
+    # mode +K from column 0, mode -K, which is bitwise equal to it
+    c0, c1 = (float(x.real) / float(k**op.order) for x in f[:, 0])
     tolerance = (abs(c0) + abs(c1) + 1e-9) / k
     return RestrictionCheck(abs(c0 - c1) <= tolerance, c0, c1, tolerance)

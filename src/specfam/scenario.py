@@ -29,6 +29,7 @@ from .families import (
     fredholm_via_family,
     invertible_via_family,
     norm_via_family,
+    observable_spectrum_union,
     spectrum_union,
 )
 from .gallery import MAX_DENSE_ENTRIES, build_family, build_model
@@ -37,29 +38,21 @@ from .models import (
     FunctionModel,
     ToeplitzElement,
     ToeplitzModel,
-    _images,
     elem_norm,
 )
-from .observables import (
-    Observable,
-    _fiber_points,
-    check_self_adjoint,
-    spec_observable,
-    spec_union_observable,
-)
+from .observables import Observable, spec_observable
 from .parametric import (
     CircleBase,
     GraphBase,
     InvariantOperator,
     LambdaGrid,
-    _class_axes,
     _fiber_bound,
-    _fiber_chunks,
     invertible_parametric,
+    observable_spectrum_parametric,
     spectrum_parametric,
     symbol_restriction_check,
 )
-from .spectral import DEFAULT_RESOLUTION, SpectrumSet, _distinct
+from .spectral import DEFAULT_RESOLUTION
 
 SCENARIO_VERSION = 1
 REPORT_VERSION = "0.1.0"
@@ -651,19 +644,10 @@ def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:
         return spec_observable(Observable.infinite(), tol).as_dict()
     if _get(q.params, "operator") is not None:
         op = _ref(scenario, q, "operator")
-        parts = []
-        for block in _fiber_chunks(op, _class_axes(op, _q_grid(q, op), False)):
-            check_self_adjoint(block)
-            parts.append(_fiber_points(block, tol)[0])
-        return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True).as_dict()
+        return observable_spectrum_parametric(op, _q_grid(q, op), tol).as_dict()
     a = _ref(scenario, q, "element")
     fam = _ref(scenario, q, "family")
-    members: list = [None] * len(fam.members)
-    for pos, stack in _images(fam.members, a, fam._layout_on(a.model)):
-        for i, image in zip(pos.tolist(), stack):
-            ladder = fam.members[i].kind == "toeplitz-identity"
-            members[i] = Observable.fibered([image], truncated=ladder)
-    return spec_union_observable(members, tol).as_dict()
+    return observable_spectrum_union(fam, a, tol).as_dict()
 
 
 _RUNNERS = {

@@ -1,7 +1,9 @@
 """Cayley route: unitarity, round trips, the infinite fiber, member unions."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from specfam.observables import (
     spec_observable,
     spec_union_observable,
 )
-from specfam import parametric
+from specfam import parametric, scenario
 from specfam.parametric import (
     CircleBase,
     InvariantOperator,
@@ -28,6 +30,7 @@ from specfam.parametric import (
     _as_matrices,
     _class_axes,
     _fiber_chunks,
+    observable_spectrum_parametric,
 )
 from specfam.scenario import parse_scenario, run_scenario
 from specfam.spectral import _distinct, eig_normal
@@ -345,16 +348,39 @@ def test_operator_route_report_stays_one_float_array():
     assert peak <= 16 * 2**20
 
 
-def _dense_route(op, window, step, resolution):
-    """The operator route as it was before circle diagonals were read
-    directly: every block expanded to dense fibers, checked and solved by
-    eigvalsh.  The reference for the diagonal route."""
+def _full_mode_blocks(op, grid):
+    """The unreduced circle diagonals over all 2K + 1 modes, one block per
+    block of class nodes, with the arithmetic of the block builder: per node,
+    coeff * lam^alpha * k^(2j) summed in term order, a j = 0 term added as
+    it is.  The builder kept all modes before it kept modes -K .. 0 only."""
+    axes = _class_axes(op, grid, False)
+    lap = op.base.laplacian_diagonal()
+    assert len(lap) == op.base.dim
+    for _index, at, _lam_sq in parametric._node_blocks(axes, op.base.dim):
+        acc = np.zeros((len(at[0]), op.base.dim), dtype=complex)
+        for (j, alpha), coeff in op.terms:
+            term = coeff * parametric._monomial(axes, at, alpha)
+            acc += term[:, None] * lap**j if j else term[:, None]
+        yield acc
+
+
+def _full_mode_route(op, window, step, resolution, dense=False):
+    """The operator route over all 2K + 1 modes, as it was before the
+    blocks held modes -K .. 0 only: every block checked and its points kept,
+    as diagonals or, when dense, expanded to dense fibers and solved by
+    eigvalsh.  The references for the route."""
     grid = LambdaGrid.build(op.n, window, step)
     parts = []
-    for block in map(_as_matrices, _fiber_chunks(op, _class_axes(op, grid, False))):
+    for block in _full_mode_blocks(op, grid):
+        block = _as_matrices(block) if dense else block
         check_self_adjoint(block)
         parts.append(_fiber_points(block, resolution)[0])
     return SpectrumSet.canonical(_distinct(np.concatenate(parts)), resolution, truncated=True)
+
+
+def _dense_route(op, window, step, resolution):
+    """The operator route before circle diagonals were read directly."""
+    return _full_mode_route(op, window, step, resolution, dense=True)
 
 
 def _scenario_route(op, window, step, resolution):
@@ -426,10 +452,60 @@ def test_circle_route_refuses_a_non_self_adjoint_operator_as_the_dense_path():
     op = InvariantOperator.build(CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0 + 1e-6j})
     with pytest.raises(NotSelfAdjoint) as want:
         _dense_route(op, 2.0, 1 / 8, 1e-9)
-    with pytest.raises(NotSelfAdjoint) as got:
-        _scenario_route(op, 2.0, 1 / 8, 1e-9)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("fiber is not self-adjoint (asymmetry ")
+    routes = (
+        lambda: _scenario_route(op, 2.0, 1 / 8, 1e-9),
+        lambda: _full_mode_route(op, 2.0, 1 / 8, 1e-9),
+        lambda: observable_spectrum_parametric(op, LambdaGrid.build(1, 2.0, 1 / 8), 1e-9),
+    )
+    for route in routes:
+        with pytest.raises(NotSelfAdjoint) as got:
+            route()
+        assert str(got.value) == str(want.value)
+    assert str(want.value).startswith("fiber is not self-adjoint (asymmetry ")
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _route_cases()])
+def test_circle_route_over_modes_minus_k_to_0_equals_the_full_mode_route(case):
+    # modes k and -k give bitwise-equal columns, and dropping one of two
+    # equal points changes no gap the merge and cut tests read
+    _name, op, window, step, resolution = next(c for c in _route_cases() if c[0] == case)
+    grid = LambdaGrid.build(op.n, window, step)
+    k = op.base.cutoff
+    classes = list(_fiber_chunks(op, _class_axes(op, grid, False)))
+    full = list(_full_mode_blocks(op, grid))
+    assert [b.shape for b in classes] == [(len(f), k + 1) for f in full]
+    for c, f in zip(classes, full):
+        assert c.tobytes() == f[:, : k + 1].tobytes()
+        assert f[:, k:].tobytes() == f[:, k::-1].tobytes()
+    want = _full_mode_route(op, window, step, resolution).as_dict()
+    for got in (
+        observable_spectrum_parametric(op, grid, resolution).as_dict(),
+        _scenario_route(op, window, step, resolution),
+    ):
+        assert got["points"].tobytes() == want["points"].tobytes() and len(got["points"])
+        assert (got["resolution"], got["truncated"]) == (want["resolution"], want["truncated"])
+    want = want["points"]
+    if case == "exact zero fibers":
+        assert (want == 0.0).any()
+    if case == "merges and cuts":
+        # some fibers hold two distinct points within the merge radius on the
+        # circle, and points above about 2 / resolution are cut
+        lam = np.sort(np.concatenate(full).real, axis=1)
+        gaps = np.abs(np.diff((lam + 1j) / (lam - 1j), axis=1))
+        assert ((gaps > 0) & (gaps <= 2 * resolution)).any(axis=1).sum() > 1
+        assert want[-1] < 2.0 / resolution < lam.max()
+
+
+def test_the_runner_imports_no_private_fiber_helper():
+    source = Path(scenario.__file__).read_text()
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    helpers = {"_class_axes", "_fiber_chunks", "_fiber_points", "check_self_adjoint", "_images", "_distinct"}
+    assert "observable_spectrum_parametric" in imported and not imported & helpers
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e-150])

@@ -193,11 +193,14 @@ def test_fiber_blocks_equal_the_per_node_reference(kind, n, reduced, step):
     op = _random_operator(rng, base, n)
     grid = LambdaGrid.build(n, window=3 * step, step=step)
     nodes = grid_nodes(grid)
-    blocks = list(_fiber_chunks(op, full_axes(op, grid), reduced))
-    assert all(b.ndim == (2 if kind == "circle" else 3) for b in blocks)
+    got = np.concatenate(list(_fiber_chunks(op, full_axes(op, grid), reduced)))
     want = np.stack([_ref_fiber(op, lam, reduced) for lam in nodes])
-    assert np.array_equal(parametric._as_matrices(np.concatenate(blocks)), want)
-    for lam in nodes[:: max(1, len(nodes) // 5)]:
+    if kind == "circle":  # the diagonals over modes -K .. 0, the first of each class
+        k = base.cutoff
+        assert got.shape == (len(nodes), k + 1)
+        want = want[:, : k + 1, : k + 1]
+    assert np.array_equal(parametric._as_matrices(got), want)
+    for lam in nodes[:: max(1, len(nodes) // 5)]:  # fiber() mirrors them to every mode
         assert np.array_equal(fiber(op, lam, reduced), _ref_fiber(op, lam, reduced))
 
 
@@ -266,9 +269,9 @@ def test_diagonal_fibers_equal_the_lapack_path(n, reduced):
     for zero_at in zeros:
         op = _real_circle_operator(rng, n, zero_at)
         blocks = list(_fiber_chunks(op, full_axes(op, grid), reduced))
-        assert all(b.ndim == 2 for b in blocks)
+        assert all(b.shape[1:] == (4,) for b in blocks)  # modes -3 .. 0
         dense = np.stack([_ref_fiber(op, lam, reduced) for lam in nodes])
-        assert np.array_equal(parametric._as_matrices(np.concatenate(blocks)), dense)
+        assert np.array_equal(parametric._as_matrices(np.concatenate(blocks)), dense[:, :4, :4])
         # LAPACK on the dense reference fibers, every node solved
         sigmas = np.linalg.svd(
             np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False
@@ -318,8 +321,8 @@ def test_one_operator_sweeps_its_principal_symbol_once(monkeypatch):
     )
     invertible_parametric(complex_coeff, grid)
     invertible_parametric(complex_coeff, grid)
-    # one symbol sweep, then the 5 fiber classes per query
-    assert svd == [(64, 7, 7), (5, 7, 7), (5, 7, 7)]
+    # one symbol sweep, then the 5 fiber classes per query, over modes -3 .. 0
+    assert svd == [(64, 7, 7), (5, 4, 4), (5, 4, 4)]
     # a real circle operator's symbols and fibers are real diagonals: no SVD at
     # all, and its spectrum and invertibility queries share one sweep
     svd.clear()
@@ -361,10 +364,10 @@ def test_only_real_diagonal_fibers_skip_lapack(monkeypatch):
         CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0, (0, (0,)): 1.0 + 0.5j}
     )
     graph = InvariantOperator.shifted_laplacian(path_graph(4), n=1, shift=1.0)
-    for op in (complex_coeff, graph):
+    for op in (complex_coeff, graph):  # modes -3 .. 0 of the circle, the 4 path vertices
         svd.clear()
         invertible_parametric(op, grid)
-        assert fiber_stacks() == [(classes, op.base.dim, op.base.dim)]
+        assert fiber_stacks() == [(classes, 4, 4)]
     # a circle spectrum reads its diagonals' real parts: only graphs reach eigvalsh
     eigvalsh.clear()
     with pytest.raises(NotSelfAdjoint):
@@ -555,31 +558,14 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
 @pytest.mark.parametrize("n", [1, 2])
 def test_circle_mode_classes_answer_equal_every_mode_bitwise(monkeypatch, n, odd):
     # modes k and -k share every L^j, so their columns are bitwise equal and
-    # the modes -K .. 0 hold every distinct one; spectrum_parametric and the
-    # real-coefficient invertible_parametric build only those
+    # the modes -K .. 0 hold every distinct one; the block builder yields
+    # only those, and both queries answer as the full-mode reference does:
+    # every node's dense fiber over all 2K + 1 modes, solved by LAPACK
     base = CircleBase(5)
     k = base.cutoff
     monkeypatch.setattr(parametric, "_CHUNK_ENTRIES", 7 * base.dim**2)
     grid = LambdaGrid.build(n, window=1.0, step={1: 1 / 16, 2: 0.25}[n])
-    full = parametric._fiber_chunks
-
-    def run(op, mode_classes: bool | None) -> tuple:
-        """Both answers, with the classes as the code picks them (None) or forced."""
-        picked = []
-
-        def chunks(*args, **kwargs):
-            picked.append(kwargs.get("mode_classes", False))
-            if mode_classes is not None:
-                kwargs["mode_classes"] = mode_classes
-            return full(*args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(parametric, "_fiber_chunks", chunks)
-            verdict = invertible_parametric(op, grid, tol=np.inf)
-            if not any(c.imag for _ja, c in op.terms):
-                return verdict, repr(spectrum_parametric(op, grid, tol=1e-9)), picked
-        return verdict, None, picked
-
+    nodes = grid_nodes(grid)
     # mode 0 vanishes exactly at lam = (1/2, 0, ..), and when even at its mirror images too
     zero = {(2, (0,) * n): 1 / 4, (1, (0,) * n): 1.0, (0, (0,) * n): -1 / 16 - (1 / 8 if odd else 0)}
     zero.update({(0, tuple(4 if j == i else 0 for j in range(n))): 1.0 for i in range(n)})
@@ -594,19 +580,46 @@ def test_circle_mode_classes_answer_equal_every_mode_bitwise(monkeypatch, n, odd
     for op in ops:
         for reduced in (False, True):
             axes = _class_axes(op, grid, reduced)
-            every = np.concatenate(list(_fiber_chunks(op, axes, reduced)))
-            classes = np.concatenate(list(_fiber_chunks(op, axes, reduced, mode_classes=True)))
+            classes = np.concatenate(list(_fiber_chunks(op, axes, reduced)))
+            at = itertools.product(*(coords for coords, _powers in axes))
+            every = np.stack([np.diagonal(_ref_fiber(op, lam, reduced)) for lam in at])
             assert classes.shape == (len(every), k + 1)
-            assert classes.tobytes() == every[:, : k + 1].tobytes()
+            assert np.array_equal(classes, every[:, : k + 1])
             assert every[:, k:].tobytes() == every[:, k::-1].tobytes()
-        verdict, spectrum, picked = run(op, None)
-        hermitian = spectrum is not None
-        assert picked == ([True, True] if hermitian else [False])
-        want, want_spectrum, _picked = run(op, False)
-        assert (repr(vars(verdict)), spectrum) == (repr(vars(want)), want_spectrum)
+        sigmas = np.linalg.svd(
+            np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False
+        )[:, -1]
+        verdict = invertible_parametric(op, grid, tol=np.inf)
+        assert verdict.min_sigma == float(sigmas.min())
+        assert verdict.failing_lambda == nodes[int(np.argmin(sigmas))]
+        if not any(c.imag for _ja, c in op.terms):
+            eigs = np.linalg.eigvalsh(np.stack([_ref_fiber(op, lam, False) for lam in nodes]))
+            want = SpectrumSet.canonical(_distinct(eigs.ravel()), 1e-9, truncated=True)
+            assert repr(spectrum_parametric(op, grid, tol=1e-9)) == repr(want)
         if op is ops[0]:
             first = (0.5 if odd else -0.5,) + (0.0,) * (n - 1)  # even: +-1/2 tie
             assert verdict.min_sigma == 0.0 and verdict.failing_lambda == first
+
+
+@pytest.mark.parametrize("cutoff", [3, 100])
+def test_complex_circle_invertibility_equals_the_full_mode_svd_bitwise(cutoff):
+    # complex diagonals reach the SVD over modes -K .. 0 only.  At K = 100
+    # the 201-mode SVD of the reference runs LAPACK's blocked
+    # bidiagonalization and the 101-column class SVD does not; the smallest
+    # singular value of a diagonal is still bitwise the same.
+    grid = LambdaGrid.build(1, window=1.0, step=1 / 8)
+    nodes = grid_nodes(grid)
+    rng = np.random.default_rng([2700, cutoff])
+    for odd in (False, True):
+        for _ in range(2):
+            op = _class_test_operator(rng, CircleBase(cutoff), 1, odd, False, s=1.5)
+            assert any(c.imag for _ja, c in op.terms)
+            sigmas = np.linalg.svd(
+                np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False
+            )[:, -1]
+            v = invertible_parametric(op, grid, tol=np.inf)
+            assert np.array_equal(v.min_sigma, sigmas.min())
+            assert v.failing_lambda == nodes[int(np.argmin(sigmas))]
 
 
 def test_a_grid_builds_each_power_table_once_for_all_its_directions():
