@@ -60,7 +60,7 @@ class RepFamily:
 
     The members are checked against the model once, here.  What the
     queries share is kept on the family: the members' layout on its model,
-    the verdicts of its cover, and each element's member values.
+    the cover and its verdicts, and each element's member values.
     """
 
     model: FunctionModel | ToeplitzModel
@@ -98,8 +98,17 @@ class RepFamily:
         return self._memo[a]
 
     @cached_property
+    def _cover(self) -> tuple[Representation, ...]:
+        """The primitive points outside every member's support closure, in order.
+
+        The cover runs once per family: it is kept on the family, so every
+        check and query on the family reads the same one.
+        """
+        return _uncovered(self)
+
+    @cached_property
     def _checks(self) -> tuple[CheckResult, CheckResult, CheckResult]:
-        """The full, exhausting and faithful verdicts, from one cover per family."""
+        """The full, exhausting and faithful verdicts, once per family."""
         return _verdicts(self)
 
 
@@ -240,7 +249,10 @@ def _uncovered(family: RepFamily) -> tuple[Representation, ...]:
 
 def check_full(family: RepFamily) -> CheckResult:
     """Exact support cover of the enumerated primitive points."""
-    return family._checks[0]
+    uncovered = family._cover
+    if uncovered:
+        return CheckResult(False, uncovered[0].label, "uncovered primitive point")
+    return CheckResult(True)
 
 
 def _theta_radius(thetas: list[float]) -> float:
@@ -291,18 +303,17 @@ def _verdicts(family: RepFamily) -> tuple[CheckResult, CheckResult, CheckResult]
     evaluation.  On a symbol model both mean that the section ladder is a
     member, since characters annihilate the corner probe e00.
     Witnesses name the probe of the first failing point.  All three read
-    one cover; queries read them through RepFamily._checks.
+    the family's one cover; queries read them through RepFamily._checks.
     """
-    uncovered = _uncovered(family)
-    if not uncovered:
-        full = CheckResult(True)
+    full = check_full(family)
+    if full.ok:
         return full, full, full
-    first = uncovered[0]
-    full = CheckResult(False, first.label, "uncovered primitive point")
     if isinstance(family.model, ToeplitzModel):
         exhausting = CheckResult(False, "probe:e00", "pi is weakly contained in no member")
         faithful = CheckResult(False, "probe:e00", "nonzero probe annihilated by every member")
         return full, exhausting, faithful
+    uncovered = family._cover
+    first = uncovered[0]
     exhausting = CheckResult(
         False, _tent_label(first), f"{first.label} is weakly contained in no member"
     )
@@ -481,11 +492,7 @@ def spectrum_union(
 def observable_spectrum_union(
     family: RepFamily, a: Element, resolution: float = DEFAULT_RESOLUTION
 ) -> SpectrumSet:
-    """Union of the member images' spectra through the Cayley route.
-
-    Each member image is one fiber, checked for self-adjointness; the
-    section-ladder member's image is flagged truncated, as in spectrum_union.
-    """
+    """Union of the member images' spectra by the Cayley route; the ladder's is truncated."""
     members: list = [None] * len(family.members)
     for pos, stack in _images(family.members, a, family._layout_on(a.model)):
         for i, image in zip(pos.tolist(), stack):

@@ -503,12 +503,6 @@ def _check_elliptic(op: InvariantOperator):
             )
 
 
-def _fiber_spectrum(op: InvariantOperator, grid: LambdaGrid, points, tol: float) -> SpectrumSet:
-    """The canonical set of points(block) over the grid's unreduced class fibers; truncated."""
-    parts = [points(block) for block in _fiber_chunks(op, _class_axes(op, grid, False))]
-    return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
-
-
 def spectrum_parametric(
     op: InvariantOperator, grid: LambdaGrid, tol: float = 1e-9
 ) -> SpectrumSet:
@@ -521,23 +515,23 @@ def spectrum_parametric(
     """
     _check_selfadjoint(op)
     _check_elliptic(op)
-
-    def points(block):  # eigvalsh reads only the real part of a Hermitian diagonal
-        return _distinct((block.real if block.ndim == 2 else np.linalg.eigvalsh(block)).ravel())
-
-    return _fiber_spectrum(op, grid, points, tol)
+    # eigvalsh reads only the real part of a Hermitian diagonal
+    parts = [
+        _distinct((chunk.real if chunk.ndim == 2 else np.linalg.eigvalsh(chunk)).ravel())
+        for chunk in _fiber_chunks(op, _class_axes(op, grid, False))
+    ]
+    return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
 
 
 def observable_spectrum_parametric(
     op: InvariantOperator, grid: LambdaGrid, resolution: float = DEFAULT_RESOLUTION
 ) -> SpectrumSet:
     """Spectrum of the unreduced fibers over the grid by the Cayley route; always truncated."""
-
-    def points(block):
-        check_self_adjoint(block)
-        return _fiber_points(block, resolution)[0]
-
-    return _fiber_spectrum(op, grid, points, resolution)
+    parts = []
+    for chunk in _fiber_chunks(op, _class_axes(op, grid, False)):
+        check_self_adjoint(chunk)
+        parts.append(_fiber_points(chunk, resolution)[0])
+    return SpectrumSet.canonical(_distinct(np.concatenate(parts)), resolution, truncated=True)
 
 
 @dataclass(frozen=True)

@@ -557,8 +557,7 @@ queries:
 
 def test_invertible_query_takes_one_image_pass_and_one_cover(monkeypatch):
     # the verdict makes one image pass and one cover; direct_invertible
-    # reads values_at on its own grid and makes no member image.  The
-    # verdicts of the cover are kept on the family, the cover itself is not
+    # reads values_at on its own grid and makes no member image
     calls = []
 
     def counting(name, fn):
@@ -570,13 +569,9 @@ def test_invertible_query_takes_one_image_pass_and_one_cover(monkeypatch):
     for name in ("_images", "_uncovered", "check_full"):
         fn = getattr(specfam.families, name)
         monkeypatch.setattr(specfam.families, name, counting(name, fn))
-    scenario = parse_scenario(_SEVEN_BOUNDS)
-    (result,) = run_scenario(scenario)["results"]
+    (result,) = run_scenario(parse_scenario(_SEVEN_BOUNDS))["results"]
     assert len(result["result"]["faithful_route"]) == 7
-    assert sorted(calls) == ["_images", "_uncovered"]
-    fam = scenario.families["all"]
-    assert check_full(fam) is fam._checks[0] and calls.count("_uncovered") == 1
-    assert "_cover" not in vars(fam)
+    assert sorted(calls) == ["_images", "_uncovered", "check_full"]
 
 
 _TOEPLITZ_SCN = Path(__file__).resolve().parent.parent / "scenarios" / "toeplitz-fredholm.scn"
@@ -961,11 +956,8 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
     shapes = [(1, 1, 1), (2, 1, 1), (16, 2, 2), (16, 2, 2), (17, 2, 2), (33, 2, 2)]
     assert sorted(c for c in calls if c[0] == "svd") == [("svd", shape) for shape in shapes]
     assert ("acting",) not in calls  # the families checked their members when built
-    # one cover per family; the queries read its verdicts, not check_full
-    assert sorted(c for c in calls if c[0] == "_uncovered") == [
-        ("_uncovered", f) for f in ("all", "dropped", "sparse")
-    ]
-    assert not [c for c in calls if c[0] == "check_full"]
+    for name in ("_uncovered", "check_full"):
+        assert sorted(c for c in calls if c[0] == name) == [(name, f) for f in ("all", "dropped", "sparse")]
     assert ("prims",) not in calls  # built once per model, while parsing
 
     scenario = parse_scenario(_CERTIFY_SCN.replace("prim-all", "eval-grid"))

@@ -554,6 +554,37 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
             assert repr(spectrum_parametric(op, grid, tol=1e-9)) == repr(want)
 
 
+def _ref_verdicts(op: InvariantOperator, grid: LambdaGrid) -> list[tuple]:
+    """(settings, verdict) of invertible_parametric from full-mode dense matrices and LAPACK.
+
+    Every node's reduced fiber and every swept direction's principal symbol
+    over all 2K + 1 modes, at the default margins and at tol = delta_sym =
+    inf, where the verdict names both failures.
+    """
+    nodes = grid_nodes(grid)
+    sigmas = np.linalg.svd(
+        np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False
+    )[:, -1]
+    dirs = parametric._sphere_directions(op.n)
+    dirs = [(xi, eta) for xi, eta in dirs if np.sqrt(sum(x * x for x in eta)) >= 0.1]
+    symbols = np.linalg.svd(
+        np.stack([_ref_principal_symbol(op, xi, eta) for xi, eta in dirs]), compute_uv=False
+    )[:, -1]
+    i, j = int(np.argmin(sigmas)), int(np.argmin(symbols))
+    out = []
+    for tol, delta_sym in ((1e-9, 1e-6), (np.inf, np.inf)):
+        fib_ok, sym_ok = bool(sigmas[i] > tol), bool(symbols[j] >= delta_sym)
+        xi, eta = dirs[j]
+        out.append(({"tol": tol, "delta_sym": delta_sym}, parametric.ParametricVerdict(
+            invertible=fib_ok and sym_ok,
+            min_sigma=float(sigmas[i]),
+            failing_lambda=None if fib_ok else nodes[i],
+            min_symbol=float(symbols[j]),
+            failing_direction=None if sym_ok else (float(xi), *(float(x) for x in eta)),
+        )))
+    return out
+
+
 @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_circle_mode_classes_answer_equal_every_mode_bitwise(monkeypatch, n, odd):
@@ -584,14 +615,11 @@ def test_circle_mode_classes_answer_equal_every_mode_bitwise(monkeypatch, n, odd
             at = itertools.product(*(coords for coords, _powers in axes))
             every = np.stack([np.diagonal(_ref_fiber(op, lam, reduced)) for lam in at])
             assert classes.shape == (len(every), k + 1)
-            assert np.array_equal(classes, every[:, : k + 1])
+            assert classes.tobytes() == every[:, : k + 1].tobytes()
             assert every[:, k:].tobytes() == every[:, k::-1].tobytes()
-        sigmas = np.linalg.svd(
-            np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False
-        )[:, -1]
         verdict = invertible_parametric(op, grid, tol=np.inf)
-        assert verdict.min_sigma == float(sigmas.min())
-        assert verdict.failing_lambda == nodes[int(np.argmin(sigmas))]
+        for settings, want in _ref_verdicts(op, grid):
+            assert repr(vars(invertible_parametric(op, grid, **settings))) == repr(vars(want))
         if not any(c.imag for _ja, c in op.terms):
             eigs = np.linalg.eigvalsh(np.stack([_ref_fiber(op, lam, False) for lam in nodes]))
             want = SpectrumSet.canonical(_distinct(eigs.ravel()), 1e-9, truncated=True)
@@ -614,12 +642,8 @@ def test_complex_circle_invertibility_equals_the_full_mode_svd_bitwise(cutoff):
         for _ in range(2):
             op = _class_test_operator(rng, CircleBase(cutoff), 1, odd, False, s=1.5)
             assert any(c.imag for _ja, c in op.terms)
-            sigmas = np.linalg.svd(
-                np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False
-            )[:, -1]
-            v = invertible_parametric(op, grid, tol=np.inf)
-            assert np.array_equal(v.min_sigma, sigmas.min())
-            assert v.failing_lambda == nodes[int(np.argmin(sigmas))]
+            for settings, want in _ref_verdicts(op, grid):
+                assert repr(vars(invertible_parametric(op, grid, **settings))) == repr(vars(want))
 
 
 def test_a_grid_builds_each_power_table_once_for_all_its_directions():
