@@ -468,9 +468,10 @@ def spectrum_union(
     spectra: list = [()] * len(family.members)
     rest = []
     for pos, stack in stacks:
-        re, im = stack.real, stack.imag  # the adjoint test reads views: no conjugate copy
+        re = stack.real  # the adjoint test reads views: no conjugate copy
         plain = (re == re.swapaxes(1, 2)).all(axis=(1, 2)) & stack.any(axis=(1, 2))
-        plain &= (im == -im.swapaxes(1, 2)).all(axis=(1, 2))
+        if np.iscomplexobj(stack):  # a real stack's .imag would be a fresh array of zeros
+            plain &= (stack.imag == -stack.imag.swapaxes(1, 2)).all(axis=(1, 2))
         if plain.any():
             try:
                 w = np.linalg.eigh(stack if plain.all() else stack[plain])[0]  # ascending rows

@@ -544,17 +544,23 @@ class ToeplitzElement(_Reflected):
         return NormEstimate(max(norms), float(increment)), float(svals[-1][-1])
 
     def section(self, n: int) -> np.ndarray:
+        """The n x n compression: float64 when every coefficient and correction
+        entry has a zero imaginary part (-0.0 included), since T(a) + K then
+        commutes with conjugation and its SVDs and eigh run in real LAPACK;
+        complex128 otherwise."""
         n0 = self.correction.shape[0]
         if n < max(n0, 1):
             raise TruncationTooSmall(
                 f"section size {n} cannot hold the {n0}x{n0} correction"
             )
-        m = np.zeros((n, n), dtype=complex)
+        real = not (any(c.imag for c in self.coeffs) or self.correction.imag.any())
+        m = np.zeros((n, n), dtype=float if real else complex)
         for k, c in enumerate(self.coeffs, -self.offset):
             if c != 0 and abs(k) < n:
-                m.reshape(-1)[max(k * n, -k) :: n + 1][: n - abs(k)] += c  # diagonal -k, in place
+                # diagonal -k, in place; a real part adds as the complex sum's real part does
+                m.reshape(-1)[max(k * n, -k) :: n + 1][: n - abs(k)] += c.real if real else c
         if n0:
-            m[:n0, :n0] += self.correction
+            m[:n0, :n0] += self.correction.real if real else self.correction
         return m
 
     def adjoint(self) -> "ToeplitzElement":
@@ -749,7 +755,8 @@ def _images(
 
     Evaluation and block members read one values_at lookup over their
     points; a block image is its evaluation compressed to the block.
-    Characters and the section ladder are applied one member at a time.
+    Characters and the section ladder are applied one member at a time;
+    characters whose values all have zero imaginary parts give a float stack.
     layout is the members' layout on the element's model when the caller
     keeps one (a family does); without it the first member that does not
     act on the element raises.
@@ -762,8 +769,9 @@ def _images(
         image = values[ks] if block is None else values[np.ix_(ks, block, block)]
         shapes.setdefault(image.shape[-1], []).append((pos, image))
     if layout.characters:
-        chars = [[[a.symbol_at(members[i].theta)]] for i in layout.characters]
-        shapes.setdefault(1, []).append((np.array(layout.characters), np.array(chars, complex)))
+        chars = np.array([[[a.symbol_at(members[i].theta)]] for i in layout.characters], complex)
+        real = not chars.imag.any()
+        shapes.setdefault(1, []).append((np.array(layout.characters), chars.real if real else chars))
     for i in layout.ladders:
         image = a.section(max(a.section_sizes))
         shapes.setdefault(len(image), []).append((np.array([i]), image[None]))

@@ -163,13 +163,15 @@ class InvariantOperator:
         """Pairs ((xi, eta), sigma_min of the principal symbol there), from one _sigma_min.
 
         Kept on the operator: its ellipticity check and verdicts read one sweep.
+        A circle's diagonals have equal columns: one column per direction is solved.
         """
         if isinstance(self.base, GraphBase):
             etas = [(1.0,), (-1.0,)] if self.n == 1 else _lattice_directions(self.n)
             dirs = [(0.0, eta) for eta in etas]
         else:
             dirs = _sphere_directions(self.n)
-        return list(zip(dirs, _sigma_min(_principal_symbols(self, dirs))))
+        symbols = _principal_symbols(self, dirs)
+        return list(zip(dirs, _sigma_min(symbols if symbols.ndim == 3 else symbols[:, :1])))
 
     @cached_property
     def _eta_norms(self) -> list[float]:  # |eta| of each direction of _symbol_sweep

@@ -614,6 +614,92 @@ def test_self_adjoint_member_images_run_no_svd_in_spectrum_union(monkeypatch):
     assert svds(load_scenario(str(_TOEPLITZ_SCN)), "spectrum-cos") == []
 
 
+def _lapack_calls(monkeypatch) -> list:
+    """(routine, operand shape, dtype) of every np.linalg svd and eigh call, in call order."""
+    calls = []
+    for name in ("svd", "eigh"):
+        routine = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _routine=routine, **kwargs):
+            calls.append((_name, np.shape(a), np.asarray(a).dtype))
+            return _routine(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def test_real_toeplitz_elements_reach_only_real_lapack(monkeypatch):
+    model = build_model("toeplitz", theta_count=16, sections=(8, 16, 32, 64))
+    family = build_family(model, "toeplitz-all")
+    symbol = {-1: 0.5, 0: 2.0, 1: 0.5}
+    # every imaginary part is +-0.0: a real operator, decided by value
+    real = ToeplitzElement.build(
+        model, {k: complex(c, -0.0) for k, c in symbol.items()}, np.array([[0.25, -0.5], [-0.5, 1.0]])
+    )
+    hermitian = ToeplitzElement.build(model, {0: 1.0, 1: 0.3j, -1: -0.3j})
+    corrected = ToeplitzElement.build(
+        model, symbol, np.array([[0.25, 0.1 + 0.2j], [0.1 - 0.2j, 1.0]])
+    )
+    calls = _lapack_calls(monkeypatch)
+
+    def solved(x):
+        calls.clear()
+        x._section_sweep
+        spectrum_union(family, x)
+        invertible_via_family(family, x)
+        return list(calls)
+
+    got = solved(real)
+    assert [shape for _name, shape, _dtype in got] == [
+        (8, 8), (16, 16), (32, 32), (64, 64), (16, 1, 1), (1, 64, 64), (16, 1, 1)
+    ]
+    assert {dtype for _name, _shape, dtype in got} == {np.dtype(np.float64)}
+    for x in (hermitian, corrected):
+        sections = [(name, dtype) for name, shape, dtype in solved(x) if shape[-1] > 1]
+        assert sections == [("svd", np.dtype(np.complex128))] * 4 + [("eigh", np.dtype(np.complex128))]
+
+
+def test_real_sections_agree_with_the_complex_route(monkeypatch):
+    model = build_model("toeplitz", theta_count=32, sections=(64, 128, 256, 512))
+    families = [build_family(model, name) for name in ("toeplitz-pi", "toeplitz-chars", "toeplitz-all")]
+    section = ToeplitzElement.section
+
+    def answers(x):
+        est, sigma = x._section_sweep
+        return (
+            est, sigma, spectrum_union(families[0], x).values,
+            [family_report(f, (x,)) for f in families],
+            [invertible_via_family(f, x) for f in families],
+        )
+
+    rng = np.random.default_rng(2028)
+    for trial in range(5):
+        half = {j: float(c) for j, c in enumerate(rng.normal(size=int(rng.integers(1, 4))), 1)}
+        symbol = {0: float(rng.normal()) + (0.0 if trial % 2 else 3.0), **half}
+        symbol.update({-j: c for j, c in half.items()})
+        if trial == 4:  # the corner alone: singular sections, no invertible verdict
+            symbol = {}
+        corner = rng.normal(size=(int(rng.integers(1, 5)),) * 2)
+        x = ToeplitzElement.build(model, symbol, corner + corner.T)
+        assert x.section(512).dtype == float
+        est, sigma, spectrum, reports, verdicts = answers(x)
+        # the complex route: the same element with complex128 sections
+        monkeypatch.setattr(ToeplitzElement, "section", lambda x, n: section(x, n).astype(complex))
+        twin = ToeplitzElement.build(model, symbol, corner + corner.T)
+        c_est, c_sigma, c_spectrum, c_reports, c_verdicts = answers(twin)
+        monkeypatch.undo()
+        scale = 1e-12 * est.value
+        assert abs(est.value - c_est.value) <= scale and abs(est.error - c_est.error) <= scale
+        assert abs(sigma - c_sigma) <= scale
+        assert spectrum.dtype == c_spectrum.dtype == float and len(spectrum) == len(c_spectrum)
+        assert np.abs(spectrum - c_spectrum).max() <= scale
+        assert reports == c_reports
+        for v, c_v in zip(verdicts, c_verdicts):
+            assert abs(v.member_min_sigma - c_v.member_min_sigma) <= scale
+            assert v == dataclasses.replace(c_v, member_min_sigma=v.member_min_sigma)
+        assert verdicts[0].members_all_invertible == (trial != 4)
+
+
 def test_direct_check_rejects_symbol_elements():
     model = build_model("toeplitz", theta_count=8)
     with pytest.raises(UnsupportedModel):

@@ -312,12 +312,15 @@ def test_rep_apply_section_of_shift():
 
 def test_sections_equal_the_sum_of_eye_diagonals_bitwise():
     # the reference adds c * eye(n, k=-k) per coefficient; signed zeros in
-    # the coefficients must come out as the reference rounds them
+    # the coefficients must come out as the reference rounds them.  A real
+    # element (every imaginary part +-0.0) has a float64 section equal to the
+    # reference's real part; any other keeps the complex128 reference itself.
     rng = np.random.default_rng(546)
     model = toeplitz_model()
     values = [
         0.0, complex(0.75, -0.0), complex(-0.0, -1.25), complex(-0.0, 0.5), complex(-2.0, 0.0),
     ]
+    kinds = {True: 0, False: 0}
     for _ in range(60):
         offset = int(rng.integers(0, 5))
         symbol = {
@@ -325,9 +328,19 @@ def test_sections_equal_the_sum_of_eye_diagonals_bitwise():
             if rng.random() < 0.5 else complex(*rng.normal(size=2))
             for k in range(-offset, offset + 1)
         }
+        if rng.random() < 0.5:  # a real symbol whose imaginary parts are +-0.0
+            symbol = {k: complex(c.real, -0.0 if rng.random() < 0.5 else 0.0) for k, c in symbol.items()}
         n0 = int(rng.integers(0, 3))
-        correction = rng.normal(size=(n0, n0)) + 1j * rng.normal(size=(n0, n0)) if n0 else None
+        correction = None
+        if n0:
+            correction = rng.normal(size=(n0, n0)).astype(complex)
+            if rng.random() < 0.5:
+                correction += 1j * rng.normal(size=(n0, n0))
+            else:
+                correction.imag = np.where(rng.random((n0, n0)) < 0.5, -0.0, 0.0)
         x = ToeplitzElement.build(model, symbol, correction)
+        real = not any(c.imag != 0 for c in x.coeffs) and not (x.correction.imag != 0).any()
+        kinds[real] += 1
         # sizes below the symbol's width 2 * offset + 1 drop its outer diagonals
         for n in sorted({n for n in (1, 2, 3, 5, 2 * offset + 3, 17) if n >= max(n0, 1)}):
             want = np.zeros((n, n), dtype=complex)
@@ -337,7 +350,12 @@ def test_sections_equal_the_sum_of_eye_diagonals_bitwise():
                     want += c * np.eye(n, k=-k)
             if n0:
                 want[:n0, :n0] += x.correction
-            assert np.array_equal(x.section(n).view(np.int64), want.view(np.int64))
+            got = x.section(n)
+            if real:
+                want = want.real.copy()
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert min(kinds.values()) >= 15
 
 
 def test_rep_apply_truncation_too_small():
@@ -427,6 +445,29 @@ def test_section_ladder_morphism_on_buffered_interior():
         big = x.section(n + buffer) @ y.section(n + buffer)
         prod = (x * y).section(n + buffer)
         assert op_norm(big[:n, :n] - prod[:n, :n]) <= 1e-10
+
+
+def test_products_of_real_factors_keep_their_corrections_bitwise(monkeypatch):
+    # section(m) @ complex_embed casts a real section back to complex exactly,
+    # so a product's correction is the one all-complex sections give, byte for byte
+    rng = np.random.default_rng(2801)
+    model = toeplitz_model()
+
+    def draw(real):
+        k, n0 = int(rng.integers(0, 3)), int(rng.integers(0, 4))
+        symbol = {j: complex(rng.normal(), 0.0 if real else rng.normal()) for j in range(-k, k + 1)}
+        return ToeplitzElement.build(model, symbol, rng.normal(size=(n0, n0)) if n0 else None)
+
+    pairs = [(draw(rx), draw(ry)) for rx, ry in [(True, True), (True, False), (False, True)] * 6]
+    assert any(x.section(8).dtype == float for x, _y in pairs)
+
+    def corrections():
+        return [(c.shape, c.tobytes()) for c in ((x * y).correction for x, y in pairs)]
+
+    got = corrections()
+    section = ToeplitzElement.section
+    monkeypatch.setattr(ToeplitzElement, "section", lambda x, n: section(x, n).astype(complex))
+    assert corrections() == got
 
 
 def test_reps_are_contractive_on_gallery():

@@ -321,8 +321,9 @@ def test_one_operator_sweeps_its_principal_symbol_once(monkeypatch):
     )
     invertible_parametric(complex_coeff, grid)
     invertible_parametric(complex_coeff, grid)
-    # one symbol sweep, then the 5 fiber classes per query, over modes -3 .. 0
-    assert svd == [(64, 7, 7), (5, 4, 4), (5, 4, 4)]
+    # one symbol sweep over one column per direction, then the 5 fiber
+    # classes per query, over modes -3 .. 0
+    assert svd == [(64, 1, 1), (5, 4, 4), (5, 4, 4)]
     # a real circle operator's symbols and fibers are real diagonals: no SVD at
     # all, and its spectrum and invertibility queries share one sweep
     svd.clear()
@@ -644,6 +645,25 @@ def test_complex_circle_invertibility_equals_the_full_mode_svd_bitwise(cutoff):
             assert any(c.imag for _ja, c in op.terms)
             for settings, want in _ref_verdicts(op, grid):
                 assert repr(vars(invertible_parametric(op, grid, **settings))) == repr(vars(want))
+
+
+@pytest.mark.parametrize("cutoff", [3, 100])
+def test_circle_symbol_sweep_of_one_column_equals_the_full_diagonal_svd_bitwise(cutoff):
+    # a circle's principal symbol is a multiple of I, so its diagonals have
+    # equal columns: the sweep's 1 x 1 SVDs must give the smallest singular
+    # value of the whole (2K + 1)-mode diagonal, byte for byte
+    rng = np.random.default_rng([2800, cutoff])
+    for n in (1, 2):
+        for _ in range(3):
+            terms = {(1, (0,) * n): complex(*rng.normal(size=2)), (0, (0,) * n): 1.0}
+            for i in range(n):
+                terms[(0, tuple(2 if j == i else 0 for j in range(n)))] = complex(*rng.normal(size=2))
+            op = InvariantOperator.build(CircleBase(cutoff), n, terms)
+            dirs = [d for d, _smin in op._symbol_sweep]
+            symbols = parametric._principal_symbols(op, dirs)
+            assert symbols.shape == (len(dirs), 2 * cutoff + 1) and symbols.imag.any()
+            full = parametric._sigma_min(symbols)
+            assert np.array([smin for _d, smin in op._symbol_sweep]).tobytes() == full.tobytes()
 
 
 def test_a_grid_builds_each_power_table_once_for_all_its_directions():
