@@ -49,7 +49,7 @@ from .models import (
     rep_apply,
 )
 from .observables import Observable, spec_union_observable
-from .spectral import DEFAULT_RESOLUTION, SpectrumSet, eig_normal
+from .spectral import DEFAULT_RESOLUTION, SpectrumSet, eig_normal, self_adjoint
 
 _SLACK = 1e-9
 
@@ -452,7 +452,7 @@ def spectrum_union(
     a faithful certificate it is dense in it.  Each member image must be
     normal (eig_normal enforces this fiberwise).  Images equal to their
     adjoint entry for entry and not all zero are normal by construction:
-    each stack of them goes through one batched eigh.  Every other image
+    each stack of them goes through one batched eigvalsh.  Every other image
     goes through eig_normal, in member order, so the first member that is
     not normal raises.  If some member has no image, the members are
     solved one at a time, so the first that fails decides the error.  The
@@ -468,13 +468,10 @@ def spectrum_union(
     spectra: list = [()] * len(family.members)
     rest = []
     for pos, stack in stacks:
-        re = stack.real  # the adjoint test reads views: no conjugate copy
-        plain = (re == re.swapaxes(1, 2)).all(axis=(1, 2)) & stack.any(axis=(1, 2))
-        if np.iscomplexobj(stack):  # a real stack's .imag would be a fresh array of zeros
-            plain &= (stack.imag == -stack.imag.swapaxes(1, 2)).all(axis=(1, 2))
+        plain = self_adjoint(stack) & stack.any(axis=(1, 2))
         if plain.any():
             try:
-                w = np.linalg.eigh(stack if plain.all() else stack[plain])[0]  # ascending rows
+                w = np.linalg.eigvalsh(stack if plain.all() else stack[plain])  # ascending rows
             except np.linalg.LinAlgError:
                 plain[:] = False  # eig_normal below names the member
             else:

@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import IncompatibleModel, ToolkitError, TruncationTooSmall, UnsupportedModel
+from .spectral import self_adjoint
 
 _POINT_TOL = 1e-12
 _CONSTRAINT_TOL = 1e-12
@@ -532,21 +533,21 @@ class ToeplitzElement(_Reflected):
     def _section_sweep(self) -> tuple[NormEstimate, float]:
         """Ladder norm estimate plus the top section's smallest singular value.
 
-        One SVD per section size serves both numbers, and the sweep runs
-        once per element: the result is kept on the element, so the norm,
-        the ladder member's image values and the invertibility routes all
-        read the same sweep.
+        One solve per section size serves both numbers: eigvalsh's |eigenvalues|
+        for a section equal to its adjoint entry for entry, an SVD otherwise.  The
+        sweep runs once per element and is kept on it, so the norm, the ladder
+        member's image values and the invertibility routes all read the same sweep.
         """
-        sizes = sorted(set(self.section_sizes))
-        svals = [np.linalg.svd(self.section(n), compute_uv=False) for n in sizes]
-        norms = [float(s[0]) for s in svals]
+        svals = [np.abs(np.linalg.eigvalsh(m)) if self_adjoint(m) else np.linalg.svd(m, compute_uv=False)
+                 for m in map(self.section, sorted(set(self.section_sizes)))]
+        norms = [float(s.max()) for s in svals]
         increment = abs(norms[-1] - norms[-2]) if len(norms) > 1 else 0.0
-        return NormEstimate(max(norms), float(increment)), float(svals[-1][-1])
+        return NormEstimate(max(norms), float(increment)), float(svals[-1].min())
 
     def section(self, n: int) -> np.ndarray:
         """The n x n compression: float64 when every coefficient and correction
         entry has a zero imaginary part (-0.0 included), since T(a) + K then
-        commutes with conjugation and its SVDs and eigh run in real LAPACK;
+        commutes with conjugation and its eigvalsh or SVDs run in real LAPACK;
         complex128 otherwise."""
         n0 = self.correction.shape[0]
         if n < max(n0, 1):

@@ -75,6 +75,7 @@ class Observable:
         for f in self.fibers:
             if f is not INFINITE:
                 f = as_matrix(f)
+                f = f if f.imag.any() else f.real.copy()  # real by value, -0.0 too: real LAPACK
                 check_self_adjoint(f[None])
                 f.setflags(write=False)
             checked.append(f)

@@ -40,6 +40,13 @@ def as_matrix(entries) -> np.ndarray:
     return a
 
 
+def self_adjoint(m: np.ndarray) -> np.ndarray:
+    """Per matrix of an (..., n, n) stack: equal to its adjoint entry for entry, exactly."""
+    t = m.swapaxes(-1, -2)  # views: a real stack's .imag would be a fresh array of zeros
+    same = (m.real == t.real).all(axis=(-2, -1))
+    return same & (m.imag == -t.imag).all(axis=(-2, -1)) if np.iscomplexobj(m) else same
+
+
 def op_norm(a) -> float:
     """Operator norm (largest singular value)."""
     m = as_matrix(a)
@@ -164,9 +171,9 @@ def union_spectra(parts: Sequence[SpectrumSet], resolution: float | None = None)
     return SpectrumSet.canonical(values, res, any(s.truncated for s in parts))
 
 
-def _hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_eigensystem(h: np.ndarray, vectors: bool = True):
     try:
-        return np.linalg.eigh(h)
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
 
@@ -192,14 +199,14 @@ def normal_eigensystem(a, tol: float = DEFAULT_RESOLUTION) -> tuple[np.ndarray, 
     Raises NotNormal when ||a*a - aa*|| > tol * ||a||^2.  A matrix equal
     to its adjoint entry for entry, as the image of a self-adjoint element
     under a *-representation is, is normal by construction: it goes
-    straight to eigh and runs no SVD.
+    straight to eigh, since the callers read the vectors, and runs no SVD.
     """
     m = as_matrix(a)
     n = m.shape[0]
     if m.size == 0:
         return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
     adj = m.conj().T
-    hermitian = np.array_equal(m, adj)
+    hermitian = bool(self_adjoint(m))
     if hermitian and not m.any():
         return np.zeros(n, dtype=complex), np.eye(n, dtype=complex)
     if not hermitian:
@@ -243,7 +250,10 @@ def normal_eigensystem(a, tol: float = DEFAULT_RESOLUTION) -> tuple[np.ndarray, 
 
 def eig_normal(a, tol: float = DEFAULT_RESOLUTION) -> SpectrumSet:
     """Spectrum of a normal matrix as a SpectrumSet at resolution tol."""
-    eigs, _ = normal_eigensystem(a, tol)
+    m = as_matrix(a)
+    if m.any() and self_adjoint(m):  # no vectors are read: eigvalsh, as in spectrum_union
+        return SpectrumSet.canonical(_hermitian_eigensystem(m, vectors=False), tol)
+    eigs, _ = normal_eigensystem(m, tol)
     return SpectrumSet.canonical(eigs, tol, truncated=False)
 
 

@@ -14,6 +14,7 @@ import pytest
 import probe_oracle as oracle
 import specfam.families
 import specfam.models
+import specfam.observables
 from specfam import (
     AlgebraElement,
     BaseSpace,
@@ -37,6 +38,7 @@ from specfam import (
     hausdorff,
     invertible_via_family,
     norm_via_family,
+    observable_spectrum_union,
     rep_apply,
     spectrum_union,
     toeplitz_norm,
@@ -577,11 +579,15 @@ def test_invertible_query_takes_one_image_pass_and_one_cover(monkeypatch):
 _TOEPLITZ_SCN = Path(__file__).resolve().parent.parent / "scenarios" / "toeplitz-fredholm.scn"
 
 
-def _svd_counter(monkeypatch):
-    """svds(scenario, qid): the operand shapes of every SVD one query runs."""
+def _svd_counter(monkeypatch, names=("svd",)):
+    """svds(scenario, qid): the operand shapes of every call to the named
+    np.linalg routines (by default the SVD) that one query runs."""
     shapes = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: shapes.append(a.shape) or svd(a, *r, **k))
+    for name in names:
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, *r, _f=routine, **k: shapes.append(a.shape) or _f(a, *r, **k)
+        )
 
     def svds(scenario, qid):
         shapes.clear()
@@ -593,8 +599,9 @@ def _svd_counter(monkeypatch):
 
 
 def test_each_element_sweeps_its_section_ladder_once(monkeypatch):
-    # norm-cos asks elem_norm and the ladder member for the same sweep
-    svds = _svd_counter(monkeypatch)
+    # norm-cos asks elem_norm and the ladder member for the same sweep: one
+    # LAPACK call per section, whichever routine solves it
+    svds = _svd_counter(monkeypatch, ("svd", "eigh", "eigvalsh"))
     scenario = load_scenario(str(_TOEPLITZ_SCN))
     ladder = [(n, n) for n in scenario.model.section_sizes]
     assert svds(scenario, "norm-cos") == ladder
@@ -615,9 +622,9 @@ def test_self_adjoint_member_images_run_no_svd_in_spectrum_union(monkeypatch):
 
 
 def _lapack_calls(monkeypatch) -> list:
-    """(routine, operand shape, dtype) of every np.linalg svd and eigh call, in call order."""
+    """(routine, operand shape, dtype) of every np.linalg svd, eigh and eigvalsh call, in call order."""
     calls = []
-    for name in ("svd", "eigh"):
+    for name in ("svd", "eigh", "eigvalsh"):
         routine = getattr(np.linalg, name)
 
         def recorded(a, *args, _name=name, _routine=routine, **kwargs):
@@ -640,23 +647,29 @@ def test_real_toeplitz_elements_reach_only_real_lapack(monkeypatch):
     corrected = ToeplitzElement.build(
         model, symbol, np.array([[0.25, 0.1 + 0.2j], [0.1 - 0.2j, 1.0]])
     )
+    # c_1 = 0.5i but c_-1 = 0: its sections are not Hermitian (nor normal)
+    skew = ToeplitzElement.build(model, {0: 2.0, 1: 0.5j})
     calls = _lapack_calls(monkeypatch)
 
-    def solved(x):
+    def solved(x, spectrum=True):
         calls.clear()
         x._section_sweep
-        spectrum_union(family, x)
+        if spectrum:
+            spectrum_union(family, x)
         invertible_via_family(family, x)
         return list(calls)
 
     got = solved(real)
-    assert [shape for _name, shape, _dtype in got] == [
-        (8, 8), (16, 16), (32, 32), (64, 64), (16, 1, 1), (1, 64, 64), (16, 1, 1)
+    assert [(name, shape) for name, shape, _dtype in got] == [
+        ("eigvalsh", (8, 8)), ("eigvalsh", (16, 16)), ("eigvalsh", (32, 32)), ("eigvalsh", (64, 64)),
+        ("eigvalsh", (16, 1, 1)), ("eigvalsh", (1, 64, 64)), ("svd", (16, 1, 1)),
     ]
     assert {dtype for _name, _shape, dtype in got} == {np.dtype(np.float64)}
     for x in (hermitian, corrected):
         sections = [(name, dtype) for name, shape, dtype in solved(x) if shape[-1] > 1]
-        assert sections == [("svd", np.dtype(np.complex128))] * 4 + [("eigh", np.dtype(np.complex128))]
+        assert sections == [("eigvalsh", np.dtype(np.complex128))] * 5
+    sections = [(name, dtype) for name, shape, dtype in solved(skew, False) if shape[-1] > 1]
+    assert sections == [("svd", np.dtype(np.complex128))] * 4
 
 
 def test_real_sections_agree_with_the_complex_route(monkeypatch):
@@ -698,6 +711,95 @@ def test_real_sections_agree_with_the_complex_route(monkeypatch):
             assert abs(v.member_min_sigma - c_v.member_min_sigma) <= scale
             assert v == dataclasses.replace(c_v, member_min_sigma=v.member_min_sigma)
         assert verdicts[0].members_all_invertible == (trial != 4)
+
+
+def _svd_sweep(x):
+    """The ladder sweep with one SVD per section size, for any element."""
+    svals = [np.linalg.svd(x.section(n), compute_uv=False) for n in sorted(set(x.section_sizes))]
+    norms = [float(s[0]) for s in svals]
+    increment = abs(norms[-1] - norms[-2]) if len(norms) > 1 else 0.0
+    return max(norms), float(increment), float(svals[-1][-1])
+
+
+def test_hermitian_sweeps_agree_with_the_svd_within_the_solvers_error():
+    model = build_model("toeplitz", theta_count=16, sections=(64, 128, 256, 512))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    rng = np.random.default_rng(2029)
+    for trial in range(6):
+        dtype = float if trial % 2 else complex
+        k, c = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        half = rng.normal(size=k) + (1j * rng.normal(size=k) if dtype is complex else 0.0)
+        symbol = {0: float(rng.normal())}
+        symbol.update({j: z for j, z in enumerate(half.tolist(), 1)})
+        symbol.update({-j: np.conj(z) for j, z in enumerate(half.tolist(), 1)})
+        if trial >= 4:  # the corner alone: every section is singular
+            symbol = {}
+        corner = rng.normal(size=(c, c)) + (1j * rng.normal(size=(c, c)) if dtype is complex else 0.0)
+        x = ToeplitzElement.build(model, symbol, corner + corner.conj().T)
+        top = x.section(512)
+        assert top.dtype == dtype and np.array_equal(top, top.conj().T)
+        ref_norm, ref_increment, ref_sigma = _svd_sweep(x)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("a Hermitian section ran an SVD"))
+            patch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+            est, sigma = x._section_sweep
+        assert calls == [(n, n) for n in (64, 128, 256, 512)]
+        bound = 8 * 512 * 2.0**-53 * ref_norm  # O(n u ||A||) for both backward-stable solvers
+        assert abs(est.value - ref_norm) <= bound
+        assert abs(est.error - ref_increment) <= bound
+        assert abs(sigma - ref_sigma) <= bound
+        if trial >= 4:
+            assert ref_sigma <= bound and sigma <= bound
+
+
+def test_non_hermitian_sweeps_are_the_svd_sweep_bitwise(monkeypatch):
+    model = build_model("toeplitz", theta_count=16, sections=(8, 16, 32, 64))
+    elements = [
+        ToeplitzElement.build(model, {0: 2.0, 1: 0.7, -1: 0.1}),  # real, not symmetric
+        ToeplitzElement.build(model, {0: 1.0, 1: 0.3j, -1: 0.3j}),  # complex symmetric
+        ToeplitzElement.build(model, {0: 1.0, 1: 0.5, -1: np.nextafter(0.5, 1.0)}),  # one ulp off
+        ToeplitzElement.build(model, {1: 0.5, -1: 0.5}, np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        ToeplitzElement.build(model, {0: 1.0 + 1e-300j}),  # a diagonal off the real axis
+    ]
+    counted = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: counted.append(1))
+    for x in elements:
+        assert not np.array_equal(x.section(64), x.section(64).conj().T)
+        est, sigma = x._section_sweep
+        got = np.array([est.value, est.error, sigma])
+        assert got.tobytes() == np.array(_svd_sweep(x)).tobytes()
+    assert counted == []
+
+
+def test_observable_fibers_of_a_real_element_stay_real(monkeypatch):
+    model = build_model("toeplitz", theta_count=16, sections=(16, 32, 64))
+    family = build_family(model, "toeplitz-pi")
+    real = ToeplitzElement.build(model, {0: complex(1.0, -0.0), 1: 0.5, -1: 0.5}, np.eye(2))
+    hermitian = ToeplitzElement.build(model, {0: 1.0, 1: 0.3j, -1: -0.3j})
+    dtypes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: dtypes.append(m.dtype) or eigvalsh(m))
+    spectra = []
+    for x, want in ((real, np.float64), (hermitian, np.complex128)):
+        dtypes.clear()
+        spectra.append(observable_spectrum_union(family, x))
+        assert dtypes == [np.dtype(want)]
+    # real by value, -0.0 included; any nonzero imaginary part keeps complex128
+    fibers = specfam.observables.Observable((
+        real.section(64).astype(complex), np.array([[1.0, complex(0.5, -0.0)], [0.5, 2.0]]),
+        np.array([[1.0, 0.5j], [-0.5j, 2.0]]),
+    )).fibers
+    assert [f.dtype for f in fibers] == [np.dtype(float)] * 2 + [np.dtype(complex)]
+    # the real route against the same fiber solved in complex arithmetic
+    monkeypatch.undo()
+    top = real.section(64).astype(complex)
+    half = top / 2.0
+    want = np.sort(np.linalg.eigvalsh(half + half.conj().T))
+    got = spectra[0].values
+    assert spectra[0].truncated and got.dtype == float and len(got) == len(np.unique(want))
+    assert np.abs(got - np.unique(want)).max() <= 8 * 64 * 2.0**-53 * np.abs(want).max()
 
 
 def test_direct_check_rejects_symbol_elements():
@@ -824,7 +926,7 @@ def test_spectrum_union_is_the_union_of_member_spectra(tol):
 
 def test_spectrum_union_raises_for_the_first_non_normal_member(monkeypatch):
     # members 3 and 7 are not normal, with different commutators: member 3
-    # decides the message, also when the batched eigh gives up and every
+    # decides the message, also when the batched eigvalsh gives up and every
     # image is solved on its own in member order
     model = build_model("discrete", points=9, dim=2)
     mats = [np.diag([float(k), 1.0]) for k in range(9)]
@@ -841,12 +943,12 @@ def test_spectrum_union_raises_for_the_first_non_normal_member(monkeypatch):
         spectrum_union(fam, a)
     assert str(got.value) == str(first.value)
 
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
 
     def no_batches(m, *args, **kwargs):
         if np.ndim(m) > 2:
             raise np.linalg.LinAlgError("no batches")
-        return eigh(m, *args, **kwargs)
+        return eigvalsh(m, *args, **kwargs)
 
     # across shapes: the 2x2 block (member 1) comes before the 3x3
     # evaluation (member 2), although the 3x3 stack is the first group
@@ -864,7 +966,7 @@ def test_spectrum_union_raises_for_the_first_non_normal_member(monkeypatch):
         spectrum_union(RepFamily(split, members), b)
     assert str(got.value) == str(block.value)
 
-    monkeypatch.setattr(np.linalg, "eigh", no_batches)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_batches)
     with pytest.raises(NotNormal) as again:
         spectrum_union(fam, a)
     assert str(again.value) == str(first.value)
@@ -1018,7 +1120,9 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
             return fn(x, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, lambda m: ("eigh", m.shape[-1])))
+    for name in ("eigh", "eigvalsh"):
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, counting(routine, lambda m, n=name: (n, m.shape[-1])))
     monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, lambda m: ("svd", m.shape)))
     for name in ("_uncovered", "check_full"):
         fn = getattr(specfam.families, name)
@@ -1034,8 +1138,9 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
     scenario = parse_scenario(_CERTIFY_SCN)
     calls.clear()  # prim-all built its members from enum_prim while parsing
     run_scenario(scenario)
-    # two spectrum queries over families with 2x2 and 1x1 images
-    assert sorted(c for c in calls if c[0] == "eigh") == [("eigh", 1)] * 2 + [("eigh", 2)] * 2
+    # two spectrum queries over families with 2x2 and 1x1 images, eigenvalues only
+    assert sorted(c for c in calls if c[0] == "eigvalsh") == [("eigvalsh", 1)] * 2 + [("eigvalsh", 2)] * 2
+    assert not [c for c in calls if c[0] == "eigh"]
     # one SVD per image shape for each of (all, f) and (dropped, f), though
     # three queries read them; one direct sweep of f for both invertible
     # queries (33 midpoint-grid points); one elem_norm (17 grid points)

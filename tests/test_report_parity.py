@@ -1,5 +1,6 @@
 """tools/report_parity.py: report hashes of two source trees, scenario by scenario."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -39,6 +40,21 @@ def _fake_tree(root: Path, report: str, stderr: str = "", crash: bool = False) -
         script += "raise RuntimeError('boom')\n"
     (pkg / "cli.py").write_text(script)
     return root
+
+
+def test_each_child_runs_blas_single_threaded(tmp_path, monkeypatch):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    tree = _fake_tree(tmp_path / "tree", "")
+    (tree / "specfam" / "cli.py").write_text(
+        "import os\nprint(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])\n"
+    )
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    proc = _parity(tree, tree, scn)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    old, new, _verdict, _path = proc.stdout.split()
+    assert old == new == hashlib.sha256(b"1 1\n").hexdigest()
 
 
 def test_a_different_report_exits_1(tmp_path):

@@ -234,6 +234,19 @@ def test_self_adjoint_input_runs_no_svd(monkeypatch):
     assert len(calls) == 3  # scale, commutator, self-adjoint test
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 0.3])
+def test_eig_normal_of_self_adjoint_input_is_eigvalsh_bit_for_bit(monkeypatch, tol):
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eig_normal ran eigh"))
+    for name, h in _self_adjoint_inputs():
+        m = as_matrix(h)  # eig_normal solves in complex128, whatever the input's dtype
+        w = eigvalsh(m) if m.any() else np.zeros(len(m))  # a zero matrix needs no LAPACK
+        got, want = eig_normal(h, tol), SpectrumSet.canonical(w, tol)
+        assert got.values.tobytes() == want.values.tobytes() and repr(got) == repr(want), name
+        if tol == 0.0 and not name.startswith(("repeated", "identity", "zero")):
+            assert got.values.tobytes() == w.tobytes(), name  # no merges: eigvalsh's own array
+
+
 def test_self_adjoint_input_near_the_float_limit_stays_finite():
     # (m + m*) / 2 overflows here although m and its eigenvalues are finite
     w, v = normal_eigensystem(np.diag([1e308, -1e308]))

@@ -5,9 +5,13 @@
 OLD_SRC and NEW_SRC are directories that hold a `specfam` package, such as
 the `src` directory of two checkouts.  Each scenario runs once per tree, in a
 fresh interpreter whose import path and working directory are that tree, and
-the report it writes to stdout is hashed.  One line per scenario gives the
-old and the new sha256, "same" or "DIFFERENT", and the scenario path; a
-pair also differs when the exit codes differ, which the line then shows.
+the report it writes to stdout is hashed.  BLAS runs single-threaded in
+every child (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1): the last bits of a
+large complex section's SVD depend on the BLAS thread count, and a verdict
+that depended on the machine's core count would show nothing.  One line per
+scenario gives the old and the new sha256, "same" or "DIFFERENT", and the
+scenario path; a pair also differs when the exit codes differ, which the
+line then shows.
 When both outputs of a DIFFERENT pair are JSON reports, an indented line
 under it names the ids of the queries whose results differ and the largest
 absolute difference between their numbers, place by place; a difference in
@@ -42,7 +46,7 @@ from pathlib import Path
 
 
 def _run(src: Path, scenario: Path) -> tuple[bytes, int, bytes]:
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "specfam.cli", "run", str(scenario)],
         cwd=src, env=env, capture_output=True, check=False,
