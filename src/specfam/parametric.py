@@ -16,22 +16,22 @@ invertibility of the principal symbol along directions that keep a
 definite parameter component.  Reduction is a flag of the fiber
 builder, read from the operator's s and order, not a second operator.
 
-Every term is c . L^j . lam^alpha, so every fiber is a polynomial in the
-compact Laplacian L and all fibers commute.  A grid is kept as its axis,
-and nothing of it on the operator.  Each query splits every axis into
-classes of bitwise-equal coordinates by the parity of the exponents on it
-(_class_axes), and the circle into the mode classes k and -k, which share
-every L^j.  Only the product of the classes is assembled, a block of
-nodes at a time, each block going straight into eigvalsh, the SVD or the
-Cayley route.  A circle operator's blocks are its (m, K + 1) diagonals
-over modes -K .. 0, whose real parts are the eigenvalues and, when real,
-whose smallest absolute values are the sigma_min, with no LAPACK call.
-A graph operator's are (m, d, d) stacks; the eigenvalues of L give every
-reduced fiber's sigma_min up to rounding, so invertibility solves only
-the fibers whose bound can reach the grid's minimum.  A block holds a
-fixed number of complex entries, so memory follows the block, not the
-grid; fiber() is a one-node view of the same builder, mirrored back to
-every mode on a circle.
+Every term is c . L^j . lam^alpha, so every fiber is a polynomial
+p(lam, L) in the compact Laplacian L = V diag(mu) V^T, unitarily equal to
+diag_i p(lam, mu_i): the characters (lam, mu_i) exhaust the operator, and
+so does D.  A fiber is kept as that diagonal, one column per eigenvalue of
+L: k^2 over the circle's modes -K .. 0 (k and -k share every L^j), and a
+graph's from one eigvalsh of L per sweep.  A grid is kept as its axis, and
+nothing of it on the operator.  Each query splits every axis into classes
+of bitwise-equal coordinates by the parity of the exponents on it
+(_class_axes), and only the product of the classes is assembled, a block
+of nodes at a time.  The real parts of a block are its eigenvalues and,
+when it is real, its smallest absolute values per row are the sigma_min,
+with no LAPACK call; a complex block goes to one stacked SVD.  A block
+holds a bounded number of nodes, so memory follows the block, not the
+grid; fiber() and principal_symbol() are one-node views that map the
+diagonal back, mirrored to every mode on a circle and V . diag . V^T on a
+graph.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class GraphBase:
         a = np.asarray(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("adjacency must be a nonempty square matrix")
-        if not np.allclose(a, a.T):
+        if not np.array_equal(a, a.T):  # exactly: eigvalsh reads one triangle of L
             raise ValueError("adjacency must be symmetric")
         if np.abs(a - np.round(a)).max() > 0 or a.min() < 0:
             raise ValueError("adjacency entries must be nonnegative integers")
@@ -97,8 +97,24 @@ class GraphBase:
         return self.adjacency.shape[0]
 
     def laplacian(self) -> np.ndarray:
-        a = self.adjacency
-        return np.diag(a.sum(axis=1)) - a
+        lap = np.diag(self.adjacency.sum(axis=1))
+        lap -= self.adjacency  # in place: one d x d array
+        return lap
+
+    @cached_property
+    def components(self) -> int:
+        """Connected components: their indicator vectors span the null space of L."""
+        neighbours = [np.flatnonzero(row).tolist() for row in self.adjacency]
+        seen, count = set(), 0
+        for start in range(self.dim):
+            if start not in seen:
+                count, stack = count + 1, [start]
+                seen.add(start)
+                while stack:
+                    fresh = set(neighbours[stack.pop()]) - seen
+                    seen |= fresh
+                    stack.extend(fresh)
+        return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,21 +181,24 @@ class InvariantOperator:
         Kept on the operator: its ellipticity check and verdicts read one sweep.
         A circle's diagonals have equal columns: one column per direction is solved.
         """
-        if isinstance(self.base, GraphBase):
+        graph = isinstance(self.base, GraphBase)
+        if graph:
             etas = [(1.0,), (-1.0,)] if self.n == 1 else _lattice_directions(self.n)
             dirs = [(0.0, eta) for eta in etas]
         else:
             dirs = _sphere_directions(self.n)
         symbols = _principal_symbols(self, dirs)
-        return list(zip(dirs, _sigma_min(symbols if symbols.ndim == 3 else symbols[:, :1])))
+        return list(zip(dirs, _sigma_min(symbols if graph else symbols[:, :1])))
 
     @cached_property
     def _eta_norms(self) -> list[float]:  # |eta| of each direction of _symbol_sweep
         return [_norm(eta) for (_xi, eta), _smin in self._symbol_sweep]
 
 
-# Complex entries per fiber block: a block holds _CHUNK_ENTRIES // d^2
-# fibers (about 4 MiB), so memory follows the block and not the grid.
+# A block holds _CHUNK_ENTRIES // d^2 nodes of a base of dimension d: its
+# (m, w) diagonals, and the (m, w, w) diagonal matrices that _sigma_min
+# forms from a complex block, stay within _CHUNK_ENTRIES complex entries
+# (4 MiB), so memory follows the block and not the grid.
 _CHUNK_ENTRIES = 2**18
 
 
@@ -205,88 +224,86 @@ def _monomial(axes: list[tuple], at: tuple, alpha: tuple) -> np.ndarray:
     return reduce(np.multiply, factors) if factors else np.ones(len(at[0]))
 
 
-def _node_blocks(axes: list[tuple], d: int, nodes=None):
-    """(flat indices, per-axis indices, |lam|^2) of consecutive blocks of nodes of the product.
+def _node_blocks(axes: list[tuple], d: int):
+    """(per-axis indices, |lam|^2) of consecutive blocks of nodes of the product of the axes.
 
-    The nodes are every node of the product of the axes, in lexicographic
-    order, or the given array of flat indices into it; a block holds at
-    most _CHUNK_ENTRIES // d^2 of them, so no array grows with the node count.
+    The nodes come in lexicographic order, at most _CHUNK_ENTRIES // d^2
+    to a block, so no array grows with the node count.
     """
     coords = [np.array(c, dtype=float) for c, _powers in axes]
     shape = [len(c) for c in coords]
-    count = math.prod(shape) if nodes is None else len(nodes)
+    count = math.prod(shape)
     size = max(1, _CHUNK_ENTRIES // (d * d))
     for start in range(0, count, size):
-        stop = min(start + size, count)
-        index = np.arange(start, stop) if nodes is None else nodes[start:stop]
-        at = np.unravel_index(index, shape)
-        yield index, at, sum(c[i] * c[i] for c, i in zip(coords, at))
+        at = np.unravel_index(np.arange(start, min(start + size, count)), shape)
+        yield at, sum(c[i] * c[i] for c, i in zip(coords, at))
 
 
-def _fiber_chunks(op: InvariantOperator, axes, reduced=False, nodes=None):
-    """Fiber blocks over the product of per-axis coordinates, in lexicographic order.
+def _mode_values(base: CircleBase | GraphBase) -> np.ndarray:
+    """The eigenvalues mu of the compact Laplacian that index a block's columns.
 
-    The blocks come from _node_blocks: every node of the product, or only
-    the flat indices in nodes.  Per node the arithmetic is that of one
-    fiber: coeff * lam^alpha * L^j summed in term order (lam^alpha read
-    from the axes' powers, the circle Laplacian as its diagonal, a j = 0
-    term added to the diagonal only), then, when reduced, the conjugation
-    D^((s - order)/2) . p-hat . D^(-s/2) with D = 1 + |lam|^2 + L.  The
-    Laplacian powers and its eigenbasis are computed once per call.  A
-    circle operator yields (m, K + 1) diagonals over modes -K .. 0, the
-    first of each class k, -k; a graph operator (m, d, d) stacks.
+    On a circle k^2 over modes -K .. 0, one per mode class k, -k; on a
+    graph the eigenvalues of L from one eigvalsh, ascending.  There the
+    first c are exactly 0, c the number of components: eigvalsh's sorted
+    values are those of a nearby symmetric matrix, so by Weyl's inequality
+    its first c approximate the c zeros, which are made exact.
     """
-    d = op.base.dim
-    circle = isinstance(op.base, CircleBase)
-    lap = op.base.laplacian_diagonal()[: op.base.cutoff + 1] if circle else op.base.laplacian()
-    lap_pow = {j: lap**j if circle else np.linalg.matrix_power(lap, j) for (j, _a), _c in op.terms}
-    if reduced:
-        s, order = op.s, float(op.order)
-        w, v = (lap, None) if circle else np.linalg.eigh(lap)
-    for _index, at, lam_sq in _node_blocks(axes, d, nodes):
-        m = len(lam_sq)
-        column = (m,) + (1,) * lap.ndim
-        acc = np.zeros((m,) + lap.shape, dtype=complex)
-        diagonal = acc if circle else acc.reshape(m, -1)[:, :: d + 1]  # a view
+    if isinstance(base, CircleBase):
+        return base.laplacian_diagonal()[: base.cutoff + 1]
+    mu = np.linalg.eigvalsh(base.laplacian())
+    mu[: base.components] = 0.0
+    return mu
+
+
+def _fiber_chunks(op: InvariantOperator, axes, reduced=False):
+    """(m, w) fiber diagonals over the product of per-axis coordinates, in lexicographic order.
+
+    Column i of a row is p(lam, mu_i) at the row's node, mu the
+    _mode_values, computed once per call: coeff * lam^alpha * mu^j summed
+    in term order (lam^alpha read from the axes' powers, a j = 0 term added
+    as it is), then, when reduced, times d^((s - order)/2) and d^(-s/2)
+    with d = 1 + |lam|^2 + mu, the eigenvalues of D.
+    """
+    mu = _mode_values(op.base)
+    mu_pow = {j: mu**j for (j, _a), _c in op.terms if j}
+    s, order = op.s, float(op.order)
+    for at, lam_sq in _node_blocks(axes, op.base.dim):
+        acc = np.zeros((len(lam_sq), len(mu)), dtype=complex)
         for (j, alpha), coeff in op.terms:
-            term = coeff * _monomial(axes, at, alpha)
-            if j:
-                acc += term.reshape(column) * lap_pow[j]
-            else:  # a multiple of the identity: only the diagonal
-                diagonal += term[:, None]
+            term = (coeff * _monomial(axes, at, alpha))[:, None]
+            acc += term * mu_pow[j] if j else term
         if reduced:
-            dd = (1.0 + lam_sq)[:, None] + w
-            left = dd ** ((s - order) / 2.0)
-            right = dd ** (-s / 2.0)
-            if circle:
-                acc = (acc * left) * right
-            else:
-                left = (v * left[:, None, :]) @ v.conj().T
-                right = (v * right[:, None, :]) @ v.conj().T
-                acc = left @ acc @ right
+            dd = (1.0 + lam_sq)[:, None] + mu
+            acc = (acc * dd ** ((s - order) / 2.0)) * dd ** (-s / 2.0)
         yield acc
 
 
 def _as_matrices(block: np.ndarray) -> np.ndarray:
-    """The (m, d, d) fiber stack of a block; (m, d) diagonals become diagonal matrices."""
-    if block.ndim == 3:
-        return block
-    m, d = block.shape
-    out = np.zeros((m, d, d), dtype=complex)
-    out[:, np.arange(d), np.arange(d)] = block
+    """The (m, w, w) diagonal matrices of an (m, w) block of diagonals."""
+    m, w = block.shape
+    out = np.zeros((m, w, w), dtype=complex)
+    out[:, np.arange(w), np.arange(w)] = block
     return out
 
 
 def _sigma_min(block: np.ndarray) -> np.ndarray:
-    """Smallest singular value of each matrix of a block of diagonals or of matrices.
+    """Smallest singular value of the diagonal matrix of each row of an (m, w) block.
 
-    A real (m, d) diagonal gives its smallest |entry|, with no LAPACK call;
-    any other block goes to one stacked SVD, since numpy's complex |z| can
+    A real block gives each row's smallest |entry|, with no LAPACK call; a
+    complex one goes to one stacked SVD, since numpy's complex |z| can
     differ from LAPACK's in the last place.
     """
-    if block.ndim == 2 and not block.imag.any():
+    if not block.imag.any():
         return np.abs(block.real).min(axis=1)
     return np.linalg.svd(_as_matrices(block), compute_uv=False)[:, -1]
+
+
+def _matrix(base: CircleBase | GraphBase, diagonal: np.ndarray) -> np.ndarray:
+    """The d x d matrix of one diagonal over every mode: V . diag . V^T on a graph."""
+    if isinstance(base, CircleBase):
+        return _as_matrices(diagonal[None])[0]
+    v = np.linalg.eigh(base.laplacian())[1]
+    return (v * diagonal) @ v.T
 
 
 def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
@@ -294,9 +311,10 @@ def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
     lam = tuple(float(x) for x in (lam if np.iterable(lam) else (lam,)))
     if len(lam) != op.n:
         raise IncompatibleQuery(f"parameter must have {op.n} components, got {len(lam)}")
-    f = next(_fiber_chunks(op, _power_axes(op, [(x,) for x in lam]), reduced))
-    # a circle's modes 1 .. K are the columns of modes -1 .. -K, mirrored
-    return _as_matrices(np.concatenate([f, f[:, -2::-1]], axis=1) if f.ndim == 2 else f)[0]
+    f = next(_fiber_chunks(op, _power_axes(op, [(x,) for x in lam]), reduced))[0]
+    if isinstance(op.base, CircleBase):  # modes 1 .. K are the columns of modes -1 .. -K, mirrored
+        f = np.concatenate([f, f[-2::-1]])
+    return _matrix(op.base, f)
 
 
 @dataclass(frozen=True)
@@ -364,59 +382,19 @@ def _fiber_bound(op: InvariantOperator, grid: LambdaGrid, reduced: bool) -> floa
     """Bound on the fiber entries over the grid (and on D's when reduced), inf on overflow.
 
     With r = max(1, largest coordinate) and |L| at most its largest row sum
-    (cutoff^2 on a circle): sum |c| |L|^j r^|alpha|, and 1 + n r^2 + |L| for D.
+    (cutoff^2 on a circle, twice the largest degree on a graph):
+    sum |c| |L|^j r^|alpha|, and 1 + n r^2 + |L| for D.
     """
     r = max(1.0, grid.axis[-1])
     if isinstance(op.base, CircleBase):
         lap = float(op.base.cutoff**2)
     else:
-        lap = float(np.abs(op.base.laplacian()).sum(axis=1).max())
+        lap = 2.0 * float(op.base.adjacency.sum(axis=1).max())
     try:  # a Python float power raises OverflowError where a product gives inf
         bound = sum(abs(c) * lap**j * r ** sum(alpha) for (j, alpha), c in op.terms)
     except OverflowError:
         return math.inf
     return max(bound, 1.0 + op.n * r * r + lap) if reduced else bound
-
-
-def _candidates(op: InvariantOperator, axes) -> np.ndarray | None:
-    """Flat indices of the reduced fibers that can hold the smallest sigma_min; None for all.
-
-    On a graph every fiber is a polynomial p(lam, L), and in exact
-    arithmetic its reduced sigma_min is, with w_i the eigenvalues of L and
-    d_i = 1 + |lam|^2 + w_i,
-        est = min_i |p(lam, w_i)| d_i^(-order/2).
-    Rounding moves the computed sigma_min off est by a few d 2^-52 scale,
-    far below margin = 2^-24 scale, where, with |L| its largest row sum,
-        scale = (sum |c| |lam^alpha| |L|^j) max_i d_i^((s - order)/2) max_i d_i^(-s/2)
-    bounds the fiber's norm.  So every node that can tie the grid's minimum
-    has est - margin <= T, the least est + margin.  Circle operators and a
-    non-finite bound give None.
-    """
-    if not isinstance(op.base, GraphBase):
-        return None
-    lap = op.base.laplacian()
-    w = np.linalg.eigvalsh(lap)
-    lap_norm = np.abs(lap).sum(axis=1).max()
-    s, order = op.s, float(op.order)
-    best, kept = np.inf, []
-    for index, at, lam_sq in _node_blocks(axes, op.base.dim):
-        p = np.zeros((len(lam_sq), len(w)), dtype=complex)
-        bound = np.zeros(len(lam_sq))
-        for (j, alpha), coeff in op.terms:
-            mono = _monomial(axes, at, alpha)
-            p += (coeff * mono)[:, None] * w**j
-            bound += abs(coeff) * np.abs(mono) * lap_norm**j
-        dd = (1.0 + lam_sq)[:, None] + w
-        est = (np.abs(p) * dd ** (-order / 2.0)).min(axis=1)
-        left, right = dd ** ((s - order) / 2.0), dd ** (-s / 2.0)
-        margin = 2.0**-24 * bound * left.max(axis=1) * right.max(axis=1)
-        if not np.isfinite(est + margin).all():
-            return None
-        best = min(best, float((est + margin).min()))
-        keep = est - margin <= best
-        kept.append((index[keep], (est - margin)[keep]))
-    index, low = (np.concatenate(parts) for parts in zip(*kept))
-    return index[low <= best]
 
 
 # ---------------------------------------------------------------------------
@@ -456,36 +434,28 @@ def _sphere_directions(n: int) -> list[tuple]:
 
 
 def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
-    """Top joint-degree parts at the directions (xi, eta), one stack.
+    """Top joint-degree parts at the directions (xi, eta), one (directions, w) stack of diagonals.
 
     Per direction, the top terms in term order as (coeff * xi^(2j)) * eta^alpha
-    times I.  A graph has no cotangent xi: there the term is
-    (coeff * eta^alpha) times the Laplacian power.  A circle operator
-    gives (m, d) diagonals, whose columns are all equal, a graph operator
-    an (m, d, d) stack.
+    times the identity: a circle's (2K + 1)-mode diagonals, whose columns
+    are all equal.  A graph has no cotangent xi: there the term is
+    (coeff * eta^alpha) times mu^j, over the eigenvalues mu of L.
     """
-    d = op.base.dim
     graph = isinstance(op.base, GraphBase)
+    mu = _mode_values(op.base) if graph else np.ones(op.base.dim)
     eta = _power_axes(op, [[float(e[i]) for _xi, e in dirs] for i in range(op.n)])
     at = (np.arange(len(dirs)),) * op.n
-    out = np.zeros((len(dirs), d, d) if graph else (len(dirs), d), dtype=complex)
+    out = np.zeros((len(dirs), len(mu)), dtype=complex)
     for (j, alpha), coeff in op.terms:
-        if 2 * j + sum(alpha) != op.order:
-            continue
-        if graph:
-            scalar = coeff * _monomial(eta, at, alpha)
-            basis = np.linalg.matrix_power(op.base.laplacian(), j)
-        else:
-            xi = np.array([float(x) ** (2 * j) for x, _eta in dirs])
-            scalar = (coeff * xi) * _monomial(eta, at, alpha)
-            basis = np.ones(d)
-        out = out + scalar.reshape((-1,) + (1,) * basis.ndim) * basis
+        if 2 * j + sum(alpha) == op.order:
+            xi = 1.0 if graph else np.array([float(x) ** (2 * j) for x, _eta in dirs])
+            out = out + ((coeff * xi) * _monomial(eta, at, alpha))[:, None] * mu**j
     return out
 
 
 def principal_symbol(op: InvariantOperator, xi: float, eta: tuple) -> np.ndarray:
     """Top joint-degree part at one direction (xi, eta); xi is ignored on a graph."""
-    return _as_matrices(_principal_symbols(op, [(xi, eta)]))[0]
+    return _matrix(op.base, _principal_symbols(op, [(xi, eta)])[0])
 
 
 def _check_selfadjoint(op: InvariantOperator):
@@ -517,10 +487,9 @@ def spectrum_parametric(
     """
     _check_selfadjoint(op)
     _check_elliptic(op)
-    # eigvalsh reads only the real part of a Hermitian diagonal
+    # the eigenvalues of a Hermitian diagonal are its real parts
     parts = [
-        _distinct((chunk.real if chunk.ndim == 2 else np.linalg.eigvalsh(chunk)).ravel())
-        for chunk in _fiber_chunks(op, _class_axes(op, grid, False))
+        _distinct(chunk.real.ravel()) for chunk in _fiber_chunks(op, _class_axes(op, grid, False))
     ]
     return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
 
@@ -567,17 +536,14 @@ def invertible_parametric(
             f"delta-dir {delta_dir!r} leaves no symbol direction: the largest |eta| is {largest!r}"
         )
     axes = _class_axes(op, grid, True)
-    nodes = _candidates(op, axes)
     worst, min_sigma, start = None, np.inf, 0
-    for chunk in _fiber_chunks(op, axes, True, nodes):
+    for chunk in _fiber_chunks(op, axes, True):
         sigmas = _sigma_min(chunk)
         i = int(np.argmin(sigmas))
         # strict <: a tie with an earlier block keeps the earlier node
         if worst is None or sigmas[i] < min_sigma:
             worst, min_sigma = start + i, float(sigmas[i])
         start += len(chunk)
-    if nodes is not None:
-        worst = int(nodes[worst])
     fib_ok = min_sigma > tol
 
     min_symbol = np.inf

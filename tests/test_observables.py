@@ -356,7 +356,7 @@ def _full_mode_blocks(op, grid):
     axes = _class_axes(op, grid, False)
     lap = op.base.laplacian_diagonal()
     assert len(lap) == op.base.dim
-    for _index, at, _lam_sq in parametric._node_blocks(axes, op.base.dim):
+    for at, _lam_sq in parametric._node_blocks(axes, op.base.dim):
         acc = np.zeros((len(at[0]), op.base.dim), dtype=complex)
         for (j, alpha), coeff in op.terms:
             term = coeff * parametric._monomial(axes, at, alpha)

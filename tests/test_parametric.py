@@ -53,6 +53,33 @@ def full_axes(op: InvariantOperator, grid: LambdaGrid) -> list:
     return parametric._power_axes(op, [grid.axis] * grid.n)
 
 
+def _graph_tolerance(op: InvariantOperator, lam: tuple, reduced=False, top=False) -> float:
+    """16 d u scale: how far a graph fiber, or with top a principal symbol, may sit
+    from its dense reference, u = 2^-53.
+
+    scale = sum |c| |lam^alpha| |L|^j bounds the matrix's norm, over the top
+    terms only when top is set, with |L| at most twice the largest degree;
+    reduced, times the largest weights d_i^((s - order)/2) and d_i^(-s/2),
+    d_i = 1 + |lam|^2 + mu_i, mu the eigenvalues of L.  The diagonal route
+    and dense LAPACK are each backward stable, so they differ by a few
+    d u scale: at most 2.6 d u scale on 300 random weighted graphs.
+    """
+    lap = 2.0 * float(op.base.adjacency.sum(axis=1).max())
+    scale = sum(
+        abs(c) * abs(_ref_lam_power(lam, alpha)) * lap**j
+        for (j, alpha), c in op.terms
+        if not top or 2 * j + sum(alpha) == op.order
+    )
+    if reduced:
+        dd = 1.0 + sum(x * x for x in lam) + np.linalg.eigvalsh(op.base.laplacian())
+        scale *= (dd ** ((op.s - op.order) / 2.0)).max() * (dd ** (-op.s / 2.0)).max()
+    return 16 * op.base.dim * 2.0**-53 * scale
+
+
+def _eigenbasis(base: GraphBase) -> np.ndarray:
+    return np.linalg.eigh(base.laplacian())[1]
+
+
 # ---------------------------------------------------------------------------
 # construction and fibers
 
@@ -195,13 +222,21 @@ def test_fiber_blocks_equal_the_per_node_reference(kind, n, reduced, step):
     nodes = grid_nodes(grid)
     got = np.concatenate(list(_fiber_chunks(op, full_axes(op, grid), reduced)))
     want = np.stack([_ref_fiber(op, lam, reduced) for lam in nodes])
-    if kind == "circle":  # the diagonals over modes -K .. 0, the first of each class
+    if kind == "circle":  # the diagonals over modes -K .. 0, the first of each class, bitwise
         k = base.cutoff
         assert got.shape == (len(nodes), k + 1)
-        want = want[:, : k + 1, : k + 1]
-    assert np.array_equal(parametric._as_matrices(got), want)
-    for lam in nodes[:: max(1, len(nodes) // 5)]:  # fiber() mirrors them to every mode
-        assert np.array_equal(fiber(op, lam, reduced), _ref_fiber(op, lam, reduced))
+        assert np.array_equal(parametric._as_matrices(got), want[:, : k + 1, : k + 1])
+        for lam in nodes[:: max(1, len(nodes) // 5)]:  # fiber() mirrors them to every mode
+            assert np.array_equal(fiber(op, lam, reduced), _ref_fiber(op, lam, reduced))
+        return
+    # a graph's diagonals over the eigenvalues of L: V . diag . V^T, and fiber(), within the bound
+    assert got.shape == (len(nodes), base.dim)
+    v = _eigenbasis(base)
+    for row, lam, dense in zip(got, nodes, want):
+        assert np.abs((v * row) @ v.T - dense).max() <= _graph_tolerance(op, lam, reduced)
+    for lam in nodes[:: max(1, len(nodes) // 5)]:
+        gap = np.abs(fiber(op, lam, reduced) - _ref_fiber(op, lam, reduced)).max()
+        assert gap <= _graph_tolerance(op, lam, reduced)
 
 
 def test_worst_fiber_and_spectrum_do_not_depend_on_chunks():
@@ -364,18 +399,20 @@ def test_only_real_diagonal_fibers_skip_lapack(monkeypatch):
     complex_coeff = InvariantOperator.build(
         CircleBase(3), 1, {(1, (0,)): 1.0, (0, (2,)): 1.0, (0, (0,)): 1.0 + 0.5j}
     )
-    graph = InvariantOperator.shifted_laplacian(path_graph(4), n=1, shift=1.0)
-    for op in (complex_coeff, graph):  # modes -3 .. 0 of the circle, the 4 path vertices
-        svd.clear()
-        invertible_parametric(op, grid)
-        assert fiber_stacks() == [(classes, 4, 4)]
-    # a circle spectrum reads its diagonals' real parts: only graphs reach eigvalsh
+    invertible_parametric(complex_coeff, grid)
+    assert fiber_stacks() == [(classes, 4, 4)]  # modes -3 .. 0
+    # a spectrum reads its diagonals' real parts
     eigvalsh.clear()
     with pytest.raises(NotSelfAdjoint):
         spectrum_parametric(complex_coeff, grid)
     assert eigvalsh == []
+    # a real graph operator's blocks are real diagonals over the eigenvalues of
+    # L, from one eigvalsh of L per symbol sweep and per query: no SVD
+    graph = InvariantOperator.shifted_laplacian(path_graph(4), n=1, shift=1.0)
+    svd.clear()
+    invertible_parametric(graph, grid)
     spectrum_parametric(graph, grid)
-    assert eigvalsh == [(classes, graph.base.dim, graph.base.dim)]
+    assert svd == [] and eigvalsh == [(4, 4)] * 3
 
 
 def test_parametric_memory_follows_the_chunk_not_the_grid():
@@ -425,8 +462,7 @@ def test_invertible_on_a_wide_grid_peaks_within_two_blocks():
 
 
 def test_graph_invertible_on_a_wide_grid_peaks_within_two_blocks():
-    # the bound pass streams the 65^3 classes too: their eigenbasis values
-    # at once would take 21 MiB; the shift leaves few fibers to solve
+    # the 65^3 classes of (m, 5) diagonals at once would take 21 MiB
     op = InvariantOperator.shifted_laplacian(path_graph(5), n=3, shift=2.0)
     grid = LambdaGrid.build(3, window=4.0, step=1 / 16)
     block = parametric._CHUNK_ENTRIES * np.dtype(complex).itemsize  # 4 MiB
@@ -434,22 +470,115 @@ def test_graph_invertible_on_a_wide_grid_peaks_within_two_blocks():
 
 
 @pytest.mark.parametrize("shift", [0.5, 2.5, 0.0, -((37 / 128) ** 2)])
-def test_graph_invertibility_solves_only_the_fibers_that_can_hold_the_minimum(monkeypatch, shift):
+def test_graph_queries_call_lapack_only_on_the_laplacian(monkeypatch, shift):
     # the graph operator of the fiber-sweep benchmark: 513 classes of 1025 nodes
     op = InvariantOperator.shifted_laplacian(path_graph(8), n=1, shift=shift)
     grid = LambdaGrid.build(1, window=4.0, step=1 / 128)
-    axes = _class_axes(op, grid, True)
-    [(coords, _powers)] = axes
-    sigmas = parametric._sigma_min(np.concatenate(list(_fiber_chunks(op, axes, True))))
-    assert len(sigmas) == 513
-    assert len(op._symbol_sweep) == 2  # the symbol is swept before the count
-    svd = _count_calls(monkeypatch, "svd")
+    nodes = grid_nodes(grid)
+    names = ("svd", "eigh", "eigvalsh", "eig", "eigvals", "solve", "inv")
+    calls = {name: _count_calls(monkeypatch, name) for name in names}
     v = invertible_parametric(op, grid)
-    assert sum(shape[0] for shape in svd) <= 4
+    spectrum_parametric(op, grid)
+    parametric.observable_spectrum_parametric(op, grid, 1e-9)
+    # one eigvalsh of L for the symbol sweep, then one per query, and nothing else
+    assert calls.pop("eigvalsh") == [(8, 8)] * 4
+    assert not any(calls.values())
+    monkeypatch.undo()
+    # the first minimizing node of the whole grid, sigma_min within the bound of the dense SVD
+    sigmas = parametric._sigma_min(np.concatenate(list(_fiber_chunks(op, full_axes(op, grid), True))))
     worst = int(np.argmin(sigmas))
     assert v.min_sigma == float(sigmas[worst])
     assert v.invertible == (shift > 0)
-    assert v.failing_lambda == (None if shift > 0 else (coords[worst],))
+    first = {0.0: (0.0,), -((37 / 128) ** 2): (-37 / 128,)}
+    assert v.failing_lambda == (None if shift > 0 else nodes[worst]) == first.get(shift)
+    dense = np.linalg.svd(np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False)
+    bound = max(_graph_tolerance(op, lam, True) for lam in nodes)
+    assert abs(v.min_sigma - dense[:, -1].min()) <= bound
+
+
+def _random_graph(rng, d: int) -> GraphBase:
+    """A graph on d vertices whose edges carry random integer weights 1 .. 5."""
+    a = np.triu(rng.integers(1, 6, (d, d)) * (rng.random((d, d)) < 0.6), 1)
+    return GraphBase(a + a.T)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_graph_answers_equal_a_dense_reference_on_random_weighted_graphs(n):
+    grid = LambdaGrid.build(n, window=1.0, step={1: 1 / 8, 2: 0.25}[n])
+    nodes = grid_nodes(grid)
+    for seed in range(6):
+        rng = np.random.default_rng([3000, n, seed])
+        base = _random_graph(rng, int(rng.integers(1, 8)))
+        herm = _class_test_operator(rng, base, n, odd=seed % 2 == 1, hermitian=True)
+        cplx = _class_test_operator(rng, base, n, odd=seed % 2 == 1, hermitian=False, s=1.5)
+        assert any(c.imag for _ja, c in cplx.terms)
+        for op in (herm, cplx):
+            for reduced in (False, True):
+                for lam in nodes[::3]:
+                    gap = np.abs(fiber(op, lam, reduced) - _ref_fiber(op, lam, reduced)).max()
+                    assert gap <= _graph_tolerance(op, lam, reduced)
+            # sigma_min over the grid against the dense SVD of every reduced fiber
+            dense = np.linalg.svd(
+                np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False
+            )[:, -1]
+            bound = max(_graph_tolerance(op, lam, True) for lam in nodes)
+            assert abs(invertible_parametric(op, grid, tol=np.inf).min_sigma - dense.min()) <= bound
+            # principal symbols at the swept directions and at a few others
+            dirs = [dirn for dirn, _smin in op._symbol_sweep] + [
+                (0.0, tuple(float(y) for y in rng.choice([-1.5, -0.5, 0.0, 0.3, 2.0], n)))
+                for _ in range(4)
+            ]
+            for xi, eta in dirs:
+                gap = np.abs(principal_symbol(op, xi, eta) - _ref_principal_symbol(op, xi, eta)).max()
+                assert gap <= _graph_tolerance(op, eta, top=True)
+        # the spectrum: every dense eigenvalue within the bound of a point, and back
+        got = spectrum_parametric(herm, grid, tol=0.0).values
+        want = np.linalg.eigvalsh(np.stack([_ref_fiber(herm, lam, False) for lam in nodes]))
+        bound = max(_graph_tolerance(herm, lam) for lam in nodes)
+        gaps = np.abs(got[:, None] - want.ravel()[None, :])
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= bound
+
+
+def test_graph_spectrum_on_a_large_path_builds_no_dense_fiber():
+    base = GraphBase(np.eye(1024, k=1) + np.eye(1024, k=-1))
+    op = InvariantOperator.shifted_laplacian(base, n=1, shift=0.5)
+    grid = LambdaGrid.build(1, window=1.0, step=1 / 8)
+    tracemalloc.start()
+    try:
+        got = spectrum_parametric(op, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 9 classes of the 17 nodes times the 1024 eigenvalues of L, all distinct
+    assert len(got.values) == 9 * 1024
+    # one dense (1, d, d) complex block would take 16 MiB
+    assert peak < base.dim**2 * np.dtype(complex).itemsize
+
+
+def test_graph_laplacian_zeros_are_exact_on_every_component():
+    # weighted path 3, an isolated vertex, a weighted edge: 3 components
+    a = np.zeros((6, 6))
+    a[0, 1] = a[1, 0] = 3.0
+    a[1, 2] = a[2, 1] = 5.0
+    a[4, 5] = a[5, 4] = 2.0
+    base = GraphBase(a)
+    assert base.components == 3 and path_graph(8).components == 1
+    mu = parametric._mode_values(base)
+    assert mu[:3].tolist() == [0.0, 0.0, 0.0] and (mu[3:] > 1.0).all()
+    assert np.abs(mu - np.linalg.eigvalsh(base.laplacian())).max() <= 1e-14
+    # 2.82 L + 1.31 lam^2 - 3.6 lam vanishes exactly on the null space of L
+    # at lam = 0; eigvalsh alone puts the zero of path 3 at about 4e-17
+    op = InvariantOperator.build(path_graph(3), 1, {(1, (0,)): 2.82, (0, (2,)): 1.31, (0, (1,)): -3.6})
+    assert np.linalg.eigvalsh(op.base.laplacian())[0] != 0.0
+    v = invertible_parametric(op, LambdaGrid.build(1, window=1 / 32, step=1 / 32), tol=0.0)
+    assert (v.invertible, v.min_sigma, v.failing_lambda) == (False, 0.0, (0.0,))
+
+
+def test_graph_adjacency_must_be_exactly_symmetric():
+    a = np.array([[0.0, 1e6], [1e6 + 1, 0.0]])
+    assert np.allclose(a, a.T)
+    with pytest.raises(ValueError, match="^adjacency must be symmetric$"):
+        GraphBase(a)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +652,7 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
             op = _class_test_operator(rng, base, n, odd, hermitian, s=s)
             cases.append((op, hermitian))
     for op, hermitian in cases:
+        blocks = {}
         for reduced in (False, True):
             axes = _class_axes(op, grid, reduced)
             sizes = [len(coords) for coords, _powers in axes]
@@ -537,11 +667,16 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
             distinct = np.concatenate(list(_fiber_chunks(op, axes, reduced)))
             assert len(distinct) == np.prod(sizes)
             assert {f.tobytes() for f in distinct} == {f.tobytes() for f in every}
+            blocks[reduced] = every
 
-        # the full-grid reference: one fiber per node, each solved alone
-        sigmas = np.array(
-            [np.linalg.svd(fiber(op, lam, True), compute_uv=False)[-1] for lam in nodes]
-        )
+        # the full-grid reference: one fiber per node, each solved alone; a
+        # graph's are its diagonals over the eigenvalues of L
+        if kind == "circle":
+            sigmas = np.array(
+                [np.linalg.svd(fiber(op, lam, True), compute_uv=False)[-1] for lam in nodes]
+            )
+        else:
+            sigmas = np.concatenate([parametric._sigma_min(row[None]) for row in blocks[True]])
         if op is singular and not odd and n > 1:
             ties = np.flatnonzero(sigmas == sigmas.min())
             assert len({tuple(abs(x) for x in nodes[i]) for i in ties}) > 1
@@ -550,7 +685,10 @@ def test_class_grid_answers_equal_the_full_grid_bitwise(monkeypatch, kind, n, od
         assert v.min_sigma == float(sigmas.min())
         assert v.failing_lambda == nodes[int(np.argmin(sigmas))]
         if hermitian:
-            eigs = np.concatenate([np.linalg.eigvalsh(fiber(op, lam)) for lam in nodes])
+            if kind == "circle":
+                eigs = np.concatenate([np.linalg.eigvalsh(fiber(op, lam)) for lam in nodes])
+            else:
+                eigs = blocks[False].real.ravel()
             want = SpectrumSet.canonical(_distinct(eigs), 1e-9, truncated=True)
             assert repr(spectrum_parametric(op, grid, tol=1e-9)) == repr(want)
 
@@ -761,7 +899,7 @@ def _unique_power_monomials(lam: np.ndarray, alpha: tuple) -> np.ndarray:
     return out
 
 
-def _unique_power_chunks(monkeypatch, op, axes, reduced, nodes=None) -> list:
+def _unique_power_chunks(monkeypatch, op, axes, reduced) -> list:
     """_fiber_chunks with each monomial recomputed from the block's coordinates."""
 
     def monomial(axes, at, alpha):
@@ -770,7 +908,7 @@ def _unique_power_chunks(monkeypatch, op, axes, reduced, nodes=None) -> list:
 
     with monkeypatch.context() as patch:
         patch.setattr(parametric, "_monomial", monomial)
-        return list(_fiber_chunks(op, axes, reduced, nodes))
+        return list(_fiber_chunks(op, axes, reduced))
 
 
 def _assert_same_blocks(got: list, want: list):
@@ -802,12 +940,9 @@ def test_fiber_blocks_equal_the_per_block_unique_power_path_bitwise(monkeypatch,
     grid = LambdaGrid.build(2, window=1.0, step=0.1)
     assert any(x**3 != x * x * x for x in grid.axis)
     for axes in (full_axes(op, grid), _class_axes(op, grid, reduced)):
-        total = np.prod([len(coords) for coords, _powers in axes])
-        subset = np.flatnonzero(np.random.default_rng(7).random(total) < 0.3)
-        for nodes in (None, subset):
-            got = list(_fiber_chunks(op, axes, reduced, nodes))
-            assert sum(len(block) for block in got) == (total if nodes is None else len(subset))
-            _assert_same_blocks(got, _unique_power_chunks(monkeypatch, op, axes, reduced, nodes))
+        got = list(_fiber_chunks(op, axes, reduced))
+        assert sum(len(block) for block in got) == np.prod([len(c) for c, _powers in axes])
+        _assert_same_blocks(got, _unique_power_chunks(monkeypatch, op, axes, reduced))
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["raw", "reduced"])
@@ -1076,9 +1211,19 @@ def test_symbol_stack_equals_the_per_direction_reference(kind, n):
         ]
         dirs = swept + extra
         want = np.stack([_ref_principal_symbol(op, xi, eta) for xi, eta in dirs])
-        assert np.array_equal(parametric._as_matrices(parametric._principal_symbols(op, dirs)), want)
-        for i in range(0, len(dirs), 7):
-            assert np.array_equal(principal_symbol(op, *dirs[i]), want[i])
+        got = parametric._principal_symbols(op, dirs)
+        if kind == "circle":
+            assert np.array_equal(parametric._as_matrices(got), want)
+            for i in range(0, len(dirs), 7):
+                assert np.array_equal(principal_symbol(op, *dirs[i]), want[i])
+            continue
+        # a graph's diagonals over the eigenvalues of L, mapped back within the bound
+        v = _eigenbasis(base)
+        for i, (xi, eta) in enumerate(dirs):
+            bound = _graph_tolerance(op, eta, top=True)
+            assert np.abs((v * got[i]) @ v.T - want[i]).max() <= bound
+            if i % 7 == 0:
+                assert np.abs(principal_symbol(op, xi, eta) - want[i]).max() <= bound
 
 
 # length and sha256 of repr(list) of each direction set, as the per-point

@@ -105,6 +105,26 @@ def test_differing_json_reports_name_the_queries_and_the_largest_gap(tmp_path):
     assert proc.stdout.splitlines()[1] == "    queries b, c: largest absolute difference inf"
 
 
+def test_points_lists_of_different_lengths_give_their_hausdorff_distance(tmp_path):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    old = _fake_tree(tmp_path / "old", _report(a={"points": [[1.0, 0.0], [3.0, 0.0]]}))
+    # 1.25 lies 0.25 from 1.0 and 3.0 lies 0.5 from 3.5; the point 0.5i lies 1.118 from 1.0
+    new = _fake_tree(
+        tmp_path / "new", _report(a={"points": [[1.0, 0.0], [1.25, 0.0], [3.5, 0.0]]})
+    )
+    proc = _parity(old, new, scn)
+    assert proc.returncode == 1
+    first, second = proc.stdout.splitlines()
+    assert first.split()[2] == "DIFFERENT"
+    assert second == "    queries a: largest absolute difference 0.5"
+    far = _fake_tree(tmp_path / "far", _report(a={"points": [[0.0, 0.5], [3.0, 0.0], [3.0, 0.0]]}))
+    assert _parity(old, far, scn).stdout.splitlines()[1].endswith("difference 1.12")
+    # an empty list is at distance inf from any point
+    empty = _fake_tree(tmp_path / "empty", _report(a={"points": []}))
+    assert _parity(old, empty, scn).stdout.splitlines()[1].endswith("difference inf")
+
+
 def test_non_json_output_gets_no_detail_line(tmp_path):
     scn = tmp_path / "any.scn"
     scn.write_text("scenario-version: 1\n")

@@ -14,8 +14,10 @@ scenario path; a pair also differs when the exit codes differ, which the
 line then shows.
 When both outputs of a DIFFERENT pair are JSON reports, an indented line
 under it names the ids of the queries whose results differ and the largest
-absolute difference between their numbers, place by place; a difference in
-anything else (a flag, a text, a list length, a key) counts as inf.
+absolute difference between their numbers, place by place.  Two `points`
+lists of different lengths count as their Hausdorff distance, as sets of
+complex points; a difference in anything else (a flag, a text, another
+list's length, a key) counts as inf.
 
 A report of the new tree must also be strict JSON, as the README's report
 contract says: when it holds NaN, Infinity or -Infinity, an indented line
@@ -36,6 +38,7 @@ when an argument is not a source tree or a scenario file.  Stdlib only.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -54,14 +57,42 @@ def _run(src: Path, scenario: Path) -> tuple[bytes, int, bytes]:
     return proc.stdout, proc.returncode, proc.stderr
 
 
-def _gaps(a, b) -> list[float]:
-    """|a - b| for the numbers at matching places of two JSON values."""
+def _hausdorff(a: list, b: list) -> float:
+    """Hausdorff distance between two lists of [re, im] points; inf if one is empty."""
+    a, b = ([complex(*p) for p in points] for points in (a, b))
+    if not (a and b):
+        return math.inf
+    worst = 0.0
+    for here, there in ((a, b), (b, a)):
+        there = sorted(there, key=lambda z: z.real)
+        keys = [z.real for z in there]
+        for z in here:  # the nearest point lies within the best distance in real part
+            best, i = math.inf, bisect.bisect_left(keys, z.real)
+            for j in range(i, len(there)):
+                if keys[j] - z.real >= best:
+                    break
+                best = min(best, abs(z - there[j]))
+            for j in range(i - 1, -1, -1):
+                if z.real - keys[j] >= best:
+                    break
+                best = min(best, abs(z - there[j]))
+            worst = max(worst, best)
+    return worst
+
+
+def _gaps(a, b, key: str | None = None) -> list[float]:
+    """|a - b| for the numbers at matching places of two JSON values under key."""
     if type(a) in (int, float) and type(b) in (int, float):  # not bool
         return [abs(a - b)]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [g for x, y in zip(a, b) for g in _gaps(x, y)]
+    if isinstance(a, list) and isinstance(b, list) and key == "points":
+        try:
+            return [_hausdorff(a, b)]
+        except TypeError:  # not lists of [re, im] pairs
+            return [math.inf]
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        return [g for k in a for g in _gaps(a[k], b[k])]
+        return [g for k in a for g in _gaps(a[k], b[k], k)]
     return [] if a == b else [math.inf]
 
 
