@@ -533,16 +533,33 @@ class ToeplitzElement(_Reflected):
     def _section_sweep(self) -> tuple[NormEstimate, float]:
         """Ladder norm estimate plus the top section's smallest singular value.
 
-        One solve per section size serves both numbers: eigvalsh's |eigenvalues|
-        for a section equal to its adjoint entry for entry, an SVD otherwise.  The
+        One solve per section size serves both numbers (_section_values).  The
         sweep runs once per element and is kept on it, so the norm, the ladder
         member's image values and the invertibility routes all read the same sweep.
         """
-        svals = [np.abs(np.linalg.eigvalsh(m)) if self_adjoint(m) else np.linalg.svd(m, compute_uv=False)
-                 for m in map(self.section, sorted(set(self.section_sizes)))]
+        svals = [self._section_values(n) for n in sorted(set(self.section_sizes))]
         norms = [float(s.max()) for s in svals]
         increment = abs(norms[-1] - norms[-2]) if len(norms) > 1 else 0.0
         return NormEstimate(max(norms), float(increment)), float(svals[-1].min())
+
+    def _section_values(self, n: int) -> np.ndarray:
+        """The singular values of the n x n section, in no particular order.
+
+        With no correction and real, even coefficients (c_k = c_-k), an even
+        section is symmetric and centrosymmetric, so orthogonally similar to
+        diag(A + H, A - H), A = T_{n/2} and H_ij = c_{n-1-i-j} (Cantoni and
+        Butler 1976): one eigvalsh of that (2, n/2, n/2) stack.  Any other
+        section: eigvalsh if it equals its adjoint exactly, an SVD otherwise.
+        """
+        c, k = self.coeffs, self.offset
+        if n % 2 or self.correction.size or any(z.imag for z in c) or c != c[::-1]:
+            m = self.section(n)
+            return np.abs(np.linalg.eigvalsh(m)) if self_adjoint(m) else np.linalg.svd(m, compute_uv=False)
+        h, pair = n // 2, np.array([self.section(n // 2)] * 2)  # A twice, then +H and -H
+        for j in range(1, min(k, n - 1) + 1):  # c_j fills the anti-diagonal a + b = n - 1 - j of H
+            a = np.arange(max(0, h - j), min(h, n - j))
+            pair[:, a, n - 1 - j - a] += [[c[k + j].real], [-c[k + j].real]]
+        return np.abs(np.linalg.eigvalsh(pair)).ravel()
 
     def section(self, n: int) -> np.ndarray:
         """The n x n compression: float64 when every coefficient and correction

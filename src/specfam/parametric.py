@@ -21,7 +21,7 @@ p(lam, L) in the compact Laplacian L = V diag(mu) V^T, unitarily equal to
 diag_i p(lam, mu_i): the characters (lam, mu_i) exhaust the operator, and
 so does D.  A fiber is kept as that diagonal, one column per eigenvalue of
 L: k^2 over the circle's modes -K .. 0 (k and -k share every L^j), and a
-graph's from one eigvalsh of L per sweep.  A grid is kept as its axis, and
+graph's from one eigvalsh of L per base.  A grid is kept as its axis, and
 nothing of it on the operator.  Each query splits every axis into classes
 of bitwise-equal coordinates by the parity of the exponents on it
 (_class_axes), and only the product of the classes is assembled, a block
@@ -115,6 +115,18 @@ class GraphBase:
                     seen |= fresh
                     stack.extend(fresh)
         return count
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of L, ascending and read-only, from one eigvalsh.
+
+        Its sorted values are a nearby symmetric matrix's, so by Weyl's inequality
+        the first c approximate L's c zeros (c components), which are made exact.
+        """
+        mu = np.linalg.eigvalsh(self.laplacian())
+        mu[: self.components] = 0.0
+        mu.setflags(write=False)
+        return mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,16 +255,11 @@ def _mode_values(base: CircleBase | GraphBase) -> np.ndarray:
     """The eigenvalues mu of the compact Laplacian that index a block's columns.
 
     On a circle k^2 over modes -K .. 0, one per mode class k, -k; on a
-    graph the eigenvalues of L from one eigvalsh, ascending.  There the
-    first c are exactly 0, c the number of components: eigvalsh's sorted
-    values are those of a nearby symmetric matrix, so by Weyl's inequality
-    its first c approximate the c zeros, which are made exact.
+    graph the base's kept eigenvalues of L.
     """
     if isinstance(base, CircleBase):
         return base.laplacian_diagonal()[: base.cutoff + 1]
-    mu = np.linalg.eigvalsh(base.laplacian())
-    mu[: base.components] = 0.0
-    return mu
+    return base.eigenvalues
 
 
 def _fiber_chunks(op: InvariantOperator, axes, reduced=False):

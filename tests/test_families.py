@@ -600,10 +600,12 @@ def _svd_counter(monkeypatch, names=("svd",)):
 
 def test_each_element_sweeps_its_section_ladder_once(monkeypatch):
     # norm-cos asks elem_norm and the ladder member for the same sweep: one
-    # LAPACK call per section, whichever routine solves it
+    # LAPACK call per section, whichever routine solves it.  cos2 is real and
+    # even with no corner, so each (even) section is its half-size pair
     svds = _svd_counter(monkeypatch, ("svd", "eigh", "eigvalsh"))
     scenario = load_scenario(str(_TOEPLITZ_SCN))
-    ladder = [(n, n) for n in scenario.model.section_sizes]
+    ladder = [(2, n // 2, n // 2) for n in scenario.model.section_sizes]
+    assert all(n % 2 == 0 for n in scenario.model.section_sizes)
     assert svds(scenario, "norm-cos") == ladder
     assert svds(scenario, "norm-cos") == []  # the sweep is kept on the element
     assert svds(load_scenario(str(_TOEPLITZ_SCN)), "norm-cos") == ladder  # a new parse starts cold
@@ -752,6 +754,43 @@ def test_hermitian_sweeps_agree_with_the_svd_within_the_solvers_error():
         assert abs(sigma - ref_sigma) <= bound
         if trial >= 4:
             assert ref_sigma <= bound and sigma <= bound
+
+
+def test_split_sections_agree_with_the_dense_eigvalsh():
+    model = build_model("toeplitz", theta_count=16, sections=(8,))
+    rng = np.random.default_rng(2031)
+    for k in range(1, 6):
+        half = rng.normal(size=k).tolist()
+        symbol = {0: float(rng.normal()), **dict(enumerate(half, 1))}
+        symbol.update({-j: c for j, c in enumerate(half, 1)})
+        x = ToeplitzElement.build(model, symbol)
+        scale = sum(abs(c) for c in symbol.values())
+        # n <= 2K included: there the fold reaches every anti-diagonal of the half
+        for n in range(2, 257, 2):
+            got = np.sort(x._section_values(n))
+            want = np.sort(np.abs(np.linalg.eigvalsh(x.section(n))))
+            # c = 4: both solvers are backward stable, O(n u sum|c_k|) apart
+            assert got.shape == (n,) and np.abs(got - want).max() <= 4 * n * 2.0**-53 * scale
+
+
+def test_only_real_even_corner_free_even_sections_split(monkeypatch):
+    model = build_model("toeplitz", theta_count=16, sections=(7, 8))
+    calls = _lapack_calls(monkeypatch)
+    cases = {
+        "even": ({0: 2.0, 1: 0.5, -1: 0.5}, None, (2, 4, 4)),
+        "-0.0 imaginary": ({0: 2.0, 1: complex(0.5, -0.0), -1: 0.5}, None, (2, 4, 4)),
+        "corner": ({0: 2.0, 1: 0.5, -1: 0.5}, np.eye(1), (8, 8)),
+        "complex, even": ({0: 2.0, 1: 0.5j, -1: 0.5j}, None, (8, 8)),
+        "hermitian": ({0: 2.0, 1: 0.5j, -1: -0.5j}, None, (8, 8)),
+        "uneven": ({0: 2.0, 1: 0.5, -1: 0.25}, None, (8, 8)),
+    }
+    for name, (symbol, corner, top) in cases.items():
+        calls.clear()
+        ToeplitzElement.build(model, symbol, corner)._section_sweep
+        # the odd section is always solved whole, by one call
+        assert [shape for _routine, shape, _dtype in calls] == [(7, 7), top], name
+        if top == (2, 4, 4):
+            assert calls[1][::2] == ("eigvalsh", np.dtype(np.float64)), name
 
 
 def test_non_hermitian_sweeps_are_the_svd_sweep_bitwise(monkeypatch):

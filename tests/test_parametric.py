@@ -33,6 +33,7 @@ from specfam.parametric import (
     spectrum_parametric,
     symbol_restriction_check,
 )
+from specfam.scenario import parse_scenario, run_scenario
 from specfam.spectral import _distinct
 
 
@@ -407,12 +408,12 @@ def test_only_real_diagonal_fibers_skip_lapack(monkeypatch):
         spectrum_parametric(complex_coeff, grid)
     assert eigvalsh == []
     # a real graph operator's blocks are real diagonals over the eigenvalues of
-    # L, from one eigvalsh of L per symbol sweep and per query: no SVD
+    # L, from the one eigvalsh of L that its base keeps: no SVD
     graph = InvariantOperator.shifted_laplacian(path_graph(4), n=1, shift=1.0)
     svd.clear()
     invertible_parametric(graph, grid)
     spectrum_parametric(graph, grid)
-    assert svd == [] and eigvalsh == [(4, 4)] * 3
+    assert svd == [] and eigvalsh == [(4, 4)]
 
 
 def test_parametric_memory_follows_the_chunk_not_the_grid():
@@ -480,8 +481,8 @@ def test_graph_queries_call_lapack_only_on_the_laplacian(monkeypatch, shift):
     v = invertible_parametric(op, grid)
     spectrum_parametric(op, grid)
     parametric.observable_spectrum_parametric(op, grid, 1e-9)
-    # one eigvalsh of L for the symbol sweep, then one per query, and nothing else
-    assert calls.pop("eigvalsh") == [(8, 8)] * 4
+    # one eigvalsh of L, kept on the base for the symbol sweep and every query, and nothing else
+    assert calls.pop("eigvalsh") == [(8, 8)]
     assert not any(calls.values())
     monkeypatch.undo()
     # the first minimizing node of the whole grid, sigma_min within the bound of the dense SVD
@@ -494,6 +495,33 @@ def test_graph_queries_call_lapack_only_on_the_laplacian(monkeypatch, shift):
     dense = np.linalg.svd(np.stack([_ref_fiber(op, lam, True) for lam in nodes]), compute_uv=False)
     bound = max(_graph_tolerance(op, lam, True) for lam in nodes)
     assert abs(v.min_sigma - dense[:, -1].min()) <= bound
+
+
+def test_a_graph_scenario_solves_its_laplacian_once(monkeypatch):
+    queries = ("parametric-spectrum", "parametric-invertible", "observable-spectrum")
+    scenario = parse_scenario(
+        "scenario-version: 1\n"
+        "operators:\n"
+        "  - id: path\n"
+        "    base: graph-path 6\n"
+        "    directions: 1\n"
+        "    term 1 0: 1\n"
+        "    term 0 2: 1\n"
+        "    term 0 0: -1/16\n"
+        "queries:\n"
+        + "".join(
+            f"  - id: q{i}\n    kind: {kind}\n    operator: path\n    window: 2\n    step: 1/32\n"
+            for i, kind in enumerate(queries)
+        )
+    )
+    eigvalsh = _count_calls(monkeypatch, "eigvalsh")
+    results = run_scenario(scenario)["results"]
+    assert [r["kind"] for r in results] == list(queries)
+    # the symbol sweep and all three queries read the eigenvalues the base keeps
+    assert eigvalsh == [(6, 6)]
+    mu = scenario.operators["path"].base.eigenvalues
+    assert not mu.flags.writeable
+    assert mu.tobytes() == parametric._mode_values(scenario.operators["path"].base).tobytes()
 
 
 def _random_graph(rng, d: int) -> GraphBase:

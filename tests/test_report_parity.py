@@ -89,7 +89,8 @@ def test_differing_json_reports_name_the_queries_and_the_largest_gap(tmp_path):
     assert proc.returncode == 1
     first, second = proc.stdout.splitlines()
     assert first.split()[2] == "DIFFERENT"
-    assert second == "    queries a: largest absolute difference 0.5"
+    # 0.5 between 1.0 and 1.5 is 1/3 of 1.5
+    assert second == "    queries a: largest absolute difference 0.5, largest relative difference 0.333"
 
     # a flag and a list length are not numbers: their gap is inf
     other = _fake_tree(
@@ -102,14 +103,42 @@ def test_differing_json_reports_name_the_queries_and_the_largest_gap(tmp_path):
     )
     proc = _parity(old, other, scn)
     assert proc.returncode == 1
-    assert proc.stdout.splitlines()[1] == "    queries b, c: largest absolute difference inf"
+    assert proc.stdout.splitlines()[1] == (
+        "    queries b, c: largest absolute difference inf, largest relative difference inf"
+    )
+
+
+def test_the_largest_relative_gap_is_found_place_by_place(tmp_path):
+    scn = tmp_path / "any.scn"
+    scn.write_text("scenario-version: 1\n")
+    old = _fake_tree(
+        tmp_path / "old", _report(a={"norm": 100.0, "sigma": 1e-3, "zero": 0.0}, b={"norm": 2.0})
+    )
+    # the largest absolute gap (1 in a's norm) is relatively small; a's sigma doubles;
+    # b's norm, equal in both trees, counts neither way
+    new = _fake_tree(
+        tmp_path / "new", _report(a={"norm": 101.0, "sigma": 2e-3, "zero": 0.0}, b={"norm": 2.0})
+    )
+    proc = _parity(old, new, scn)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1] == (
+        "    queries a: largest absolute difference 1, largest relative difference 0.5"
+    )
+    # a number leaving 0 differs by its whole size
+    tiny = _fake_tree(
+        tmp_path / "tiny", _report(a={"norm": 100.0, "sigma": 1e-3, "zero": 1e-300}, b={"norm": 2.0})
+    )
+    assert _parity(old, tiny, scn).stdout.splitlines()[1] == (
+        "    queries a: largest absolute difference 1e-300, largest relative difference 1"
+    )
 
 
 def test_points_lists_of_different_lengths_give_their_hausdorff_distance(tmp_path):
     scn = tmp_path / "any.scn"
     scn.write_text("scenario-version: 1\n")
     old = _fake_tree(tmp_path / "old", _report(a={"points": [[1.0, 0.0], [3.0, 0.0]]}))
-    # 1.25 lies 0.25 from 1.0 and 3.0 lies 0.5 from 3.5; the point 0.5i lies 1.118 from 1.0
+    # 1.25 lies 0.25 from 1.0 and 3.0 lies 0.5 from 3.5; the point 0.5i lies 1.118 from 1.0.
+    # Relatively, the distance is over the largest modulus among both lists' points
     new = _fake_tree(
         tmp_path / "new", _report(a={"points": [[1.0, 0.0], [1.25, 0.0], [3.5, 0.0]]})
     )
@@ -117,12 +146,16 @@ def test_points_lists_of_different_lengths_give_their_hausdorff_distance(tmp_pat
     assert proc.returncode == 1
     first, second = proc.stdout.splitlines()
     assert first.split()[2] == "DIFFERENT"
-    assert second == "    queries a: largest absolute difference 0.5"
+    assert second == "    queries a: largest absolute difference 0.5, largest relative difference 0.143"
     far = _fake_tree(tmp_path / "far", _report(a={"points": [[0.0, 0.5], [3.0, 0.0], [3.0, 0.0]]}))
-    assert _parity(old, far, scn).stdout.splitlines()[1].endswith("difference 1.12")
+    assert _parity(old, far, scn).stdout.splitlines()[1].endswith(
+        "absolute difference 1.12, largest relative difference 0.373"
+    )
     # an empty list is at distance inf from any point
     empty = _fake_tree(tmp_path / "empty", _report(a={"points": []}))
-    assert _parity(old, empty, scn).stdout.splitlines()[1].endswith("difference inf")
+    assert _parity(old, empty, scn).stdout.splitlines()[1].endswith(
+        "absolute difference inf, largest relative difference inf"
+    )
 
 
 def test_non_json_output_gets_no_detail_line(tmp_path):
@@ -183,7 +216,8 @@ def test_a_new_run_that_exits_1_exits_1_and_names_the_scenario(tmp_path):
     first, *rest = proc.stdout.splitlines()
     assert first.split()[2:5] == ["DIFFERENT", "exit", "0/1"]
     assert rest == [
-        "    queries (none): largest absolute difference 0",  # the exit codes differ
+        # the exit codes differ
+        "    queries (none): largest absolute difference 0, largest relative difference 0",
         f"    new run exited 1 (an uncaught traceback): {scn}",
     ]
     # the same crash in both trees is no difference, but still fails

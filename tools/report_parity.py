@@ -14,10 +14,13 @@ scenario path; a pair also differs when the exit codes differ, which the
 line then shows.
 When both outputs of a DIFFERENT pair are JSON reports, an indented line
 under it names the ids of the queries whose results differ and the largest
-absolute difference between their numbers, place by place.  Two `points`
-lists of different lengths count as their Hausdorff distance, as sets of
-complex points; a difference in anything else (a flag, a text, another
-list's length, a key) counts as inf.
+absolute and the largest relative difference between their numbers, place
+by place; the relative difference of old and new is |old - new| /
+max(|old|, |new|), and 0 when they are equal.  Two `points` lists of
+different lengths count as their Hausdorff distance, as sets of complex
+points, and relatively as that distance over the largest modulus among
+their points; a difference in anything else (a flag, a text, another
+list's length, a key) counts as inf, absolutely and relatively.
 
 A report of the new tree must also be strict JSON, as the README's report
 contract says: when it holds NaN, Infinity or -Infinity, an indented line
@@ -80,31 +83,41 @@ def _hausdorff(a: list, b: list) -> float:
     return worst
 
 
-def _gaps(a, b, key: str | None = None) -> list[float]:
-    """|a - b| for the numbers at matching places of two JSON values under key."""
+def _relative(gap: float, scale: float) -> float:
+    return gap / scale if gap else 0.0
+
+
+def _gaps(a, b, key: str | None = None) -> list[tuple[float, float]]:
+    """(absolute, relative) gaps of the numbers at matching places of two JSON values under key."""
     if type(a) in (int, float) and type(b) in (int, float):  # not bool
-        return [abs(a - b)]
+        return [(abs(a - b), _relative(abs(a - b), max(abs(a), abs(b))))]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [g for x, y in zip(a, b) for g in _gaps(x, y)]
     if isinstance(a, list) and isinstance(b, list) and key == "points":
         try:
-            return [_hausdorff(a, b)]
+            gap = _hausdorff(a, b)
+            return [(gap, _relative(gap, max(abs(complex(*p)) for p in a + b)))]
         except TypeError:  # not lists of [re, im] pairs
-            return [math.inf]
+            return [(math.inf, math.inf)]
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         return [g for k in a for g in _gaps(a[k], b[k], k)]
-    return [] if a == b else [math.inf]
+    return [] if a == b else [(math.inf, math.inf)]
 
 
 def _detail(old: bytes, new: bytes) -> str | None:
-    """The differing query ids and their largest gap; None unless both are JSON reports."""
+    """The differing query ids and their largest gaps; None unless both are JSON reports."""
     try:
         old_q, new_q = ({r["id"]: r for r in json.loads(out)["results"]} for out in (old, new))
     except (ValueError, KeyError, TypeError):
         return None
     ids = [q for q in dict.fromkeys([*old_q, *new_q]) if old_q.get(q) != new_q.get(q)]
-    gap = max((g for q in ids for g in _gaps(old_q.get(q), new_q.get(q))), default=0.0)
-    return f"    queries {', '.join(ids) or '(none)'}: largest absolute difference {gap:.3g}"
+    gaps = [g for q in ids for g in _gaps(old_q.get(q), new_q.get(q))]
+    absolute = max((g for g, _r in gaps), default=0.0)
+    relative = max((r for _g, r in gaps), default=0.0)
+    return (
+        f"    queries {', '.join(ids) or '(none)'}: largest absolute difference {absolute:.3g}, "
+        f"largest relative difference {relative:.3g}"
+    )
 
 
 def _non_strict(out: bytes) -> bool:
