@@ -262,6 +262,17 @@ def _mode_values(base: CircleBase | GraphBase) -> np.ndarray:
     return base.eigenvalues
 
 
+def _block_terms(op: InvariantOperator) -> tuple:
+    """(dtype, terms) the blocks accumulate: float and real parts if every imaginary part is 0.
+
+    Then a * x is the real part a * x - 0 * 0 of (a + 0i) * x up to a zero's sign,
+    which the sum into a zero block drops: the complex blocks' real parts, bitwise.
+    """
+    if any(c.imag for _ja, c in op.terms):
+        return complex, op.terms
+    return float, tuple((ja, c.real) for ja, c in op.terms)
+
+
 def _fiber_chunks(op: InvariantOperator, axes, reduced=False):
     """(m, w) fiber diagonals over the product of per-axis coordinates, in lexicographic order.
 
@@ -269,14 +280,15 @@ def _fiber_chunks(op: InvariantOperator, axes, reduced=False):
     _mode_values, computed once per call: coeff * lam^alpha * mu^j summed
     in term order (lam^alpha read from the axes' powers, a j = 0 term added
     as it is), then, when reduced, times d^((s - order)/2) and d^(-s/2)
-    with d = 1 + |lam|^2 + mu, the eigenvalues of D.
+    with d = 1 + |lam|^2 + mu, the eigenvalues of D; float64 or complex128 by _block_terms.
     """
     mu = _mode_values(op.base)
     mu_pow = {j: mu**j for (j, _a), _c in op.terms if j}
     s, order = op.s, float(op.order)
+    dtype, terms = _block_terms(op)
     for at, lam_sq in _node_blocks(axes, op.base.dim):
-        acc = np.zeros((len(lam_sq), len(mu)), dtype=complex)
-        for (j, alpha), coeff in op.terms:
+        acc = np.zeros((len(lam_sq), len(mu)), dtype=dtype)
+        for (j, alpha), coeff in terms:
             term = (coeff * _monomial(axes, at, alpha))[:, None]
             acc += term * mu_pow[j] if j else term
         if reduced:
@@ -296,21 +308,21 @@ def _as_matrices(block: np.ndarray) -> np.ndarray:
 def _sigma_min(block: np.ndarray) -> np.ndarray:
     """Smallest singular value of the diagonal matrix of each row of an (m, w) block.
 
-    A real block gives each row's smallest |entry|, with no LAPACK call; a
-    complex one goes to one stacked SVD, since numpy's complex |z| can
-    differ from LAPACK's in the last place.
+    A float block, or a complex one with no imaginary part, gives each row's
+    smallest |entry|, with no LAPACK call; any other goes to one stacked SVD,
+    since numpy's complex |z| can differ from LAPACK's in the last place.
     """
-    if not block.imag.any():
+    if block.dtype == float or not block.imag.any():
         return np.abs(block.real).min(axis=1)
     return np.linalg.svd(_as_matrices(block), compute_uv=False)[:, -1]
 
 
 def _matrix(base: CircleBase | GraphBase, diagonal: np.ndarray) -> np.ndarray:
-    """The d x d matrix of one diagonal over every mode: V . diag . V^T on a graph."""
+    """The complex d x d matrix of one diagonal over every mode: V . diag . V^T on a graph."""
     if isinstance(base, CircleBase):
         return _as_matrices(diagonal[None])[0]
     v = np.linalg.eigh(base.laplacian())[1]
-    return (v * diagonal) @ v.T
+    return (v * diagonal.astype(complex)) @ v.T
 
 
 def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
@@ -446,14 +458,15 @@ def _principal_symbols(op: InvariantOperator, dirs) -> np.ndarray:
     Per direction, the top terms in term order as (coeff * xi^(2j)) * eta^alpha
     times the identity: a circle's (2K + 1)-mode diagonals, whose columns
     are all equal.  A graph has no cotangent xi: there the term is
-    (coeff * eta^alpha) times mu^j, over the eigenvalues mu of L.
+    (coeff * eta^alpha) times mu^j, over the eigenvalues mu of L; its dtype is _block_terms'.
     """
     graph = isinstance(op.base, GraphBase)
     mu = _mode_values(op.base) if graph else np.ones(op.base.dim)
     eta = _power_axes(op, [[float(e[i]) for _xi, e in dirs] for i in range(op.n)])
     at = (np.arange(len(dirs)),) * op.n
-    out = np.zeros((len(dirs), len(mu)), dtype=complex)
-    for (j, alpha), coeff in op.terms:
+    dtype, terms = _block_terms(op)
+    out = np.zeros((len(dirs), len(mu)), dtype=dtype)
+    for (j, alpha), coeff in terms:
         if 2 * j + sum(alpha) == op.order:
             xi = 1.0 if graph else np.array([float(x) ** (2 * j) for x, _eta in dirs])
             out = out + ((coeff * xi) * _monomial(eta, at, alpha))[:, None] * mu**j
@@ -495,10 +508,10 @@ def spectrum_parametric(
     _check_selfadjoint(op)
     _check_elliptic(op)
     # the eigenvalues of a Hermitian diagonal are its real parts
-    parts = [
-        _distinct(chunk.real.ravel()) for chunk in _fiber_chunks(op, _class_axes(op, grid, False))
-    ]
-    return SpectrumSet.canonical(_distinct(np.concatenate(parts)), tol, truncated=True)
+    chunks = _fiber_chunks(op, _class_axes(op, grid, False))
+    parts = [_distinct(chunk.real.ravel()) for chunk in chunks]
+    values = parts[0] if len(parts) == 1 else _distinct(np.concatenate(parts))
+    return SpectrumSet.canonical(values, tol, truncated=True)
 
 
 def observable_spectrum_parametric(

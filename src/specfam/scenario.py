@@ -318,7 +318,7 @@ def parse_scenario(text: str) -> Scenario:
     if model_pair:
         model = _build_model(_section_pairs(model_pair.value, model_pair.line))
 
-    tables: dict[str, dict] = {}
+    tables, bases = {}, {}  # operators that declare the same base share one base object
     for section, (noun, build) in _LISTS.items():
         table = tables[section] = {}
         pair = _get(pairs, section)
@@ -327,7 +327,7 @@ def parse_scenario(text: str) -> Scenario:
         for item in pair.value if pair else ():
             body = _section_pairs(item, pair.line)
             try:
-                key, value = build(body, model)
+                key, value = build(body, bases if section == "operators" else model)
             except ValueError as err:
                 raise ParseError(str(err), body[0].line) from None
             if key in table:
@@ -470,7 +470,7 @@ def _build_family_entry(pairs: list[_Pair], model):
     return fid, build_family(model, generator, label=fid, **options)
 
 
-def _build_operator(pairs: list[_Pair], _model):
+def _build_operator(pairs: list[_Pair], bases: dict):
     line = pairs[0].line
     oid = _scalar(_need(pairs, "id", line))
     _check_keys(pairs, ("id", "base", "directions"), "operator field", ("term",))
@@ -488,7 +488,10 @@ def _build_operator(pairs: list[_Pair], _model):
             f"above the cap of {MAX_DENSE_ENTRIES} (2^20)",
             base_pair.line,
         )
-    base = CircleBase(size) if circle else GraphBase(np.eye(size, k=1) + np.eye(size, k=-1))
+    if (circle, size) not in bases:  # so a graph's Laplacian is solved once per scenario
+        path = None if circle else np.eye(size, k=1) + np.eye(size, k=-1)
+        bases[circle, size] = CircleBase(size) if circle else GraphBase(path)
+    base = bases[circle, size]
     n = _int(_scalar(_need(pairs, "directions", line)), line)
     terms = {
         (ja[0], ja[1:]): _num(_scalar(p), p.line)
@@ -688,7 +691,7 @@ def report_text(report: dict) -> str:
     every key (a report's keys are strings) and scalar goes through the C
     encoder, and only the indented layout is Python; a list of strings
     (such as probes_used) is one join.  An array of spectrum points
-    (SpectrumSet.values) is laid out as its [[re, im], ...] list.
+    (SpectrumSet.values) is its [[re, im], ...] list: head, joined values, tail.
     """
     encode, quote = json.JSONEncoder().encode, json.encoder.encode_basestring_ascii
     parts = []
@@ -702,17 +705,20 @@ def report_text(report: dict) -> str:
                 write(obj[key], inner)
                 sep = ",\n" + inner
             parts.extend(("\n", pad, "}"))
-        elif isinstance(obj, np.ndarray):
+        elif isinstance(obj, np.ndarray) and obj.size:
             deep = inner + "  "
-            point, zero = f"\n{inner}],\n{inner}[\n{deep}", f",\n{deep}0.0"
+            point, tail = f"\n{inner}],\n{inner}[\n{deep}", f"\n{inner}]\n{pad}]"
             if obj.dtype == complex:
                 pairs = zip(obj.real.tolist(), obj.imag.tolist())
                 text = point.join(f"{re!r},\n{deep}{im!r}" for re, im in pairs)
             else:  # one repr per value; the imaginary part is the constant 0.0
-                text = (zero + point).join(map(float.__repr__, obj.tolist())) + zero
+                zero = f",\n{deep}0.0"
+                text, tail = (zero + point).join(map(float.__repr__, obj.tolist())), zero + tail
             if not np.isfinite(obj).all():  # as json.dumps writes them; finite reprs hold no n or i
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            parts.append(f"[\n{inner}[\n{deep}{text}\n{inner}]\n{pad}]" if obj.size else "[]")
+            parts.extend((f"[\n{inner}[\n{deep}", text, tail))
+        elif isinstance(obj, np.ndarray):
+            parts.append("[]")
         elif isinstance(obj, (list, tuple)) and obj and all(isinstance(x, str) for x in obj):
             parts.extend(("[\n", inner, f",\n{inner}".join(map(quote, obj)), "\n", pad, "]"))
         elif isinstance(obj, (list, tuple)) and obj:
@@ -727,7 +733,8 @@ def report_text(report: dict) -> str:
 
     write(report, "")
     del write  # a closure that holds itself: unbinding it frees parts on return, not at a GC pass
-    return "".join(parts + ["\n"])
+    parts.append("\n")
+    return "".join(parts)
 
 
 _SPECTRUM_KINDS = ("spectrum", "parametric-spectrum", "observable-spectrum")

@@ -17,6 +17,7 @@ from specfam.errors import (
     IncompatibleQuery,
     NotElliptic,
     NotSelfAdjoint,
+    ToolkitError,
     UnsupportedModel,
 )
 from specfam.observables import Observable, spec_union_observable
@@ -29,6 +30,7 @@ from specfam.parametric import (
     _fiber_chunks,
     fiber,
     invertible_parametric,
+    observable_spectrum_parametric,
     principal_symbol,
     spectrum_parametric,
     symbol_restriction_check,
@@ -776,13 +778,16 @@ def test_circle_mode_classes_answer_equal_every_mode_bitwise(monkeypatch, n, odd
         ops += [_class_test_operator(rng, base, n, odd, herm, s=s) for herm in (True, False)]
     assert all(op.order == 4 and op.s != 4 for op in ops)
     for op in ops:
+        real = not any(c.imag for _ja, c in op.terms)
         for reduced in (False, True):
             axes = _class_axes(op, grid, reduced)
             classes = np.concatenate(list(_fiber_chunks(op, axes, reduced)))
             at = itertools.product(*(coords for coords, _powers in axes))
             every = np.stack([np.diagonal(_ref_fiber(op, lam, reduced)) for lam in at])
             assert classes.shape == (len(every), k + 1)
-            assert classes.tobytes() == every[:, : k + 1].tobytes()
+            # a real operator's blocks are float64: bitwise the complex reference's real parts
+            assert classes.dtype == (float if real else complex)
+            assert classes.astype(complex).tobytes() == every[:, : k + 1].tobytes()
             assert every[:, k:].tobytes() == every[:, k::-1].tobytes()
         verdict = invertible_parametric(op, grid, tol=np.inf)
         for settings, want in _ref_verdicts(op, grid):
@@ -830,6 +835,110 @@ def test_circle_symbol_sweep_of_one_column_equals_the_full_diagonal_svd_bitwise(
             assert symbols.shape == (len(dirs), 2 * cutoff + 1) and symbols.imag.any()
             full = parametric._sigma_min(symbols)
             assert np.array([smin for _d, smin in op._symbol_sweep]).tobytes() == full.tobytes()
+
+
+def _complex_chunks(op, axes, reduced=False):
+    """The fiber blocks of every operator accumulated in complex128: the block
+    builder's arithmetic on the complex coefficients, as before real operators
+    kept float64 blocks."""
+    mu = parametric._mode_values(op.base)
+    s, order = op.s, float(op.order)
+    for at, lam_sq in parametric._node_blocks(axes, op.base.dim):
+        acc = np.zeros((len(lam_sq), len(mu)), dtype=complex)
+        for (j, alpha), coeff in op.terms:
+            term = (coeff * parametric._monomial(axes, at, alpha))[:, None]
+            acc += term * mu**j if j else term
+        if reduced:
+            dd = (1.0 + lam_sq)[:, None] + mu
+            acc = (acc * dd ** ((s - order) / 2.0)) * dd ** (-s / 2.0)
+        yield acc
+
+
+def _complex_symbols(op, dirs):
+    """The principal symbol stack accumulated in complex128, likewise."""
+    graph = isinstance(op.base, GraphBase)
+    mu = parametric._mode_values(op.base) if graph else np.ones(op.base.dim)
+    eta = parametric._power_axes(op, [[float(e[i]) for _xi, e in dirs] for i in range(op.n)])
+    at = (np.arange(len(dirs)),) * op.n
+    out = np.zeros((len(dirs), len(mu)), dtype=complex)
+    for (j, alpha), coeff in op.terms:
+        if 2 * j + sum(alpha) == op.order:
+            xi = 1.0 if graph else np.array([float(x) ** (2 * j) for x, _eta in dirs])
+            out = out + ((coeff * xi) * parametric._monomial(eta, at, alpha))[:, None] * mu**j
+    return out
+
+
+def _query_outcomes(op, grid):
+    """Every parametric query's answer on op, or its error, as comparable text."""
+    queries = {
+        "spectrum": lambda: spectrum_parametric(op, grid, tol=1e-9),
+        "invertible": lambda: vars(invertible_parametric(op, grid)),
+        "failing": lambda: vars(invertible_parametric(op, grid, tol=np.inf, delta_sym=np.inf)),
+        "observable": lambda: observable_spectrum_parametric(op, grid, 1e-6),
+        "restriction": lambda: vars(symbol_restriction_check(op)),
+    }
+    out = {}
+    for name, query in queries.items():
+        try:
+            got = query()
+        except ToolkitError as err:  # the reference must raise the same error
+            out[name] = (type(err).__name__, str(err))
+            continue
+        if isinstance(got, SpectrumSet):
+            got = (repr(got), got.values.dtype, got.values.tobytes())
+        out[name] = repr(got)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["one-block", "3-node-blocks"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["circle", "graph"])
+def test_real_operators_keep_float64_blocks_bitwise_equal_to_the_complex_route(
+    monkeypatch, kind, n, chunk
+):
+    base = {"circle": CircleBase(2), "graph": path_graph(4)}[kind]
+    if chunk:
+        monkeypatch.setattr(parametric, "_CHUNK_ENTRIES", chunk * base.dim**2)
+    # at step 1e-170 every square underflows
+    grids = [LambdaGrid.build(n, 1.0, {1: 1 / 8, 2: 0.25, 3: 0.5}[n]), LambdaGrid.build(n, 3e-170, 1e-170)]
+    rng = np.random.default_rng([3200, n, len(kind), chunk or 0])
+    ops = []
+    for odd in (False, True):
+        op = _class_test_operator(rng, base, n, odd, True, s=float(rng.uniform(-3.0, 6.0)))
+        # an imaginary part of -0.0 is zero too: such an operator is real
+        terms = {ja: complex(c.real, -0.0) if i % 2 else c.real for i, (ja, c) in enumerate(op.terms)}
+        ops += [op, InvariantOperator.build(base, n, terms, s=op.s)]
+        assert any(str(c.imag) == "-0.0" for _ja, c in ops[-1].terms)
+    # one nonzero imaginary part keeps the operator on the complex route
+    ja, c = ops[0].terms[-1]
+    ops.append(InvariantOperator.build(base, n, {**dict(ops[0].terms), ja: c + 1e-13j}, s=ops[0].s))
+    for op in ops:
+        real = not any(c.imag for _ja, c in op.terms)
+        twin = InvariantOperator.build(base, n, dict(op.terms), s=op.s)  # its own symbol sweep
+        dirs = [d for d, _smin in op._symbol_sweep]
+        symbols, want = parametric._principal_symbols(op, dirs), _complex_symbols(op, dirs)
+        assert symbols.dtype == (float if real else complex)
+        assert symbols.astype(complex).tobytes() == want.tobytes()
+        for grid in grids:
+            for reduced in (False, True):
+                axes = _class_axes(op, grid, reduced)
+                blocks = list(_fiber_chunks(op, axes, reduced))
+                wants = list(_complex_chunks(op, axes, reduced))
+                assert len(blocks) == len(wants) and (chunk is None) == (len(blocks) == 1)
+                for block, want in zip(blocks, wants):
+                    assert block.dtype == (float if real else complex)
+                    # a real block is the complex block's real part, whose imaginary part is +0.0
+                    assert block.astype(complex).tobytes() == want.tobytes()
+            got = _query_outcomes(op, grid)
+            with monkeypatch.context() as m:
+                m.setattr(parametric, "_fiber_chunks", _complex_chunks)
+                m.setattr(parametric, "_principal_symbols", _complex_symbols)
+                assert got == _query_outcomes(twin, grid)
+                lam, (xi, eta) = (grid.axis[-2],) * n, dirs[1]
+                want = [fiber(twin, lam, r) for r in (False, True)] + [principal_symbol(twin, xi, eta)]
+            views = [fiber(op, lam, r) for r in (False, True)] + [principal_symbol(op, xi, eta)]
+            for view, ref in zip(views, want):
+                assert view.dtype == ref.dtype == complex and view.tobytes() == ref.tobytes()
 
 
 def test_a_grid_builds_each_power_table_once_for_all_its_directions():

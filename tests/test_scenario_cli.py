@@ -249,6 +249,29 @@ def test_fixtures_all_parse():
         assert scenario.label == name.removesuffix(".scn")
 
 
+def test_operators_on_one_declared_base_share_it_within_a_scenario(monkeypatch):
+    # graph-invertible has three operators on graph-path 5: they share one
+    # base, so its Laplacian takes one eigvalsh for the whole scenario; a
+    # second parse builds its own base, so nothing is kept across scenarios
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    text = (PARITY / "graph-invertible.scn").read_text()
+    scenario = parse_scenario(text)
+    report = report_text(run_scenario(scenario))
+    bases = {id(op.base) for op in scenario.operators.values()}
+    assert len(scenario.operators) == 3 and len(bases) == 1
+    assert calls == [(5, 5)]
+    again = parse_scenario(text)
+    assert {id(op.base) for op in again.operators.values()}.isdisjoint(bases)
+    assert report_text(run_scenario(again)) == report and calls == [(5, 5)] * 2
+    circle = parse_scenario(
+        "scenario-version: 1\noperators:\n"
+        + "".join(f"  - id: {i}\n    base: circle {k}\n    directions: 1\n    term 1 0: 1\n"
+                  for i, k in (("a", 2), ("b", 3), ("c", 2)))
+    ).operators
+    assert circle["a"].base is circle["c"].base is not circle["b"].base
+
+
 # ---------------------------------------------------------------------------
 # report shape and determinism
 
