@@ -164,25 +164,29 @@ def _member_values(
 ) -> tuple[tuple[float, float], ...]:
     """(norm, sigma_min) of each member's image of the element.
 
-    Each stack of equal-shape images goes through one batched SVD.  The
-    section-ladder member takes both values from the ladder sweep instead:
-    the norm is the largest section norm, sigma_min the top section's
-    smallest singular value.  An empty image counts as (0, 0).  layout is
-    as in _images.
+    A whole-fiber evaluation reads the element's kept solve (_svals_at),
+    each other stack of equal-shape images one batched SVD, the section
+    ladder its sweep: the largest section norm and the top section's
+    sigma_min.  An empty image counts as (0, 0).  layout is as in _images.
     """
     if layout is None:
         layout = _acting_layout(members, a.model)
     out = [(0.0, 0.0)] * len(members)
     if layout.ladders:  # only a symbol-model element gets here
-        est, sigma = a._section_sweep
+        est, sigma, _ = a._section_sweep
         for i in layout.ladders:
             out[i] = (est.value, sigma)
         layout = layout._replace(ladders=())
-    for pos, stack in _images(members, a, layout):
+    groups, solved, values = dict(layout.groups), [], None
+    if (whole := groups.pop(None, None)) is not None:  # whole-fiber evaluations
+        values, at = a._evaluate(layout.points)
+        solved.append((whole[0], a._svals_at(values[whole[1]], at[whole[1]])))
+    for pos, stack in _images(members, a, layout._replace(groups=groups), values):
         if stack.size:
-            svals = np.linalg.svd(stack, compute_uv=False)
-            for i, top, low in zip(pos.tolist(), svals[:, 0].tolist(), svals[:, -1].tolist()):
-                out[i] = (top, low)
+            solved.append((pos, np.linalg.svd(stack, compute_uv=False)))
+    for pos, svals in solved:
+        for i, top, low in zip(pos.tolist(), svals[:, 0].tolist(), svals[:, -1].tolist()):
+            out[i] = (top, low)
     return tuple(out)
 
 
@@ -467,11 +471,13 @@ def spectrum_union(
         raise
     spectra: list = [()] * len(family.members)
     rest = []
+    kept = vars(a).get("_section_sweep", (None,) * 3)[2]  # the ladder sweep's, if it ran
     for pos, stack in stacks:
         plain = self_adjoint(stack) & stack.any(axis=(1, 2))
         if plain.any():
-            try:
-                w = np.linalg.eigvalsh(stack if plain.all() else stack[plain])  # ascending rows
+            lone = kept is not None and len(pos) == 1 and family.members[pos[0]].kind == "toeplitz-identity"
+            try:  # ascending rows; a lone ladder image reads those its kept sweep found
+                w = kept[None] if lone else np.linalg.eigvalsh(stack if plain.all() else stack[plain])
             except np.linalg.LinAlgError:
                 plain[:] = False  # eig_normal below names the member
             else:

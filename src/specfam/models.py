@@ -304,10 +304,11 @@ class AlgebraElement(_Reflected):
 
         The Lipschitz bound is certified from the coefficients: each
         entry's derivative is bounded by sum |c_k| k hi^(k-1) over the
-        parameter range, and the matrix bound is the Frobenius norm of
-        the entrywise bounds.  A bound that overflows is refused.  Entries
-        sum c_k t**k in ascending k over one table of Python powers t**k
-        per exponent, bit for bit the per-point Python sum.
+        parameter range, and the matrix bound is the Frobenius norm of the
+        entrywise bounds (rescaled if only its squares overflow).  A bound
+        that overflows is refused.  Entries sum c_k t**k in ascending k over
+        one table of Python powers t**k per exponent, bit for bit the
+        per-point Python sum.
         """
         d = model.fiber_dim
         space = model.space
@@ -320,15 +321,17 @@ class AlgebraElement(_Reflected):
             slopes[i, j] = sum(
                 abs(c) * k * hi ** (k - 1) for k, c in enumerate(coeffs) if k >= 1
             )
-        with np.errstate(over="ignore"):
-            lip = float(np.linalg.norm(slopes, "fro"))
         degree = max(map(len, entry_coeffs.values()), default=0)
         powers = [np.array([t**k for t in grid]) for k in range(degree)]
         mats = np.zeros((len(grid), d, d), dtype=complex)
-        for (i, j), coeffs in entry_coeffs.items():
-            for c, p in zip(map(complex, coeffs), powers):
-                mats.real[:, i, j] += c.real * p
-                mats.imag[:, i, j] += c.imag * p
+        with np.errstate(over="ignore"):  # __post_init__ refuses what overflows
+            lip = float(np.linalg.norm(slopes, "fro"))
+            if lip == np.inf and np.isfinite(slopes).all():  # only the squares overflowed
+                lip = float(slopes.max() * np.linalg.norm(slopes / slopes.max(), "fro"))
+            for (i, j), coeffs in entry_coeffs.items():
+                for c, p in zip(map(complex, coeffs), powers):
+                    mats.real[:, i, j] += c.real * p
+                    mats.imag[:, i, j] += c.imag * p
         return cls(model, grid, mats, lip, label)
 
     @classmethod
@@ -340,7 +343,12 @@ class AlgebraElement(_Reflected):
     # -- evaluation --------------------------------------------------------
 
     def values_at(self, points) -> np.ndarray:
-        """Values at many points as one (k, d, d) stack, with one searchsorted.
+        """Values at many points as one (k, d, d) stack: _evaluate's values."""
+        return self._evaluate(points)[0]
+
+    def _evaluate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Values at many points, with one searchsorted, and the breakpoint
+        whose matrix each point takes (-1 where it lerps).
 
         A point within 1e-12 of a breakpoint takes its matrix; any other
         lerps between its two neighbours.  On a discrete base a point takes
@@ -363,7 +371,7 @@ class AlgebraElement(_Reflected):
                 raise IncompatibleModel(
                     f"{_first(points, bad)!r} is not a point of the discrete base space"
                 )
-            return stack[j]
+            return stack[j], j
         if kind == "interval":
             bad = ~((-_POINT_TOL <= t) & (t <= 1.0 + _POINT_TOL))
             if bad.any():
@@ -377,23 +385,37 @@ class AlgebraElement(_Reflected):
         upper = np.abs(bps[k] - t) <= _POINT_TOL
         lower = np.abs(bps[j - 1] - t) <= _POINT_TOL
         mid = (j == n) | ~(upper | lower)
-        out = stack[np.where(upper, k, j - 1)]
+        at = np.where(mid, -1, np.where(upper, k, j - 1))
+        out = stack[at]
         if mid.any():
             j, t = j[mid], t[mid]
             lo, hi = bps[j - 1], np.append(bps, 1.0)[j]
             w = ((t - lo) / (hi - lo))[:, None, None]
             out[mid] = (1.0 - w) * stack[j - 1] + w * stack[j % n]
-        return out
+        return out, at
 
     def value_at(self, t: float) -> np.ndarray:
         """The value at one point: values_at's one-point view."""
         return self.values_at((t,))[0]
 
     @cached_property
+    def _svals(self) -> np.ndarray:
+        """Each breakpoint matrix's singular values: one batched SVD, kept."""
+        return np.linalg.svd(self.matrices, compute_uv=False)
+
+    def _svals_at(self, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Singular values of _evaluate's values: a breakpoint's row of _svals,
+        else one batched SVD (LAPACK solves each matrix alone, bit for bit)."""
+        out, off = self._svals[at], at < 0
+        if off.any():
+            out[off] = np.linalg.svd(values[off], compute_uv=False)
+        return out
+
+    @cached_property
     def _direct_sweep(self) -> tuple[float, float]:
         """sigma_min over the midpoint-refined grid and the certified margin
         sigma_min - lipschitz * gap / 2, once per element (kept on it, like
-        the Toeplitz ladder sweep)."""
+        the Toeplitz ladder sweep).  Only the midpoints are solved here."""
         bps = self.breakpoints
         kind = self.model.space.kind
         if kind == "discrete":
@@ -406,12 +428,12 @@ class AlgebraElement(_Reflected):
             if kind == "circle":
                 pts = np.append(pts, (bps[-1] + 1.0) / 2.0)
                 gap = max(gap, 1.0 - bps[-1])
-        sigma = float(np.linalg.svd(self.values_at(pts), compute_uv=False)[:, -1].min())
+        sigma = float(self._svals_at(*self._evaluate(pts))[:, -1].min())
         return sigma, float(sigma - self.lipschitz_bound * gap / 2.0)
 
     def sup_bound(self) -> float:
-        """Certified upper bound for the sup norm over the base space."""
-        worst = float(np.linalg.svd(self.matrices, compute_uv=False)[:, 0].max())
+        """Certified upper bound for the sup norm over the base space, from _svals."""
+        worst = float(self._svals[:, 0].max())
         gap = float(np.diff(self.breakpoints).max(initial=0.0))
         if self.model.space.kind == "circle":
             gap = max(gap, 1.0 - float(self.breakpoints[-1]))
@@ -530,20 +552,21 @@ class ToeplitzElement(_Reflected):
         )
 
     @cached_property
-    def _section_sweep(self) -> tuple[NormEstimate, float]:
-        """Ladder norm estimate plus the top section's smallest singular value.
+    def _section_sweep(self) -> tuple[NormEstimate, float, np.ndarray | None]:
+        """Ladder norm estimate, the top section's sigma_min and _section_values' eigenvalues.
 
-        One solve per section size serves both numbers (_section_values).  The
+        One solve per section size serves all three (_section_values).  The
         sweep runs once per element and is kept on it, so the norm, the ladder
-        member's image values and the invertibility routes all read the same sweep.
+        member's image values and spectrum and the invertibility routes all read it.
         """
         svals = [self._section_values(n) for n in sorted(set(self.section_sizes))]
-        norms = [float(s.max()) for s in svals]
+        norms = [float(s.max()) for s, _ in svals]
         increment = abs(norms[-1] - norms[-2]) if len(norms) > 1 else 0.0
-        return NormEstimate(max(norms), float(increment)), float(svals[-1].min())
+        return NormEstimate(max(norms), float(increment)), float(svals[-1][0].min()), svals[-1][1]
 
-    def _section_values(self, n: int) -> np.ndarray:
-        """The singular values of the n x n section, in no particular order.
+    def _section_values(self, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The n x n section's singular values, in no particular order, and
+        its eigenvalues if one eigvalsh of the whole section found them.
 
         With no correction and real, even coefficients (c_k = c_-k), an even
         section is symmetric and centrosymmetric, so orthogonally similar to
@@ -554,12 +577,13 @@ class ToeplitzElement(_Reflected):
         c, k = self.coeffs, self.offset
         if n % 2 or self.correction.size or any(z.imag for z in c) or c != c[::-1]:
             m = self.section(n)
-            return np.abs(np.linalg.eigvalsh(m)) if self_adjoint(m) else np.linalg.svd(m, compute_uv=False)
+            w = np.linalg.eigvalsh(m) if self_adjoint(m) else None
+            return (np.linalg.svd(m, compute_uv=False), w) if w is None else (np.abs(w), w)
         h, pair = n // 2, np.array([self.section(n // 2)] * 2)  # A twice, then +H and -H
         for j in range(1, min(k, n - 1) + 1):  # c_j fills the anti-diagonal a + b = n - 1 - j of H
             a = np.arange(max(0, h - j), min(h, n - j))
             pair[:, a, n - 1 - j - a] += [[c[k + j].real], [-c[k + j].real]]
-        return np.abs(np.linalg.eigvalsh(pair)).ravel()
+        return np.abs(np.linalg.eigvalsh(pair)).ravel(), None
 
     def section(self, n: int) -> np.ndarray:
         """The n x n compression: float64 when every coefficient and correction
@@ -766,7 +790,7 @@ def _acting_layout(members: Sequence[Representation], model) -> _Layout:
 
 
 def _images(
-    members: Sequence[Representation], a: Element, layout: _Layout | None = None
+    members: Sequence[Representation], a: Element, layout: _Layout | None = None, values=None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Images of the element under the members, as (member positions,
     stack) per image shape.
@@ -777,11 +801,13 @@ def _images(
     characters whose values all have zero imaginary parts give a float stack.
     layout is the members' layout on the element's model when the caller
     keeps one (a family does); without it the first member that does not
-    act on the element raises.
+    act on the element raises.  values are the element's values at the
+    layout's points when the caller has them.
     """
     if layout is None:
         layout = _acting_layout(members, a.model)
-    values = a.values_at(layout.points) if layout.groups else None
+    if values is None and layout.groups:
+        values = a.values_at(layout.points)
     shapes: dict[int, list] = {}
     for block, (pos, ks) in layout.groups.items():
         image = values[ks] if block is None else values[np.ix_(ks, block, block)]
@@ -845,10 +871,10 @@ class NormEstimate(NamedTuple):
 
 
 def elem_norm(a: Element) -> NormEstimate:
-    """Sup norm over the sample grid with its certified error bar."""
+    """Sup norm over the sample grid, from the element's kept solve, with its certified error bar."""
     if isinstance(a, ToeplitzElement):
         return toeplitz_norm(a)
-    vals = np.linalg.svd(a.values_at(a.model.space.sample_grid), compute_uv=False)[:, 0]
+    vals = a._svals_at(*a._evaluate(a.model.space.sample_grid))[:, 0]
     bar = a.lipschitz_bound * a.model.space.grid_step / 2.0
     return NormEstimate(float(np.max(vals)), float(bar))
 

@@ -47,7 +47,7 @@ from specfam import (
 
 from specfam.families import _member_values, _uncovered, _verdicts
 from specfam.models import enum_prim
-from specfam.scenario import load_scenario, parse_scenario, run_scenario
+from specfam.scenario import load_scenario, parse_scenario, report_text, run_scenario
 from specfam.spectral import eig_normal
 from util import (
     counterexample_element,
@@ -617,6 +617,41 @@ def test_each_element_sweeps_its_section_ladder_once(monkeypatch):
     assert ref() is None  # nothing outside the element holds the sweep
 
 
+def test_a_norm_then_a_spectrum_solve_the_top_section_once(monkeypatch):
+    # the spectrum's ladder image reads the eigenvalues the norm's sweep found
+    svds = _svd_counter(monkeypatch, ("svd", "eigh", "eigvalsh"))
+    path = str(Path(__file__).resolve().parent / "parity" / "toeplitz-complex.scn")
+    scenario = load_scenario(path)
+    top = max(scenario.model.section_sizes)
+    norm = svds(scenario, "norm-hermitian")
+    spectrum = svds(scenario, "spectrum-hermitian")
+    assert [s for s in norm + spectrum if s[-1] == top] == [(top, top)]
+    cold = load_scenario(path)  # the spectrum alone solves the section as its image
+    assert [s for s in svds(cold, "spectrum-hermitian") if s[-1] == top] == [(1, top, top)]
+    for element in ("hermitian", "corrected"):
+        texts = []
+        for warm in (True, False):  # after the norm's sweep, and cold
+            fresh = load_scenario(path)
+            queries = {q.id: q for q in fresh.queries}
+            if warm:
+                run_scenario(dataclasses.replace(fresh, queries=[queries[f"norm-{element}"]]))
+            only = dataclasses.replace(fresh, queries=[queries[f"spectrum-{element}"]])
+            texts.append(report_text(run_scenario(only)))
+        assert texts[0] == texts[1], element
+    # indefinite, split (the even top section of a real even symbol) and zero sections
+    model = build_model("toeplitz", theta_count=8, sections=(7, 9, 10))
+    family = build_family(model, "toeplitz-all")
+    for symbol, corner in (
+        ({0: 0.2, 1: 0.5j, -1: -0.5j}, None),
+        ({0: -1.0, 1: 0.5, -1: 0.5}, np.diag([3.0, -2.0])),
+        ({0: -1.0, 1: 0.5, -1: 0.5}, None),
+        ({}, None),
+    ):
+        warm, cold = (ToeplitzElement.build(model, symbol, corner) for _ in range(2))
+        warm._section_sweep
+        assert repr(spectrum_union(family, warm)) == repr(spectrum_union(family, cold)), symbol
+
+
 def test_self_adjoint_member_images_run_no_svd_in_spectrum_union(monkeypatch):
     # every image of cos2 under toeplitz-all equals its adjoint exactly
     svds = _svd_counter(monkeypatch)
@@ -661,15 +696,16 @@ def test_real_toeplitz_elements_reach_only_real_lapack(monkeypatch):
         invertible_via_family(family, x)
         return list(calls)
 
+    # the spectrum's ladder image reads the sweep's eigvalsh of the top section
     got = solved(real)
     assert [(name, shape) for name, shape, _dtype in got] == [
         ("eigvalsh", (8, 8)), ("eigvalsh", (16, 16)), ("eigvalsh", (32, 32)), ("eigvalsh", (64, 64)),
-        ("eigvalsh", (16, 1, 1)), ("eigvalsh", (1, 64, 64)), ("svd", (16, 1, 1)),
+        ("eigvalsh", (16, 1, 1)), ("svd", (16, 1, 1)),
     ]
     assert {dtype for _name, _shape, dtype in got} == {np.dtype(np.float64)}
     for x in (hermitian, corrected):
         sections = [(name, dtype) for name, shape, dtype in solved(x) if shape[-1] > 1]
-        assert sections == [("eigvalsh", np.dtype(np.complex128))] * 5
+        assert sections == [("eigvalsh", np.dtype(np.complex128))] * 4
     sections = [(name, dtype) for name, shape, dtype in solved(skew, False) if shape[-1] > 1]
     assert sections == [("svd", np.dtype(np.complex128))] * 4
 
@@ -680,7 +716,7 @@ def test_real_sections_agree_with_the_complex_route(monkeypatch):
     section = ToeplitzElement.section
 
     def answers(x):
-        est, sigma = x._section_sweep
+        est, sigma, _ = x._section_sweep
         return (
             est, sigma, spectrum_union(families[0], x).values,
             [family_report(f, (x,)) for f in families],
@@ -746,7 +782,7 @@ def test_hermitian_sweeps_agree_with_the_svd_within_the_solvers_error():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("a Hermitian section ran an SVD"))
             patch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
-            est, sigma = x._section_sweep
+            est, sigma, _ = x._section_sweep
         assert calls == [(n, n) for n in (64, 128, 256, 512)]
         bound = 8 * 512 * 2.0**-53 * ref_norm  # O(n u ||A||) for both backward-stable solvers
         assert abs(est.value - ref_norm) <= bound
@@ -767,7 +803,7 @@ def test_split_sections_agree_with_the_dense_eigvalsh():
         scale = sum(abs(c) for c in symbol.values())
         # n <= 2K included: there the fold reaches every anti-diagonal of the half
         for n in range(2, 257, 2):
-            got = np.sort(x._section_values(n))
+            got = np.sort(x._section_values(n)[0])
             want = np.sort(np.abs(np.linalg.eigvalsh(x.section(n))))
             # c = 4: both solvers are backward stable, O(n u sum|c_k|) apart
             assert got.shape == (n,) and np.abs(got - want).max() <= 4 * n * 2.0**-53 * scale
@@ -806,7 +842,7 @@ def test_non_hermitian_sweeps_are_the_svd_sweep_bitwise(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: counted.append(1))
     for x in elements:
         assert not np.array_equal(x.section(64), x.section(64).conj().T)
-        est, sigma = x._section_sweep
+        est, sigma, _ = x._section_sweep
         got = np.array([est.value, est.error, sigma])
         assert got.tobytes() == np.array(_svd_sweep(x)).tobytes()
     assert counted == []
@@ -1180,10 +1216,12 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
     # two spectrum queries over families with 2x2 and 1x1 images, eigenvalues only
     assert sorted(c for c in calls if c[0] == "eigvalsh") == [("eigvalsh", 1)] * 2 + [("eigvalsh", 2)] * 2
     assert not [c for c in calls if c[0] == "eigh"]
-    # one SVD per image shape for each of (all, f) and (dropped, f), though
-    # three queries read them; one direct sweep of f for both invertible
-    # queries (33 midpoint-grid points); one elem_norm (17 grid points)
-    shapes = [(1, 1, 1), (2, 1, 1), (16, 2, 2), (16, 2, 2), (17, 2, 2), (33, 2, 2)]
+    # f's 17 breakpoint matrices are solved once, and the whole-fiber member
+    # images of (all, f) and (dropped, f), the direct sweep and elem_norm read
+    # that solve; one SVD per block-image shape of each family, though three
+    # queries read them; one direct sweep of f for both invertible queries,
+    # which solves only its 16 midpoints
+    shapes = [(1, 1, 1), (2, 1, 1), (16, 2, 2), (17, 2, 2)]
     assert sorted(c for c in calls if c[0] == "svd") == [("svd", shape) for shape in shapes]
     assert ("acting",) not in calls  # the families checked their members when built
     for name in ("_uncovered", "check_full"):
@@ -1194,6 +1232,101 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
     calls.clear()
     run_scenario(scenario)
     assert calls.count(("prims",)) == 1  # three covers and the probe labels share one list
+
+
+def _alone(m: np.ndarray) -> np.ndarray:
+    """The singular values of one matrix, solved on its own."""
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def _stepped_element(model, bps, rng, hermitian):
+    """Random values at breakpoints bps, block-diagonal where the model asks."""
+    d, mats = model.fiber_dim, []
+    for t in bps:
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = m + m.conj().T if hermitian else m
+        c = model.structure.constraint_at(t)
+        if c is not None:
+            mask = np.zeros((d, d), dtype=bool)
+            for blk in c.blocks:
+                mask[np.ix_(blk, blk)] = True
+            m = np.where(mask, m, 0.0)
+        mats.append(m)
+    return AlgebraElement(model, bps, tuple(mats), 2.5, "stepped")
+
+
+def _solve_cases():
+    """(model, members, elements): grid members, members at breakpoints off
+    the grid and off every breakpoint, and the block members of a constraint."""
+    rng = np.random.RandomState(33)
+    interval = FunctionModel(BaseSpace.interval(1 / 8), BlockStructure.diagonal_at(2, 1.0))
+    circle = FunctionModel(
+        BaseSpace.circle(1 / 8), BlockStructure(3, (BlockConstraint(0.5, ((0, 2), (1,))),))
+    )
+    discrete = FunctionModel(
+        BaseSpace.discrete(5), BlockStructure(3, (BlockConstraint(2.0, ((0,), (1, 2))),))
+    )
+    for model, extra, off in (
+        (interval, (0.03, 0.77), (0.3, 1 / 16, 0.999, 1.0 + 5e-13)),
+        (circle, (0.2, 0.93), (0.3, 0.97, 1.25, -0.05)),
+        (discrete, (0.5, 3.5), ()),
+    ):
+        grid = model.space.sample_grid
+        (c,) = model.structure.constraints
+        members = [Representation.eval_point(t) for t in grid if t != c.point]
+        members += [Representation.block_eval(c.point, i) for i in range(len(c.blocks))]
+        if model.space.kind != "discrete":  # a discrete base has no points between its own
+            members += [Representation.eval_point(t) for t in extra + off]
+        bps = tuple(sorted(grid + extra))  # strictly contains the grid
+        elements = [_stepped_element(model, bps, rng, h) for h in (False, True)]
+        elements.append(random_selfadjoint_element(model, rng))  # breakpoints: the grid
+        if model is interval:
+            elements.append(counterexample_element(model))
+        # values D or -D for a diagonal D: near singular only between a D and a -D
+        diag = np.diag(rng.standard_normal(model.fiber_dim) + 1j)
+        if model is not discrete:
+            for k in range(len(bps) - 1):  # the midpoint of segment k alone
+                signs = [1.0 if j <= k else -1.0 for j in range(len(bps))]
+                elements.append(AlgebraElement(model, bps, [s * diag for s in signs], 1.0))
+        if model is circle:  # the wrap midpoint alone
+            signs = [1.0] * (len(bps) - 2) + [3.0, -1.0]
+            elements.append(AlgebraElement(model, bps, [s * diag for s in signs], 1.0))
+        yield model, tuple(members), elements
+
+
+def test_every_solve_of_a_function_element_is_bitwise_its_matrix_solved_alone():
+    spectra = 0
+    for model, members, elements in _solve_cases():
+        space = model.space
+        for a in elements:
+            bps, lip = a.breakpoints, a.lipschitz_bound
+            norm = max(_alone(a.value_at(t))[0] for t in space.sample_grid)
+            want = np.array([norm, lip * space.grid_step / 2.0])
+            assert np.array(elem_norm(a)).tobytes() == want.tobytes()
+            # the direct sweep: every breakpoint and every midpoint, the wrap one on a circle
+            pts = list(bps)
+            gap = 0.0
+            if space.kind != "discrete":
+                mids = [(lo + hi) / 2.0 for lo, hi in zip(bps, bps[1:])]
+                pts += mids + ([(bps[-1] + 1.0) / 2.0] if space.kind == "circle" else [])
+                gap = max(max(m - lo, hi - m) for lo, m, hi in zip(bps, mids, bps[1:]))
+                gap = max(gap, 1.0 - bps[-1]) if space.kind == "circle" else gap
+            sigma = min(_alone(a.value_at(t))[-1] for t in pts)
+            check = direct_invertible(a)
+            got = np.array([check.sigma_min, check.margin])
+            assert got.tobytes() == np.array([sigma, sigma - lip * gap / 2.0]).tobytes()
+            gap = float(np.diff(bps).max(initial=0.0))
+            gap = max(gap, 1.0 - bps[-1]) if space.kind == "circle" else gap
+            sup = max(_alone(m)[0] for m in a.matrices) + lip * gap / 2.0
+            assert np.float64(a.sup_bound()).tobytes() == np.float64(sup).tobytes()
+            values = [(s[0], s[-1]) for s in (_alone(rep_apply(m, a)) for m in members)]
+            assert np.array(_member_values(members, a)).tobytes() == np.array(values).tobytes()
+            if np.array_equal(a.matrices, a.adjoint().matrices):  # every image is normal
+                spectra += 1
+                parts = [eig_normal(rep_apply(m, a), 1e-9) for m in members]
+                got = spectrum_union(RepFamily(model, members), a)
+                assert repr(got) == repr(union_spectra(parts, resolution=1e-9))
+    assert spectra == 7
 
 
 # ---------------------------------------------------------------------------

@@ -235,3 +235,20 @@ def test_a_missing_tree_or_scenario_exits_2(tmp_path):
     scn.write_text("scenario-version: 1\n")
     assert _parity(tmp_path, ROOT / "src", scn).returncode == 2
     assert _parity(ROOT / "src", ROOT / "src", tmp_path / "missing.scn").returncode == 2
+
+
+def test_solve_counts_of_one_tree_agree_with_themselves():
+    scn = ROOT / "scenarios" / "matrix-counterexample.scn"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "lapack_counts.py"), ROOT / "src", ROOT / "src", scn],
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line, total = proc.stdout.splitlines()
+    assert line.endswith(f"  {scn}") and total.startswith("total: ")
+    cells = [cell.split(" ", 1) for cell in total[len("total: "):].split(", ")]
+    assert [name for name, _ in cells] == ["svd", "eigvalsh", "eigh"]
+    for name, counts in cells:
+        old, new = counts.split(" -> ")
+        assert old == new and f"{name} {counts}" in line
+    assert cells[0][1] != "0/0 -> 0/0"  # the scenario's norm query solves its grid matrices

@@ -778,7 +778,15 @@ def test_the_benchmark_setup_code_builds_the_parser_in_a_fresh_interpreter():
             "  - id: ramp",
         ),
         ({"entry 0 0: 0 1": "entry 0 0: 0 0 1e308"}, 4, "incompatible", "  - id: ramp"),
-        ({"entry 0 0: 0 1": "entry 0 0: 0 1e200"}, 4, "incompatible", "  - id: ramp"),
+        (
+            {
+                "name: interval-scalar": "name: interval-matrix",
+                "entry 0 0: 0 1": "entry 0 0: 0 1.5e308\n    entry 1 1: 0 1.5e308",
+            },
+            4,
+            "incompatible",
+            "  - id: ramp",
+        ),
         (
             {
                 "name: interval-scalar\n  step: 1/16": "name: discrete\n  dim: 1",
@@ -1100,6 +1108,46 @@ def test_cli_non_utf8_scenario_exits_2(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == "parse error: line 2, column 11: byte 0xe9 is not UTF-8\n"
+
+
+def _run_cli(path) -> subprocess.CompletedProcess:
+    """`specfam run` in a fresh interpreter, so that numpy's warnings reach stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "specfam.cli", "run", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+
+
+_COUNTEREXAMPLE = (SCENARIOS / "matrix-counterexample.scn").read_text()
+
+
+@pytest.mark.parametrize(
+    "scenario, old, new",
+    [
+        (MINIMAL, "entry 0 0: 0 1", "entry 0 0: 0 1e200"),
+        (_COUNTEREXAMPLE, "entry 1 1: 1 -1", "entry 1 1: 1e200 -1e200"),
+    ],
+    ids=["scalar", "matrix-counterexample"],
+)
+def test_cli_takes_a_finite_lipschitz_bound_whose_square_overflows(tmp_path, scenario, old, new):
+    # the slope 1e200 is finite, though its square is not
+    path = tmp_path / "steep.scn"
+    path.write_text(scenario.replace(old, new))
+    proc = _run_cli(path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    json.loads(proc.stdout, parse_constant=lambda c: pytest.fail(f"non-strict JSON: {c}"))
+
+
+def test_cli_refuses_an_overflowing_value_with_one_stderr_line(tmp_path):
+    # 1e308 + 1e308 t overflows at t = 1: the element is refused, and numpy warns nothing
+    path = tmp_path / "huge.scn"
+    path.write_text(_COUNTEREXAMPLE.replace("entry 1 1: 1 -1", "entry 1 1: 1e308 1e308"))
+    proc = _run_cli(path)
+    assert proc.returncode == 4
+    assert proc.stderr == (
+        "incompatible: line 13: element 'f' does not fit the model: matrix entries must be finite\n"
+    )
 
 
 def test_cli_unknown_reference_exits_4(tmp_path):
