@@ -40,8 +40,6 @@ from .models import (
     Representation,
     ToeplitzElement,
     ToeplitzModel,
-    _acting_error,
-    _acting_layout,
     _images,
     _layout,
     _Layout,
@@ -58,14 +56,16 @@ _SLACK = 1e-9
 class RepFamily:
     """Nonempty list of representations of one model, each acting on it.
 
-    The members are checked against the model once, here.  What the
-    queries share is kept on the family: the members' layout on its model,
-    the cover and its verdicts, and each element's member values.
+    One pass, here, checks the members against the model and lays them out
+    on it; a member that does not act raises a ValueError naming it and why.
+    What the queries share is kept on the family: that layout, the cover and
+    its verdicts, and each element's member values.
     """
 
     model: FunctionModel | ToeplitzModel
     members: tuple[Representation, ...]
     label: str = ""
+    _layout: _Layout = field(init=False, repr=False, compare=False)
     _memo: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
@@ -73,22 +73,19 @@ class RepFamily:
     def __post_init__(self):
         if not self.members:
             raise ValueError("a family needs at least one member")
-        for m in self.members:
-            if _acting_error(m, self.model) is not None:
-                raise ValueError(f"member {m.label} does not act on this model")
+        try:
+            object.__setattr__(self, "_layout", _layout(self.members, self.model))
+        except ToolkitError as err:
+            raise ValueError(f"member {err.member.label} does not act on this model: {err}") from None
 
     def __reduce__(self):
         # weak references do not pickle: a copy is built anew from the fields
         return RepFamily, (self.model, self.members, self.label)
 
-    @cached_property
-    def _layout(self) -> _Layout:
-        """The members' layout on the family's model, once per family."""
-        return _layout(self.members, self.model)
-
-    def _layout_on(self, model) -> _Layout | None:
-        """The kept layout on the family's model or an equal one, else None."""
-        return self._layout if model is self.model or model == self.model else None
+    def _layout_on(self, model) -> _Layout:
+        """The kept layout on an equal model; on any other, a new one, which checks the members."""
+        same = model is self.model or model == self.model
+        return self._layout if same else _layout(self.members, model)
 
     def _values_of(self, a: Element) -> tuple[tuple[float, float], ...]:
         """_member_values of the members, once per element: the memo holds
@@ -164,13 +161,13 @@ def _member_values(
 ) -> tuple[tuple[float, float], ...]:
     """(norm, sigma_min) of each member's image of the element.
 
-    A whole-fiber evaluation reads the element's kept solve (_svals_at),
-    each other stack of equal-shape images one batched SVD, the section
-    ladder its sweep: the largest section norm and the top section's
-    sigma_min.  An empty image counts as (0, 0).  layout is as in _images.
+    A whole-fiber evaluation reads the element's kept solve (_svals_at), each
+    other stack of equal-shape images one batched SVD, the section ladder its
+    sweep: the largest section norm and the top section's sigma_min.  An empty
+    image counts as (0, 0).  layout is as in _images: one _layout pass if None.
     """
     if layout is None:
-        layout = _acting_layout(members, a.model)
+        layout = _layout(members, a.model)
     out = [(0.0, 0.0)] * len(members)
     if layout.ladders:  # only a symbol-model element gets here
         est, sigma, _ = a._section_sweep
@@ -196,7 +193,7 @@ def norm_via_family(family: RepFamily, a: Element) -> float:
 
 
 def n_a_profile(a: Element) -> list[tuple[Representation, float]]:
-    """Norm of the element's image at every primitive point."""
+    """Norm of the element's image at every primitive point, laid out as _images does."""
     prims = enum_prim(a.model)
     return [(p, norm) for p, (norm, _) in zip(prims, _member_values(prims, a))]
 
@@ -223,6 +220,8 @@ def _member_supports(family: RepFamily, prims: tuple[Representation, ...]) -> se
     primitive points lie in [0, period), so a member position x is looked
     up at x mod period and one period below.
     """
+    if family._layout.ladders:
+        return {p.label for p in prims}
     located = sorted((p for p in prims if _position(p) is not None), key=_position)
     keys = [_position(p) for p in located]
     if isinstance(family.model, ToeplitzModel):
@@ -232,8 +231,6 @@ def _member_supports(family: RepFamily, prims: tuple[Representation, ...]) -> se
     covered: set[str] = set()
     for member in family.members:
         x = _position(member)
-        if x is None:
-            return {p.label for p in prims}
         xs = (x,) if period is None else (x % period, x % period - period)
         covered.update(
             p.label
@@ -280,9 +277,9 @@ def _sparse_point(
     The nearest evaluation is a neighbour of the point in the sorted
     evaluation points (taken mod 1 on the circle, cyclically).
     """
-    evals = [m.point for m in family.members if m.kind == "eval"]
-    if not evals:
+    if None not in family._layout.groups:  # no whole-fiber evaluation
         return uncovered[0]
+    evals = family._layout.points[family._layout.groups[None][1]].tolist()
     space = family.model.space
     key = (lambda t: t % 1.0) if space.kind == "circle" else (lambda t: t)
     evals.sort(key=key)
@@ -475,7 +472,7 @@ def spectrum_union(
     for pos, stack in stacks:
         plain = self_adjoint(stack) & stack.any(axis=(1, 2))
         if plain.any():
-            lone = kept is not None and len(pos) == 1 and family.members[pos[0]].kind == "toeplitz-identity"
+            lone = kept is not None and len(pos) == 1 and pos[0] in family._layout.ladders
             try:  # ascending rows; a lone ladder image reads those its kept sweep found
                 w = kept[None] if lone else np.linalg.eigvalsh(stack if plain.all() else stack[plain])
             except np.linalg.LinAlgError:
@@ -489,8 +486,7 @@ def spectrum_union(
         spectra[i] = eig_normal(image, tol).values
     # float unless some member spectrum has a point off the real axis
     points = np.concatenate([np.zeros(0), *spectra])
-    truncated = any(m.kind == "toeplitz-identity" for m in family.members)
-    return SpectrumSet.canonical(points, tol, truncated)
+    return SpectrumSet.canonical(points, tol, bool(family._layout.ladders))
 
 
 def observable_spectrum_union(
@@ -500,8 +496,7 @@ def observable_spectrum_union(
     members: list = [None] * len(family.members)
     for pos, stack in _images(family.members, a, family._layout_on(a.model)):
         for i, image in zip(pos.tolist(), stack):
-            ladder = family.members[i].kind == "toeplitz-identity"
-            members[i] = Observable.fibered([image], truncated=ladder)
+            members[i] = Observable.fibered([image], truncated=i in family._layout.ladders)
     return spec_union_observable(members, resolution)
 
 
@@ -526,9 +521,9 @@ def fredholm_via_family(
     """
     if not isinstance(family.model, ToeplitzModel) or not isinstance(x, ToeplitzElement):
         raise UnsupportedModel("Fredholm detection applies to symbol-model elements")
-    thetas = [m.theta for m in family.members if m.kind == "toeplitz-character"]
-    if len(thetas) != len(family.members):
+    if len(family._layout.characters) != len(family.members):
         raise UnsupportedModel("the quotient family must consist of characters")
+    thetas = [m.theta for m in family.members]
     vals = [abs(x.symbol_at(th)) for th in thetas]
     worst = int(np.argmin(vals))
     min_symbol = vals[worst]

@@ -12,9 +12,10 @@ Two model families are supported:
   correction, evaluated through a ladder of finite sections and through
   the circle characters of the symbol.
 
-Representations are lightweight tagged values; rep_apply turns
-(representation, element) into a concrete matrix, and _images turns many
-members into their images at once, one stack per image shape.
+Representations are lightweight tagged values.  _layout checks members
+against a model and records where each reads its image, in one pass;
+_images turns many members into their images at once, one stack per image
+shape, and rep_apply is its one-member view.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleModel, ToolkitError, TruncationTooSmall, UnsupportedModel
+from .errors import IncompatibleModel, TruncationTooSmall, UnsupportedModel
 from .spectral import self_adjoint
 
 _POINT_TOL = 1e-12
@@ -492,7 +493,6 @@ class ToeplitzElement(_Reflected):
     coeffs: tuple[complex, ...]
     offset: int
     correction: np.ndarray
-    section_sizes: tuple[int, ...]
     label: str = ""
 
     def __post_init__(self):
@@ -504,8 +504,6 @@ class ToeplitzElement(_Reflected):
         corr.setflags(write=False)
         object.__setattr__(self, "correction", corr)
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if not self.section_sizes:
-            raise ValueError("need at least one section size")
         # sum |c_k| + sum |corr_ij| bounds the norm; Python float sums overflow to inf quietly
         norm_bound = sum(np.abs(self.coeffs).tolist()) + sum(np.abs(corr).ravel().tolist())
         if not (np.isfinite(norm_bound) and np.isfinite(self.symbol_slope_bound())):
@@ -525,7 +523,7 @@ class ToeplitzElement(_Reflected):
         for i, c in symbol.items():
             coeffs[int(i) + k] = complex(c)
         corr = np.zeros((0, 0)) if correction is None else np.asarray(correction, dtype=complex)
-        return cls(model, tuple(coeffs), k, corr, model.section_sizes, label)
+        return cls(model, tuple(coeffs), k, corr, label)
 
     @classmethod
     def shift(cls, model: ToeplitzModel, label: str = "S") -> "ToeplitzElement":
@@ -534,6 +532,10 @@ class ToeplitzElement(_Reflected):
     @classmethod
     def identity(cls, model: ToeplitzModel, scale: complex = 1.0, label: str = "1") -> "ToeplitzElement":
         return cls.build(model, {0: scale}, label=label)
+
+    @property
+    def section_sizes(self) -> tuple[int, ...]:  # algebra keeps every element on its model
+        return self.model.section_sizes
 
     def coeff(self, k: int) -> complex:
         if abs(k) > self.offset:
@@ -608,8 +610,7 @@ class ToeplitzElement(_Reflected):
     def adjoint(self) -> "ToeplitzElement":
         coeffs = tuple(np.conj(c) for c in reversed(self.coeffs))
         return ToeplitzElement(
-            self.model, coeffs, self.offset, self.correction.conj().T,
-            self.section_sizes, f"adj({self.label})",
+            self.model, coeffs, self.offset, self.correction.conj().T, f"adj({self.label})"
         )
 
     def __add__(self, other):
@@ -626,8 +627,7 @@ class ToeplitzElement(_Reflected):
         if b0:
             corr[:b0, :b0] += other.correction
         return ToeplitzElement(
-            self.model, tuple(coeffs), k, corr, self.section_sizes,
-            f"({self.label}+{other.label})",
+            self.model, tuple(coeffs), k, corr, f"({self.label}+{other.label})"
         )
 
     def __mul__(self, other):
@@ -635,7 +635,7 @@ class ToeplitzElement(_Reflected):
             c = complex(other)
             return ToeplitzElement(
                 self.model, tuple(c * x for x in self.coeffs), self.offset,
-                c * self.correction, self.section_sizes, f"({other}*{self.label})",
+                c * self.correction, f"({other}*{self.label})",
             )
         self._same_model(other)
         # T(f)T(g) = T(fg) - H(f)H(g~); corrections multiply through exactly
@@ -675,8 +675,7 @@ class ToeplitzElement(_Reflected):
         nz = np.nonzero(np.abs(corr) > 0.0)
         keep = int(max(nz[0].max(), nz[1].max()) + 1) if nz[0].size else 0
         return ToeplitzElement(
-            self.model, tuple(coeffs), k, corr[:keep, :keep],
-            self.section_sizes, f"({self.label}*{other.label})",
+            self.model, tuple(coeffs), k, corr[:keep, :keep], f"({self.label}*{other.label})"
         )
 
 
@@ -721,35 +720,6 @@ class Representation:
         return cls("toeplitz-character", theta=float(theta), label=f"chi({_fmt(float(theta))})")
 
 
-def _acting_error(rep: Representation, model) -> ToolkitError | None:
-    """The error for a member that does not act on the model's elements, or None.
-
-    Characters and the section ladder act on the symbol model; evaluations
-    at points of the base space and compressions to a constrained block act
-    on function models.
-    """
-    if rep.kind in ("toeplitz-character", "toeplitz-identity"):
-        if isinstance(model, ToeplitzModel):
-            return None
-        if rep.kind == "toeplitz-character":
-            return IncompatibleModel("characters apply to symbol-model elements")
-        return IncompatibleModel("the section ladder applies to symbol-model elements")
-    if rep.kind not in ("eval", "block"):
-        return UnsupportedModel(f"unknown representation kind {rep.kind!r}")
-    if not isinstance(model, FunctionModel):
-        return IncompatibleModel(f"{rep.label} applies to function-model elements")
-    if rep.kind == "eval":
-        if not model.space.contains(rep.point):
-            return IncompatibleModel(f"point {rep.point!r} outside the base space")
-        return None
-    c = model.structure.constraint_at(rep.point)
-    if c is None:
-        return IncompatibleModel(f"no block constraint at {rep.point!r}")
-    if not 0 <= rep.block < len(c.blocks):
-        return IncompatibleModel(f"block index {rep.block} out of range at {rep.point!r}")
-    return None
-
-
 class _Layout(NamedTuple):
     """Where each member reads its image of an element of one model: the
     evaluation points, (member positions, point indices) per block (None
@@ -762,31 +732,40 @@ class _Layout(NamedTuple):
 
 
 def _layout(members: Sequence[Representation], model) -> _Layout:
-    """The members' layout on a model that every one of them acts on."""
+    """Where each member reads its image of the model's elements.  The same
+    pass checks the members: the first that does not act on the model raises,
+    its error naming it as `member`.  Characters and the section ladder act on
+    the symbol model; evaluations at base-space points and compressions to a
+    constrained block, on function models."""
     points, groups, characters, ladders = [], {}, [], []
     for i, rep in enumerate(members):
-        if rep.kind == "toeplitz-character":
-            characters.append(i)
-        elif rep.kind == "toeplitz-identity":
-            ladders.append(i)
+        kind, block, error = rep.kind, None, None  # block None: the whole fiber
+        if kind in ("toeplitz-character", "toeplitz-identity"):
+            if isinstance(model, ToeplitzModel):
+                (characters if kind == "toeplitz-character" else ladders).append(i)
+                continue
+            what = "characters apply" if kind == "toeplitz-character" else "the section ladder applies"
+            error = IncompatibleModel(f"{what} to symbol-model elements")
+        elif kind not in ("eval", "block"):
+            error = UnsupportedModel(f"unknown representation kind {kind!r}")
+        elif not isinstance(model, FunctionModel):
+            error = IncompatibleModel(f"{rep.label} applies to function-model elements")
+        elif kind == "eval":
+            if not model.space.contains(rep.point):
+                error = IncompatibleModel(f"point {rep.point!r} outside the base space")
+        elif (c := model.structure.constraint_at(rep.point)) is None:
+            error = IncompatibleModel(f"no block constraint at {rep.point!r}")
+        elif not 0 <= rep.block < len(c.blocks):
+            error = IncompatibleModel(f"block index {rep.block} out of range at {rep.point!r}")
         else:
-            block = None  # the whole fiber
-            if rep.kind == "block":
-                block = model.structure.constraint_at(rep.point).blocks[rep.block]
-            groups.setdefault(block, []).append((i, len(points)))
-            points.append(rep.point)
-    groups = {block: np.array(pairs).T for block, pairs in groups.items()}
-    return _Layout(np.array(points, dtype=float), groups, tuple(characters), tuple(ladders))
-
-
-def _acting_layout(members: Sequence[Representation], model) -> _Layout:
-    """_layout of members not yet checked against the model: the first
-    member that does not act on its elements raises."""
-    for rep in members:
-        error = _acting_error(rep, model)
+            block = c.blocks[rep.block]
         if error is not None:
+            error.member = rep
             raise error
-    return _layout(members, model)
+        groups.setdefault(block, []).extend((i, len(points)))  # flat: np.array reads ints fastest
+        points.append(rep.point)
+    groups = {block: np.array(flat).reshape(-1, 2).T for block, flat in groups.items()}
+    return _Layout(np.array(points, dtype=float), groups, tuple(characters), tuple(ladders))
 
 
 def _images(
@@ -800,12 +779,12 @@ def _images(
     Characters and the section ladder are applied one member at a time;
     characters whose values all have zero imaginary parts give a float stack.
     layout is the members' layout on the element's model when the caller
-    keeps one (a family does); without it the first member that does not
-    act on the element raises.  values are the element's values at the
-    layout's points when the caller has them.
+    keeps one (a family does); without it the members are laid out on the
+    element's model, and the first that does not act on it raises.  values
+    are the element's values at the layout's points when the caller has them.
     """
     if layout is None:
-        layout = _acting_layout(members, a.model)
+        layout = _layout(members, a.model)
     if values is None and layout.groups:
         values = a.values_at(layout.points)
     shapes: dict[int, list] = {}

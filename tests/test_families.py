@@ -1096,7 +1096,9 @@ def test_images_through_a_family_equal_rep_apply_member_by_member():
         for member, image in zip(fam.members, images):
             assert np.array_equal(image, rep_apply(member, a))
     foreign = random_selfadjoint_element(build_model("discrete", points=4, dim=2), rng)
-    assert fam._layout_on(foreign.model) is None
+    with pytest.raises(IncompatibleModel) as laid:
+        fam._layout_on(foreign.model)  # laid out anew, so checked against that model
+    assert str(laid.value) == "point 0.125 outside the base space"
     errors = []
     for member in fam.members:
         try:
@@ -1203,8 +1205,7 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
         fn = getattr(specfam.families, name)
         monkeypatch.setattr(specfam.families, name, counting(fn, lambda f, n=name: (n, f.label)))
     for mod in (specfam.models, specfam.families):
-        acting = counting(mod._acting_error, lambda rep: ("acting",))
-        monkeypatch.setattr(mod, "_acting_error", acting)
+        monkeypatch.setattr(mod, "_layout", counting(mod._layout, lambda members: ("layout",)))
     model_class = specfam.models.FunctionModel
     counted = functools.cached_property(counting(model_class._prims.func, lambda _: ("prims",)))
     counted.__set_name__(model_class, "_prims")
@@ -1223,7 +1224,7 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
     # which solves only its 16 midpoints
     shapes = [(1, 1, 1), (2, 1, 1), (16, 2, 2), (17, 2, 2)]
     assert sorted(c for c in calls if c[0] == "svd") == [("svd", shape) for shape in shapes]
-    assert ("acting",) not in calls  # the families checked their members when built
+    assert ("layout",) not in calls  # the families checked and laid out their members when built
     for name in ("_uncovered", "check_full"):
         assert sorted(c for c in calls if c[0] == name) == [(name, f) for f in ("all", "dropped", "sparse")]
     assert ("prims",) not in calls  # built once per model, while parsing

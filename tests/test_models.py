@@ -17,6 +17,7 @@ from specfam.models import (
     Representation,
     ToeplitzElement,
     ToeplitzModel,
+    _images,
     elem_norm,
     enum_prim,
     rep_apply,
@@ -374,6 +375,91 @@ def test_rep_apply_cross_model_rejected():
         rep_apply(Representation.eval_point(0.0), s)
 
 
+def _raised(fn, *args) -> tuple[type, str]:
+    """The type and text of what fn(*args) raises."""
+    with pytest.raises(Exception) as got:
+        fn(*args)
+    return type(got.value), str(got.value)
+
+
+def _model_and_element(where: str):
+    """A fresh model, so that n_a_profile can be given its own enum_prim list."""
+    if where == "symbol":
+        model = toeplitz_model(sections=(4, 8))
+        return model, cos_symbol(model)
+    if where == "discrete":
+        model = discrete_model()
+        return model, random_selfadjoint_element(model, np.random.RandomState(2))
+    model = matrix_model()  # its one block constraint sits at t = 1, with two blocks
+    return model, counterexample_element(model)
+
+
+_NOSUCH = Representation("nosuch", point=0.5, label="nosuch")
+# (model, member, exception type, text): each way a member can fail to act on a model
+_REJECTIONS = [
+    ("interval", _NOSUCH, UnsupportedModel, "unknown representation kind 'nosuch'"),
+    ("symbol", _NOSUCH, UnsupportedModel, "unknown representation kind 'nosuch'"),
+    ("interval", Representation.toeplitz_character(0.5), IncompatibleModel,
+     "characters apply to symbol-model elements"),
+    ("interval", Representation.toeplitz_identity(), IncompatibleModel,
+     "the section ladder applies to symbol-model elements"),
+    ("symbol", Representation.eval_point(0.5), IncompatibleModel,
+     "ev(0.5) applies to function-model elements"),
+    ("symbol", Representation.block_eval(1.0, 0), IncompatibleModel,
+     "ev(1)[0] applies to function-model elements"),
+    ("discrete", Representation.eval_point(0.5), IncompatibleModel,
+     "point 0.5 outside the base space"),
+    ("interval", Representation.eval_point(2.0), IncompatibleModel,
+     "point 2.0 outside the base space"),
+    ("interval", Representation.block_eval(0.5, 0), IncompatibleModel,
+     "no block constraint at 0.5"),
+    ("interval", Representation.block_eval(1.0, 2), IncompatibleModel,
+     "block index 2 out of range at 1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, member, error, text",
+    _REJECTIONS,
+    ids=[
+        "unknown-kind", "unknown-kind-on-symbols", "character", "ladder", "eval-on-symbols",
+        "block-on-symbols", "off-discrete", "off-interval", "no-constraint", "block-index",
+    ],
+)
+def test_a_member_that_does_not_act_is_rejected_alike_on_every_path(where, member, error, text):
+    model, a = _model_and_element(where)
+    assert _raised(rep_apply, member, a) == (error, text)
+    assert _raised(_images, (member,), a) == (error, text)
+    vars(model)["_prims"] = (member,)  # n_a_profile images enum_prim's list
+    assert _raised(n_a_profile, a) == (error, text)
+    # a family names the member that does not act, and why
+    assert _raised(RepFamily, model, (member,)) == (
+        ValueError, f"member {member.label} does not act on this model: {text}"
+    )
+
+
+@pytest.mark.parametrize(
+    "second, fifth",
+    [
+        (Representation.eval_point(2.0), Representation.block_eval(0.5, 0)),
+        (Representation.toeplitz_character(0.5), _NOSUCH),
+    ],
+    ids=["outside-then-unconstrained", "character-then-unknown"],
+)
+def test_the_first_member_that_does_not_act_decides_the_error(second, fifth):
+    for first, last in ((second, fifth), (fifth, second)):
+        error, text = next(r[2:] for r in _REJECTIONS if r[0] == "interval" and r[1] == first)
+        model, a = _model_and_element("interval")
+        ok = [Representation.eval_point(t) for t in (0.0, 0.25, 0.5)]
+        members = (ok[0], ok[1], first, ok[2], Representation.block_eval(1.0, 1), last)
+        assert _raised(_images, members, a) == (error, text)
+        vars(model)["_prims"] = members
+        assert _raised(n_a_profile, a) == (error, text)
+        assert _raised(RepFamily, model, members) == (
+            ValueError, f"member {first.label} does not act on this model: {text}"
+        )
+
+
 
 @pytest.mark.parametrize("op", ["+", "*"])
 def test_toeplitz_algebra_across_models_rejected(op):
@@ -387,6 +473,16 @@ def test_toeplitz_algebra_across_models_rejected(op):
         combine(small, counterexample_element(matrix_model(1.0 / 8.0)))
     twin = ToeplitzElement.shift(ToeplitzModel.standard(8, (4, 8)))
     assert combine(small, twin).section_sizes == (4, 8)
+
+
+def test_toeplitz_elements_report_their_models_section_sizes():
+    model = ToeplitzModel.standard(8, (4, 8, 24))
+    x = ToeplitzElement.build(model, {-1: 0.5, 1: 2.0}, correction=np.eye(2), label="x")
+    s, one = ToeplitzElement.shift(model), ToeplitzElement.identity(model, 3.0)
+    for y in (x, s, one, x.adjoint(), x + s, x * s, x + 1.0, 2j * x, x * 0.5, x - s):
+        assert y.model is model and y.section_sizes == (4, 8, 24)
+    with pytest.raises(AttributeError):
+        x.section_sizes = (4,)
 
 # ---------------------------------------------------------------------------
 # representation property: multiplicative, adjoint-preserving, contractive

@@ -114,16 +114,18 @@ def test_minimal_scenario_parses():
 
 
 def test_parse_checks_each_family_member_once(monkeypatch):
-    # the scenario's label goes to build_family, so no second family is built
+    # the scenario's label goes to build_family, so no second family is built;
+    # each family checks and lays out its members in one _layout pass
     calls = []
-    real = families_module._acting_error
+    real = families_module._layout
     monkeypatch.setattr(
-        families_module, "_acting_error", lambda rep, model: calls.append(rep) or real(rep, model)
+        families_module, "_layout", lambda members, model: calls.append(members) or real(members, model)
     )
     extra = "generator: eval-grid\n  - id: prims\n    generator: prim-all"
     scenario = parse_scenario(MINIMAL.replace("generator: eval-grid", extra))
     assert [f.label for f in scenario.families.values()] == ["grid", "prims"]
-    assert len(calls) == sum(len(f.members) for f in scenario.families.values()) == 34
+    assert calls == [f.members for f in scenario.families.values()]
+    assert sum(map(len, calls)) == 34
 
 
 def test_fraction_step_expands_grid():
@@ -972,6 +974,27 @@ def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, co
     err = capsys.readouterr().err
     assert err.startswith(f"{kind}: line {_line_of(text, culprit)}")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "option, reason",
+    [
+        ("generator: single\n    at: 2", "member ev(2) does not act on this model: point 2.0 outside the base space"),
+        (
+            "generator: eval-grid\n    add-block: 0.5 0",
+            "member ev(0.5)[0] does not act on this model: no block constraint at 0.5",
+        ),
+    ],
+    ids=["eval-outside-interval", "block-without-constraint"],
+)
+def test_cli_names_the_member_that_does_not_act_and_why(tmp_path, capsys, option, reason):
+    text = MINIMAL.replace("name: interval-scalar\n  step: 1/16", "name: interval-matrix\n  step: 1/8")
+    text = text.replace("generator: eval-grid", option)
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["run", str(bad)]) == 2
+    line = _line_of(text, "  - id: grid")
+    assert capsys.readouterr().err == f"parse error: line {line}, column 1: {reason}\n"
 
 
 @pytest.mark.parametrize(
