@@ -25,7 +25,6 @@ when it clears max(resolution, lipschitz * grid_step); anything less is
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -204,48 +203,49 @@ def n_a_profile(a: Element) -> list[tuple[Representation, float]]:
 _SYMBOL_PROBES = ("probe:1", "probe:S", "adj(S)", "probe:2cos", "probe:e00")
 
 
-def _position(x: Representation) -> float | None:
-    """Base point or angle of a member or primitive point; None for pi."""
-    return x.point if x.theta is None else x.theta
-
-
-def _member_supports(family: RepFamily, prims: tuple[Representation, ...]) -> set[str]:
-    """Labels of the primitive points in the closure of some member's support.
-
-    A section-ladder member covers every point, its closure being the
-    whole dual.  Every other point is closed: each other member finds the
-    points it evaluates at by bisection over the primitive points sorted
-    by base point (or angle), within 1e-12.  Positions on a circle base
-    (period 1) and angles (period 2 pi) are compared cyclically: the
-    primitive points lie in [0, period), so a member position x is looked
-    up at x mod period and one period below.
-    """
-    if family._layout.ladders:
-        return {p.label for p in prims}
-    located = sorted((p for p in prims if _position(p) is not None), key=_position)
-    keys = [_position(p) for p in located]
-    if isinstance(family.model, ToeplitzModel):
-        period = 2.0 * np.pi
-    else:
-        period = 1.0 if family.model.space.kind == "circle" else None
-    covered: set[str] = set()
-    for member in family.members:
-        x = _position(member)
-        xs = (x,) if period is None else (x % period, x % period - period)
-        covered.update(
-            p.label
-            for y in xs
-            for p in located[bisect_left(keys, y - 2e-12):bisect_right(keys, y + 2e-12)]
-            if abs(_position(p) - y) <= 1e-12 and member.block in (None, p.block)
-        )
-    return covered
+def _near(keys: np.ndarray, points: np.ndarray, period: float | None = None) -> np.ndarray:
+    """Which keys lie within 1e-12 of some point, by one searchsorted into the
+    sorted points: a key's two neighbours there decide.  With a period the
+    points are taken mod period and one period below."""
+    ordered = np.sort(points if period is None else points % period)
+    out = np.zeros(len(keys), bool)
+    for copy in (ordered,) if period is None else (ordered, ordered - period):
+        i = np.searchsorted(copy, keys)
+        for j in (np.maximum(i - 1, 0), np.minimum(i, len(copy) - 1)):
+            out |= np.abs(keys - copy[j]) <= 1e-12
+    return out
 
 
 def _uncovered(family: RepFamily) -> tuple[Representation, ...]:
-    """Primitive points outside every member's support closure, in order."""
-    prims = enum_prim(family.model)
-    covered = _member_supports(family, prims)
-    return tuple(p for p in prims if p.label not in covered)
+    """Primitive points outside every member's support closure, in order.
+
+    A section-ladder member covers every point, its closure being the
+    whole dual.  Every other point is closed: each block group of the
+    family's layout covers the points _near where it evaluates (the
+    characters, their angles), an evaluation every point there and a
+    compression the point of its own block.  A circle base (period 1) and
+    angles (period 2 pi) are compared cyclically: the primitive points lie
+    in [0, period), and a member position x counts at x mod period and one
+    period below.
+    """
+    model, layout, prims = family.model, family._layout, enum_prim(family.model)
+    if layout.ladders:
+        return ()
+    covered = np.zeros(len(prims), bool)
+    if isinstance(model, ToeplitzModel):  # pi first, then a character per angle
+        thetas = np.array([family.members[i].theta for i in layout.characters])
+        covered[1:] = _near(np.array(model.thetas), thetas, 2.0 * np.pi)
+    else:
+        period = 1.0 if model.space.kind == "circle" else None
+        keys, constraint_at = np.array([p.point for p in prims]), model.structure.constraint_at
+        for block, (_, ks) in layout.groups.items():
+            near = _near(keys, layout.points[ks], period)
+            if block is not None:  # a compression covers the point of its own block there
+                for i in np.flatnonzero(near).tolist():
+                    p = prims[i]
+                    near[i] = p.block is not None and constraint_at(p.point).blocks[p.block] == block
+            covered |= near
+    return tuple(prims[i] for i in np.flatnonzero(~covered).tolist())
 
 
 def check_full(family: RepFamily) -> CheckResult:
@@ -275,23 +275,22 @@ def _sparse_point(
     """First uncovered point farther than one grid step from every evaluation.
 
     The nearest evaluation is a neighbour of the point in the sorted
-    evaluation points (taken mod 1 on the circle, cyclically).
+    evaluation points (taken mod 1 on the circle, cyclically): one
+    searchsorted checks every point against both.
     """
     if None not in family._layout.groups:  # no whole-fiber evaluation
         return uncovered[0]
-    evals = family._layout.points[family._layout.groups[None][1]].tolist()
-    space = family.model.space
-    key = (lambda t: t % 1.0) if space.kind == "circle" else (lambda t: t)
-    evals.sort(key=key)
-    keys = [key(q) for q in evals]
-    for p in uncovered:
-        i = bisect_left(keys, key(p.point))
-        if not any(
-            space.distance(p.point, evals[j % len(evals)]) <= space.grid_step + 1e-12
-            for j in (i - 1, i)
-        ):
-            return p
-    return None
+    evals = family._layout.points[family._layout.groups[None][1]]
+    space, at = family.model.space, np.array([p.point for p in uncovered])
+    circle = space.kind == "circle"  # sorted by position mod 1, each as given
+    evals = evals[np.argsort(evals % 1.0, kind="stable")] if circle else np.sort(evals)
+    i = np.searchsorted(evals % 1.0, at % 1.0) if circle else np.searchsorted(evals, at)
+    near = np.zeros(len(at), bool)
+    for q in (evals[(i - 1) % len(evals)], evals[i % len(evals)]):
+        d = np.abs(at - q) % 1.0 if circle else np.abs(at - q)  # space.distance, point by point
+        near |= (np.minimum(d, 1.0 - d) if circle else d) <= space.grid_step + 1e-12
+    far = np.flatnonzero(~near)
+    return uncovered[far[0]] if far.size else None
 
 
 def _verdicts(family: RepFamily) -> tuple[CheckResult, CheckResult, CheckResult]:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import UnsupportedModel
 from .models import (
     BaseSpace,
@@ -18,7 +20,7 @@ from .models import (
     ToeplitzModel,
     enum_prim,
 )
-from .families import RepFamily
+from .families import RepFamily, _near
 
 MODEL_NAMES = (
     "interval-matrix",
@@ -112,10 +114,6 @@ def _reject_extras(name: str, params: dict):
         raise ValueError(f"model {name!r} does not accept parameters: {keys}")
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-12
-
-
 def build_family(model, generator: str, label: str | None = None, **options) -> RepFamily:
     """Family of representations by generator name.
 
@@ -141,14 +139,12 @@ def build_family(model, generator: str, label: str | None = None, **options) -> 
         _needs_function_model(model, generator)
         excluded = [float(t) for t in options.pop("exclude_points", ())]
         added = [(float(t), int(i)) for t, i in options.pop("add_blocks", ())]
-        for x in excluded:
-            if not any(_close(t, x) for t in model.space.sample_grid):
-                raise ValueError(f"excluded point {x!r} is not a grid point")
-        for t, ev in zip(model.space.sample_grid, model._evals):
-            if not any(_close(t, x) for x in excluded):
-                members.append(ev)
-        for t, i in added:
-            members.append(Representation.block_eval(t, i))
+        grid, x = np.array(model.space.sample_grid), np.array(excluded)
+        if not (found := _near(x, grid)).all():  # each must lie within 1e-12 of a grid point
+            raise ValueError(f"excluded point {excluded[int(np.argmin(found))]!r} is not a grid point")
+        drop = _near(grid, x) if excluded else np.zeros(len(grid), bool)
+        members = [model._evals[k] for k in np.flatnonzero(~drop).tolist()]
+        members += [Representation.block_eval(t, b) for t, b in added]
         if excluded or added:
             generated = f"{generator}[-{len(excluded)}+{len(added)}]"
     elif generator == "coarse":

@@ -160,7 +160,8 @@ class FunctionModel:
     @cached_property
     def _evals(self) -> tuple[Representation, ...]:
         """The evaluation at each grid point, for enum_prim and the grid families."""
-        return tuple(map(Representation.eval_point, self.space.sample_grid))
+        grid = map(float, self.space.sample_grid)
+        return tuple([Representation("eval", t, None, None, f"ev({_fmt(t)})") for t in grid])
 
     @cached_property
     def _prims(self) -> tuple[Representation, ...]:
@@ -686,15 +687,15 @@ Element = AlgebraElement | ToeplitzElement
 # representations
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """Tagged evaluation rule; rep_apply realizes it on an element.
 
     kinds: "eval" (full matrix at a point), "block" (compression to one
     constrained block), "toeplitz-identity" (finite-section ladder),
     "toeplitz-character" (scalar symbol value).  The irreducible ones are
     the primitive points of enum_prim; each is closed except the section
-    ladder pi, whose closure is the whole dual.
+    ladder pi, whose closure is the whole dual.  A named tuple: it compares
+    and hashes by its fields, and costs a tuple to build.
     """
 
     kind: str

@@ -457,10 +457,10 @@ def _build_family_entry(pairs: list[_Pair], model):
         if p.key == "exclude-points":
             options["exclude_points"] = _nums(_scalar(p), p.line)
         elif p.key == "add-block":
-            toks = _nums(_scalar(p), p.line)
+            toks = _scalar(p).split()
             if len(toks) != 2:
                 raise ParseError("add-block takes 'point block'", p.line)
-            options.setdefault("add_blocks", []).append((toks[0], int(toks[1])))
+            options.setdefault("add_blocks", []).append((_num(toks[0], p.line), _int(toks[1], p.line)))
         elif p.key == "stride":
             options["stride"] = _int(_scalar(p), p.line)
             if options["stride"] < 1:

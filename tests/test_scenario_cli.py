@@ -80,6 +80,10 @@ queries:"""
 _LAPLACIAN = _OPERATOR.format(base="circle 4", term="1 0: 1\n    term 0 2")
 
 
+# the 2x2 model with a diagonal constraint at 1, where `add-block: 1 0` acts
+_MATRIX = {"name: interval-scalar\n  step: 1/16": "name: interval-matrix\n  step: 1/8"}
+
+
 def _line_of(text: str, needle: str) -> int:
     return text.splitlines().index(needle) + 1
 
@@ -940,6 +944,18 @@ def test_the_benchmark_setup_code_builds_the_parser_in_a_fresh_interpreter():
             "parse error",
             "    base: graph-path 99999999",
         ),
+        (
+            {**_MATRIX, "generator: eval-grid": "generator: eval-grid\n    add-block: 1 0.7"},
+            2,
+            "parse error",
+            "    add-block: 1 0.7",
+        ),
+        (
+            {**_MATRIX, "generator: eval-grid": "generator: eval-grid\n    add-block: 1 -0.5"},
+            2,
+            "parse error",
+            "    add-block: 1 -0.5",
+        ),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
@@ -962,6 +978,7 @@ def test_the_benchmark_setup_code_builds_the_parser_in_a_fresh_interpreter():
         "coefficients-overflow", "observable-coefficients-overflow",
         "lambda-axis-overflows", "lambda-axis-too-long", "correction-index-negative",
         "circle-base-too-large", "graph-base-too-large",
+        "add-block-fractional-index", "add-block-negative-fractional-index",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
