@@ -25,13 +25,13 @@ when it clears max(resolution, lipschitz * grid_step); anything less is
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ToolkitError, UnsupportedModel
+from .errors import ToolkitError, UnsupportedModel, _Frozen
 from .models import (
     AlgebraElement,
     Element,
@@ -51,8 +51,7 @@ from .spectral import DEFAULT_RESOLUTION, SpectrumSet, eig_normal, self_adjoint
 _SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class RepFamily:
+class RepFamily(_Frozen):
     """Nonempty list of representations of one model, each acting on it.
 
     One pass, here, checks the members against the model and lays them out
@@ -61,21 +60,20 @@ class RepFamily:
     its verdicts, and each element's member values.
     """
 
-    model: FunctionModel | ToeplitzModel
-    members: tuple[Representation, ...]
-    label: str = ""
-    _layout: _Layout = field(init=False, repr=False, compare=False)
-    _memo: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
-    )
+    _fields = ("model", "members", "label")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(
+        self, model: FunctionModel | ToeplitzModel, members: tuple[Representation, ...],
+        label: str = "",
+    ):
+        if not members:
             raise ValueError("a family needs at least one member")
         try:
-            object.__setattr__(self, "_layout", _layout(self.members, self.model))
+            layout = _layout(members, model)
         except ToolkitError as err:
             raise ValueError(f"member {err.member.label} does not act on this model: {err}") from None
+        memo = weakref.WeakKeyDictionary()
+        self._set(model=model, members=members, label=label, _layout=layout, _memo=memo)
 
     def __reduce__(self):
         # weak references do not pickle: a copy is built anew from the fields
@@ -108,16 +106,15 @@ class RepFamily:
         return _verdicts(self)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     witness: str | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    """Serialized outcome of the three completeness checks."""
+class FamilyReport(NamedTuple):
+    """Serialized outcome of the three completeness checks; family_report,
+    its one constructor, checks that full => exhausting => faithful."""
 
     label: str
     faithful: bool
@@ -128,12 +125,6 @@ class FamilyReport:
     full_witness: str | None
     probes_used: tuple[str, ...]
     tolerances: MappingProxyType
-
-    def __post_init__(self):
-        if self.full and not self.exhausting:
-            raise RuntimeError("report violates full => exhausting")
-        if self.exhausting and not self.faithful:
-            raise RuntimeError("report violates exhausting => faithful")
 
     def as_dict(self) -> dict:
         return {
@@ -344,6 +335,10 @@ def family_report(family: RepFamily, probes: tuple[Element, ...] = ()) -> Family
     """All three verdicts from one primitive-point cover; the user elements
     in probes add their labels to probes_used and change no verdict."""
     full, exhausting, faithful = family._checks
+    if full.ok and not exhausting.ok:
+        raise RuntimeError("report violates full => exhausting")
+    if exhausting.ok and not faithful.ok:
+        raise RuntimeError("report violates exhausting => faithful")
     return FamilyReport(
         label=family.label,
         faithful=faithful.ok,
@@ -368,8 +363,7 @@ def invertibility_threshold(a: Element, tol: float = DEFAULT_RESOLUTION) -> floa
     return tol
 
 
-@dataclass(frozen=True)
-class InvertibilityVerdict:
+class InvertibilityVerdict(NamedTuple):
     """The naive member-wise check and both certified routes of one query.
 
     The naive check misleads for faithful-but-not-exhausting families.  A
@@ -424,8 +418,7 @@ def invertible_via_family(
     )
 
 
-@dataclass(frozen=True)
-class DirectCheck:
+class DirectCheck(NamedTuple):
     invertible: bool
     sigma_min: float
     margin: float
@@ -499,8 +492,7 @@ def observable_spectrum_union(
     return spec_union_observable(members, resolution)
 
 
-@dataclass(frozen=True)
-class FredholmVerdict:
+class FredholmVerdict(NamedTuple):
     fredholm: bool
     inverse_bound: float | None
     failing_theta: float | None

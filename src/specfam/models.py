@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleModel, TruncationTooSmall, UnsupportedModel
+from .errors import IncompatibleModel, TruncationTooSmall, UnsupportedModel, _Frozen
 from .spectral import self_adjoint
 
 _POINT_TOL = 1e-12
@@ -48,8 +47,7 @@ def _first(points, bad: np.ndarray):
 # base spaces and block structure
 
 
-@dataclass(frozen=True)
-class BaseSpace:
+class BaseSpace(NamedTuple):
     """Parameter space carrying the sample grid used for sup-norms.
 
     kind is one of "discrete", "interval", "circle".  The grid is sorted
@@ -100,30 +98,26 @@ class BaseSpace:
         return math.isfinite(t)  # the circle wraps every finite point
 
 
-@dataclass(frozen=True)
-class BlockConstraint:
+class BlockConstraint(NamedTuple):
     """At `point`, values must be block-diagonal along `blocks`."""
 
     point: float
     blocks: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class BlockStructure(_Frozen):
     """Fiber dimension plus the block-diagonality constraints."""
 
-    fiber_dim: int
-    constraints: tuple[BlockConstraint, ...] = ()
+    _fields = ("fiber_dim", "constraints")
 
-    def __post_init__(self):
-        if self.fiber_dim < 1:
+    def __init__(self, fiber_dim: int, constraints: tuple[BlockConstraint, ...] = ()):
+        if fiber_dim < 1:
             raise ValueError("fiber dimension must be positive")
-        for c in self.constraints:
+        for c in constraints:
             seen = sorted(i for blk in c.blocks for i in blk)
-            if seen != list(range(self.fiber_dim)):
-                raise ValueError(
-                    f"blocks at {c.point} must partition the {self.fiber_dim} fiber indices"
-                )
+            if seen != list(range(fiber_dim)):
+                raise ValueError(f"blocks at {c.point} must partition the {fiber_dim} fiber indices")
+        self._set(fiber_dim=fiber_dim, constraints=constraints)
 
     @classmethod
     def unconstrained(cls, d: int) -> "BlockStructure":
@@ -141,17 +135,16 @@ class BlockStructure:
         return None
 
 
-@dataclass(frozen=True)
-class FunctionModel:
+class FunctionModel(_Frozen):
     """Matrix functions on a base space with block constraints."""
 
-    space: BaseSpace
-    structure: BlockStructure
+    _fields = ("space", "structure")
 
-    def __post_init__(self):
-        for c in self.structure.constraints:
-            if not any(abs(c.point - g) <= _POINT_TOL for g in self.space.sample_grid):
+    def __init__(self, space: BaseSpace, structure: BlockStructure):
+        for c in structure.constraints:
+            if not any(abs(c.point - g) <= _POINT_TOL for g in space.sample_grid):
                 raise ValueError(f"constrained point {c.point} is not a grid point")
+        self._set(space=space, structure=structure)
 
     @property
     def fiber_dim(self) -> int:
@@ -176,20 +169,19 @@ class FunctionModel:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ToeplitzModel:
+class ToeplitzModel(_Frozen):
     """Symbol-plus-correction algebra sampled through sections and characters."""
 
-    thetas: tuple[float, ...]
-    section_sizes: tuple[int, ...] = (8, 16, 32, 64, 128)
+    _fields = ("thetas", "section_sizes")
 
-    def __post_init__(self):
-        if not self.thetas:
+    def __init__(self, thetas: tuple[float, ...], section_sizes: tuple[int, ...] = (8, 16, 32, 64, 128)):
+        if not thetas:
             raise ValueError("need at least one character angle")
-        if not self.section_sizes or any(n < 1 for n in self.section_sizes):
+        if not section_sizes or any(n < 1 for n in section_sizes):
             raise ValueError("section sizes must be positive")
-        if list(self.section_sizes) != sorted(self.section_sizes):
+        if list(section_sizes) != sorted(section_sizes):
             raise ValueError("section sizes must be nondecreasing")
+        self._set(thetas=thetas, section_sizes=section_sizes)
 
     @cached_property
     def _prims(self) -> tuple[Representation, ...]:
@@ -231,8 +223,7 @@ class _Reflected:
             raise IncompatibleModel("elements live on different models")
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraElement(_Reflected):
+class AlgebraElement(_Reflected, _Frozen):
     """Piecewise-linear matrix function with a certified Lipschitz bound.
 
     breakpoints is a float64 array of shape (k,) and matrices the complex128
@@ -242,23 +233,23 @@ class AlgebraElement(_Reflected):
     matrices are read-only copies, taken once from any sequence of values.
     """
 
-    model: FunctionModel
-    breakpoints: np.ndarray
-    matrices: np.ndarray
-    lipschitz_bound: float
-    label: str = ""
+    _fields = ("model", "breakpoints", "matrices", "lipschitz_bound", "label")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if len(self.breakpoints) != len(self.matrices) or len(self.breakpoints) == 0:
+    def __init__(
+        self, model: FunctionModel, breakpoints: np.ndarray, matrices: np.ndarray,
+        lipschitz_bound: float, label: str = "",
+    ):
+        if len(breakpoints) != len(matrices) or len(breakpoints) == 0:
             raise ValueError("breakpoints and matrices must align and be nonempty")
-        bps = np.array(self.breakpoints, dtype=float)
+        bps = np.array(breakpoints, dtype=float)
         if np.any(bps[1:] <= bps[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
-        if not 0.0 <= self.lipschitz_bound < np.inf:
+        if not 0.0 <= lipschitz_bound < np.inf:
             raise ValueError("lipschitz bound must be finite and nonnegative")
-        d = self.model.fiber_dim
+        d = model.fiber_dim
         try:
-            mats = np.array(self.matrices, dtype=complex)
+            mats = np.array(matrices, dtype=complex)
         except ValueError:  # values of differing shapes do not stack
             mats = None
         if mats is None or mats.shape != (len(bps), d, d):
@@ -271,9 +262,10 @@ class AlgebraElement(_Reflected):
                 raise ValueError("the entry sum of every value must be finite")
         bps.setflags(write=False)
         mats.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "matrices", mats)
-        grid = np.asarray(self.model.space.sample_grid)
+        self._set(
+            model=model, breakpoints=bps, matrices=mats, lipschitz_bound=lipschitz_bound, label=label
+        )
+        grid = np.asarray(model.space.sample_grid)
         pos = np.searchsorted(bps, grid)
         lo = np.clip(pos - 1, 0, len(bps) - 1)
         hi = np.clip(pos, 0, len(bps) - 1)
@@ -281,7 +273,7 @@ class AlgebraElement(_Reflected):
         if np.any(near > _POINT_TOL):
             missing = grid[int(np.argmax(near > _POINT_TOL))]
             raise ValueError(f"breakpoints must contain the grid point {missing}")
-        for c in self.model.structure.constraints:
+        for c in model.structure.constraints:
             val = self.value_at(c.point)
             mask = np.zeros((d, d), dtype=bool)
             for blk in c.blocks:
@@ -479,8 +471,7 @@ class AlgebraElement(_Reflected):
         return AlgebraElement(self.model, bps, left @ right, lip, f"({self.label}*{other.label})")
 
 
-@dataclass(frozen=True, eq=False)
-class ToeplitzElement(_Reflected):
+class ToeplitzElement(_Reflected, _Frozen):
     """Polynomial symbol plus finite-rank corner correction.
 
     coeffs holds the symbol coefficients c_{-K} .. c_{K} (offset = K);
@@ -490,21 +481,21 @@ class ToeplitzElement(_Reflected):
     finite corner term).
     """
 
-    model: ToeplitzModel
-    coeffs: tuple[complex, ...]
-    offset: int
-    correction: np.ndarray
-    label: str = ""
+    _fields = ("model", "coeffs", "offset", "correction", "label")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if len(self.coeffs) != 2 * self.offset + 1:
+    def __init__(
+        self, model: ToeplitzModel, coeffs: tuple[complex, ...], offset: int,
+        correction: np.ndarray, label: str = "",
+    ):
+        if len(coeffs) != 2 * offset + 1:
             raise ValueError("coefficient table must cover -K..K")
-        corr = np.array(self.correction, dtype=complex)
+        corr = np.array(correction, dtype=complex)
         if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
             raise ValueError("correction must be square")
         corr.setflags(write=False)
-        object.__setattr__(self, "correction", corr)
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        coeffs = tuple(complex(c) for c in coeffs)
+        self._set(model=model, coeffs=coeffs, offset=offset, correction=corr, label=label)
         # sum |c_k| + sum |corr_ij| bounds the norm; Python float sums overflow to inf quietly
         norm_bound = sum(np.abs(self.coeffs).tolist()) + sum(np.abs(corr).ravel().tolist())
         if not (np.isfinite(norm_bound) and np.isfinite(self.symbol_slope_bound())):

@@ -13,12 +13,12 @@ reported through the truncated flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotSelfAdjoint
+from .errors import NotSelfAdjoint, _Frozen
 from .spectral import DEFAULT_RESOLUTION, SpectrumSet, _distinct, as_matrix, union_spectra
 
 _SELFADJOINT_TOL = 1e-10
@@ -60,26 +60,23 @@ def check_self_adjoint(stack: np.ndarray) -> None:
             raise ValueError("matrix entries must be finite")
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(_Frozen):
     """Fiberwise presentation of a self-adjoint observable."""
 
-    fibers: tuple
-    truncated: bool = False
-    label: str = ""
+    _fields = ("fibers", "truncated", "label")
 
-    def __post_init__(self):
-        if not self.fibers:
+    def __init__(self, fibers: tuple, truncated: bool = False, label: str = ""):
+        if not fibers:
             raise ValueError("an observable needs at least one fiber")
         checked = []
-        for f in self.fibers:
+        for f in fibers:
             if f is not INFINITE:
                 f = as_matrix(f)
                 f = f if f.imag.any() else f.real.copy()  # real by value, -0.0 too: real LAPACK
                 check_self_adjoint(f[None])
                 f.setflags(write=False)
             checked.append(f)
-        object.__setattr__(self, "fibers", tuple(checked))
+        self._set(fibers=tuple(checked), truncated=truncated, label=label)
 
     @classmethod
     def bounded(cls, matrix, label: str = "") -> "Observable":
@@ -99,8 +96,7 @@ class Observable:
         return cls(tuple(matrices), truncated=truncated, label=label)
 
 
-@dataclass(frozen=True)
-class CayleyImage:
+class CayleyImage(NamedTuple):
     """Unitary images (lam + i)/(lam - i) of the fibers, one per fiber."""
 
     fibers: tuple

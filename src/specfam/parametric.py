@@ -37,8 +37,8 @@ graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,21 +48,22 @@ from .errors import (
     NotElliptic,
     NotSelfAdjoint,
     UnsupportedModel,
+    _Frozen,
 )
 from .gallery import MAX_DENSE_ENTRIES
 from .observables import _fiber_points, check_self_adjoint
 from .spectral import DEFAULT_RESOLUTION, SpectrumSet, _distinct
 
 
-@dataclass(frozen=True)
-class CircleBase:
+class CircleBase(_Frozen):
     """Fourier modes k = -K .. K of the circle direction."""
 
-    cutoff: int
+    _fields = ("cutoff",)
 
-    def __post_init__(self):
-        if self.cutoff < 1:
+    def __init__(self, cutoff: int):
+        if cutoff < 1:
             raise ValueError("the mode cutoff must be at least 1")
+        self._set(cutoff=cutoff)
 
     @property
     def dim(self) -> int:
@@ -73,14 +74,14 @@ class CircleBase:
         return k * k
 
 
-@dataclass(frozen=True, eq=False)
-class GraphBase:
+class GraphBase(_Frozen):
     """Finite graph direction; the compact Laplacian is degree minus adjacency."""
 
-    adjacency: np.ndarray
+    _fields = ("adjacency",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
+    def __init__(self, adjacency: np.ndarray):
+        a = np.asarray(adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("adjacency must be a nonempty square matrix")
         if not np.array_equal(a, a.T):  # exactly: eigvalsh reads one triangle of L
@@ -90,7 +91,7 @@ class GraphBase:
         if np.abs(np.diag(a)).max() > 0:
             raise ValueError("adjacency must have a zero diagonal")
         a.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
+        self._set(adjacency=a)
 
     @property
     def dim(self) -> int:
@@ -129,8 +130,7 @@ class GraphBase:
         return mu
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantOperator:
+class InvariantOperator(_Frozen):
     """Polynomial invariant operator on (compact base) x R^n.
 
     terms maps (j, alpha) to a coefficient and contributes
@@ -140,33 +140,30 @@ class InvariantOperator:
     (default: the order) to s - order.
     """
 
-    base: CircleBase | GraphBase
-    n: int
-    terms: tuple
-    s: float | None = None
-    label: str = ""
-    order: int = field(init=False)
+    _fields = ("base", "n", "terms", "s", "label", "order")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(
+        self, base: CircleBase | GraphBase, n: int, terms: tuple, s: float | None = None,
+        label: str = "",
+    ):
+        if n < 1:
             raise ValueError("the flat direction count n must be at least 1")
-        terms = []
+        checked = []
         degrees = [0]
-        for (j, alpha), coeff in self.terms:
+        for (j, alpha), coeff in terms:
             alpha = tuple(int(x) for x in alpha)
-            if len(alpha) != self.n or any(x < 0 for x in alpha) or int(j) < 0:
+            if len(alpha) != n or any(x < 0 for x in alpha) or int(j) < 0:
                 raise ValueError(f"bad term exponents (j={j}, alpha={alpha})")
             c = complex(coeff)
             if c != 0:
-                terms.append(((int(j), alpha), c))
+                checked.append(((int(j), alpha), c))
                 degrees.append(2 * int(j) + sum(alpha))
         order = max(degrees)
-        s = float(order if self.s is None else self.s)
+        s = float(order if s is None else s)
         if not math.isfinite(s):
             raise ValueError("the Sobolev level s must be finite")
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "s", s)
+        self._set(base=base, n=n, terms=tuple(checked), s=s, label=label, order=order)
 
     @classmethod
     def build(
@@ -336,8 +333,7 @@ def fiber(op: InvariantOperator, lam, reduced: bool = False) -> np.ndarray:
     return _matrix(op.base, f)
 
 
-@dataclass(frozen=True)
-class LambdaGrid:
+class LambdaGrid(_Frozen):
     """Symmetric parameter grid: every axis runs -window .. window by step.
 
     The grid builds its axis, k * step for k = -half .. half, and refuses
@@ -345,17 +341,14 @@ class LambdaGrid:
     in lexicographic order, are never built.
     """
 
-    n: int
-    window: float
-    step: float
-    axis: tuple = field(init=False)
+    _fields = ("n", "window", "step", "axis")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, window: float, step: float):
+        if n < 1:
             raise ValueError("the grid dimension must be at least 1")
-        if not (0 < self.step <= self.window):
+        if not (0 < step <= window):
             raise ValueError("need 0 < step <= window")
-        ratio = self.window / self.step
+        ratio = window / step
         points = 2 * round(ratio) + 1 if math.isfinite(ratio) else math.inf
         if points > MAX_DENSE_ENTRIES:
             raise ValueError(
@@ -363,7 +356,8 @@ class LambdaGrid:
                 f"above the cap of {MAX_DENSE_ENTRIES} (2^20)"
             )
         half = (points - 1) // 2
-        object.__setattr__(self, "axis", tuple((np.arange(-half, half + 1) * self.step).tolist()))
+        axis = tuple((np.arange(-half, half + 1) * step).tolist())
+        self._set(n=n, window=window, step=step, axis=axis)
 
     @classmethod
     def build(cls, n: int, window: float, step: float) -> "LambdaGrid":
@@ -525,8 +519,7 @@ def observable_spectrum_parametric(
     return SpectrumSet.canonical(_distinct(np.concatenate(parts)), resolution, truncated=True)
 
 
-@dataclass(frozen=True)
-class ParametricVerdict:
+class ParametricVerdict(NamedTuple):
     invertible: bool
     min_sigma: float
     failing_lambda: tuple | None
@@ -584,8 +577,7 @@ def invertible_parametric(
     )
 
 
-@dataclass(frozen=True)
-class RestrictionCheck:
+class RestrictionCheck(NamedTuple):
     passed: bool
     c0: float
     c1: float

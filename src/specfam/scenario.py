@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ QUERY_KINDS = {
 # parse tree
 
 
-@dataclass
-class _Pair:
+class _Pair(NamedTuple):
     key: str
     value: object  # str scalar, list of _Pair (section), or list of items
     line: int
@@ -278,16 +277,14 @@ def _indexed(pairs: list[_Pair], word: str, arity: int, usage: str):
 # scenario objects
 
 
-@dataclass
-class Query:
+class Query(NamedTuple):
     id: str
     kind: str
     params: list[_Pair]
     line: int
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     label: str
     model: object | None
     elements: dict
@@ -361,7 +358,7 @@ _MODEL_KEYS = {
     "dim": ("dim", _int),
     "constraint-point": ("constraint_point", _num),
     "theta-count": ("theta_count", _int),
-    "sections": ("sections", lambda val, line: tuple(int(x) for x in _nums(val, line))),
+    "sections": ("sections", lambda val, line: tuple(_int(x, line) for x in val.split())),
 }
 
 
@@ -577,11 +574,11 @@ def _run_invertible(scenario: Scenario, q: Query) -> dict:
     bounds = _nums(_scalar(bounds_pair), bounds_pair.line) if bounds_pair else []
     if bounds and min(bounds) <= 0:
         raise ParseError(f"bounds must be positive, got {min(bounds)!r}", bounds_pair.line)
-    out = dict(vars(invertible_via_family(fam, a, tol, tuple(bounds))))
+    out = invertible_via_family(fam, a, tol, tuple(bounds))._asdict()
     if not bounds:
         del out["faithful_route"]
     direct = isinstance(a, AlgebraElement)
-    out["direct"] = dict(vars(direct_invertible(a, tol))) if direct else None
+    out["direct"] = direct_invertible(a, tol)._asdict() if direct else None
     return out
 
 
@@ -609,7 +606,7 @@ def _run_fredholm(scenario: Scenario, q: Query) -> dict:
         raise IncompatibleModel(
             f"line {q.line}: the certified margin of {a.label!r} overflows (slope bound x radius)"
         )
-    return dict(vars(verdict))
+    return verdict._asdict()
 
 
 def _run_parametric_spectrum(scenario: Scenario, q: Query) -> dict:
@@ -633,11 +630,11 @@ def _run_parametric_invertible(scenario: Scenario, q: Query) -> dict:
         )
     except IncompatibleQuery as err:  # a delta-dir that leaves no symbol direction
         raise IncompatibleQuery(f"line {q.line}: {err}") from None
-    return dict(vars(v))
+    return v._asdict()
 
 
 def _run_restriction_check(scenario: Scenario, q: Query) -> dict:
-    return dict(vars(symbol_restriction_check(_ref(scenario, q, "operator"))))
+    return symbol_restriction_check(_ref(scenario, q, "operator"))._asdict()
 
 
 def _run_observable_spectrum(scenario: Scenario, q: Query) -> dict:

@@ -14,12 +14,11 @@ sections, truncated parameter windows).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySet, NoConvergence, NotNormal
+from .errors import EmptySet, NoConvergence, NotNormal, _Frozen
 
 DEFAULT_RESOLUTION = 1e-10
 
@@ -58,8 +57,7 @@ def op_norm(a) -> float:
         raise NoConvergence(f"singular value iteration failed: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SpectrumSet:
+class SpectrumSet(_Frozen):
     """Canonicalized finite set of spectral points.
 
     values     -- read-only array sorted by (real, imag), no two points within `resolution`;
@@ -68,18 +66,14 @@ class SpectrumSet:
     truncated  -- True when the set samples a larger / unbounded object
     """
 
-    values: np.ndarray
-    resolution: float
-    truncated: bool = False
-
-    def __post_init__(self):
-        if self.resolution < 0:
+    def __init__(self, values: np.ndarray, resolution: float, truncated: bool = False):
+        if resolution < 0:
             raise ValueError("resolution must be nonnegative")
-        values = np.array(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
+        values = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
         if values.dtype == complex and not (values.imag.any() or np.signbit(values.imag).any()):
             values = values.real.copy()
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        self._set(values=values, resolution=resolution, truncated=truncated)
 
     @property
     def points(self) -> tuple[complex, ...]:

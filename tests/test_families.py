@@ -1,6 +1,5 @@
 """Family checks, invertibility routes, spectra through families."""
 
-import dataclasses
 import functools
 import gc
 import pickle
@@ -592,7 +591,7 @@ def _svd_counter(monkeypatch, names=("svd",)):
     def svds(scenario, qid):
         shapes.clear()
         (q,) = (q for q in scenario.queries if q.id == qid)
-        run_scenario(dataclasses.replace(scenario, queries=[q]))
+        run_scenario(scenario._replace(queries=[q]))
         return list(shapes)
 
     return svds
@@ -634,8 +633,8 @@ def test_a_norm_then_a_spectrum_solve_the_top_section_once(monkeypatch):
             fresh = load_scenario(path)
             queries = {q.id: q for q in fresh.queries}
             if warm:
-                run_scenario(dataclasses.replace(fresh, queries=[queries[f"norm-{element}"]]))
-            only = dataclasses.replace(fresh, queries=[queries[f"spectrum-{element}"]])
+                run_scenario(fresh._replace(queries=[queries[f"norm-{element}"]]))
+            only = fresh._replace(queries=[queries[f"spectrum-{element}"]])
             texts.append(report_text(run_scenario(only)))
         assert texts[0] == texts[1], element
     # indefinite, split (the even top section of a real even symbol) and zero sections
@@ -747,7 +746,7 @@ def test_real_sections_agree_with_the_complex_route(monkeypatch):
         assert reports == c_reports
         for v, c_v in zip(verdicts, c_verdicts):
             assert abs(v.member_min_sigma - c_v.member_min_sigma) <= scale
-            assert v == dataclasses.replace(c_v, member_min_sigma=v.member_min_sigma)
+            assert v == c_v._replace(member_min_sigma=v.member_min_sigma)
         assert verdicts[0].members_all_invertible == (trial != 4)
 
 
@@ -994,7 +993,7 @@ def test_spectrum_union_is_the_union_of_member_spectra(tol):
         parts = []
         for m in fam.members:
             part = eig_normal(rep_apply(m, a), tol)
-            parts.append(dataclasses.replace(part, truncated=m.kind == "toeplitz-identity"))
+            parts.append(SpectrumSet(part.values, part.resolution, m.kind == "toeplitz-identity"))
         want = union_spectra(parts, resolution=tol)
         assert repr(spectrum_union(fam, a, tol)) == repr(want), fam.label
 
@@ -1075,7 +1074,7 @@ def test_the_first_member_that_fails_decides_the_error():
     for fam, b in _union_cases():
         parts = [eig_normal(rep_apply(m, b), 1e-9) for m in fam.members]
         ladder = [m.kind == "toeplitz-identity" for m in fam.members]
-        parts = [dataclasses.replace(p, truncated=t) for p, t in zip(parts, ladder)]
+        parts = [SpectrumSet(p.values, p.resolution, t) for p, t in zip(parts, ladder)]
         assert repr(spectrum_union(fam, b)) == repr(union_spectra(parts, resolution=1e-9))
 
 

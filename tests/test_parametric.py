@@ -1,6 +1,5 @@
 """Parameter fibers: construction, reduction, spectra, ellipticity."""
 
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -791,7 +790,7 @@ def test_circle_mode_classes_answer_equal_every_mode_bitwise(monkeypatch, n, odd
             assert every[:, k:].tobytes() == every[:, k::-1].tobytes()
         verdict = invertible_parametric(op, grid, tol=np.inf)
         for settings, want in _ref_verdicts(op, grid):
-            assert repr(vars(invertible_parametric(op, grid, **settings))) == repr(vars(want))
+            assert repr(invertible_parametric(op, grid, **settings)._asdict()) == repr(want._asdict())
         if not any(c.imag for _ja, c in op.terms):
             eigs = np.linalg.eigvalsh(np.stack([_ref_fiber(op, lam, False) for lam in nodes]))
             want = SpectrumSet.canonical(_distinct(eigs.ravel()), 1e-9, truncated=True)
@@ -815,7 +814,7 @@ def test_complex_circle_invertibility_equals_the_full_mode_svd_bitwise(cutoff):
             op = _class_test_operator(rng, CircleBase(cutoff), 1, odd, False, s=1.5)
             assert any(c.imag for _ja, c in op.terms)
             for settings, want in _ref_verdicts(op, grid):
-                assert repr(vars(invertible_parametric(op, grid, **settings))) == repr(vars(want))
+                assert repr(invertible_parametric(op, grid, **settings)._asdict()) == repr(want._asdict())
 
 
 @pytest.mark.parametrize("cutoff", [3, 100])
@@ -872,10 +871,10 @@ def _query_outcomes(op, grid):
     """Every parametric query's answer on op, or its error, as comparable text."""
     queries = {
         "spectrum": lambda: spectrum_parametric(op, grid, tol=1e-9),
-        "invertible": lambda: vars(invertible_parametric(op, grid)),
-        "failing": lambda: vars(invertible_parametric(op, grid, tol=np.inf, delta_sym=np.inf)),
+        "invertible": lambda: invertible_parametric(op, grid)._asdict(),
+        "failing": lambda: invertible_parametric(op, grid, tol=np.inf, delta_sym=np.inf)._asdict(),
         "observable": lambda: observable_spectrum_parametric(op, grid, 1e-6),
-        "restriction": lambda: vars(symbol_restriction_check(op)),
+        "restriction": lambda: symbol_restriction_check(op)._asdict(),
     }
     out = {}
     for name, query in queries.items():
@@ -995,7 +994,7 @@ def test_class_axes_follow_the_parity_of_the_exponents(monkeypatch):
     assert repr(invertible_parametric(op, again)) == repr(verdict)
     assert tables[3:] == [(9, 5), (9, 5)]
     # the operator keeps its symbol sweep and |eta| values, nothing of a grid
-    kept = set(vars(op)) - {f.name for f in dataclasses.fields(op)}
+    kept = set(vars(op)) - {"base", "n", "terms", "s", "label", "order"}
     assert kept == {"_symbol_sweep", "_eta_norms"}
     # the directions are built once per dimension, and each |eta| once per operator
     assert parametric._sphere_directions(2) is parametric._sphere_directions(2)

@@ -956,6 +956,12 @@ def test_the_benchmark_setup_code_builds_the_parser_in_a_fresh_interpreter():
             "parse error",
             "    add-block: 1 -0.5",
         ),
+        (
+            {**_TOEPLITZ, "theta-count: 8": "theta-count: 8\n  sections: 8 16.5"},
+            2,
+            "parse error",
+            "  sections: 8 16.5",
+        ),
     ],
     ids=[
         "stride-0", "step-nan", "entry-outside-fiber", "model-step-2", "dim-0",
@@ -979,6 +985,7 @@ def test_the_benchmark_setup_code_builds_the_parser_in_a_fresh_interpreter():
         "lambda-axis-overflows", "lambda-axis-too-long", "correction-index-negative",
         "circle-base-too-large", "graph-base-too-large",
         "add-block-fractional-index", "add-block-negative-fractional-index",
+        "sections-fractional-size",
     ],
 )
 def test_cli_malformed_input_exits_without_traceback(tmp_path, capsys, edits, code, kind, culprit):
