@@ -12,8 +12,10 @@ A family can be checked for three nested completeness grades:
 Every model here is a separable C*-algebra, where a family is exhausting
 iff every irreducible representation is weakly contained in some member,
 so the primitive-point cover that decides full decides exhausting too.
-family_report takes all three verdicts and their witnesses from that
-cover and builds no member image.  invertible_via_family answers the
+That cover is arithmetic on the family's columns (models._Layout) and the
+model's primitive-point arrays: no Representation is built but the
+witnesses.  family_report takes all three verdicts from it and builds no
+member image.  invertible_via_family answers the
 invertible query from one pass over the member images and one cover: the
 naive member-wise check, the exhausting route (no bound) and the
 faithful route (one uniform inverse bound each) all read only the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import weakref
 from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,13 +37,16 @@ from .errors import ToolkitError, UnsupportedModel, _Frozen
 from .models import (
     AlgebraElement,
     Element,
-    FunctionModel,
     Representation,
     ToeplitzElement,
     ToeplitzModel,
+    _columns,
     _images,
+    _laid_out,
     _layout,
     _Layout,
+    _match,
+    _reps,
     enum_prim,
     rep_apply,
 )
@@ -52,58 +57,63 @@ _SLACK = 1e-9
 
 
 class RepFamily(_Frozen):
-    """Nonempty list of representations of one model, each acting on it.
-
-    One pass, here, checks the members against the model and lays them out
-    on it; a member that does not act raises a ValueError naming it and why.
-    What the queries share is kept on the family: that layout, the cover and
-    its verdicts, and each element's member values.
-    """
+    """Nonempty list of representations of one model, each acting on it, kept
+    as columns laid out on the model (_Layout).  Members given as
+    Representations are checked and laid out here, and one that does not act
+    raises a ValueError naming it and why; the gallery passes a _Layout of
+    its model's arrays, and members is built on first access.  The queries
+    share the layout, the cover and its verdicts, and each element's member
+    values."""
 
     _fields = ("model", "members", "label")
 
-    def __init__(
-        self, model: FunctionModel | ToeplitzModel, members: tuple[Representation, ...],
-        label: str = "",
-    ):
-        if not members:
+    def __init__(self, model, members: tuple[Representation, ...] | _Layout, label: str = ""):
+        layout = members
+        if not isinstance(members, _Layout):
+            layout = _layout(model, *_acting(members, model))
+            self._set(members=members)
+        if not layout.kind.size:
             raise ValueError("a family needs at least one member")
-        try:
-            layout = _layout(members, model)
-        except ToolkitError as err:
-            raise ValueError(f"member {err.member.label} does not act on this model: {err}") from None
-        memo = weakref.WeakKeyDictionary()
-        self._set(model=model, members=members, label=label, _layout=layout, _memo=memo)
+        self._set(model=model, label=label, _layout=layout, _memo=weakref.WeakKeyDictionary())
 
     def __reduce__(self):
         # weak references do not pickle: a copy is built anew from the fields
         return RepFamily, (self.model, self.members, self.label)
 
+    @cached_property
+    def members(self) -> tuple[Representation, ...]:
+        return _reps(self._layout)
+
     def _layout_on(self, model) -> _Layout:
         """The kept layout on an equal model; on any other, a new one, which checks the members."""
         same = model is self.model or model == self.model
-        return self._layout if same else _layout(self.members, model)
+        return self._layout if same else _laid_out(self.members, model)
 
-    def _values_of(self, a: Element) -> tuple[tuple[float, float], ...]:
-        """_member_values of the members, once per element: the memo holds
-        elements weakly and by identity, as they compare."""
+    def _values_of(self, a: Element) -> tuple[np.ndarray, np.ndarray]:
+        """_member_values, once per element: the memo holds elements weakly
+        and by identity, as they compare."""
         if a not in self._memo:
-            self._memo[a] = _member_values(self.members, a, self._layout_on(a.model))
+            self._memo[a] = _member_values(None, a, self._layout_on(a.model))
         return self._memo[a]
 
     @cached_property
-    def _cover(self) -> tuple[Representation, ...]:
-        """The primitive points outside every member's support closure, in order.
-
-        The cover runs once per family: it is kept on the family, so every
-        check and query on the family reads the same one.
-        """
+    def _cover(self) -> np.ndarray:
+        """_uncovered, once per family: every check and query reads the same one."""
         return _uncovered(self)
 
     @cached_property
     def _checks(self) -> tuple[CheckResult, CheckResult, CheckResult]:
         """The full, exhausting and faithful verdicts, once per family."""
         return _verdicts(self)
+
+
+def _acting(members: Sequence[Representation], model) -> tuple[np.ndarray, ...]:
+    """_columns of the members, its error as a family's: a ValueError naming
+    the first member that does not act on the model, and why."""
+    try:
+        return _columns(members, model)
+    except ToolkitError as err:
+        raise ValueError(f"member {err.member.label} does not act on this model: {err}") from None
 
 
 class CheckResult(NamedTuple):
@@ -147,45 +157,40 @@ class FamilyReport(NamedTuple):
 
 
 def _member_values(
-    members: tuple[Representation, ...], a: Element, layout: _Layout | None = None
-) -> tuple[tuple[float, float], ...]:
-    """(norm, sigma_min) of each member's image of the element.
+    members, a: Element, layout: _Layout | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Norm and sigma_min of each member's image of the element, as two arrays.
 
     A whole-fiber evaluation reads the element's kept solve (_svals_at), each
     other stack of equal-shape images one batched SVD, the section ladder its
     sweep: the largest section norm and the top section's sigma_min.  An empty
-    image counts as (0, 0).  layout is as in _images: one _layout pass if None.
+    image counts as (0, 0).  members and layout are as in _images.
     """
     if layout is None:
-        layout = _layout(members, a.model)
-    out = [(0.0, 0.0)] * len(members)
-    if layout.ladders:  # only a symbol-model element gets here
-        est, sigma, _ = a._section_sweep
-        for i in layout.ladders:
-            out[i] = (est.value, sigma)
-        layout = layout._replace(ladders=())
-    groups, solved, values = dict(layout.groups), [], None
+        layout = _laid_out(members, a.model)
+    norms, sigmas = np.zeros(len(layout.kind)), np.zeros(len(layout.kind))
+    if ladders := list(layout.ladders):  # only a symbol-model element gets here
+        norms[ladders], sigmas[ladders] = a._section_sweep[0].value, a._section_sweep[1]
+    groups, solved = dict(layout.groups), []
+    values, at = a._evaluate(layout.point) if groups else (None, None)
     if (whole := groups.pop(None, None)) is not None:  # whole-fiber evaluations
-        values, at = a._evaluate(layout.points)
-        solved.append((whole[0], a._svals_at(values[whole[1]], at[whole[1]])))
-    for pos, stack in _images(members, a, layout._replace(groups=groups), values):
-        if stack.size:
-            solved.append((pos, np.linalg.svd(stack, compute_uv=False)))
+        solved.append((whole, a._svals_at(values[whole], at[whole])))
+    images = _images(None, a, layout._replace(groups=groups, ladders=()), values)
+    solved += [(pos, np.linalg.svd(stack, compute_uv=False)) for pos, stack in images if stack.size]
     for pos, svals in solved:
-        for i, top, low in zip(pos.tolist(), svals[:, 0].tolist(), svals[:, -1].tolist()):
-            out[i] = (top, low)
-    return tuple(out)
+        norms[pos], sigmas[pos] = svals[:, 0], svals[:, -1]
+    return norms, sigmas
 
 
 def norm_via_family(family: RepFamily, a: Element) -> float:
     """sup of member image norms; equals the norm for exhausting families."""
-    return max(norm for norm, _ in family._values_of(a))
+    return float(family._values_of(a)[0].max())
 
 
 def n_a_profile(a: Element) -> list[tuple[Representation, float]]:
     """Norm of the element's image at every primitive point, laid out as _images does."""
     prims = enum_prim(a.model)
-    return [(p, norm) for p, (norm, _) in zip(prims, _member_values(prims, a))]
+    return list(zip(prims, _member_values(prims, a)[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -194,56 +199,36 @@ def n_a_profile(a: Element) -> list[tuple[Representation, float]]:
 _SYMBOL_PROBES = ("probe:1", "probe:S", "adj(S)", "probe:2cos", "probe:e00")
 
 
-def _near(keys: np.ndarray, points: np.ndarray, period: float | None = None) -> np.ndarray:
-    """Which keys lie within 1e-12 of some point, by one searchsorted into the
-    sorted points: a key's two neighbours there decide.  With a period the
-    points are taken mod period and one period below."""
-    ordered = np.sort(points if period is None else points % period)
-    out = np.zeros(len(keys), bool)
-    for copy in (ordered,) if period is None else (ordered, ordered - period):
-        i = np.searchsorted(copy, keys)
-        for j in (np.maximum(i - 1, 0), np.minimum(i, len(copy) - 1)):
-            out |= np.abs(keys - copy[j]) <= 1e-12
-    return out
+def _uncovered(family: RepFamily) -> np.ndarray:
+    """The rows of enum_prim outside every member's support closure, in order.
 
-
-def _uncovered(family: RepFamily) -> tuple[Representation, ...]:
-    """Primitive points outside every member's support closure, in order.
-
-    A section-ladder member covers every point, its closure being the
-    whole dual.  Every other point is closed: each block group of the
-    family's layout covers the points _near where it evaluates (the
-    characters, their angles), an evaluation every point there and a
-    compression the point of its own block.  A circle base (period 1) and
-    angles (period 2 pi) are compared cyclically: the primitive points lie
-    in [0, period), and a member position x counts at x mod period and one
-    period below.
+    A section-ladder member covers every point, its closure being the whole
+    dual; every other point is closed.  On a function model a member at a
+    grid point (its _Layout.index) covers the primitive points there, an
+    evaluation all of them and a compression the one of its own block: one
+    index assignment each.  A character covers the angles within 1e-12 of
+    it mod 2 pi or one period below (_match into both, sorted).
     """
-    model, layout, prims = family.model, family._layout, enum_prim(family.model)
+    layout, (_, point, _, index) = family._layout, family.model._prim_cols
     if layout.ladders:
-        return ()
-    covered = np.zeros(len(prims), bool)
-    if isinstance(model, ToeplitzModel):  # pi first, then a character per angle
-        thetas = np.array([family.members[i].theta for i in layout.characters])
-        covered[1:] = _near(np.array(model.thetas), thetas, 2.0 * np.pi)
-    else:
-        period = 1.0 if model.space.kind == "circle" else None
-        keys, constraint_at = np.array([p.point for p in prims]), model.structure.constraint_at
-        for block, (_, ks) in layout.groups.items():
-            near = _near(keys, layout.points[ks], period)
-            if block is not None:  # a compression covers the point of its own block there
-                for i in np.flatnonzero(near).tolist():
-                    p = prims[i]
-                    near[i] = p.block is not None and constraint_at(p.point).blocks[p.block] == block
-            covered |= near
-    return tuple(prims[i] for i in np.flatnonzero(~covered).tolist())
+        return np.zeros(0, int)
+    if isinstance(family.model, ToeplitzModel):  # pi first, then a character per angle
+        y = layout.point[layout.characters] % (2.0 * np.pi)
+        covered = np.append(False, _match(point[1:], np.sort(np.append(y, y - 2.0 * np.pi))) >= 0)
+    else:  # the spare last slot of hit takes the members off the grid (index -1)
+        hit, blocks = np.zeros(len(family.model._grid) + 1, bool), (layout.kind == 1) & (layout.index >= 0)
+        hit[layout.index[layout.kind == 0]] = True
+        covered = hit[index]
+        covered[np.searchsorted(index, layout.index[blocks]) + layout.block[blocks]] = True
+    return np.flatnonzero(~covered)
 
 
 def check_full(family: RepFamily) -> CheckResult:
     """Exact support cover of the enumerated primitive points."""
     uncovered = family._cover
-    if uncovered:
-        return CheckResult(False, uncovered[0].label, "uncovered primitive point")
+    if uncovered.size:
+        (first,) = _reps(family.model._prim_cols, uncovered[:1])
+        return CheckResult(False, first.label, "uncovered primitive point")
     return CheckResult(True)
 
 
@@ -255,24 +240,15 @@ def _theta_radius(thetas: list[float]) -> float:
     return max(gaps) / 2.0
 
 
-def _tent_label(p: Representation) -> str:
-    """Label of the tent probe centred at a base point: ev(t)[i] -> tent(t)[i]."""
-    return "tent" + p.label[2:]
-
-
-def _sparse_point(
-    family: RepFamily, uncovered: tuple[Representation, ...]
-) -> Representation | None:
-    """First uncovered point farther than one grid step from every evaluation.
-
-    The nearest evaluation is a neighbour of the point in the sorted
-    evaluation points (taken mod 1 on the circle, cyclically): one
-    searchsorted checks every point against both.
-    """
+def _sparse_point(family: RepFamily, uncovered: np.ndarray) -> int | None:
+    """First uncovered row whose point lies farther than one grid step from
+    every evaluation.  The nearest evaluation is a neighbour of the point in
+    the sorted evaluation points (taken mod 1 on the circle, cyclically): one
+    searchsorted checks every point against both."""
     if None not in family._layout.groups:  # no whole-fiber evaluation
         return uncovered[0]
-    evals = family._layout.points[family._layout.groups[None][1]]
-    space, at = family.model.space, np.array([p.point for p in uncovered])
+    evals = family._layout.point[family._layout.groups[None]]
+    space, at = family.model.space, family.model._prim_cols[1][uncovered]
     circle = space.kind == "circle"  # sorted by position mod 1, each as given
     evals = evals[np.argsort(evals % 1.0, kind="stable")] if circle else np.sort(evals)
     i = np.searchsorted(evals % 1.0, at % 1.0) if circle else np.searchsorted(evals, at)
@@ -292,9 +268,8 @@ def _verdicts(family: RepFamily) -> tuple[CheckResult, CheckResult, CheckResult]
     in some member: exhausting is full.  Faithful is density of the
     supports: every uncovered point lies within one grid step of an
     evaluation.  On a symbol model both mean that the section ladder is a
-    member, since characters annihilate the corner probe e00.
-    Witnesses name the probe of the first failing point.  All three read
-    the family's one cover; queries read them through RepFamily._checks.
+    member, since characters annihilate the corner probe e00.  Witnesses
+    name the probe of the first failing point, tent(t) for ev(t).
     """
     full = check_full(family)
     if full.ok:
@@ -303,20 +278,17 @@ def _verdicts(family: RepFamily) -> tuple[CheckResult, CheckResult, CheckResult]
         exhausting = CheckResult(False, "probe:e00", "pi is weakly contained in no member")
         faithful = CheckResult(False, "probe:e00", "nonzero probe annihilated by every member")
         return full, exhausting, faithful
-    uncovered = family._cover
-    first = uncovered[0]
-    exhausting = CheckResult(
-        False, _tent_label(first), f"{first.label} is weakly contained in no member"
-    )
-    sparse = _sparse_point(family, uncovered)
+    first = full.witness
+    exhausting = CheckResult(False, "tent" + first[2:], f"{first} is weakly contained in no member")
+    sparse = _sparse_point(family, family._cover)
     if sparse is None:
         faithful = CheckResult(True)
-    elif family.model.space.grid_step == 0:
-        faithful = CheckResult(
-            False, _tent_label(sparse), "nonzero probe annihilated by every member"
-        )
     else:
-        faithful = CheckResult(False, sparse.label, "open region uncovered beyond grid resolution")
+        (point,) = _reps(family.model._prim_cols, [sparse])
+        label, detail = point.label, "open region uncovered beyond grid resolution"
+        if family.model.space.grid_step == 0:
+            label, detail = "tent" + label[2:], "nonzero probe annihilated by every member"
+        faithful = CheckResult(False, label, detail)
     return full, exhausting, faithful
 
 
@@ -324,10 +296,7 @@ def _probe_labels(model, probes: tuple[Element, ...]) -> tuple[str, ...]:
     """The probe gallery by label: identity, one tent per primitive point
     (the five symbol probes on a symbol model), then each user element and
     its norm-gap probe |a|^2 - a*a."""
-    if isinstance(model, ToeplitzModel):
-        base = _SYMBOL_PROBES
-    else:
-        base = ("probe:1",) + tuple(_tent_label(p) for p in enum_prim(model))
+    base = _SYMBOL_PROBES if isinstance(model, ToeplitzModel) else ("probe:1", *model._tents)
     return base + tuple(label for a in probes for label in (a.label, f"gap({a.label})"))
 
 
@@ -392,7 +361,7 @@ def invertible_via_family(
     """
     if any(b <= 0 for b in bounds):
         raise ValueError("the uniform inverse bound must be positive")
-    sigma = min(s for _, s in family._values_of(a))
+    sigma = float(family._values_of(a)[1].min())
     threshold = invertibility_threshold(a, tol)
     _, exhausting, faithful = family._checks
 
@@ -453,18 +422,19 @@ def spectrum_union(
     in member order.
     """
     try:
-        stacks = _images(family.members, a, family._layout_on(a.model))
+        layout = family._layout_on(a.model)
+        stacks = _images(None, a, layout)
     except ToolkitError:
         for member in family.members:  # the first member that fails decides the error
             eig_normal(rep_apply(member, a), tol)
         raise
-    spectra: list = [()] * len(family.members)
+    spectra: list = [()] * len(layout.kind)
     rest = []
     kept = vars(a).get("_section_sweep", (None,) * 3)[2]  # the ladder sweep's, if it ran
     for pos, stack in stacks:
         plain = self_adjoint(stack) & stack.any(axis=(1, 2))
         if plain.any():
-            lone = kept is not None and len(pos) == 1 and pos[0] in family._layout.ladders
+            lone = kept is not None and len(pos) == 1 and pos[0] in layout.ladders
             try:  # ascending rows; a lone ladder image reads those its kept sweep found
                 w = kept[None] if lone else np.linalg.eigvalsh(stack if plain.all() else stack[plain])
             except np.linalg.LinAlgError:
@@ -478,17 +448,18 @@ def spectrum_union(
         spectra[i] = eig_normal(image, tol).values
     # float unless some member spectrum has a point off the real axis
     points = np.concatenate([np.zeros(0), *spectra])
-    return SpectrumSet.canonical(points, tol, bool(family._layout.ladders))
+    return SpectrumSet.canonical(points, tol, bool(layout.ladders))
 
 
 def observable_spectrum_union(
     family: RepFamily, a: Element, resolution: float = DEFAULT_RESOLUTION
 ) -> SpectrumSet:
     """Union of the member images' spectra by the Cayley route; the ladder's is truncated."""
-    members: list = [None] * len(family.members)
-    for pos, stack in _images(family.members, a, family._layout_on(a.model)):
+    layout = family._layout_on(a.model)
+    members: list = [None] * len(layout.kind)
+    for pos, stack in _images(None, a, layout):
         for i, image in zip(pos.tolist(), stack):
-            members[i] = Observable.fibered([image], truncated=i in family._layout.ladders)
+            members[i] = Observable.fibered([image], truncated=i in layout.ladders)
     return spec_union_observable(members, resolution)
 
 
@@ -512,18 +483,18 @@ def fredholm_via_family(
     """
     if not isinstance(family.model, ToeplitzModel) or not isinstance(x, ToeplitzElement):
         raise UnsupportedModel("Fredholm detection applies to symbol-model elements")
-    if len(family._layout.characters) != len(family.members):
+    layout = family._layout
+    if len(layout.characters) != len(layout.kind):
         raise UnsupportedModel("the quotient family must consist of characters")
-    thetas = [m.theta for m in family.members]
-    vals = [abs(x.symbol_at(th)) for th in thetas]
+    vals = [abs(z) for z in x._symbol(layout.point).tolist()]  # numpy's complex abs rounds otherwise
     worst = int(np.argmin(vals))
     min_symbol = vals[worst]
-    margin = min_symbol - x.symbol_slope_bound() * _theta_radius(thetas)
+    margin = min_symbol - x.symbol_slope_bound() * _theta_radius(layout.point.tolist())
     ok = bool(margin > tol)
     return FredholmVerdict(
         fredholm=ok,
         inverse_bound=float(1.0 / min_symbol) if min_symbol > tol else None,
-        failing_theta=None if ok else float(thetas[worst]),
+        failing_theta=None if ok else float(layout.point[worst]),
         min_symbol=float(min_symbol),
         certified_margin=float(margin),
     )

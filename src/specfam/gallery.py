@@ -18,9 +18,11 @@ from .models import (
     FunctionModel,
     Representation,
     ToeplitzModel,
+    _layout,
+    _match,
     enum_prim,
 )
-from .families import RepFamily, _near
+from .families import RepFamily, _acting
 
 MODEL_NAMES = (
     "interval-matrix",
@@ -131,64 +133,60 @@ def build_family(model, generator: str, label: str | None = None, **options) -> 
     label names the family; by default it is made from the generator
     and its options.
     """
-    generated = generator
-    members: list[Representation] = []
-    if generator == "prim-all":
-        members = list(enum_prim(model))
+    generated, evals = generator, None  # evals: grid indices of whole evaluations, laid out below
+    if generator in _PRIM_ROWS:  # rows of the model's primitive-point columns
+        if generator != "prim-all":
+            _needs(model, ToeplitzModel, generator)
+        elif not isinstance(model, (FunctionModel, ToeplitzModel)):
+            enum_prim(model)  # raises: the model has no primitive points to list
+        members = _layout(model, *(c[_PRIM_ROWS[generator]] for c in model._prim_cols))
     elif generator == "eval-grid":
-        _needs_function_model(model, generator)
+        _needs(model, FunctionModel, generator)
         excluded = [float(t) for t in options.pop("exclude_points", ())]
-        added = [(float(t), int(i)) for t, i in options.pop("add_blocks", ())]
-        grid, x = np.array(model.space.sample_grid), np.array(excluded)
-        if not (found := _near(x, grid)).all():  # each must lie within 1e-12 of a grid point
-            raise ValueError(f"excluded point {excluded[int(np.argmin(found))]!r} is not a grid point")
-        drop = _near(grid, x) if excluded else np.zeros(len(grid), bool)
-        members = [model._evals[k] for k in np.flatnonzero(~drop).tolist()]
-        members += [Representation.block_eval(t, b) for t, b in added]
+        added = tuple(Representation.block_eval(t, i) for t, i in options.pop("add_blocks", ()))
+        found, keep = _match(np.array(excluded, float), model._grid), np.ones(len(model._grid), bool)
+        if (found < 0).any():  # each must lie within 1e-12 of a grid point
+            raise ValueError(f"excluded point {excluded[int(np.argmax(found < 0))]!r} is not a grid point")
+        keep[found] = False
+        evals, members = np.flatnonzero(keep), added
         if excluded or added:
             generated = f"{generator}[-{len(excluded)}+{len(added)}]"
     elif generator == "coarse":
-        _needs_function_model(model, generator)
+        _needs(model, FunctionModel, generator)
         stride = int(options.pop("stride", 2))
         if stride < 1:
             raise ValueError("stride must be at least 1")
-        members = list(model._evals[::stride])
+        evals, members = np.arange(0, len(model._grid), stride), ()
         generated = f"coarse[{stride}]"
     elif generator == "single":
-        _needs_function_model(model, generator)
+        _needs(model, FunctionModel, generator)
         at = float(options.pop("at", model.space.sample_grid[0]))
-        members = [Representation.eval_point(at)]
+        members = (Representation.eval_point(at),)
         generated = f"single[{at:.12g}]"
     elif generator == "blocks-only":
-        _needs_function_model(model, generator)
-        for c in model.structure.constraints:
-            for i in range(len(c.blocks)):
-                members.append(Representation.block_eval(c.point, i))
+        _needs(model, FunctionModel, generator)
+        cs = model.structure.constraints
+        members = tuple(Representation.block_eval(c.point, i) for c in cs for i in range(len(c.blocks)))
         if not members:
             raise UnsupportedModel("blocks-only needs a model with block constraints")
-    elif generator == "toeplitz-pi":
-        _needs_toeplitz_model(model, generator)
-        members = [Representation.toeplitz_identity()]
-    elif generator == "toeplitz-chars":
-        _needs_toeplitz_model(model, generator)
-        members = [Representation.toeplitz_character(th) for th in model.thetas]
-    elif generator == "toeplitz-all":
-        _needs_toeplitz_model(model, generator)
-        members = [Representation.toeplitz_identity()]
-        members += [Representation.toeplitz_character(th) for th in model.thetas]
     else:
         raise UnsupportedModel(f"unknown family generator {generator!r}")
     if options:
         keys = ", ".join(sorted(options))
         raise ValueError(f"generator {generator!r} does not accept options: {keys}")
-    return RepFamily(model, tuple(members), generated if label is None else label)
+    if evals is not None:  # the evaluations, then the added members, checked as a family's own
+        cols = (np.zeros(len(evals), int), model._grid[evals], np.full(len(evals), -1), evals)
+        if members:
+            cols = [np.concatenate(pair) for pair in zip(cols, _acting(members, model))]
+        members = _layout(model, *cols)
+    return RepFamily(model, members, generated if label is None else label)
 
 
-def _needs_function_model(model, generator: str):
-    if not isinstance(model, FunctionModel):
-        raise UnsupportedModel(f"generator {generator!r} needs a function model")
+_PRIM_ROWS = {"prim-all": slice(None), "toeplitz-pi": slice(1), "toeplitz-chars": slice(1, None)}
+_PRIM_ROWS["toeplitz-all"] = _PRIM_ROWS["prim-all"]
 
 
-def _needs_toeplitz_model(model, generator: str):
-    if not isinstance(model, ToeplitzModel):
-        raise UnsupportedModel(f"generator {generator!r} needs a symbol model")
+def _needs(model, kind: type, generator: str):
+    if not isinstance(model, kind):
+        what = "function" if kind is FunctionModel else "symbol"
+        raise UnsupportedModel(f"generator {generator!r} needs a {what} model")

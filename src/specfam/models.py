@@ -12,10 +12,11 @@ Two model families are supported:
   correction, evaluated through a ladder of finite sections and through
   the circle characters of the symbol.
 
-Representations are lightweight tagged values.  _layout checks members
-against a model and records where each reads its image, in one pass;
-_images turns many members into their images at once, one stack per image
-shape, and rep_apply is its one-member view.
+A family holds its members as columns (_Layout), and each model its
+primitive points, so the gallery's families are slices of a model's arrays;
+_laid_out checks Representations and turns them into the same columns, and
+_reps builds them back where one is printed.  _images turns a layout into
+its images of an element, one stack per image shape.
 """
 
 from __future__ import annotations
@@ -71,16 +72,14 @@ class BaseSpace(NamedTuple):
         if not 0.0 < step <= 1.0:
             raise ValueError("grid step must lie in (0, 1]")
         n = int(np.ceil(1.0 / step - 1e-12))
-        grid = tuple(float(i) / n for i in range(n + 1))
-        return cls("interval", grid, 1.0 / n)
+        return cls("interval", tuple((np.arange(n + 1) / n).tolist()), 1.0 / n)
 
     @classmethod
     def circle(cls, step: float) -> "BaseSpace":
         if not 0.0 < step <= 1.0:
             raise ValueError("grid step must lie in (0, 1]")
         n = int(np.ceil(1.0 / step - 1e-12))
-        grid = tuple(float(i) / n for i in range(n))
-        return cls("circle", grid, 1.0 / n)
+        return cls("circle", tuple((np.arange(n) / n).tolist()), 1.0 / n)
 
     def distance(self, s: float, t: float) -> float:
         if self.kind == "circle":
@@ -141,32 +140,45 @@ class FunctionModel(_Frozen):
     _fields = ("space", "structure")
 
     def __init__(self, space: BaseSpace, structure: BlockStructure):
-        for c in structure.constraints:
-            if not any(abs(c.point - g) <= _POINT_TOL for g in space.sample_grid):
-                raise ValueError(f"constrained point {c.point} is not a grid point")
         self._set(space=space, structure=structure)
+        self._set(_at=_match(np.array([c.point for c in structure.constraints], float), self._grid).tolist())
+        for c, k in zip(structure.constraints, self._at):  # _at: each constraint's grid index
+            if k < 0:
+                raise ValueError(f"constrained point {c.point} is not a grid point")
 
     @property
     def fiber_dim(self) -> int:
         return self.structure.fiber_dim
 
     @cached_property
-    def _evals(self) -> tuple[Representation, ...]:
-        """The evaluation at each grid point, for enum_prim and the grid families."""
-        grid = map(float, self.space.sample_grid)
-        return tuple([Representation("eval", t, None, None, f"ev({_fmt(t)})") for t in grid])
+    def _grid(self) -> np.ndarray:
+        return np.array(self.space.sample_grid)
+
+    @cached_property
+    def _prim_cols(self) -> tuple[np.ndarray, ...]:
+        """enum_prim's points as _Layout columns, built once per model: a whole
+        evaluation per grid point, or a compression per block of the
+        constraint there (the first within 1e-12, as constraint_at)."""
+        grid, blocks = self._grid, np.zeros(len(self._grid), int)
+        for c, k in reversed(list(zip(self.structure.constraints, self._at))):
+            blocks[k] = len(c.blocks)
+        index = np.repeat(np.arange(len(grid)), np.maximum(blocks, 1))
+        block = np.where(blocks[index] > 0, np.arange(len(index)) - np.searchsorted(index, index), -1)
+        return np.minimum(block + 1, 1), grid[index], block, index
 
     @cached_property
     def _prims(self) -> tuple[Representation, ...]:
-        """enum_prim's list: an evaluation per grid point, or its block compressions."""
-        out: list[Representation] = []
-        for t, ev in zip(self.space.sample_grid, self._evals):
-            c = self.structure.constraint_at(t)
-            if c is None:
-                out.append(ev)
-            else:
-                out += [Representation.block_eval(t, i) for i in range(len(c.blocks))]
-        return tuple(out)
+        """enum_prim's list, built from _prim_cols."""
+        return _reps(self._prim_cols)
+
+    @cached_property
+    def _tents(self) -> tuple[str, ...]:
+        """Each primitive point's tent-probe label, tent(t)[i] for ev(t)[i], formatted once per model."""
+        _, point, block, _ = self._prim_cols
+        tents = [f"tent({t:.12g})" for t in point.tolist()]
+        for r in np.flatnonzero(block >= 0).tolist():
+            tents[r] = f"{tents[r]}[{block[r]}]"
+        return tuple(tents)
 
 
 class ToeplitzModel(_Frozen):
@@ -184,10 +196,15 @@ class ToeplitzModel(_Frozen):
         self._set(thetas=thetas, section_sizes=section_sizes)
 
     @cached_property
+    def _prim_cols(self) -> tuple[np.ndarray, ...]:
+        """enum_prim's points as _Layout columns: the section ladder, then a character per angle."""
+        none = np.full(len(self.thetas) + 1, -1)
+        return np.array((2, *[3] * len(self.thetas))), np.array((np.nan, *self.thetas)), none, none
+
+    @cached_property
     def _prims(self) -> tuple[Representation, ...]:
-        """enum_prim's list: the section ladder, then a character per angle."""
-        chars = tuple(Representation.toeplitz_character(th) for th in self.thetas)
-        return (Representation.toeplitz_identity(), *chars)
+        """enum_prim's list, built from _prim_cols."""
+        return _reps(self._prim_cols)
 
     @classmethod
     def standard(cls, theta_count: int = 16, sections: Sequence[int] = (8, 16, 32, 64, 128)) -> "ToeplitzModel":
@@ -265,7 +282,7 @@ class AlgebraElement(_Reflected, _Frozen):
         self._set(
             model=model, breakpoints=bps, matrices=mats, lipschitz_bound=lipschitz_bound, label=label
         )
-        grid = np.asarray(model.space.sample_grid)
+        grid = model._grid
         pos = np.searchsorted(bps, grid)
         lo = np.clip(pos - 1, 0, len(bps) - 1)
         hi = np.clip(pos, 0, len(bps) - 1)
@@ -535,9 +552,18 @@ class ToeplitzElement(_Reflected, _Frozen):
         return self.coeffs[k + self.offset]
 
     def symbol_at(self, theta: float) -> complex:
-        return sum(
-            c * np.exp(1j * (k - self.offset) * theta) for k, c in enumerate(self.coeffs)
-        )
+        return self._symbol(np.array([theta], float))[0]
+
+    def _symbol(self, thetas: np.ndarray) -> np.ndarray:
+        """The symbol at each angle: sum c_k e^(i k theta), each term's complex
+        product written out in real arithmetic, bit for bit the scalar numpy
+        product (which numpy's complex array product does not round alike)."""
+        out = np.zeros(len(thetas), complex)
+        for k, c in enumerate(self.coeffs, -self.offset):
+            z = np.exp(1j * k * thetas)
+            out.real += c.real * z.real - c.imag * z.imag
+            out.imag += c.real * z.imag + c.imag * z.real
+        return out
 
     def symbol_slope_bound(self) -> float:
         """Certified bound for |d/dtheta symbol|."""
@@ -713,31 +739,51 @@ class Representation(NamedTuple):
 
 
 class _Layout(NamedTuple):
-    """Where each member reads its image of an element of one model: the
-    evaluation points, (member positions, point indices) per block (None
-    for the whole fiber), and the positions of characters and ladders."""
+    """Members as columns on one model: kind (in _KINDS), point (a character's
+    angle, nan for pi), block and grid index (-1 for none); then the member
+    positions per block group (None: the whole fiber), characters and ladders."""
 
-    points: np.ndarray
+    kind: np.ndarray
+    point: np.ndarray
+    block: np.ndarray
+    index: np.ndarray
     groups: dict[tuple[int, ...] | None, np.ndarray]
-    characters: tuple[int, ...]
+    characters: np.ndarray
     ladders: tuple[int, ...]
 
 
-def _layout(members: Sequence[Representation], model) -> _Layout:
-    """Where each member reads its image of the model's elements.  The same
-    pass checks the members: the first that does not act on the model raises,
-    its error naming it as `member`.  Characters and the section ladder act on
-    the symbol model; evaluations at base-space points and compressions to a
-    constrained block, on function models."""
-    points, groups, characters, ladders = [], {}, [], []
-    for i, rep in enumerate(members):
-        kind, block, error = rep.kind, None, None  # block None: the whole fiber
+_KINDS = ("eval", "block", "toeplitz-identity", "toeplitz-character")
+
+
+def _layout(model, kind, point, block, index) -> _Layout:
+    """Members given as columns that act on the model, laid out: a compression reads its constraint's block."""
+    groups = {None: np.flatnonzero(kind == 0)}
+    pos = np.flatnonzero(kind == 1)
+    for i, t, b in zip(pos.tolist(), point[pos].tolist(), block[pos].tolist()):
+        groups.setdefault(model.structure.constraint_at(t).blocks[b], []).append(i)
+    groups = {blk: np.array(at, int) for blk, at in groups.items() if len(at)}
+    ladders = tuple(np.flatnonzero(kind == 2).tolist())
+    return _Layout(kind, point, block, index, groups, np.flatnonzero(kind == 3), ladders)
+
+
+def _laid_out(members: Sequence[Representation], model) -> _Layout:
+    """Members checked against the model (_columns), then laid out on it."""
+    return _layout(model, *_columns(members, model))
+
+
+def _columns(members: Sequence[Representation], model) -> tuple[np.ndarray, ...]:
+    """Members checked against the model, as _Layout's kind, point, block and
+    index columns; the first that does not act raises, its error naming it as
+    `member`.  The symbol model's members are characters and the section
+    ladder; a function model's, evaluations at base-space points and
+    compressions to a block."""
+    rows = []
+    for rep in members:
+        kind, error = rep.kind, None
         if kind in ("toeplitz-character", "toeplitz-identity"):
-            if isinstance(model, ToeplitzModel):
-                (characters if kind == "toeplitz-character" else ladders).append(i)
-                continue
-            what = "characters apply" if kind == "toeplitz-character" else "the section ladder applies"
-            error = IncompatibleModel(f"{what} to symbol-model elements")
+            if not isinstance(model, ToeplitzModel):
+                what = "characters apply" if kind == "toeplitz-character" else "the section ladder applies"
+                error = IncompatibleModel(f"{what} to symbol-model elements")
         elif kind not in ("eval", "block"):
             error = UnsupportedModel(f"unknown representation kind {kind!r}")
         elif not isinstance(model, FunctionModel):
@@ -749,44 +795,64 @@ def _layout(members: Sequence[Representation], model) -> _Layout:
             error = IncompatibleModel(f"no block constraint at {rep.point!r}")
         elif not 0 <= rep.block < len(c.blocks):
             error = IncompatibleModel(f"block index {rep.block} out of range at {rep.point!r}")
-        else:
-            block = c.blocks[rep.block]
         if error is not None:
             error.member = rep
             raise error
-        groups.setdefault(block, []).extend((i, len(points)))  # flat: np.array reads ints fastest
-        points.append(rep.point)
-    groups = {block: np.array(flat).reshape(-1, 2).T for block, flat in groups.items()}
-    return _Layout(np.array(points, dtype=float), groups, tuple(characters), tuple(ladders))
+        at = rep.theta if kind == "toeplitz-character" else rep.point
+        rows.append((_KINDS.index(kind), at, rep.block if kind == "block" else -1))
+    kind, point, block = np.array(rows, float).reshape(-1, 3).T
+    index = np.full(len(kind), -1)  # a function model's members: their grid points
+    if isinstance(model, FunctionModel):
+        index = _match(point, model._grid, 1.0 if model.space.kind == "circle" else None)
+    return kind.astype(int), point, block.astype(int), index
+
+
+def _match(x: np.ndarray, grid: np.ndarray, period: float | None = None) -> np.ndarray:
+    """For each x, the index of a point of the sorted grid within 1e-12 of it
+    (of x mod period or one period below, with one), else -1: its two
+    neighbours by searchsorted decide."""
+    out = np.full(len(x), -1)
+    for z in (x,) if period is None else (x % period, x % period - period):
+        i = np.searchsorted(grid, z)
+        for j in (np.maximum(i - 1, 0), np.minimum(i, len(grid) - 1)):
+            out = np.where(np.abs(z - grid[j]) <= _POINT_TOL, j, out)
+    return out
+
+
+def _reps(cols, rows=slice(None)) -> tuple[Representation, ...]:
+    """Members or primitive points, these rows of their columns, as Representations."""
+    make = (
+        lambda t, b: Representation.eval_point(t), Representation.block_eval,
+        lambda t, b: Representation.toeplitz_identity(), lambda t, b: Representation.toeplitz_character(t),
+    )
+    return tuple(make[k](t, b) for k, t, b in zip(*(c[rows].tolist() for c in cols[:3])))
 
 
 def _images(
-    members: Sequence[Representation], a: Element, layout: _Layout | None = None, values=None
+    members: Sequence[Representation] | None, a: Element, layout: _Layout | None = None, values=None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Images of the element under the members, as (member positions,
-    stack) per image shape.
+    """Images of the element under the members, as (member positions, stack)
+    per image shape.
 
     Evaluation and block members read one values_at lookup over their
-    points; a block image is its evaluation compressed to the block.
-    Characters and the section ladder are applied one member at a time;
-    characters whose values all have zero imaginary parts give a float stack.
-    layout is the members' layout on the element's model when the caller
-    keeps one (a family does); without it the members are laid out on the
-    element's model, and the first that does not act on it raises.  values
-    are the element's values at the layout's points when the caller has them.
-    """
+    points (or values, if known); a block image is its evaluation compressed
+    to the block.  Characters read the symbol at their angles at once, a
+    float stack if no value has an imaginary part; the section ladder is
+    applied per member.  A family passes its layout and no members; without
+    a layout the members are laid out here, and the first that does not act
+    raises."""
     if layout is None:
-        layout = _layout(members, a.model)
+        layout = _laid_out(members, a.model)
     if values is None and layout.groups:
-        values = a.values_at(layout.points)
+        values = a.values_at(layout.point)
     shapes: dict[int, list] = {}
-    for block, (pos, ks) in layout.groups.items():
-        image = values[ks] if block is None else values[np.ix_(ks, block, block)]
+    for block, pos in layout.groups.items():
+        image = values[pos] if block is None else values[np.ix_(pos, block, block)]
         shapes.setdefault(image.shape[-1], []).append((pos, image))
-    if layout.characters:
-        chars = np.array([[[a.symbol_at(members[i].theta)]] for i in layout.characters], complex)
+    if layout.characters.size:
+        chars = a._symbol(layout.point[layout.characters])[:, None, None]
         real = not chars.imag.any()
-        shapes.setdefault(1, []).append((np.array(layout.characters), chars.real if real else chars))
+        shapes.setdefault(1, []).append((layout.characters, chars.real if real else chars))
     for i in layout.ladders:
         image = a.section(max(a.section_sizes))
         shapes.setdefault(len(image), []).append((np.array([i]), image[None]))
@@ -818,7 +884,7 @@ def enum_prim(model) -> tuple[Representation, ...]:
     Each is a primitive point (the kernel of the representation).  Every
     point is closed except the section ladder pi, whose closure is the
     whole dual: that is what makes a single-member family complete.  The
-    list is built once per model and kept on it.
+    list is built from the model's columns on first call and kept on it.
     """
     if isinstance(model, (FunctionModel, ToeplitzModel)):
         return model._prims
@@ -845,7 +911,7 @@ def elem_norm(a: Element) -> NormEstimate:
     """Sup norm over the sample grid, from the element's kept solve, with its certified error bar."""
     if isinstance(a, ToeplitzElement):
         return toeplitz_norm(a)
-    vals = a._svals_at(*a._evaluate(a.model.space.sample_grid))[:, 0]
+    vals = a._svals_at(*a._evaluate(a.model._grid))[:, 0]
     bar = a.lipschitz_bound * a.model.space.grid_step / 2.0
     return NormEstimate(float(np.max(vals)), float(bar))
 

@@ -1,8 +1,9 @@
 """The primitive-point cover against a brute-force search, and what it rests on.
 
-`_uncovered` finds each block group's covered points with one sorted lookup,
-and `_sparse_point` checks every uncovered point against its two sorted
-neighbours.  Here both meet an O(members x points) search over seeded
+`_uncovered` marks the points that each member's grid index covers, one
+index assignment per kind (a sorted lookup for characters), and
+`_sparse_point` checks every uncovered point against its two sorted
+neighbours; both answer with rows of `enum_prim`.  Here both meet an O(members x points) search over seeded
 families on interval, circle, discrete and symbol models: members at, 1e-12
 and 3e-12 off the grid points, one period out, duplicated, and the sparse
 `coarse` families.  The index-based cover rests on unique primitive labels,
@@ -54,6 +55,12 @@ def brute_uncovered(family: RepFamily) -> tuple[Representation, ...]:
         p for p in enum_prim(family.model)
         if not any(_covers(m, p, period) for m in family.members)
     )
+
+
+def uncovered_points(family: RepFamily) -> tuple[Representation, ...]:
+    """_uncovered's rows as the primitive points they stand for."""
+    prims = enum_prim(family.model)
+    return tuple(prims[i] for i in _uncovered(family))
 
 
 def brute_sparse_point(family: RepFamily, uncovered) -> Representation | None:
@@ -143,10 +150,12 @@ def _seeded_families(seed: int, count: int = 40):
 def test_cover_and_sparse_point_match_a_brute_force_search(seed):
     checked = sparse = 0
     for family in _seeded_families(seed):
-        uncovered = _uncovered(family)
+        rows = _uncovered(family)
+        uncovered = uncovered_points(family)
         assert uncovered == brute_uncovered(family), family.members
         if uncovered and isinstance(family.model, FunctionModel):
-            got = _sparse_point(family, uncovered)
+            got = _sparse_point(family, rows)
+            got = None if got is None else enum_prim(family.model)[got]
             assert got == brute_sparse_point(family, uncovered), family.members
             sparse += got is not None
         checked += 1
@@ -164,7 +173,7 @@ def test_cover_matches_the_oracles_label_sets_where_nothing_wraps(seed):
             continue
         prims = enum_prim(family.model)
         covered = oracle.member_supports(family, prims)
-        assert [p.label for p in _uncovered(family)] == [
+        assert [p.label for p in uncovered_points(family)] == [
             p.label for p in prims if p.label not in covered
         ]
         compared += 1
@@ -174,19 +183,19 @@ def test_cover_matches_the_oracles_label_sets_where_nothing_wraps(seed):
 def test_cover_edges_by_hand():
     circle = build_model("circle-scalar", step=1 / 8)
     for at in (1.0 - 5e-13, 1.0, 2.0):
-        uncovered = _uncovered(build_family(circle, "single", at=at))
+        uncovered = uncovered_points(build_family(circle, "single", at=at))
         assert "ev(0)" not in [p.label for p in uncovered] and len(uncovered) == 7
     interval = build_model("interval-scalar", step=1 / 8)
     # 0.5 + 1e-12 lies 9.9998e-13 above 0.5, and 0.5 + 3e-12 outside 1e-12
     for at, covers in ((0.5 + 1e-12, True), (0.5 - 1e-12, True), (0.5 + 3e-12, False)):
         family = build_family(interval, "single", at=at)
-        assert ("ev(0.5)" not in [p.label for p in _uncovered(family)]) == covers
+        assert ("ev(0.5)" not in [p.label for p in uncovered_points(family)]) == covers
     matrix = build_model("interval-matrix", step=1 / 8)
     block = RepFamily(matrix, (Representation.block_eval(1.0, 1),) * 2)
-    assert [p.label for p in _uncovered(block)][-1] == "ev(1)[0]"
+    assert [p.label for p in uncovered_points(block)][-1] == "ev(1)[0]"
     symbol = build_model("toeplitz", theta_count=8)
     chi = RepFamily(symbol, (Representation.toeplitz_character(TWO_PI - 5e-13),))
-    assert [p.label for p in _uncovered(chi)][:2] == ["pi", "chi(0.785398163397)"]
+    assert [p.label for p in uncovered_points(chi)][:2] == ["pi", "chi(0.785398163397)"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +230,7 @@ def test_an_excluded_point_within_1e_12_drops_exactly_one_member():
     model = build_model("interval-scalar", step=1 / 8)
     for x in (0.5 + 5e-13, 0.5 - 5e-13, -5e-13, 1.0 + 5e-13):
         family = build_family(model, "eval-grid", exclude_points=[x])
-        dropped = [m for m in model._evals if m not in family.members]
+        dropped = [m for m in build_family(model, "eval-grid").members if m not in family.members]
         assert len(family.members) == 8 and len(dropped) == 1
         assert abs(dropped[0].point - x) <= 1e-12
 
@@ -238,7 +247,7 @@ def test_a_point_excluded_twice_drops_one_member_and_counts_twice():
     model = build_model("interval-scalar", step=1 / 8)
     family = build_family(model, "eval-grid", exclude_points=[0.5, 0.5, 0.5 + 5e-13])
     assert [m.label for m in family.members] == [
-        m.label for m in model._evals if m.label != "ev(0.5)"
+        m.label for m in build_family(model, "eval-grid").members if m.label != "ev(0.5)"
     ]
     assert family.label == "eval-grid[-3+0]"
 
@@ -270,4 +279,4 @@ def test_representations_compare_hash_and_pickle_by_their_fields():
     copy = pickle.loads(pickle.dumps(family))
     assert copy == family and copy.members == family.members
     assert all(type(m) is Representation for m in copy.members)
-    assert _uncovered(copy) == _uncovered(family)
+    assert uncovered_points(copy) == uncovered_points(family)

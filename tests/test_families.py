@@ -12,6 +12,7 @@ import pytest
 
 import probe_oracle as oracle
 import specfam.families
+import specfam.gallery
 import specfam.models
 import specfam.observables
 from specfam import (
@@ -153,7 +154,7 @@ def test_member_values_match_per_member_svd(kind):
     images = [rep_apply(member, a) for member in fam.members]
     assert len({m.shape for m in images}) == (1 if kind in ("blocks-only", "circle") else 2)
     norms = []
-    for member, image, (_, sigma) in zip(fam.members, images, _member_values(fam.members, a)):
+    for member, image, (_, sigma) in zip(fam.members, images, zip(*_member_values(fam.members, a))):
         if member.kind in ("eval", "block"):
             value = a.value_at(member.point)
             if member.kind == "block":
@@ -270,7 +271,7 @@ def test_cover_wraps_around_the_circle():
     assert report.full and report.exhausting and report.faithful
     symbol = build_model("toeplitz", theta_count=8)
     chi = RepFamily(symbol, (Representation.toeplitz_character(2 * np.pi),))
-    uncovered = [p.label for p in _uncovered(chi)]
+    uncovered = [enum_prim(symbol)[i].label for i in _uncovered(chi)]
     assert "chi(0)" not in uncovered and "chi(0.785398163397)" in uncovered
 
 
@@ -1117,10 +1118,13 @@ def test_member_values_are_kept_per_element_and_drop_with_it():
     other = twins[0] * 2.0
     assert np.array_equal(twins[0].matrices, twins[1].matrices)
     for a in (*twins, other):
-        assert norm_via_family(fam, a) == max(n for n, _ in _member_values(fam.members, a))
-        assert fam._memo[a] == _member_values(fam.members, a)
+        norms, sigmas = _member_values(fam.members, a)
+        assert norm_via_family(fam, a) == norms.max()
+        assert [v.tobytes() for v in fam._memo[a]] == [norms.tobytes(), sigmas.tobytes()]
+    # the values are all a family keeps of an element: not its evaluation at the members' points
+    assert [k for k in vars(fam) if "memo" in k or "evalu" in k] == ["_memo"]
     assert len(fam._memo) == 3  # equal data, one entry per element
-    assert fam._memo[other] != fam._memo[twins[0]]
+    assert fam._memo[other][0].tobytes() != fam._memo[twins[0]][0].tobytes()
     ref = weakref.ref(twins[0])
     del twins[0]
     gc.collect()
@@ -1203,15 +1207,15 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
     for name in ("_uncovered", "check_full"):
         fn = getattr(specfam.families, name)
         monkeypatch.setattr(specfam.families, name, counting(fn, lambda f, n=name: (n, f.label)))
-    for mod in (specfam.models, specfam.families):
-        monkeypatch.setattr(mod, "_layout", counting(mod._layout, lambda members: ("layout",)))
+    for mod, name in ((specfam.models, "_layout"), (specfam.gallery, "_layout"), (specfam.families, "_laid_out")):
+        monkeypatch.setattr(mod, name, counting(getattr(mod, name), lambda _: ("layout",)))
     model_class = specfam.models.FunctionModel
-    counted = functools.cached_property(counting(model_class._prims.func, lambda _: ("prims",)))
-    counted.__set_name__(model_class, "_prims")
-    monkeypatch.setattr(model_class, "_prims", counted)
+    counted = functools.cached_property(counting(model_class._prim_cols.func, lambda _: ("prims",)))
+    counted.__set_name__(model_class, "_prim_cols")
+    monkeypatch.setattr(model_class, "_prim_cols", counted)
 
     scenario = parse_scenario(_CERTIFY_SCN)
-    calls.clear()  # prim-all built its members from enum_prim while parsing
+    calls.clear()  # prim-all sliced the model's primitive-point columns while parsing
     run_scenario(scenario)
     # two spectrum queries over families with 2x2 and 1x1 images, eigenvalues only
     assert sorted(c for c in calls if c[0] == "eigvalsh") == [("eigvalsh", 1)] * 2 + [("eigvalsh", 2)] * 2
@@ -1231,7 +1235,7 @@ def test_a_certify_pass_solves_each_image_shape_once_and_covers_each_family_once
     scenario = parse_scenario(_CERTIFY_SCN.replace("prim-all", "eval-grid"))
     calls.clear()
     run_scenario(scenario)
-    assert calls.count(("prims",)) == 1  # three covers and the probe labels share one list
+    assert calls.count(("prims",)) == 1  # three covers and the probe labels share one set of columns
 
 
 def _alone(m: np.ndarray) -> np.ndarray:
@@ -1320,7 +1324,7 @@ def test_every_solve_of_a_function_element_is_bitwise_its_matrix_solved_alone():
             sup = max(_alone(m)[0] for m in a.matrices) + lip * gap / 2.0
             assert np.float64(a.sup_bound()).tobytes() == np.float64(sup).tobytes()
             values = [(s[0], s[-1]) for s in (_alone(rep_apply(m, a)) for m in members)]
-            assert np.array(_member_values(members, a)).tobytes() == np.array(values).tobytes()
+            assert np.stack(_member_values(members, a), axis=1).tobytes() == np.array(values).tobytes()
             if np.array_equal(a.matrices, a.adjoint().matrices):  # every image is normal
                 spectra += 1
                 parts = [eig_normal(rep_apply(m, a), 1e-9) for m in members]

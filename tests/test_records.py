@@ -166,7 +166,7 @@ def test_a_family_and_a_spectrum_survive_a_pickle_round_trip(builds):
     family, spectrum = builds[0]["RepFamily"], builds[0]["SpectrumSet"]
     again = pickle.loads(pickle.dumps(family))
     assert again == family and repr(again) == repr(family)
-    assert again._layout.points.tobytes() == family._layout.points.tobytes()
+    assert again._layout.point.tobytes() == family._layout.point.tobytes()
     assert again._memo is not family._memo and len(again._memo) == 0
     copy = pickle.loads(pickle.dumps(spectrum))
     assert copy == spectrum and repr(copy) == repr(spectrum)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from specfam import families as families_module
+from specfam import gallery as gallery_module
 from specfam import parametric as parametric_module
 from specfam import scenario as scenario_module
 from specfam.cli import _build_parser, main
@@ -119,17 +120,19 @@ def test_minimal_scenario_parses():
 
 def test_parse_checks_each_family_member_once(monkeypatch):
     # the scenario's label goes to build_family, so no second family is built;
-    # each family checks and lays out its members in one _layout pass
+    # each gallery family lays out its members once, as columns of its model's
+    # grid, and builds no Representation
     calls = []
-    real = families_module._layout
+    real = gallery_module._layout
     monkeypatch.setattr(
-        families_module, "_layout", lambda members, model: calls.append(members) or real(members, model)
+        gallery_module, "_layout", lambda model, *cols: calls.append(len(cols[0])) or real(model, *cols)
     )
+    monkeypatch.setattr(families_module, "_laid_out", None)  # no members given as Representations
     extra = "generator: eval-grid\n  - id: prims\n    generator: prim-all"
     scenario = parse_scenario(MINIMAL.replace("generator: eval-grid", extra))
     assert [f.label for f in scenario.families.values()] == ["grid", "prims"]
-    assert calls == [f.members for f in scenario.families.values()]
-    assert sum(map(len, calls)) == 34
+    assert calls == [len(f._layout.kind) for f in scenario.families.values()] == [17, 17]
+    assert all("members" not in vars(f) for f in scenario.families.values())
 
 
 def test_fraction_step_expands_grid():
